@@ -71,16 +71,6 @@ class Dataset:
             scan_ids=self.scan_ids,
         )
 
-    def subset_rows(self, idx) -> "Dataset":
-        idx = np.asarray(idx, dtype=int)
-        return Dataset(
-            x=self.x[idx],
-            y=None if self.y is None else self.y[idx],
-            feature_names=self.feature_names,
-            lesion_ids=tuple(self.lesion_ids[i] for i in idx),
-            scan_ids=tuple(self.scan_ids[i] for i in idx),
-        )
-
 
 def columns_for_groups(feature_names, groups) -> tuple[str, ...]:
     """Feature columns belonging to the given families, in canonical order."""
@@ -118,18 +108,29 @@ def write_features_csv(path, records) -> None:
 
 
 def read_features_csv(path) -> Dataset:
-    """Load a feature CSV; the class column may be empty (unlabeled data)."""
+    """Load a feature CSV; the class column may be empty (unlabeled data).
+
+    A header-only file (what ``extract`` writes when every scan fails) reads
+    as a 0-row dataset; a row whose cell count differs from the header's is
+    rejected with its line number.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty feature file")
-        rows = list(reader)
-    if tuple(header[:3]) != ID_COLUMNS:
-        raise ValueError(f"{path}: expected id columns {ID_COLUMNS}, got {tuple(header[:3])}")
-    feature_names = tuple(header[3:])
-    if not feature_names:
-        raise ValueError(f"{path}: no feature columns")
+        if tuple(header[:3]) != ID_COLUMNS:
+            raise ValueError(f"{path}: expected id columns {ID_COLUMNS}, got {tuple(header[:3])}")
+        feature_names = tuple(header[3:])
+        if not feature_names:
+            raise ValueError(f"{path}: no feature columns")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells but the header has {len(header)}"
+                )
+            rows.append(row)
     lesion_ids = tuple(r[0] for r in rows)
     scan_ids = tuple(r[1] for r in rows)
     class_cells = [r[2] for r in rows]
@@ -137,6 +138,7 @@ def read_features_csv(path) -> Dataset:
     if all(c != "" for c in class_cells) and rows:
         y = np.array([int(c) for c in class_cells])
     x = np.array([[float(v) for v in r[3:]] for r in rows], dtype=np.float64)
+    x = x.reshape(len(rows), len(feature_names))
     return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=lesion_ids, scan_ids=scan_ids)
 
 

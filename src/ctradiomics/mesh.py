@@ -231,24 +231,3 @@ def mesh_vertices(mask: np.ndarray, spacing) -> np.ndarray:
         out.append(pts)
     verts = np.vstack(out)
     return verts * np.asarray(spacing, dtype=np.float64)
-
-
-def triangle_mesh(mask: np.ndarray, spacing) -> np.ndarray:
-    """Explicit (n, 3, 3) triangle array of the iso-surface, outward wound.
-
-    Assembled cell by cell; intended for inspection and validation rather
-    than bulk feature computation.
-    """
-    spacing = np.asarray(spacing, dtype=np.float64)
-    cfg = _config_grid(mask)
-    tris = []
-    for i, j, k in np.argwhere((cfg != 0) & (cfg != 255)):
-        origin = np.array([i, j, k], dtype=np.float64)
-        for loop in LOOP_TABLE[cfg[i, j, k]]:
-            pts = (EDGE_MIDPOINTS[list(loop)] + origin) * spacing
-            centroid = pts.mean(axis=0)
-            for t in range(len(pts)):
-                tris.append([centroid, pts[t], pts[(t + 1) % len(pts)]])
-    if not tris:
-        return np.zeros((0, 3, 3))
-    return np.asarray(tris)

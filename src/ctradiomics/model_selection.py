@@ -14,7 +14,8 @@ import numpy as np
 
 from .dataio import Dataset, columns_for_groups
 from .features import FAMILIES, TEXTURE_FAMILIES, family_of_column
-from .pls import PlsModel, autoscale, encode_dummy, fit_pls, predict, select_features_vip, vip_scores
+from .pls import PlsModel, autoscale, encode_dummy, fit_pls, leading_components, predict
+from .pls import select_features_vip, vip_scores
 
 
 @dataclass(frozen=True)
@@ -109,28 +110,31 @@ def _fit_on(x, y, n_components, n_classes, feature_names) -> PlsModel:
     )
 
 
-def cv_error_rate(dataset: Dataset, n_components: int, folds) -> float:
-    """Pooled cross-validated misclassification rate at a fixed LV count."""
+def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
+    """Pooled cross-validated misclassification rate at every LV count
+    1..max_components.  Each fold is fit once at the cap and every smaller
+    model is read off as its leading components."""
     if dataset.y is None:
         raise ValueError("cross-validation needs class labels")
-    n_classes = int(dataset.y.max())
+    x, y = dataset.x, dataset.y
+    n_classes = int(y.max())
     min_train = min(len(dataset) - len(f) for f in folds)
-    if n_components > min(min_train - 1, dataset.x.shape[1]):
-        raise ValueError(f"n_components {n_components} too large for the fold sizes")
-    errors = 0
+    if max_components > min(min_train - 1, x.shape[1]):
+        raise ValueError(f"n_components {max_components} too large for the fold sizes")
+    errors = np.zeros(max_components, dtype=int)
     for fold in folds:
-        test_mask = np.zeros(len(dataset), dtype=bool)
-        test_mask[fold] = True
-        model = _fit_on(
-            dataset.x[~test_mask],
-            dataset.y[~test_mask],
-            n_components,
-            n_classes,
-            dataset.feature_names,
-        )
-        _, pred = predict(model, dataset.x[test_mask])
-        errors += int((pred != dataset.y[test_mask]).sum())
+        test = np.zeros(len(dataset), dtype=bool)
+        test[fold] = True
+        model = _fit_on(x[~test], y[~test], max_components, n_classes, dataset.feature_names)
+        for a in range(1, max_components + 1):
+            _, pred = predict(leading_components(model, a), x[test])
+            errors[a - 1] += int((pred != y[test]).sum())
     return errors / len(dataset)
+
+
+def cv_error_rate(dataset: Dataset, n_components: int, folds) -> float:
+    """Pooled cross-validated misclassification rate at a fixed LV count."""
+    return float(cv_error_curve(dataset, n_components, folds)[-1])
 
 
 def _sweep_components(dataset: Dataset, folds, max_lv: int) -> tuple[int, float]:
@@ -139,9 +143,9 @@ def _sweep_components(dataset: Dataset, folds, max_lv: int) -> tuple[int, float]
     cap = min(max_lv, dataset.x.shape[1], min_train - 1)
     if cap < 1:
         raise ValueError("not enough samples to fit even one component")
-    errors = [cv_error_rate(dataset, a, folds) for a in range(1, cap + 1)]
+    errors = cv_error_curve(dataset, cap, folds)
     best = int(np.argmin(errors))
-    return best + 1, errors[best]
+    return best + 1, float(errors[best])
 
 
 def _family_counts(names) -> dict[str, int]:

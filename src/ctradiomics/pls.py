@@ -1,23 +1,22 @@
-"""Multiclass PLS-DA: dummy response coding, autoscaling, NIPALS
+"""Multiclass PLS-DA: dummy response coding, autoscaling, PLS2
 decomposition, class prediction by maximal predicted response, and VIP
 feature scoring.
 
-The decomposition is deterministic: weight vectors are unit-norm with their
-largest-magnitude entry positive, and ties in the class argmax break toward
-the lowest class id.
+Each weight vector is the dominant left singular vector of X'Y for the
+deflated X, the fixed point of PLS2 NIPALS (Hoskuldsson 1988), so there is
+no iteration to converge and components are nested.  The decomposition is
+deterministic: weight vectors are unit-norm with their largest-magnitude
+entry positive, and ties in the class argmax break toward the lowest class id.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SelectionError, UndefinedModelError
-
-NIPALS_TOL = 1e-12
-NIPALS_MAX_ITER = 500
 
 
 @dataclass
@@ -77,6 +76,11 @@ def _fix_sign(w: np.ndarray) -> np.ndarray:
     return -w if w[k] < 0 else w
 
 
+def _coef(weights: np.ndarray, x_loadings: np.ndarray, y_loadings: np.ndarray) -> np.ndarray:
+    """B = W (P'W)^-1 Q', the regression matrix for centred X and Y."""
+    return weights @ np.linalg.solve(x_loadings.T @ weights, y_loadings.T)
+
+
 def fit_pls(
     xs: np.ndarray,
     y_dummy: np.ndarray,
@@ -87,12 +91,12 @@ def fit_pls(
     feature_names=None,
     class_labels=None,
 ) -> PlsModel:
-    """NIPALS PLS2 on centred/scaled X against the dummy response matrix.
+    """PLS2 on centred/scaled X against the dummy response matrix.
 
-    Per component: iterate w ~ X'u, t = Xw, q ~ Y't, u = Yq to convergence,
-    then deflate X by t p'.  Y is centred internally; its means are stored
-    for prediction.  If X deflates to zero early the model simply keeps the
-    components found so far.
+    Per component: w is the top left singular vector of X'Y, t = Xw, and X is
+    deflated by t p'.  Y is centred internally; its means are stored for
+    prediction.  If X deflates to zero early, or keeps no covariance with Y,
+    the model simply keeps the components found so far.
     """
     xs = np.asarray(xs, dtype=np.float64)
     yd = np.asarray(y_dummy, dtype=np.float64)
@@ -112,32 +116,10 @@ def fit_pls(
     for _ in range(n_components):
         if np.linalg.norm(x_work) <= 1e-10 * max(x_norm0, np.finfo(float).tiny):
             break  # X fully deflated: keep the components found so far
-        # start u from the response column with the most variance left
-        u = yc[:, int(np.argmax(yc.var(axis=0)))].copy()
-        if not u.any():
-            break
-        w = np.zeros(p)
-        for _ in range(NIPALS_MAX_ITER):
-            w_new = x_work.T @ u
-            norm = np.linalg.norm(w_new)
-            if norm == 0.0:
-                break
-            w_new = _fix_sign(w_new / norm)
-            t = x_work @ w_new
-            tt = t @ t
-            if tt == 0.0:
-                break
-            q = yc.T @ t / tt
-            qn = np.linalg.norm(q)
-            if qn == 0.0:
-                break
-            u = yc @ (q / qn)
-            if np.linalg.norm(w_new - w) < NIPALS_TOL:
-                w = w_new
-                break
-            w = w_new
-        if not w.any():
-            break  # X fully deflated: keep the components found so far
+        u, s, _ = np.linalg.svd(x_work.T @ yc, full_matrices=False)
+        if s[0] == 0.0:
+            break  # no covariance with Y left: keep the components found so far
+        w = _fix_sign(u[:, 0])
         t = x_work @ w
         tt = t @ t
         if tt <= 0.0:
@@ -156,10 +138,6 @@ def fit_pls(
     weights = np.column_stack(w_cols)
     x_loadings = np.column_stack(p_cols)
     y_loadings = np.column_stack(q_cols)
-    scores = np.column_stack(t_cols)
-    # B = W (P'W)^-1 Q'
-    coef = weights @ np.linalg.solve(x_loadings.T @ weights, y_loadings.T)
-
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(p))
     if class_labels is None:
@@ -170,14 +148,22 @@ def fit_pls(
         weights=weights,
         x_loadings=x_loadings,
         y_loadings=y_loadings,
-        scores=scores,
-        coef=coef,
+        scores=np.column_stack(t_cols),
+        coef=_coef(weights, x_loadings, y_loadings),
         y_means=y_means,
         n_components=weights.shape[1],
         class_labels=tuple(int(c) for c in class_labels),
         feature_names=tuple(feature_names),
         selected_features=tuple(feature_names),
     )
+
+
+def leading_components(model: PlsModel, a: int) -> PlsModel:
+    """The first min(a, A) components of ``model``: components are nested, so
+    this is the model ``fit_pls`` returns for ``a`` components on the same data."""
+    k = min(a, model.n_components)
+    w, p, q, t = (m[:, :k] for m in (model.weights, model.x_loadings, model.y_loadings, model.scores))
+    return replace(model, weights=w, x_loadings=p, y_loadings=q, scores=t, coef=_coef(w, p, q), n_components=k)
 
 
 def train_plsda(x, y, n_components, feature_names=None) -> PlsModel:

@@ -3,7 +3,9 @@
 Everything here recomputes features directly from their definitions with
 plain Python loops over voxel coordinate sets, independently of the
 package's vectorized kernels.  numpy appears only for primitive linear
-algebra (eigenvalues) and array plumbing.
+algebra (eigenvalues, matrix products) and array plumbing.  The one helper
+that is not independent is ``triangle_mesh``: it assembles the package's own
+mesher table so structural tests can inspect the surface it describes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from itertools import combinations, product
 
 import numpy as np
+
+from ctradiomics import mesh
 
 DIRECTIONS = [
     (dx, dy, dz)
@@ -534,6 +538,27 @@ def naive_mesh(mask, spacing):
     return triangles
 
 
+def triangle_mesh(mask, spacing):
+    """Explicit (n, 3, 3) triangle array of the package mesher's iso-surface.
+
+    Assembled cell by cell from ``mesh.LOOP_TABLE``, so structural tests
+    (watertightness, winding) exercise the table the package itself uses.
+    """
+    spacing = np.asarray(spacing, dtype=np.float64)
+    cfg = mesh._config_grid(mask)
+    tris = []
+    for i, j, k in np.argwhere((cfg != 0) & (cfg != 255)):
+        origin = np.array([i, j, k], dtype=np.float64)
+        for loop in mesh.LOOP_TABLE[cfg[i, j, k]]:
+            pts = (mesh.EDGE_MIDPOINTS[list(loop)] + origin) * spacing
+            centroid = pts.mean(axis=0)
+            for t in range(len(pts)):
+                tris.append([centroid, pts[t], pts[(t + 1) % len(pts)]])
+    if not tris:
+        return np.zeros((0, 3, 3))
+    return np.asarray(tris)
+
+
 def mesh_area_volume_oracle(mask, spacing):
     triangles = naive_mesh(mask, spacing)
     area = 0.0
@@ -666,3 +691,44 @@ def nearest_oracle(labels, spacing, target):
                     idx.append(min(int(math.floor(x + 0.5)), d - 1))
                 out[i, j, k] = labels[tuple(idx)]
     return out
+
+
+# ------------------------------------------------------------------------ PLS
+
+
+def nipals_pls2(xs, y_dummy, n_components, tol=1e-12, max_iter=10_000):
+    """PLS2 by the NIPALS inner iteration, run per component to convergence.
+
+    Starts u from the centred response column with the most variance and
+    iterates w ~ X'u (unit norm, largest-magnitude entry positive), t = Xw,
+    q ~ Y't, u = Yq until w moves by less than ``tol``; then deflates X by
+    t p'.  Returns (W, T, P, Q) with one column per component and fails
+    loudly if an inner loop has not converged after ``max_iter`` steps.
+    """
+    x = np.array(xs, dtype=np.float64)
+    yc = y_dummy - y_dummy.mean(axis=0)
+    columns = []
+    for _ in range(n_components):
+        u = yc[:, int(np.argmax(yc.var(axis=0)))].copy()
+        w = np.zeros(x.shape[1])
+        for _ in range(max_iter):
+            w_new = x.T @ u
+            w_new = w_new / np.linalg.norm(w_new)
+            if w_new[int(np.argmax(np.abs(w_new)))] < 0:
+                w_new = -w_new
+            t = x @ w_new
+            q = yc.T @ t / (t @ t)
+            u = yc @ (q / np.linalg.norm(q))
+            step = np.linalg.norm(w_new - w)
+            w = w_new
+            if step < tol:
+                break
+        else:
+            raise AssertionError(f"NIPALS did not converge in {max_iter} iterations")
+        t = x @ w
+        tt = t @ t
+        p = x.T @ t / tt
+        q = yc.T @ t / tt
+        x = x - np.outer(t, p)
+        columns.append((w, t, p, q))
+    return tuple(np.column_stack(c) for c in zip(*columns))

@@ -58,6 +58,24 @@ class TestFeatureCsv:
         with pytest.raises(ValueError, match="id columns"):
             dataio.read_features_csv(path)
 
+    def test_header_only_file_is_empty_dataset(self, tmp_path):
+        path = tmp_path / "features.csv"
+        dataio.write_features_csv(path, [])
+        ds = dataio.read_features_csv(path)
+        assert len(ds) == 0
+        assert ds.x.shape == (0, len(FEATURE_COLUMNS))
+        assert ds.feature_names == FEATURE_COLUMNS
+        assert ds.y is None
+
+    def test_ragged_row_names_path_and_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        dataio.write_features_csv(path, _records(2))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # drop the last cell of the second row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"features\.csv: line 3 has 107 cells but the header has 108"):
+            dataio.read_features_csv(path)
+
 
 class TestGroups:
     def test_presets(self):

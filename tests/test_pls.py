@@ -6,6 +6,9 @@ import pytest
 from ctradiomics.errors import SelectionError, UndefinedModelError
 from ctradiomics import pls
 
+import oracles
+from test_model_selection import _phantom_like_dataset
+
 
 class TestEncodeDummy:
     def test_identity_case(self):
@@ -160,6 +163,45 @@ class TestFitPls:
         ya, _ = pls.predict(model_a, x)
         yb, _ = pls.predict(model_b, x)
         assert np.abs(ya - yb).max() < 1e-9
+
+
+class TestNipalsOracle:
+    """The closed-form weights reproduce the iterated PLS2 NIPALS fit."""
+
+    @staticmethod
+    def _assert_matches(x, y, n_components):
+        xs, _, _ = pls.autoscale(x)
+        yd = pls.encode_dummy(y, 3)
+        model = pls.fit_pls(xs, yd, n_components)
+        w, t, p, q = oracles.nipals_pls2(xs, yd, n_components)
+        assert model.n_components == n_components
+        assert np.abs(model.weights - w).max() <= 1e-10
+        assert np.abs(model.scores - t).max() <= 1e-10
+        assert np.abs(model.x_loadings - p).max() <= 1e-10
+        assert np.abs(model.y_loadings - q).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_three_class(self, seed):
+        rng = np.random.default_rng(seed)
+        self._assert_matches(rng.normal(size=(30, 8)), rng.integers(1, 4, 30), 6)
+
+    def test_phantom_like(self):
+        ds = _phantom_like_dataset()
+        self._assert_matches(ds.x, ds.y, 20)
+
+
+class TestLeadingComponents:
+    def test_equals_a_fresh_fit_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        xs, mean, scale = pls.autoscale(rng.normal(size=(30, 10)))
+        yd = pls.encode_dummy(rng.integers(1, 4, 30), 3)
+        full = pls.fit_pls(xs, yd, 8, mean=mean, scale=scale)
+        for a in range(1, 9):
+            prefix = pls.leading_components(full, a)
+            fresh = pls.fit_pls(xs, yd, a, mean=mean, scale=scale)
+            assert prefix.n_components == fresh.n_components == a
+            for field in ("weights", "x_loadings", "y_loadings", "scores", "coef"):
+                assert np.array_equal(getattr(prefix, field), getattr(fresh, field)), (a, field)
 
 
 class TestPredict:
