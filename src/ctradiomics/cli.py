@@ -19,7 +19,8 @@ import numpy as np
 
 from . import dataio, model_selection as ms, phantom as ph, pls, stats as st
 from .features import FAMILIES, extract_all
-from .volume_io import extract_lesions, read_mask, read_volume, resample_isotropic, write_nifti
+from .volume_io import extract_lesions, read_mask, read_volume, write_nifti
+from .volume_io import resample_isotropic  # noqa: F401  perfbench/tracing.py wraps it by name
 
 
 def _positive(kind):
@@ -107,9 +108,8 @@ def _extract_scan(args):
     entry, bin_width, spacing = args
     vol = read_volume(entry.image_path)
     mask = read_mask(entry.mask_path, entry.class_map)
-    vol, mask = resample_isotropic(vol, mask, spacing)
     records = []
-    for region, class_id in extract_lesions(vol, mask):
+    for region, class_id in extract_lesions(vol, mask, spacing):
         lesion_id = f"{entry.scan_id}/{region.label}"
         fv = extract_all(region, bin_width, lesion_id=lesion_id, class_id=class_id)
         records.append((lesion_id, entry.scan_id, class_id, fv))
@@ -211,10 +211,22 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def cmd_train(args) -> int:
-    dataset = dataio.read_features_csv(args.features)
+def _read_labelled(path: Path, no_class_message: str) -> dataio.Dataset | None:
+    """The feature rows of ``path`` with their classes, or None once the
+    reason there are none has been printed."""
+    dataset = dataio.read_features_csv(path)
+    if len(dataset) == 0:
+        print(f"error: {path} has no lesion rows", file=sys.stderr)
+        return None
     if dataset.y is None:
-        print("error: training data has no class column", file=sys.stderr)
+        print(f"error: {no_class_message}", file=sys.stderr)
+        return None
+    return dataset
+
+
+def cmd_train(args) -> int:
+    dataset = _read_labelled(args.features, "training data has no class column")
+    if dataset is None:
         return 1
     groups = dataio.parse_groups(args.groups)
     spec = ms.ExperimentSpec(
@@ -263,9 +275,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = dataio.read_features_csv(args.features)
-    if dataset.y is None:
-        print("error: evaluation data has no class column", file=sys.stderr)
+    dataset = _read_labelled(args.features, "evaluation data has no class column")
+    if dataset is None:
         return 1
     model = pls.load_model(args.model)
     _check_model_columns(model, dataset)
@@ -312,9 +323,8 @@ def cmd_experiments(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    dataset = dataio.read_features_csv(args.features)
-    if dataset.y is None:
-        print("error: stats needs a class column", file=sys.stderr)
+    dataset = _read_labelled(args.features, "stats needs a class column")
+    if dataset is None:
         return 1
     features = None
     if args.features_list:

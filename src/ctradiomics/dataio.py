@@ -111,8 +111,8 @@ def read_features_csv(path) -> Dataset:
     """Load a feature CSV; the class column may be empty (unlabeled data).
 
     A header-only file (what ``extract`` writes when every scan fails) reads
-    as a 0-row dataset; a row whose cell count differs from the header's is
-    rejected with its line number.
+    as a 0-row dataset with an empty class column; a row whose cell count
+    differs from the header's is rejected with its line number.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -135,8 +135,8 @@ def read_features_csv(path) -> Dataset:
     scan_ids = tuple(r[1] for r in rows)
     class_cells = [r[2] for r in rows]
     y = None
-    if all(c != "" for c in class_cells) and rows:
-        y = np.array([int(c) for c in class_cells])
+    if all(c != "" for c in class_cells):
+        y = np.array([int(c) for c in class_cells], dtype=int)
     x = np.array([[float(v) for v in r[3:]] for r in rows], dtype=np.float64)
     x = x.reshape(len(rows), len(feature_names))
     return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=lesion_ids, scan_ids=scan_ids)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .features import DEFAULT_BIN_WIDTH, FEATURE_COLUMNS, extract_all
-from .volume_io import LesionMask, VoxelVolume, extract_lesions, resample_isotropic
+from .volume_io import LesionMask, VoxelVolume, extract_lesions
 
 # features the construction drives hard; VIP selection is expected to keep them
 PLANTED_FEATURES: tuple[str, ...] = ("shape_Sphericity", "glcm_Contrast", "fos_Variance")
@@ -166,8 +166,7 @@ def generate_phantom_dataset(
     lesion_ids = []
     scan_ids = []
     for scan in scans:
-        vol, mask = resample_isotropic(scan.volume, scan.mask, target_spacing)
-        for region, class_id in extract_lesions(vol, mask):
+        for region, class_id in extract_lesions(scan.volume, scan.mask, target_spacing):
             lesion_id = f"{scan.scan_id}/{region.label}"
             fv = extract_all(region, bin_width, lesion_id=lesion_id, class_id=class_id)
             rows.append(fv.as_array())

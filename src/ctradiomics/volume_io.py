@@ -9,6 +9,7 @@ orientation matrices are ignored.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -69,7 +70,8 @@ class LesionMask:
             raise MaskError(f"mask labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.ndim != 3:
             raise ValueError(f"mask labels must be 3D, got shape {self.labels.shape}")
-        if self.labels.min() < 0:
+        present = list(_label_boxes(self.labels))
+        if present and present[0] < 0:
             raise MaskError("mask labels must be non-negative")
         self.spacing = tuple(float(s) for s in self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
@@ -79,8 +81,7 @@ class LesionMask:
         for label, cls in self.class_of_label.items():
             if cls not in (1, 2, 3):
                 raise ValueError(f"class id for label {label} must be 1, 2 or 3, got {cls}")
-        present = {int(lbl) for lbl in np.unique(self.labels)} - {0}
-        missing = sorted(present - set(self.class_of_label))
+        missing = [lbl for lbl in present if lbl not in self.class_of_label]
         if missing:
             raise ClassMapError(f"mask labels {missing} missing from the label-to-class map")
 
@@ -165,26 +166,32 @@ def _parse_header(raw: bytes, path) -> dict:
     }
 
 
-def _read_nifti(path) -> tuple[dict, np.ndarray]:
-    """Read a single-file NIfTI-1 image into an (x, y, z) array, rescale applied."""
+def _read_payload(path) -> tuple[dict, np.ndarray]:
+    """Read a single-file NIfTI-1 image as an (x, y, z) array of its on-disk
+    values, in native byte order."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    hdr = _parse_header(raw, path)
-    dims = hdr["dims"]
-    dtype = np.dtype(_DTYPES[hdr["datatype"]]).newbyteorder(hdr["order"])
-    n_voxels = dims[0] * dims[1] * dims[2]
-    start = hdr["vox_offset"]
-    end = start + n_voxels * dtype.itemsize
-    if len(raw) < end:
-        raise NiftiFormatError(
-            f"{path}: payload truncated ({len(raw) - start} bytes, need {n_voxels * dtype.itemsize})"
-        )
-    flat = np.frombuffer(raw, dtype=dtype, count=n_voxels, offset=start)
-    data = flat.reshape(dims, order="F").astype(np.float64)
+        hdr = _parse_header(fh.read(HEADER_SIZE), path)
+        dims = hdr["dims"]
+        dtype = np.dtype(_DTYPES[hdr["datatype"]]).newbyteorder(hdr["order"])
+        n_voxels = dims[0] * dims[1] * dims[2]
+        start = hdr["vox_offset"]
+        size = os.fstat(fh.fileno()).st_size
+        if size < start + n_voxels * dtype.itemsize:
+            raise NiftiFormatError(
+                f"{path}: payload truncated ({size - start} bytes, need {n_voxels * dtype.itemsize})"
+            )
+        fh.seek(start)
+        flat = np.fromfile(fh, dtype=dtype, count=n_voxels)
+    return hdr, flat.astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
+
+
+def _rescaled(hdr: dict, payload: np.ndarray) -> np.ndarray:
+    """The payload as float64 with the header's linear rescale applied."""
+    data = payload.astype(np.float64)
     slope = hdr["scl_slope"] if hdr["scl_slope"] != 0.0 else 1.0
     if slope != 1.0 or hdr["scl_inter"] != 0.0:
         data = data * slope + hdr["scl_inter"]
-    return hdr, data
+    return data
 
 
 def read_volume(path) -> VoxelVolume:
@@ -193,7 +200,8 @@ def read_volume(path) -> VoxelVolume:
     The header's linear rescale (scl_slope/scl_inter, slope 0 treated as 1)
     is applied so the returned data is in Hounsfield units.
     """
-    hdr, data = _read_nifti(path)
+    hdr, payload = _read_payload(path)
+    data = _rescaled(hdr, payload)
     if not np.isfinite(data).all():
         raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
     return VoxelVolume(data=data, spacing=hdr["spacing"], origin=hdr["origin"])
@@ -204,16 +212,22 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
 
     ``class_map`` maps mask labels to class ids; it may cover labels absent
     from this particular file (e.g. one shared map for a whole cohort), but
-    every nonzero label present in the file must have an entry.
+    every nonzero label present in the file must have an entry.  Integer
+    payloads keep their on-disk type; a float or rescaled payload must hold
+    whole numbers and becomes int32.
     """
-    hdr, data = _read_nifti(path)
-    rounded = np.rint(data)
-    if not np.array_equal(data, rounded):
-        raise MaskError(f"{path}: mask contains non-integer voxel values")
-    labels = rounded.astype(np.int32)
-    if labels.min() < 0:
+    hdr, payload = _read_payload(path)
+    if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
+        labels = payload
+    else:
+        data = _rescaled(hdr, payload)
+        rounded = np.rint(data)
+        if not np.array_equal(data, rounded):
+            raise MaskError(f"{path}: mask contains non-integer voxel values")
+        labels = rounded.astype(np.int32)
+    present = list(_label_boxes(labels))
+    if present and present[0] < 0:
         raise MaskError(f"{path}: mask contains negative labels")
-    present = sorted(int(lbl) for lbl in set(np.unique(labels)) - {0})
     missing = [lbl for lbl in present if lbl not in class_map]
     if missing:
         raise ClassMapError(f"{path}: labels {missing} missing from the label-to-class map")
@@ -262,37 +276,29 @@ def check_geometry(vol: VoxelVolume, mask: LesionMask) -> None:
 
 
 def _output_grid(dims, spacing, target):
-    """Per-axis output length and input-space sample positions (clamped)."""
-    axes = []
+    """Per axis, the input-space sample positions of the output grid (clamped
+    to the border voxel) and the nearest input index of each sample."""
+    positions, nearest = [], []
     for d, s in zip(dims, spacing):
-        ratio = s / target
-        n_out = int(np.ceil(d * ratio))
+        n_out = int(np.ceil(d * (s / target)))
         # sample o maps to input index o * target / spacing; clamp to the border voxel
         x = np.arange(n_out, dtype=np.float64) * (target / s)
         np.clip(x, 0.0, d - 1, out=x)
-        axes.append(x)
-    return axes
+        positions.append(x)
+        nearest.append(np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1))
+    return positions, nearest
 
 
-def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tuple[VoxelVolume, LesionMask]:
-    """Resample a volume/mask pair to isotropic ``target`` mm spacing.
+def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
+    """Trilinear samples of ``data`` on the grid xs × ys × zs of in-range input positions.
 
-    Intensities are trilinearly interpolated; labels use nearest-neighbour
-    so they stay crisp.  Output dims are ceil(dims * spacing / target) and
-    samples beyond the last voxel centre clamp to the border voxel, so no
-    lesion voxel is lost at the boundary.  Origins are preserved.
+    Each output voxel is the same 8-corner weighted sum, in the same order,
+    whatever part of the grid is asked for, so a crop of the grid gives the
+    bytes the whole grid has there.
     """
-    if target <= 0:
-        raise ValueError(f"target spacing must be positive, got {target}")
-    check_geometry(vol, mask)
-
-    xs, ys, zs = _output_grid(vol.dims, vol.spacing, float(target))
-    new_spacing = (float(target),) * 3
-
     i0 = [np.floor(x).astype(np.intp) for x in (xs, ys, zs)]
     frac = [x - f for x, f in zip((xs, ys, zs), i0)]
-    i1 = [np.minimum(f + 1, d - 1) for f, d in zip(i0, vol.dims)]
-
+    i1 = [np.minimum(f + 1, d - 1) for f, d in zip(i0, data.shape)]
     out = np.zeros((len(xs), len(ys), len(zs)), dtype=np.float64)
     for bx in (0, 1):
         wx = (frac[0] if bx else 1.0 - frac[0])[:, None, None]
@@ -303,14 +309,31 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
             for bz in (0, 1):
                 wz = (frac[2] if bz else 1.0 - frac[2])[None, None, :]
                 iz = i1[2] if bz else i0[2]
-                out += (wx * wy * wz) * vol.data[np.ix_(ix, iy, iz)]
+                out += (wx * wy * wz) * data[np.ix_(ix, iy, iz)]
+    return out
 
-    nearest = [np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1) for x, d in zip((xs, ys, zs), vol.dims)]
-    new_labels = mask.labels[np.ix_(*nearest)]
 
-    new_vol = VoxelVolume(data=out, spacing=new_spacing, origin=vol.origin)
+def _check_target(target) -> float:
+    if target <= 0:
+        raise ValueError(f"target spacing must be positive, got {target}")
+    return float(target)
+
+
+def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tuple[VoxelVolume, LesionMask]:
+    """Resample a volume/mask pair to isotropic ``target`` mm spacing.
+
+    Intensities are trilinearly interpolated; labels use nearest-neighbour
+    so they stay crisp.  Output dims are ceil(dims * spacing / target) and
+    samples beyond the last voxel centre clamp to the border voxel, so no
+    lesion voxel is lost at the boundary.  Origins are preserved.
+    """
+    target = _check_target(target)
+    check_geometry(vol, mask)
+    positions, nearest = _output_grid(vol.dims, vol.spacing, target)
+    new_spacing = (target,) * 3
+    new_vol = VoxelVolume(data=_trilinear(vol.data, *positions), spacing=new_spacing, origin=vol.origin)
     new_mask = LesionMask(
-        labels=new_labels,
+        labels=mask.labels[np.ix_(*nearest)],
         spacing=new_spacing,
         class_of_label=dict(mask.class_of_label),
         origin=mask.origin,
@@ -318,25 +341,66 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     return new_vol, new_mask
 
 
-def extract_lesions(vol: VoxelVolume, mask: LesionMask) -> list[tuple[LesionRegion, int]]:
+def _label_boxes(labels: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Inclusive (lo, hi) index bounds of every nonzero label, in ascending label order.
+
+    One pass over the mask finds its nonzero voxels; everything else works
+    from those alone, with no comparison per label and no table sized by the
+    largest label value.
+    """
+    order = "F" if labels.flags.f_contiguous else "C"  # memory order: ravel is a view
+    flat = labels.ravel(order)
+    index = np.flatnonzero(flat != 0)  # several times faster than nonzero on the integers
+    if not len(index):
+        return {}
+    values = flat[index]
+    by_label = np.argsort(values, kind="stable")
+    present, starts = np.unique(values[by_label], return_index=True)
+    coords = np.array(np.unravel_index(index[by_label], labels.shape, order=order))
+    lo = np.minimum.reduceat(coords, starts, axis=1)
+    hi = np.maximum.reduceat(coords, starts, axis=1)
+    return {int(lbl): (lo[:, i], hi[:, i]) for i, lbl in enumerate(present)}
+
+
+def extract_lesions(
+    vol: VoxelVolume, mask: LesionMask, target: float | None = None
+) -> list[tuple[LesionRegion, int]]:
     """Split a mask into per-lesion regions, ordered by ascending label.
+
+    With ``target`` set, the regions are those of the pair resampled by
+    ``resample_isotropic(vol, mask, target)``, bit for bit and in global
+    output-grid coordinates, but only each lesion's bounding box on the
+    output grid is resampled, so the cost follows lesion size, not scan size.
 
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
     erased by nearest-neighbour resampling) is dropped with a warning.
     """
+    if target is None:
+        spacing = vol.spacing
+        nearest = [np.arange(d) for d in vol.dims]
+    else:
+        target = _check_target(target)
+        spacing = (target,) * 3
+        positions, nearest = _output_grid(vol.dims, vol.spacing, target)
     check_geometry(vol, mask)
+    boxes = _label_boxes(mask.labels)
     regions = []
     for label in sorted(mask.class_of_label):
-        coords = np.argwhere(mask.labels == label)
+        coords = np.empty((0, 3), dtype=np.intp)
+        if label in boxes:
+            # the output samples whose nearest input index falls in the label's input box
+            lo, hi = boxes[label]
+            starts = [np.searchsorted(n, a, "left") for n, a in zip(nearest, lo)]
+            axes = [slice(a, np.searchsorted(n, b, "right")) for n, a, b in zip(nearest, starts, hi)]
+            local = np.argwhere(mask.labels[np.ix_(*(n[ax] for n, ax in zip(nearest, axes)))] == label)
+            coords = local + starts
         if len(coords) == 0:
             warnings.warn(f"label {label} has no voxels and was dropped", stacklevel=2)
             continue
-        intensities = vol.data[coords[:, 0], coords[:, 1], coords[:, 2]]
-        region = LesionRegion(
-            coordinates=coords,
-            intensities=intensities,
-            spacing=vol.spacing,
-            label=label,
-        )
+        if target is None:
+            intensities = vol.data[tuple(coords.T)]
+        else:
+            intensities = _trilinear(vol.data, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
+        region = LesionRegion(coordinates=coords, intensities=intensities, spacing=spacing, label=label)
         regions.append((region, mask.class_of_label[label]))
     return regions

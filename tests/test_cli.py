@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctradiomics.cli import main
+from ctradiomics.dataio import write_features_csv
 from ctradiomics.volume_io import write_nifti
 
 
@@ -267,3 +268,24 @@ def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):
     code = main(["extract", "--manifest", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--out", "model.json"],
+        ["evaluate", "--model", "model.json", "--out", "metrics.json"],
+        ["stats", "--out", "stats.csv"],
+    ],
+    ids=["train", "evaluate", "stats"],
+)
+def test_header_only_csv_reports_no_lesion_rows(tmp_path, capsys, monkeypatch, argv):
+    # what extract writes when every scan fails
+    features = tmp_path / "features.csv"
+    write_features_csv(features, [])
+    monkeypatch.chdir(tmp_path)
+    code = main([argv[0], "--features", str(features), *argv[1:]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{features} has no lesion rows" in err
+    assert "class column" not in err

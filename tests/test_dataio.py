@@ -65,7 +65,7 @@ class TestFeatureCsv:
         assert len(ds) == 0
         assert ds.x.shape == (0, len(FEATURE_COLUMNS))
         assert ds.feature_names == FEATURE_COLUMNS
-        assert ds.y is None
+        assert ds.y.dtype.kind == "i" and ds.y.shape == (0,)
 
     def test_ragged_row_names_path_and_line(self, tmp_path):
         path = tmp_path / "features.csv"

@@ -1,9 +1,13 @@
 """NIfTI reading/writing, isotropic resampling, and lesion splitting."""
 
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from ctradiomics.errors import ClassMapError, GeometryError, MaskError, NiftiFormatError, UnsupportedDataTypeError
 from ctradiomics.volume_io import (
@@ -150,6 +154,77 @@ class TestReadMask:
         path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=16))
         with pytest.raises(MaskError, match="non-integer"):
             read_mask(path, {1: 1})
+
+    @pytest.mark.parametrize(
+        "datatype, dtype, top", [(2, np.uint8, 255), (4, np.int16, 32767), (8, np.int32, 2**31 - 1)]
+    )
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    def test_integer_masks_skip_the_float_round_trip(self, tmp_path, monkeypatch, datatype, dtype, top, byteorder):
+        payload = [0, 1, top, 1, 0, top, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=datatype, byteorder=byteorder))
+
+        def no_rint(*args, **kwargs):
+            raise AssertionError("an integer mask went through np.rint")
+
+        monkeypatch.setattr(np, "rint", no_rint)
+        mask = read_mask(path, {1: 1, top: 3, 9: 2})
+        assert mask.labels.dtype == np.dtype(dtype)  # the file's type, native byte order
+        assert mask.labels.flags.writeable
+        assert np.array_equal(mask.labels, np.reshape(payload, (2, 2, 2), order="F"))
+        assert mask.class_of_label == {1: 1, top: 3}
+        assert mask.spacing == (1.0, 1.0, 1.0)
+        assert mask.origin == (0.0, 0.0, 0.0)
+
+    def test_rescaled_mask_with_integer_values_reads(self, tmp_path):
+        payload = [0, 1, 0, 2, 0, 0, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=4, scl_slope=2.0))
+        mask = read_mask(path, {2: 1, 4: 3})
+        assert np.array_equal(mask.labels, 2 * np.reshape(payload, (2, 2, 2), order="F"))
+        assert mask.labels.dtype == np.int32
+
+    @pytest.mark.parametrize("slope, inter", [(0.5, 0.0), (1.0, 0.25)])
+    def test_rescaled_non_integer_values_are_mask_error(self, tmp_path, slope, inter):
+        payload = [0, 1, 0, 0, 0, 0, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=4, scl_slope=slope, scl_inter=inter))
+        with pytest.raises(MaskError, match="non-integer"):
+            read_mask(path, {1: 1})
+
+    @pytest.mark.parametrize("datatype", [4, 8, 16])
+    def test_negative_labels_are_mask_error(self, tmp_path, datatype):
+        payload = [0, 1, 0, -3, 0, 0, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=datatype))
+        with pytest.raises(MaskError, match="negative"):
+            read_mask(path, {1: 1, -3: 2})
+
+    def test_negative_labels_rejected_by_lesion_mask(self):
+        labels = np.zeros((2, 2, 2), dtype=np.int16)
+        labels[1, 0, 1] = -1
+        with pytest.raises(MaskError, match="non-negative"):
+            LesionMask(labels=labels, spacing=(1, 1, 1), class_of_label={-1: 1})
+
+    @pytest.mark.parametrize("datatype", [4, 8])
+    def test_missing_label_of_wide_mask_is_configuration_error(self, tmp_path, datatype):
+        payload = [0, 7, 0, 300, 0, 0, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=datatype))
+        with pytest.raises(ClassMapError, match=r"\[300\]"):
+            read_mask(path, {7: 1})
+
+    def test_largest_int32_label_extracts_cheaply(self, tmp_path):
+        top = 2**31 - 1
+        labels = np.zeros((24, 24, 10), dtype=np.int32)
+        labels[5:9, 10:14, 3:6] = top
+        path = tmp_path / "m.nii"
+        write_nifti(path, labels, spacing=(0.8, 0.8, 2.0))
+        vol = VoxelVolume(data=np.zeros(labels.shape), spacing=(0.8, 0.8, 2.0))
+        tracemalloc.start()
+        try:
+            mask = read_mask(path, {top: 2})
+            regions = extract_lesions(vol, mask, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(r.label, cls) for r, cls in regions] == [(top, 2)]
+        assert peak < 50 * 2**20
 
 
 class TestWriteNifti:
@@ -313,3 +388,114 @@ class TestExtractLesions:
         with pytest.warns(UserWarning, match="label 1"):
             regions = extract_lesions(rvol, rmask)
         assert regions == []
+
+
+def _extract_recording_warnings(*args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        regions = extract_lesions(*args)
+    return regions, caught
+
+
+def _assert_roi_extraction_is_bitwise(data, labels, spacing, class_of_label, target):
+    vol, mask = _pair(data, labels, spacing, class_of_label)
+    got, got_warnings = _extract_recording_warnings(vol, mask, target)
+    want, want_warnings = _extract_recording_warnings(*resample_isotropic(vol, mask, target))
+    assert [(w.category, str(w.message), w.filename) for w in got_warnings] == [
+        (w.category, str(w.message), w.filename) for w in want_warnings
+    ]
+    assert all(w.filename == __file__ for w in got_warnings)
+    assert len(got) == len(want)
+    for (g, g_cls), (w, w_cls) in zip(got, want):
+        assert (g.label, g_cls, g.spacing) == (w.label, w_cls, w.spacing)
+        assert g.coordinates.dtype == w.coordinates.dtype
+        assert g.coordinates.tobytes() == w.coordinates.tobytes()
+        assert g.intensities.dtype == w.intensities.dtype
+        assert g.intensities.tobytes() == w.intensities.tobytes()
+    return got, got_warnings
+
+
+_SPACINGS = (0.35, 0.7, 1.0, 1.3, 2.5)
+
+
+@hs.composite
+def _scans(draw):
+    """(data, labels, spacing, class_of_label, target): up to three box-shaped,
+    partly filled lesions, anisotropic spacing on both sides of the target,
+    and a class map that may name a label the mask lacks."""
+    dims = tuple(draw(hs.integers(1, 9)) for _ in range(3))
+    spacing = tuple(draw(hs.sampled_from(_SPACINGS)) for _ in range(3))
+    target = draw(hs.sampled_from((0.5, 0.9, 1.0, 1.7, 3.0)))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    data = rng.normal(40.0, 300.0, size=dims)
+    labels = np.zeros(dims, dtype=np.int32)
+    class_of_label = {}
+    for label in draw(hs.lists(hs.integers(1, 2**31 - 1), max_size=3, unique=True)):
+        lo = [draw(hs.integers(0, d - 1)) for d in dims]
+        box = tuple(slice(a, draw(hs.integers(a + 1, d))) for a, d in zip(lo, dims))
+        fill = rng.random(labels[box].shape) < draw(hs.floats(0.2, 1.0))
+        fill.flat[0] = True
+        labels[box][fill] = label
+        class_of_label[label] = draw(hs.integers(1, 3))
+    if draw(hs.booleans()):
+        class_of_label[7] = 2  # absent unless drawn as a lesion label too
+    if draw(hs.booleans()):
+        data, labels = np.asfortranarray(data), np.asfortranarray(labels)
+    return data, labels, spacing, class_of_label, target
+
+
+def _faces_scan(target):
+    """Six one-voxel slabs, label k on face k, at anisotropic spacing."""
+    dims = (8, 7, 6)
+    labels = np.zeros(dims, dtype=np.int32)
+    for axis in range(3):
+        for side in (0, 1):
+            index = [slice(1, d - 1) for d in dims]
+            index[axis] = -1 if side else 0
+            labels[tuple(index)] = 2 * axis + side + 1
+    data = np.random.default_rng(11).normal(size=dims)
+    return data, labels, (0.7, 1.3, 2.5), {k: 1 + k % 3 for k in range(1, 7)}, target
+
+
+def _erased_scan():
+    """A one-voxel label that nearest-neighbour sampling at 5 mm misses,
+    next to a lesion that survives, plus a class-map label absent from the mask."""
+    labels = np.zeros((6, 6, 6), dtype=np.int32)
+    labels[1, 1, 1] = 3
+    labels[3:6, 3:6, 3:6] = 1
+    data = np.random.default_rng(12).normal(size=labels.shape)
+    return data, labels, (2.0, 2.0, 2.0), {1: 1, 3: 2, 5: 3}, 5.0
+
+
+class TestRoiExtraction:
+    """extract_lesions(vol, mask, t) against extract_lesions(*resample_isotropic(vol, mask, t))."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scans())
+    @example(_faces_scan(0.5))
+    @example(_faces_scan(1.0))
+    @example(_faces_scan(3.0))
+    @example(_erased_scan())
+    def test_matches_full_resample_bitwise(self, scan):
+        _assert_roi_extraction_is_bitwise(*scan)
+
+    @pytest.mark.parametrize("target", [0.5, 1.0])  # at 3.0 some slabs fall between samples
+    def test_lesions_on_all_six_faces(self, target):
+        regions, _ = _assert_roi_extraction_is_bitwise(*_faces_scan(target))
+        assert [r.label for r, _ in regions] == [1, 2, 3, 4, 5, 6]
+
+    def test_erased_and_absent_labels_warn_identically(self):
+        regions, caught = _assert_roi_extraction_is_bitwise(*_erased_scan())
+        assert [r.label for r, _ in regions] == [1]
+        assert [str(w.message) for w in caught] == [
+            "label 3 has no voxels and was dropped",
+            "label 5 has no voxels and was dropped",
+        ]
+
+    def test_target_validated_before_geometry(self):
+        vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1))
+        mask = LesionMask(labels=np.zeros((3, 2, 2), dtype=np.int32), spacing=(1, 1, 1))
+        with pytest.raises(ValueError, match="target spacing"):
+            extract_lesions(vol, mask, 0.0)
+        with pytest.raises(GeometryError):
+            extract_lesions(vol, mask, 1.0)
