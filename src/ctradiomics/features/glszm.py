@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .discretize import DiscretizedRegion, level_grid
 
@@ -31,6 +30,8 @@ _STRUCTURE = np.ones((3, 3, 3), dtype=int)
 
 def glszm_matrix(d: DiscretizedRegion) -> np.ndarray:
     """Zone counts, rows = gray level 1..Ng, columns = zone size 1..max."""
+    from scipy import ndimage
+
     grid = level_grid(d)
     ng = d.n_levels
     zones: list[tuple[int, int]] = []

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import pdist
 
 from .. import mesh
 from ..volume_io import LesionRegion
@@ -42,17 +40,30 @@ def _binary_grid(region: LesionRegion) -> np.ndarray:
     return grid
 
 
-def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance; hull-pruned for big point sets."""
-    pts = np.unique(points, axis=0)
-    if len(pts) < 2:
-        return 0.0
-    if len(pts) > 4:
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """The points' convex-hull vertices, or all points when the hull is flat.
+
+    Every pairwise-distance extreme of the points, and of any projection of
+    them, is attained on these vertices: the hull of a projection is the
+    projection of the hull.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    if len(points) > 4:
         try:
-            pts = pts[ConvexHull(pts).vertices]
+            return points[ConvexHull(points).vertices]
         except QhullError:
             pass  # degenerate (flat/collinear) sets are small enough directly
-    return float(pdist(pts).max())
+    return points
+
+
+def _max_pairwise_distance(points: np.ndarray) -> float:
+    """Largest pairwise Euclidean distance, 0 for fewer than two points."""
+    from scipy.spatial.distance import pdist
+
+    if len(points) < 2:
+        return 0.0
+    return float(pdist(points).max())
 
 
 def _axis_lengths(region: LesionRegion) -> tuple[float, float, float, float, float]:
@@ -100,15 +111,16 @@ def shape_features(region: LesionRegion) -> dict[str, float]:
     else:
         verts = mesh.mesh_vertices(grid, spacing)
 
+    hull = _hull_vertices(verts)
     out: dict[str, float] = {
         "MeshVolume": volume,
         "SurfaceArea": area,
         "SurfaceVolumeRatio": area / volume,
         "Sphericity": float((36.0 * np.pi * volume**2) ** (1.0 / 3.0) / area),
-        "Maximum3DDiameter": _max_pairwise_distance(verts),
+        "Maximum3DDiameter": _max_pairwise_distance(hull),
     }
     for name, axes in _PLANES.items():
-        out[name] = _max_pairwise_distance(verts[:, axes])
+        out[name] = _max_pairwise_distance(hull[:, axes])
 
     major, minor, least, elongation, flatness = _axis_lengths(region)
     out["MajorAxisLength"] = major

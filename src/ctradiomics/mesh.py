@@ -18,6 +18,8 @@ face rule; no hand-written case table is involved.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # cell corner id = cx + 2*cy + 4*cz
@@ -171,28 +173,37 @@ def _config_grid(mask: np.ndarray) -> np.ndarray:
     return cfg
 
 
-def _config_constants(config: int, spacing) -> tuple[float, float, float]:
-    """(surface area, z-flux coefficient, z-flux offset) for one cell config."""
+@functools.lru_cache
+def _spacing_constants(spacing: tuple[float, float, float]) -> tuple[tuple[float, ...], ...]:
+    """(surface area, z-flux coefficient, z-flux offset) of every cell config.
+
+    They depend only on the spacing, so each spacing is computed once per
+    process; the key is a tuple of Python floats.
+    """
     sx, sy, sz = spacing
-    area = 0.0
-    k1 = 0.0
-    k2 = 0.0
-    for loop in LOOP_TABLE[config]:
-        pts = EDGE_MIDPOINTS[list(loop)] * (sx, sy, sz)
-        centroid = pts.mean(axis=0)
-        for i in range(len(pts)):
-            b = pts[i]
-            c = pts[(i + 1) % len(pts)]
-            n = np.cross(b - centroid, c - centroid)
-            area += float(np.linalg.norm(n)) / 2.0
-            az = float(n[2]) / 2.0
-            k1 += az
-            k2 += az * (centroid[2] + b[2] + c[2]) / 3.0
-    return area, k1, k2
+    constants = []
+    for loops in LOOP_TABLE:
+        area = 0.0
+        k1 = 0.0
+        k2 = 0.0
+        for loop in loops:
+            pts = EDGE_MIDPOINTS[list(loop)] * (sx, sy, sz)
+            centroid = pts.mean(axis=0)
+            for i in range(len(pts)):
+                b = pts[i]
+                c = pts[(i + 1) % len(pts)]
+                n = np.cross(b - centroid, c - centroid)
+                area += float(np.linalg.norm(n)) / 2.0
+                az = float(n[2]) / 2.0
+                k1 += az
+                k2 += az * (centroid[2] + b[2] + c[2]) / 3.0
+        constants.append((area, k1, k2))
+    return tuple(constants)
 
 
 def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:
     """Total surface area and enclosed volume of the mask's iso-surface mesh."""
+    constants = _spacing_constants(tuple(float(s) for s in spacing))
     cfg = _config_grid(mask)
     flat = cfg.ravel()
     counts = np.bincount(flat, minlength=256)
@@ -206,7 +217,7 @@ def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:
     for config in np.nonzero(counts)[0]:
         if config == 0 or config == 255:
             continue
-        area, k1, k2 = _config_constants(int(config), spacing)
+        area, k1, k2 = constants[config]
         area_total += area * counts[config]
         volume_total += k1 * zsum[config] + k2 * counts[config]
     return area_total, abs(volume_total)

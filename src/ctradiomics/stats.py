@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .dataio import Dataset
 from .errors import DegenerateDataError
@@ -90,6 +89,8 @@ def kruskal_wallis(groups) -> TestResult:
 
     H = [12/(N(N+1)) sum R_i^2/n_i - 3(N+1)] / (1 - sum(t^3-t)/(N^3-N)).
     """
+    from scipy import special
+
     groups = _check_groups(groups)
     group_ranks, tie_sum, n = _ranks_and_ties(groups)
     h = 12.0 / (n * (n + 1)) * sum(r.sum() ** 2 / len(r) for r in group_ranks) - 3.0 * (n + 1)

@@ -202,7 +202,10 @@ def read_volume(path) -> VoxelVolume:
     """
     hdr, payload = _read_payload(path)
     data = _rescaled(hdr, payload)
-    if not np.isfinite(data).all():
+    # integers under a finite float32 rescale stay finite in float64
+    scale = (hdr["scl_slope"], hdr["scl_inter"])
+    always_finite = np.issubdtype(payload.dtype, np.integer) and np.isfinite(scale).all()
+    if not always_finite and not np.isfinite(data).all():
         raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
     return VoxelVolume(data=data, spacing=hdr["spacing"], origin=hdr["origin"])
 

@@ -126,3 +126,116 @@ def test_isolated_voxels_use_the_same_fallbacks():
     _assert_close(
         gldm_features(d), oracles.gldm_oracle(d.coordinates, d.levels, d.n_levels), "isolated"
     )
+
+
+def _assert_glcm_matches_oracle(region, bin_width, label):
+    d = discretize(region, bin_width)
+    expected = oracles.glcm_oracle(d.coordinates, d.levels, d.n_levels)
+    _assert_close(glcm_features(d), expected, label)
+    return d
+
+
+@pytest.mark.parametrize("seed,bin_width", [(1, 1.0), (2, 1.5), (3, 2.0)])
+def test_glcm_matches_oracle_at_many_gray_levels(seed, bin_width):
+    from conftest import random_blob_region
+
+    region = random_blob_region(seed=seed, shape=(5, 5, 5), fill=0.6, sigma=30.0)
+    d = _assert_glcm_matches_oracle(region, bin_width, f"blob{seed}@{bin_width}")
+    assert d.n_levels >= 40
+
+
+def test_glcm_matches_oracle_with_gray_level_gaps():
+    # four levels spread over 1..61: most marginal rows are zero and every
+    # direction's MCC support is a strict subset of the levels
+    from conftest import region_from_mask
+
+    rng = np.random.default_rng(5)
+    mask = np.ones((4, 4, 3), dtype=bool)
+    values = rng.choice([0.0, 1.0, 30.0, 60.0], size=mask.shape)
+    d = _assert_glcm_matches_oracle(region_from_mask(mask, values), 1.0, "gaps")
+    assert d.n_levels == 61
+    assert len(np.unique(d.levels)) == 4
+
+
+def test_glcm_matches_oracle_isolated_voxels_many_levels():
+    # no co-occurring pair: the diagonal histogram fallback at ng >= 40
+    from ctradiomics.volume_io import LesionRegion
+
+    coords = [[2 * i, 2 * (i % 3), 2 * (i % 2)] for i in range(8)]
+    region = LesionRegion(coordinates=coords, intensities=np.arange(8) * 13.0, spacing=(1, 1, 1))
+    d = _assert_glcm_matches_oracle(region, 2.0, "isolated")
+    assert d.n_levels >= 40
+    assert glcm_features(d)["MCC"] == pytest.approx(1.0)
+
+
+def test_glcm_matches_oracle_flat_marginal():
+    # every pair joins two voxels of level 1, the far voxels add levels but no
+    # pairs, so each direction's marginal is flat: Correlation falls back to 1
+    from ctradiomics.volume_io import LesionRegion
+
+    cube = [[x, y, z] for x in range(3) for y in range(3) for z in range(3)]
+    coords = cube + [[9, 0, 0], [0, 9, 0], [0, 0, 9]]
+    intensities = [0.0] * len(cube) + [40.0, 70.0, 95.0]
+    region = LesionRegion(coordinates=coords, intensities=intensities, spacing=(1, 1, 1))
+    d = _assert_glcm_matches_oracle(region, 2.0, "flat_marginal")
+    assert d.n_levels >= 40
+    f = glcm_features(d)
+    assert f["Correlation"] == 1.0
+    assert f["MCC"] == 0.0
+
+
+def test_shape_cache_follows_spacing():
+    # the per-spacing mesh constants are cached: alternating two anisotropic
+    # spacings on one mask must give each spacing's own oracle values
+    from conftest import region_from_mask
+
+    rng = np.random.default_rng(12)
+    mask = rng.random((5, 4, 4)) < 0.55
+    intensities = rng.normal(40, 20, mask.shape)
+    spacings = [(0.7, 1.1, 1.6), (1.6, 0.7, 1.1)]
+    expected = [oracles.shape_oracle(np.argwhere(mask), spacing) for spacing in spacings]
+    assert expected[0]["SurfaceArea"] != pytest.approx(expected[1]["SurfaceArea"])
+    for k in (0, 1, 0, 1):
+        region = region_from_mask(mask, intensities, spacing=spacings[k])
+        _assert_close(shape_features(region), expected[k], f"spacing{k}")
+
+
+def test_shape_single_slice_matches_oracle():
+    # one voxel layer: the mesh still has thickness, so the one 3-D hull
+    # serves all three 2-D diameters, including the in-slice one
+    from conftest import region_from_mask
+
+    mask = np.zeros((5, 6, 1), dtype=bool)
+    mask[1:4, :, 0] = True
+    mask[0, 2, 0] = True
+    mask[4, 5, 0] = True
+    region = region_from_mask(mask, np.zeros(mask.shape), spacing=(0.8, 1.0, 2.5))
+    expected = oracles.shape_oracle(region.coordinates, region.spacing)
+    _assert_close(shape_features(region), expected, "single_slice")
+
+
+def test_flat_point_sets_keep_every_point_for_the_diameters():
+    # a coplanar set has no 3-D hull (QhullError); all points are kept, so the
+    # 3-D and projected diameters still equal the brute-force maxima
+    from ctradiomics.features.shape import _hull_vertices, _max_pairwise_distance
+
+    rng = np.random.default_rng(3)
+    pts = np.column_stack([rng.integers(0, 9, 30), rng.integers(0, 7, 30), np.full(30, 2)])
+    pts = np.unique(pts, axis=0) * (0.8, 1.0, 2.5)
+    hull = _hull_vertices(pts)
+    assert len(hull) == len(pts)
+    for axes in ((0, 1, 2), (0, 1), (0, 2), (1, 2)):
+        want = oracles._max_dist([tuple(p) for p in pts[:, axes]])
+        assert _max_pairwise_distance(hull[:, axes]) == pytest.approx(want, rel=1e-12)
+
+
+def test_hull_vertices_keep_every_projected_diameter():
+    from ctradiomics.features.shape import _hull_vertices, _max_pairwise_distance
+
+    rng = np.random.default_rng(4)
+    pts = np.unique(rng.integers(0, 12, size=(60, 3)), axis=0) * (0.7, 1.1, 1.6)
+    hull = _hull_vertices(pts)
+    assert len(hull) < len(pts)
+    for axes in ((0, 1, 2), (0, 1), (0, 2), (1, 2)):
+        # the maximising pair is among the hull vertices: the same float
+        assert _max_pairwise_distance(hull[:, axes]) == _max_pairwise_distance(pts[:, axes])

@@ -122,6 +122,33 @@ class TestReadVolume:
         vol = read_volume(path)
         assert np.allclose(sorted(vol.data.ravel()), payload)
 
+    @pytest.mark.parametrize("datatype", [16, 64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_payload_is_format_error(self, tmp_path, datatype, bad):
+        payload = np.arange(8.0)
+        payload[5] = bad
+        path = write_blob(tmp_path, make_nifti_bytes(datatype=datatype, payload=payload))
+        with pytest.raises(NiftiFormatError, match="non-finite"):
+            read_volume(path)
+
+    @pytest.mark.parametrize("scale", [(np.nan, 0.0), (1.0, np.inf), (np.inf, 0.0)])
+    def test_non_finite_rescale_of_integers_is_format_error(self, tmp_path, scale):
+        slope, inter = scale
+        path = write_blob(tmp_path, make_nifti_bytes(scl_slope=slope, scl_inter=inter))
+        with pytest.raises(NiftiFormatError, match="non-finite"):
+            read_volume(path)
+
+    def test_extreme_finite_rescale_of_integers_stays_finite(self, tmp_path):
+        # the largest float32 slope times the widest int32 value fits float64
+        big = float(np.finfo(np.float32).max)
+        payload = [np.iinfo(np.int32).min, np.iinfo(np.int32).max] * 4
+        path = write_blob(
+            tmp_path, make_nifti_bytes(datatype=8, payload=payload, scl_slope=big, scl_inter=big)
+        )
+        vol = read_volume(path)
+        assert np.isfinite(vol.data).all()
+        assert vol.data.max() == np.iinfo(np.int32).max * big + big
+
 
 class TestReadMask:
     def test_labels_and_class_map(self, tmp_path):
