@@ -108,8 +108,10 @@ def _extract_scan(args):
     entry, bin_width, spacing = args
     vol = read_volume(entry.image_path)
     mask = read_mask(entry.mask_path, entry.class_map)
+    lesions = extract_lesions(vol, mask, spacing)
+    del vol, mask  # the regions hold copies; free the scan before the features run
     records = []
-    for region, class_id in extract_lesions(vol, mask, spacing):
+    for region, class_id in lesions:
         lesion_id = f"{entry.scan_id}/{region.label}"
         fv = extract_all(region, bin_width, lesion_id=lesion_id, class_id=class_id)
         records.append((lesion_id, entry.scan_id, class_id, fv))

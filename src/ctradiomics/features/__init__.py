@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..volume_io import LesionRegion
-from .discretize import DiscretizedRegion, discretize, level_grid
+from .discretize import DiscretizedRegion, discretize
 from .firstorder import FOS_NAMES, first_order_features
 from .glcm import GLCM_NAMES, glcm_features, glcm_matrices
 from .gldm import GLDM_NAMES, gldm_features, gldm_matrix
@@ -118,7 +118,6 @@ __all__ = [
     "glrlm_matrices",
     "glszm_features",
     "glszm_matrix",
-    "level_grid",
     "ngtdm_features",
     "ngtdm_table",
     "shape_features",

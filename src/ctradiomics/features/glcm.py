@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._offsets import UNIQUE_DIRECTIONS, shifted_pair_slices
-from .discretize import DiscretizedRegion, level_grid
+from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted
 
 GLCM_NAMES = (
     "Autocorrelation",
@@ -40,21 +39,17 @@ def glcm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarray
     Counts accumulate only over voxel pairs that are both inside the region;
     directions without any pair are omitted.
     """
-    grid = level_grid(d)
     ng = d.n_levels
+    # pair code (level(v), level(v + d)) over the padded levels 0..ng; level 0
+    # (outside the region) is dropped with row and column 0
+    row_code = interior(d.grid).astype(np.intp) * (ng + 1)
     matrices = {}
     for offset in UNIQUE_DIRECTIONS:
-        sl = shifted_pair_slices(grid.shape, offset)
-        if sl is None:
+        codes = (row_code + shifted(d.grid, offset)).ravel()
+        counts = np.bincount(codes, minlength=(ng + 1) ** 2).reshape(ng + 1, ng + 1)[1:, 1:]
+        if not counts.any():
             continue
-        src, dst = sl
-        a = grid[src].ravel()
-        b = grid[dst].ravel()
-        keep = (a > 0) & (b > 0)
-        if not keep.any():
-            continue
-        idx = (a[keep] - 1) * ng + (b[keep] - 1)
-        counts = np.bincount(idx, minlength=ng * ng).reshape(ng, ng).astype(np.float64)
+        counts = counts.astype(np.float64)
         counts = counts + counts.T  # symmetric accumulation
         matrices[offset] = counts / counts.sum()
     return matrices

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._offsets import ALL_NEIGHBOURS, shift_into
-from .discretize import DiscretizedRegion, level_grid
+from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted
 
 GLDM_NAMES = (
     "SmallDependenceEmphasis",
@@ -33,14 +32,16 @@ GLDM_NAMES = (
 
 def gldm_matrix(d: DiscretizedRegion) -> np.ndarray:
     """Dependence counts, rows = gray level 1..Ng, columns = size 1..27."""
-    grid = level_grid(d)
-    in_region = grid > 0
-    dependents = np.zeros(grid.shape, dtype=np.int64)
-    for offset in ALL_NEIGHBOURS:
-        dependents += (shift_into(grid, offset, fill=-1) == grid) & in_region
+    inner = interior(d.grid)
+    in_region = inner > 0
+    # dependent neighbours of v: v + d and v - d over the 13 directions
+    dependents = np.zeros(inner.shape, dtype=np.uint8)
+    for offset, same in zip(UNIQUE_DIRECTIONS, d.same):
+        dependents += interior(same)
+        dependents += shifted(same, tuple(-o for o in offset))
     ng = d.n_levels
     max_size = 27
-    levels = grid[in_region] - 1
+    levels = inner[in_region].astype(np.intp) - 1
     sizes = dependents[in_region]  # dependent neighbours; +1 below via indexing
     counts = np.bincount(levels * max_size + sizes, minlength=ng * max_size)
     return counts.reshape(ng, max_size).astype(np.float64)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._offsets import UNIQUE_DIRECTIONS, shift_into
-from .discretize import DiscretizedRegion, level_grid
+from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -31,64 +30,86 @@ def glrlm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarra
     """Run counts keyed by direction, rows = gray level, columns = run length.
 
     Runs are maximal same-level segments of in-region voxels along a
-    direction; counts are recovered from same-level window counts W_j via
-    R_j = W_j - 2 W_{j+1} + W_{j+2}.
+    direction.  On the flat padded grid a step along direction d is a step
+    of stride s, so a run starts where v is in the region but not the same
+    level as v - s and ends where it is not the same level as v + s.  In
+    line order (by position mod s, then position) the starts and ends pair
+    up, and a run's length is its end's index minus its start's plus one.
     """
-    grid = level_grid(d)
+    levels = d.grid.ravel()
+    in_region = levels > 0
     ng = d.n_levels
+    steps = np.array(d.grid.strides) // d.grid.itemsize  # flat step per axis
     matrices = {}
-    for direction in UNIQUE_DIRECTIONS:
-        # continues[v]: v and v+direction are in-region with equal levels
-        continues = (grid > 0) & (shift_into(grid, direction, fill=-1) == grid)
-        windows = []  # windows[j-1][lvl-1] = count of uniform windows of length j
-        window_mask = grid > 0
-        j = 1
-        while window_mask.any():
-            windows.append(np.bincount(grid[window_mask], minlength=ng + 1)[1:])
-            window_mask = window_mask & shift_into(
-                continues, tuple(c * (j - 1) for c in direction)
-            )
-            j += 1
-        windows.append(np.zeros(ng, dtype=np.int64))
-        windows.append(np.zeros(ng, dtype=np.int64))
-        w = np.asarray(windows, dtype=np.int64)  # (maxlen+2, ng)
-        runs = w[:-2] - 2 * w[1:-1] + w[2:]
-        matrices[direction] = runs.T.astype(np.float64)  # (ng, maxlen)
+    for direction, same in zip(UNIQUE_DIRECTIONS, d.same):
+        stride = int(np.dot(direction, steps))  # > 0: first nonzero component is +1
+        same = same.ravel()
+        starts = in_region.copy()
+        starts[stride:] &= ~same[:-stride]
+        first = _line_order(starts, stride)
+        lengths = _line_order(in_region & ~same, stride) - first + 1
+        lines = -(-levels.size // stride)
+        run_levels = levels[(first % lines) * stride + first // lines].astype(np.intp)
+        max_len = int(lengths.max())
+        counts = np.bincount((run_levels - 1) * max_len + lengths - 1, minlength=ng * max_len)
+        matrices[direction] = counts.reshape(ng, max_len).astype(np.float64)
     return matrices
 
 
-def _features_from_matrix(m: np.ndarray, n_voxels: int) -> dict[str, float]:
-    ng, max_len = m.shape
-    nr = m.sum()
+def _line_order(mask: np.ndarray, stride: int) -> np.ndarray:
+    """Indices of a flat mask's True entries in the line order of a stride:
+    position p is listed at (p % stride) * lines + p // stride."""
+    lines = -(-mask.size // stride)
+    padded = np.zeros(lines * stride, dtype=bool)
+    padded[: mask.size] = mask
+    return np.flatnonzero(padded.reshape(lines, stride).T)
+
+
+def _features_from_stack(m: np.ndarray, n_voxels: int) -> dict[str, np.ndarray]:
+    """All 16 features of each run matrix in a (D, ng, L) stack, shape (D,) each."""
+    _, ng, max_len = m.shape
+    nr = m.sum(axis=(1, 2))
     i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
     j = np.arange(1, max_len + 1, dtype=np.float64)[None, :]
-    p = m / nr
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
-    mu_i = float((i * p).sum())
-    mu_j = float((j * p).sum())
+    p = m / nr[:, None, None]
+    row = m.sum(axis=2)
+    col = m.sum(axis=1)
+    mu_i = (i * p).sum(axis=(1, 2))
+    mu_j = (j * p).sum(axis=(1, 2))
+    logp = np.log2(np.where(p > 0, p, 1.0))
+
+    def per_run(w: np.ndarray) -> np.ndarray:
+        return w.sum(axis=(1, 2)) / nr
+
     return {
-        "ShortRunEmphasis": float((m / j**2).sum() / nr),
-        "LongRunEmphasis": float((m * j**2).sum() / nr),
-        "GrayLevelNonUniformity": float((row**2).sum() / nr),
-        "GrayLevelNonUniformityNormalized": float((row**2).sum() / nr**2),
-        "RunLengthNonUniformity": float((col**2).sum() / nr),
-        "RunLengthNonUniformityNormalized": float((col**2).sum() / nr**2),
-        "RunPercentage": float(nr / n_voxels),
-        "GrayLevelVariance": float((p * (i - mu_i) ** 2).sum()),
-        "RunVariance": float((p * (j - mu_j) ** 2).sum()),
-        "RunEntropy": float(-(p[p > 0] * np.log2(p[p > 0])).sum()) + 0.0,
-        "LowGrayLevelRunEmphasis": float((m / i**2).sum() / nr),
-        "HighGrayLevelRunEmphasis": float((m * i**2).sum() / nr),
-        "ShortRunLowGrayLevelEmphasis": float((m / (i**2 * j**2)).sum() / nr),
-        "ShortRunHighGrayLevelEmphasis": float((m * i**2 / j**2).sum() / nr),
-        "LongRunLowGrayLevelEmphasis": float((m * j**2 / i**2).sum() / nr),
-        "LongRunHighGrayLevelEmphasis": float((m * i**2 * j**2).sum() / nr),
+        "ShortRunEmphasis": per_run(m / j**2),
+        "LongRunEmphasis": per_run(m * j**2),
+        "GrayLevelNonUniformity": (row**2).sum(axis=1) / nr,
+        "GrayLevelNonUniformityNormalized": (row**2).sum(axis=1) / nr**2,
+        "RunLengthNonUniformity": (col**2).sum(axis=1) / nr,
+        "RunLengthNonUniformityNormalized": (col**2).sum(axis=1) / nr**2,
+        "RunPercentage": nr / n_voxels,
+        "GrayLevelVariance": (p * (i - mu_i[:, None, None]) ** 2).sum(axis=(1, 2)),
+        "RunVariance": (p * (j - mu_j[:, None, None]) ** 2).sum(axis=(1, 2)),
+        "RunEntropy": -(p * logp).sum(axis=(1, 2)) + 0.0,
+        "LowGrayLevelRunEmphasis": per_run(m / i**2),
+        "HighGrayLevelRunEmphasis": per_run(m * i**2),
+        "ShortRunLowGrayLevelEmphasis": per_run(m / (i**2 * j**2)),
+        "ShortRunHighGrayLevelEmphasis": per_run(m * i**2 / j**2),
+        "LongRunLowGrayLevelEmphasis": per_run(m * j**2 / i**2),
+        "LongRunHighGrayLevelEmphasis": per_run(m * i**2 * j**2),
     }
 
 
 def glrlm_features(d: DiscretizedRegion) -> dict[str, float]:
-    """The 16 run-length features, averaged over all 13 directions."""
-    n_voxels = len(d)
-    per_direction = [_features_from_matrix(m, n_voxels) for m in glrlm_matrices(d).values()]
-    return {name: float(np.mean([f[name] for f in per_direction])) for name in GLRLM_NAMES}
+    """The 16 run-length features, averaged over all 13 directions.
+
+    The direction matrices are zero-padded to one run length and the
+    features of all directions come from one (13, ng, L) stack.
+    """
+    matrices = list(glrlm_matrices(d).values())
+    stack = np.zeros((len(matrices), d.n_levels, max(m.shape[1] for m in matrices)))
+    for k, m in enumerate(matrices):
+        stack[k, :, : m.shape[1]] = m
+    per_direction = _features_from_stack(stack, len(d))
+    return {name: float(per_direction[name].mean()) for name in GLRLM_NAMES}

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._offsets import ALL_NEIGHBOURS, shift_into
-from .discretize import DiscretizedRegion, level_grid
+from .discretize import DiscretizedRegion, interior
 
 NGTDM_NAMES = ("Coarseness", "Busyness", "Complexity", "Strength", "Contrast")
 
@@ -23,26 +22,34 @@ def ngtdm_table(d: DiscretizedRegion) -> tuple[np.ndarray, np.ndarray, int]:
     s_i sums |level - mean of in-region neighbours| over counted voxels of
     level i; n_i counts them.
     """
-    grid = level_grid(d)
-    in_region = grid > 0
+    grid = d.grid
+    inner = interior(grid)
+    in_region = inner > 0
     ng = d.n_levels
-    neighbour_sum = np.zeros(grid.shape, dtype=np.float64)
-    neighbour_cnt = np.zeros(grid.shape, dtype=np.int64)
-    for offset in ALL_NEIGHBOURS:
-        shifted_in = shift_into(in_region, offset)
-        neighbour_cnt += shifted_in
-        neighbour_sum += shift_into(grid, offset) * shifted_in
+    # levels are 0 outside the region, so the 26-neighbour level sum needs no mask
+    neighbour_sum = _neighbour_sum(grid, np.min_scalar_type(27 * ng))
+    neighbour_cnt = _neighbour_sum(grid > 0, np.uint8)
     counted = in_region & (neighbour_cnt > 0)
     n_total = int(counted.sum())
     n_i = np.zeros(ng, dtype=np.float64)
     s_i = np.zeros(ng, dtype=np.float64)
     if n_total:
-        levels = grid[counted]
+        levels = inner[counted]
         mean_nb = neighbour_sum[counted] / neighbour_cnt[counted]
         diffs = np.abs(levels - mean_nb)
         n_i = np.bincount(levels - 1, minlength=ng).astype(np.float64)
         s_i = np.bincount(levels - 1, weights=diffs, minlength=ng)
     return n_i, s_i, n_total
+
+
+def _neighbour_sum(padded: np.ndarray, dtype) -> np.ndarray:
+    """Sum over the 26 neighbours of each interior voxel of a padded grid:
+    the 3x3x3 box sum, taken one axis at a time, less the centre."""
+    box = padded.astype(dtype)
+    box = box[:-2] + box[1:-1] + box[2:]
+    box = box[:, :-2] + box[:, 1:-1] + box[:, 2:]
+    box = box[:, :, :-2] + box[:, :, 1:-1] + box[:, :, 2:]
+    return box - interior(padded)
 
 
 def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:

@@ -100,18 +100,9 @@ def shape_features(region: LesionRegion) -> dict[str, float]:
     """The 13 shape descriptors from the mask's iso-surface mesh and PCA axes."""
     grid = _binary_grid(region)
     spacing = np.asarray(region.spacing, dtype=np.float64)
+    # every non-empty mask's mesh encloses its voxels: area and volume are > 0
     area, volume = mesh.mesh_surface_and_volume(grid, spacing)
-    if area <= 0.0 or volume <= 0.0:
-        # degenerate mesh: fall back to the voxel-box surface and volume
-        n = len(region)
-        sx, sy, sz = spacing
-        volume = n * sx * sy * sz
-        area = 2.0 * n * (sx * sy + sy * sz + sx * sz)
-        verts = region.coordinates * spacing
-    else:
-        verts = mesh.mesh_vertices(grid, spacing)
-
-    hull = _hull_vertices(verts)
+    hull = _hull_vertices(mesh.mesh_vertices(grid, spacing))
     out: dict[str, float] = {
         "MeshVolume": volume,
         "SurfaceArea": area,

@@ -57,12 +57,19 @@ class VoxelVolume:
 
 @dataclass
 class LesionMask:
-    """Integer-labelled grid aligned to a volume; label 0 is background."""
+    """Integer-labelled grid aligned to a volume; label 0 is background.
+
+    ``boxes`` holds the inclusive index bounds of every nonzero label in
+    ascending label order (``_label_boxes``).  It is computed here from
+    ``labels`` unless the caller, having made that one pass over the mask
+    already, passes it in.
+    """
 
     labels: np.ndarray
     spacing: tuple[float, float, float]
     class_of_label: dict[int, int] = field(default_factory=dict)
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    boxes: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -70,7 +77,9 @@ class LesionMask:
             raise MaskError(f"mask labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.ndim != 3:
             raise ValueError(f"mask labels must be 3D, got shape {self.labels.shape}")
-        present = list(_label_boxes(self.labels))
+        if self.boxes is None:
+            self.boxes = _label_boxes(self.labels)
+        present = list(self.boxes)
         if present and present[0] < 0:
             raise MaskError("mask labels must be non-negative")
         self.spacing = tuple(float(s) for s in self.spacing)
@@ -185,8 +194,16 @@ def _read_payload(path) -> tuple[dict, np.ndarray]:
     return hdr, flat.astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
 
 
-def _rescaled(hdr: dict, payload: np.ndarray) -> np.ndarray:
-    """The payload as float64 with the header's linear rescale applied."""
+def _rescaled(hdr: dict, payload: np.ndarray, path) -> np.ndarray:
+    """The payload as float64 with the header's linear rescale applied.
+
+    A NaN or infinite scl_slope or scl_inter is rejected before any
+    arithmetic, so it raises instead of warning.
+    """
+    if not np.isfinite([hdr["scl_slope"], hdr["scl_inter"]]).all():
+        raise NiftiFormatError(
+            f"{path}: non-finite rescale scl_slope={hdr['scl_slope']}, scl_inter={hdr['scl_inter']}"
+        )
     data = payload.astype(np.float64)
     slope = hdr["scl_slope"] if hdr["scl_slope"] != 0.0 else 1.0
     if slope != 1.0 or hdr["scl_inter"] != 0.0:
@@ -201,11 +218,9 @@ def read_volume(path) -> VoxelVolume:
     is applied so the returned data is in Hounsfield units.
     """
     hdr, payload = _read_payload(path)
-    data = _rescaled(hdr, payload)
+    data = _rescaled(hdr, payload, path)
     # integers under a finite float32 rescale stay finite in float64
-    scale = (hdr["scl_slope"], hdr["scl_inter"])
-    always_finite = np.issubdtype(payload.dtype, np.integer) and np.isfinite(scale).all()
-    if not always_finite and not np.isfinite(data).all():
+    if not np.issubdtype(payload.dtype, np.integer) and not np.isfinite(data).all():
         raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
     return VoxelVolume(data=data, spacing=hdr["spacing"], origin=hdr["origin"])
 
@@ -223,19 +238,22 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
         labels = payload
     else:
-        data = _rescaled(hdr, payload)
+        data = _rescaled(hdr, payload, path)
         rounded = np.rint(data)
         if not np.array_equal(data, rounded):
             raise MaskError(f"{path}: mask contains non-integer voxel values")
         labels = rounded.astype(np.int32)
-    present = list(_label_boxes(labels))
+    boxes = _label_boxes(labels)
+    present = list(boxes)
     if present and present[0] < 0:
         raise MaskError(f"{path}: mask contains negative labels")
     missing = [lbl for lbl in present if lbl not in class_map]
     if missing:
         raise ClassMapError(f"{path}: labels {missing} missing from the label-to-class map")
     class_of_label = {lbl: int(class_map[lbl]) for lbl in present}
-    return LesionMask(labels=labels, spacing=hdr["spacing"], class_of_label=class_of_label, origin=hdr["origin"])
+    return LesionMask(
+        labels=labels, spacing=hdr["spacing"], class_of_label=class_of_label, origin=hdr["origin"], boxes=boxes
+    )
 
 
 def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None:
@@ -386,13 +404,12 @@ def extract_lesions(
         spacing = (target,) * 3
         positions, nearest = _output_grid(vol.dims, vol.spacing, target)
     check_geometry(vol, mask)
-    boxes = _label_boxes(mask.labels)
     regions = []
     for label in sorted(mask.class_of_label):
         coords = np.empty((0, 3), dtype=np.intp)
-        if label in boxes:
+        if label in mask.boxes:
             # the output samples whose nearest input index falls in the label's input box
-            lo, hi = boxes[label]
+            lo, hi = mask.boxes[label]
             starts = [np.searchsorted(n, a, "left") for n, a in zip(nearest, lo)]
             axes = [slice(a, np.searchsorted(n, b, "right")) for n, a, b in zip(nearest, starts, hi)]
             local = np.argwhere(mask.labels[np.ix_(*(n[ax] for n, ax in zip(nearest, axes)))] == label)

@@ -185,22 +185,29 @@ def _glcm_from_matrix(p, ng):
     }
 
 
+def glcm_pair_counts(pos, d):
+    """Symmetric (level_i, level_j) -> count over in-region pairs (v, v + d),
+    plus the number of pairs."""
+    counts = {}
+    n_pairs = 0
+    for c, li in pos.items():
+        nb = _add(c, d)
+        if nb in pos:
+            lj = pos[nb]
+            counts[(li, lj)] = counts.get((li, lj), 0) + 1
+            counts[(lj, li)] = counts.get((lj, li), 0) + 1
+            n_pairs += 1
+    return counts, n_pairs
+
+
 def glcm_oracle(coords, levels, ng):
     pos = _pos_map(coords, levels)
     per_dir = []
     for d in DIRECTIONS:
-        counts = [[0] * ng for _ in range(ng)]
-        n_pairs = 0
-        for c, li in pos.items():
-            nb = _add(c, d)
-            if nb in pos:
-                lj = pos[nb]
-                counts[li - 1][lj - 1] += 1
-                counts[lj - 1][li - 1] += 1
-                n_pairs += 1
+        counts, n_pairs = glcm_pair_counts(pos, d)
         if n_pairs == 0:
             continue
-        p = [[v / (2 * n_pairs) for v in row] for row in counts]
+        p = [[counts.get((i + 1, j + 1), 0) / (2 * n_pairs) for j in range(ng)] for i in range(ng)]
         per_dir.append(_glcm_from_matrix(p, ng))
     if not per_dir:
         hist = [0.0] * ng
@@ -214,13 +221,18 @@ def glcm_oracle(coords, levels, ng):
 # ----------------------------------------------------------------------- GLDM
 
 
-def gldm_oracle(coords, levels, ng):
-    pos = _pos_map(coords, levels)
-    table = {}  # (level, size) -> count
+def gldm_table(pos):
+    """(level, dependence size) -> voxel count; the size counts the voxel itself."""
+    table = {}
     for c, l in pos.items():
         dep = sum(1 for d in NEIGHBOURS_26 if pos.get(_add(c, d)) == l)
         key = (l, dep + 1)
         table[key] = table.get(key, 0) + 1
+    return table
+
+
+def gldm_oracle(coords, levels, ng):
+    table = gldm_table(_pos_map(coords, levels))
     total = sum(table.values())
     mu_i = sum(l * v for (l, j), v in table.items()) / total
     mu_j = sum(j * v for (l, j), v in table.items()) / total
@@ -375,18 +387,28 @@ def glszm_oracle(coords, levels, ng):
 # ---------------------------------------------------------------------- NGTDM
 
 
-def ngtdm_oracle(coords, levels, ng):
-    pos = _pos_map(coords, levels)
+def ngtdm_sums(pos):
+    """(n_i, s_i, n_total) over the voxels with an in-region neighbour.
+
+    s_i accumulates |level - neighbour mean| one voxel at a time in
+    ascending coordinate order, so the float sums have one defined order.
+    """
     n_i = {}
     s_i = {}
     n_total = 0
-    for c, l in pos.items():
+    for c in sorted(pos):
+        l = pos[c]
         nb_levels = [pos[_add(c, d)] for d in NEIGHBOURS_26 if _add(c, d) in pos]
         if not nb_levels:
             continue
         n_total += 1
         n_i[l] = n_i.get(l, 0) + 1
         s_i[l] = s_i.get(l, 0.0) + abs(l - sum(nb_levels) / len(nb_levels))
+    return n_i, s_i, n_total
+
+
+def ngtdm_oracle(coords, levels, ng):
+    n_i, s_i, n_total = ngtdm_sums(_pos_map(coords, levels))
     if n_total == 0:
         return {"Coarseness": 1e6, "Busyness": 0.0, "Complexity": 0.0, "Strength": 0.0, "Contrast": 0.0}
     p_i = {l: n / n_total for l, n in n_i.items()}

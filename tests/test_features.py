@@ -255,6 +255,27 @@ class TestShapeExamples:
         assert f["MeshVolume"] == pytest.approx(1.0 / 6.0)
         assert f["SurfaceArea"] == pytest.approx(math.sqrt(3))
 
+    @pytest.mark.parametrize(
+        "mask_shape, spacing",
+        [
+            ((1, 1, 1), (1.0, 1.0, 1.0)),  # single voxel
+            ((1, 1, 7), (0.7, 0.7, 2.5)),  # 1-voxel line
+            ((1, 6, 1), (1.0, 1.0, 1.0)),
+            ((5, 4, 1), (0.8, 1.3, 2.0)),  # single slice
+            ((4, 1, 6), (1.0, 1.0, 1.0)),
+        ],
+    )
+    def test_thin_regions_have_a_positive_mesh(self, mask_shape, spacing):
+        # every non-empty mask's mesh encloses its voxels, so shape needs no
+        # voxel-box fallback for area or volume
+        from ctradiomics import mesh
+
+        mask = np.ones(mask_shape, dtype=bool)
+        area, volume = mesh.mesh_surface_and_volume(mask, np.asarray(spacing))
+        assert area > 0.0 and volume > 0.0
+        f = shape_features(region_from_mask(mask, np.zeros(mask_shape), spacing))
+        assert (f["SurfaceArea"], f["MeshVolume"]) == (area, volume)
+
     def test_voxel_volume_diagnostic(self):
         from ctradiomics.features import voxel_volume
 
@@ -304,6 +325,26 @@ class TestExtractAll:
         a = extract_all(region).values
         b = extract_all(region).values
         assert a == b
+
+    def test_memory_follows_the_lesion_on_a_large_sphere(self):
+        # a 179,579-voxel ball (radius 35) of noisy HU, the size of a large CT
+        # lesion at 1 mm: a few levels, short runs and wide zone matrices
+        import tracemalloc
+
+        axis = np.arange(-35, 36)
+        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+        mask = gx**2 + gy**2 + gz**2 <= 35**2
+        rng = np.random.default_rng(0)
+        region = region_from_mask(mask, rng.normal(80.0, 20.0, mask.shape))
+        assert len(region) == 179_579
+        extract_all(random_blob_region(seed=1))  # imports and per-spacing caches
+        tracemalloc.start()
+        try:
+            extract_all(region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"extract_all peaked at {peak / 2**20:.1f} MiB"
 
 
 TEXTURE_PREFIXES = ("glcm", "gldm", "glrlm", "glszm", "ngtdm")

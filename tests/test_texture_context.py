@@ -1,0 +1,138 @@
+"""The per-lesion neighbourhood context against the brute-force oracle tables.
+
+Every texture matrix built from ``DiscretizedRegion.grid`` and ``.same`` must
+equal the table its oracle counts voxel by voxel, exactly: GLCM pair counts,
+GLDM dependence counts, per-direction GLRLM run counts, GLSZM zones and
+NGTDM n_i / s_i.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+import oracles
+from ctradiomics.features import glcm_matrices, gldm_matrix, glrlm_matrices, glszm_matrix, ngtdm_table
+from ctradiomics.features.discretize import UNIQUE_DIRECTIONS, DiscretizedRegion
+
+
+def _region(coords, levels) -> DiscretizedRegion:
+    coords = np.asarray(coords, dtype=np.intp).reshape(-1, 3)
+    levels = np.asarray(levels, dtype=np.int64)
+    return DiscretizedRegion(
+        levels=levels, n_levels=int(levels.max()), bin_width=1.0, coordinates=coords, spacing=(1.0, 1.0, 1.0)
+    )
+
+
+def _dense(table, ng, width) -> np.ndarray:
+    """(level, size) -> count as an (ng, width) float64 matrix."""
+    m = np.zeros((ng, width))
+    for (level, size), count in table.items():
+        m[level - 1, size - 1] += count
+    return m
+
+
+def assert_matches_oracle_tables(d: DiscretizedRegion):
+    pos = {tuple(int(x) for x in c): int(l) for c, l in zip(d.coordinates, d.levels)}
+    ng = d.n_levels
+
+    glcm = glcm_matrices(d)
+    expected_glcm = {}
+    for direction in UNIQUE_DIRECTIONS:
+        counts, n_pairs = oracles.glcm_pair_counts(pos, direction)
+        if n_pairs:
+            m = _dense(counts, ng, ng)
+            expected_glcm[direction] = m / m.sum()
+    assert glcm.keys() == expected_glcm.keys()
+    for direction, m in expected_glcm.items():
+        assert np.array_equal(glcm[direction], m), f"GLCM {direction}"
+
+    assert np.array_equal(gldm_matrix(d), _dense(oracles.gldm_table(pos), ng, 27))
+
+    glrlm = glrlm_matrices(d)
+    assert tuple(glrlm) == UNIQUE_DIRECTIONS
+    for direction in UNIQUE_DIRECTIONS:
+        table = oracles.glrlm_run_table(pos, direction)
+        expected = _dense(table, ng, max(size for _, size in table))
+        assert np.array_equal(glrlm[direction], expected), f"GLRLM {direction}"
+
+    zones = {}
+    for zone in oracles.glszm_zones(pos):
+        zones[zone] = zones.get(zone, 0) + 1
+    assert np.array_equal(glszm_matrix(d), _dense(zones, ng, max(size for _, size in zones)))
+
+    n_i, s_i, n_total = ngtdm_table(d)
+    want_n, want_s, want_total = oracles.ngtdm_sums(pos)
+    assert n_total == want_total
+    assert np.array_equal(n_i, [want_n.get(level, 0) for level in range(1, ng + 1)])
+    assert np.array_equal(s_i, [want_s.get(level, 0.0) for level in range(1, ng + 1)])
+
+
+@hs.composite
+def _level_regions(draw):
+    """A random region in a box of up to 6^3 voxels with 1 to 300 gray levels
+    (past 255 the grid needs a wider type), gaps between levels allowed."""
+    shape = draw(hs.tuples(*[hs.integers(1, 6)] * 3))
+    n = shape[0] * shape[1] * shape[2]
+    inside = draw(hs.lists(hs.booleans(), min_size=n, max_size=n))
+    inside[draw(hs.integers(0, n - 1))] = True
+    top = draw(hs.sampled_from([1, 2, 3, 6, 40, 61, 300]))
+    levels = draw(hs.lists(hs.integers(1, top), min_size=n, max_size=n))
+    coords = np.argwhere(np.reshape(inside, shape))
+    return coords, [levels[i] for i in np.flatnonzero(inside)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_level_regions())
+def test_context_matrices_equal_oracle_tables(case):
+    assert_matches_oracle_tables(_region(*case))
+
+
+def test_many_levels_in_a_blob():
+    rng = np.random.default_rng(5)
+    coords = np.argwhere(rng.random((7, 6, 5)) < 0.6)
+    levels = rng.integers(1, 48, len(coords))
+    levels[0] = 47
+    assert _region(coords, levels).n_levels >= 40
+    assert_matches_oracle_tables(_region(coords, levels))
+
+
+@pytest.mark.parametrize("direction", UNIQUE_DIRECTIONS)
+@pytest.mark.parametrize("kind", ["one level", "alternating", "many levels"])
+def test_one_voxel_lines_touch_the_box_faces(direction, kind):
+    length = 5
+    steps = np.arange(length)[:, None] * np.array(direction)
+    coords = steps - steps.min(axis=0)  # the line spans its whole bounding box
+    levels = {
+        "one level": [3] * length,
+        "alternating": [1, 2] * 2 + [1],
+        "many levels": [44, 1, 17, 44, 30],
+    }[kind]
+    assert_matches_oracle_tables(_region(coords, levels))
+
+
+def test_disconnected_zones_of_one_level():
+    mask = np.zeros((7, 7, 3), dtype=bool)
+    mask[0:2, 0:2, 0] = True  # level 5, 4 voxels
+    mask[4:7, 0, 0:2] = True  # level 5, 6 voxels, disjoint
+    mask[0, 5:7, 2] = True  # level 5, 2 voxels, disjoint
+    mask[3, 3, 1] = True  # level 2 between them
+    mask[4, 4, 2] = True  # level 5, meets (3, 3, 1) only across a corner
+    coords = np.argwhere(mask)
+    levels = [2 if tuple(c) == (3, 3, 1) else 5 for c in coords]
+    assert_matches_oracle_tables(_region(coords, levels))
+
+
+def test_zones_joined_only_across_corners():
+    # one level on a body diagonal and its mirror: every link is a corner link
+    coords = [(k, k, k) for k in range(4)] + [(3 - k, k, 4 + k) for k in range(4)]
+    assert_matches_oracle_tables(_region(coords, [9] * len(coords)))
+
+
+@pytest.mark.parametrize("level", [1, 7, 256])
+def test_single_voxel(level):
+    assert_matches_oracle_tables(_region([(2, 5, 1)], [level]))
+
+
+def test_isolated_voxels():
+    assert_matches_oracle_tables(_region([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 2)], [1, 40, 40, 3]))

@@ -131,6 +131,7 @@ class TestReadVolume:
         with pytest.raises(NiftiFormatError, match="non-finite"):
             read_volume(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [(np.nan, 0.0), (1.0, np.inf), (np.inf, 0.0)])
     def test_non_finite_rescale_of_integers_is_format_error(self, tmp_path, scale):
         slope, inter = scale
@@ -235,6 +236,35 @@ class TestReadMask:
         path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=datatype))
         with pytest.raises(ClassMapError, match=r"\[300\]"):
             read_mask(path, {7: 1})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [(np.nan, 0.0), (1.0, -np.inf), (np.inf, 0.0)])
+    def test_non_finite_rescale_is_format_error(self, tmp_path, scale):
+        slope, inter = scale
+        payload = [0, 1, 0, 0, 0, 0, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=4, scl_slope=slope, scl_inter=inter))
+        with pytest.raises(NiftiFormatError, match="non-finite"):
+            read_mask(path, {1: 1})
+
+    def test_one_label_scan_per_mask(self, tmp_path, monkeypatch):
+        # read_mask hands its label boxes to the LesionMask, and extract_lesions
+        # reads them from there: one whole-mask pass per scan
+        import ctradiomics.volume_io as vio
+
+        labels = np.zeros((12, 10, 6), dtype=np.uint8)
+        labels[1:4, 2:5, 1:3] = 1
+        labels[7:11, 5:9, 2:5] = 2
+        path = tmp_path / "m.nii"
+        write_nifti(path, labels, spacing=(0.7, 0.7, 2.5))
+        vol = VoxelVolume(data=np.zeros(labels.shape), spacing=(0.7, 0.7, 2.5))
+        calls = []
+        real = vio._label_boxes
+        monkeypatch.setattr(vio, "_label_boxes", lambda a: calls.append(a.shape) or real(a))
+        mask = read_mask(path, {1: 1, 2: 3})
+        regions = extract_lesions(vol, mask, 1.0)
+        assert calls == [labels.shape]
+        assert [(r.label, cls) for r, cls in regions] == [(1, 1), (2, 3)]
+        assert mask.boxes.keys() == real(labels).keys()
 
     def test_largest_int32_label_extracts_cheaply(self, tmp_path):
         top = 2**31 - 1
