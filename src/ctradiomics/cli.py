@@ -12,7 +12,9 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -105,17 +107,20 @@ def _counts(text):
 
 
 def _extract_scan(args):
+    """The scan's lesion rows, and the messages of the warnings raised meanwhile."""
     entry, bin_width, spacing = args
-    vol = read_volume(entry.image_path)
-    mask = read_mask(entry.mask_path, entry.class_map)
-    lesions = extract_lesions(vol, mask, spacing)
-    del vol, mask  # the regions hold copies; free the scan before the features run
-    records = []
-    for region, class_id in lesions:
-        lesion_id = f"{entry.scan_id}/{region.label}"
-        fv = extract_all(region, bin_width, lesion_id=lesion_id, class_id=class_id)
-        records.append((lesion_id, entry.scan_id, class_id, fv))
-    return records
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the default filter shows a repeat once per process
+        vol = read_volume(entry.image_path)
+        mask = read_mask(entry.mask_path, entry.class_map)
+        lesions = extract_lesions(vol, mask, spacing)
+        del vol, mask  # the regions hold copies; free the scan before the features run
+        records = []
+        for region, class_id in lesions:
+            lesion_id = f"{entry.scan_id}/{region.label}"
+            fv = extract_all(region, bin_width, lesion_id=lesion_id, class_id=class_id)
+            records.append((lesion_id, entry.scan_id, class_id, fv))
+    return records, [str(w.message) for w in caught]
 
 
 def cmd_extract(args) -> int:
@@ -123,27 +128,18 @@ def cmd_extract(args) -> int:
     tasks = [(e, args.bin_width, args.spacing) for e in entries]
     failures = 0
     records = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = []
-            futures = [pool.submit(_extract_scan, t) for t in tasks]
-            for entry, future in zip(entries, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(None)
-                    failures += 1
-                    print(f"error: scan {entry.scan_id}: {exc}", file=sys.stderr)
-        for r in results:
-            if r:
-                records.extend(r)
-    else:
-        for task in tasks:
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        pending = [pool.submit(_extract_scan, t) for t in tasks] if pool else tasks
+        for entry, item in zip(entries, pending):
             try:
-                records.extend(_extract_scan(task))
+                rows, messages = item.result() if pool else _extract_scan(item)
             except Exception as exc:
                 failures += 1
-                print(f"error: scan {task[0].scan_id}: {exc}", file=sys.stderr)
+                print(f"error: scan {entry.scan_id}: {exc}", file=sys.stderr)
+                continue
+            for message in messages:
+                print(f"warning: scan {entry.scan_id}: {message}", file=sys.stderr)
+            records.extend(rows)
     dataio.write_features_csv(args.out, records)
     print(f"wrote {len(records)} lesion rows to {args.out}")
     return 1 if failures else 0

@@ -6,6 +6,7 @@ import numpy as np
 
 from .. import mesh
 from ..volume_io import LesionRegion
+from .discretize import UNIQUE_DIRECTIONS
 
 SHAPE_NAMES = (
     "MeshVolume",
@@ -23,12 +24,8 @@ SHAPE_NAMES = (
     "Flatness",
 )
 
-# in-plane axes for the three 2D diameters (the remaining axis is ignored)
-_PLANES = {
-    "Maximum2DDiameterSlice": (0, 1),
-    "Maximum2DDiameterColumn": (0, 2),
-    "Maximum2DDiameterRow": (1, 2),
-}
+# _max_diameters' order; the 2-D ones lie in the (0, 1), (0, 2) and (1, 2) planes
+_DIAMETER_NAMES = SHAPE_NAMES[4:8]
 
 
 def _binary_grid(region: LesionRegion) -> np.ndarray:
@@ -40,30 +37,54 @@ def _binary_grid(region: LesionRegion) -> np.ndarray:
     return grid
 
 
-def _hull_vertices(points: np.ndarray) -> np.ndarray:
-    """The points' convex-hull vertices, or all points when the hull is flat.
+def _hull_candidates(grid: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Mesh cut vertices that may be convex-hull vertices, as (n, 3) points
+    in the padded index x spacing frame.
 
-    Every pairwise-distance extreme of the points, and of any projection of
-    them, is attained on these vertices: the hull of a projection is the
-    projection of the hull.
+    In doubled index coordinates every cut vertex is a lattice point.  One
+    with other vertices on both sides of it along a lattice line lies inside
+    a segment, so it is no hull vertex at any spacing.  Kept: the first and
+    last vertex of each axis-parallel line, less those with vertices 1 or 2
+    steps away on both sides along one of the 13 directions.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    padded = np.pad(grid, 1)
+    shape = tuple(2 * n + 3 for n in padded.shape)  # a margin of 2 for the steps
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    lattice = np.zeros(np.prod(shape), dtype=bool)
+    keys, kept = [], []
+    for axis in range(3):
+        crossing = np.diff(padded, axis=axis)  # the diff of booleans is !=
+        points = np.argwhere(crossing)
+        # a 2x axis line meets the crossings of one axis only
+        extreme = np.ones(len(points), dtype=bool)
+        for line in range(3):
+            rest = tuple(points[:, a] for a in range(3) if a != line)
+            first = crossing.argmax(axis=line)[rest]
+            last = crossing.shape[line] - 1 - np.flip(crossing, line).argmax(axis=line)[rest]
+            extreme &= (points[:, line] == first) | (points[:, line] == last)
+        key = (2 * points + 2 + np.eye(3, dtype=np.intp)[axis]) @ strides
+        keys.append(key)
+        kept.append(key[extreme])
+    lattice[np.concatenate(keys)] = True
+    keep = np.concatenate(kept)
+    steps = np.asarray(UNIQUE_DIRECTIONS) @ strides
+    steps = np.concatenate([steps, 2 * steps])
+    inside = (lattice[keep[:, None] + steps] & lattice[keep[:, None] - steps]).any(axis=1)
+    # (2i + 1) * (s / 2) is exactly (i + 0.5) * s
+    return (np.stack(np.unravel_index(keep[~inside], shape), axis=1) - 2) * (spacing / 2.0)
 
-    if len(points) > 4:
-        try:
-            return points[ConvexHull(points).vertices]
-        except QhullError:
-            pass  # degenerate (flat/collinear) sets are small enough directly
-    return points
 
-
-def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Largest pairwise Euclidean distance, 0 for fewer than two points."""
-    from scipy.spatial.distance import pdist
-
-    if len(points) < 2:
-        return 0.0
-    return float(pdist(points).max())
+def _max_diameters(points: np.ndarray) -> tuple[float, float, float, float]:
+    """Largest pairwise distance of the points in 3-D and in the slice,
+    column and row planes, with squares summed as (dx^2 + dy^2) + dz^2."""
+    x, y, z = np.ascontiguousarray(points.T)
+    best = np.zeros(4)
+    rows = max(1, 65536 // len(x))  # row blocks of about 64k pairs
+    for lo in range(0, len(x), rows):
+        dx, dy, dz = (np.square(c[lo : lo + rows, None] - c[None, lo:]) for c in (x, y, z))
+        plane = dx + dy
+        best = np.maximum(best, ((plane + dz).max(), plane.max(), (dx + dz).max(), (dy + dz).max()))
+    return tuple(float(d) for d in np.sqrt(best))
 
 
 def _axis_lengths(region: LesionRegion) -> tuple[float, float, float, float, float]:
@@ -102,16 +123,14 @@ def shape_features(region: LesionRegion) -> dict[str, float]:
     spacing = np.asarray(region.spacing, dtype=np.float64)
     # every non-empty mask's mesh encloses its voxels: area and volume are > 0
     area, volume = mesh.mesh_surface_and_volume(grid, spacing)
-    hull = _hull_vertices(mesh.mesh_vertices(grid, spacing))
+    diameters = _max_diameters(_hull_candidates(grid, spacing))
     out: dict[str, float] = {
         "MeshVolume": volume,
         "SurfaceArea": area,
         "SurfaceVolumeRatio": area / volume,
         "Sphericity": float((36.0 * np.pi * volume**2) ** (1.0 / 3.0) / area),
-        "Maximum3DDiameter": _max_pairwise_distance(hull),
     }
-    for name, axes in _PLANES.items():
-        out[name] = _max_pairwise_distance(hull[:, axes])
+    out.update(zip(_DIAMETER_NAMES, diameters))
 
     major, minor, least, elongation, flatness = _axis_lengths(region)
     out["MajorAxisLength"] = major

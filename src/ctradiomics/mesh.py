@@ -221,24 +221,3 @@ def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:
         area_total += area * counts[config]
         volume_total += k1 * zsum[config] + k2 * counts[config]
     return area_total, abs(volume_total)
-
-
-def mesh_vertices(mask: np.ndarray, spacing) -> np.ndarray:
-    """Cut-vertex coordinates of the mesh (edge midpoints between in/out voxels).
-
-    Fan centroids are convex combinations of these points, so pairwise
-    distance extremes over the full mesh are attained on this set.
-    """
-    padded = np.pad(np.asarray(mask, dtype=bool), 1)
-    out = []
-    for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        crossing = padded[tuple(lo)] != padded[tuple(hi)]
-        pts = np.argwhere(crossing).astype(np.float64)
-        pts[:, axis] += 0.5
-        out.append(pts)
-    verts = np.vstack(out)
-    return verts * np.asarray(spacing, dtype=np.float64)

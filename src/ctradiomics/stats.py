@@ -47,26 +47,12 @@ class FeatureTestRow:
 def _ranks_and_ties(groups) -> tuple[list[np.ndarray], float, int]:
     """Mid-ranks per group plus the tie-correction sum and total N."""
     pooled = np.concatenate(groups)
-    n = len(pooled)
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(n, dtype=np.float64)
-    sorted_vals = pooled[order]
-    i = 0
-    tie_sum = 0.0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # mid-rank, 1-based
-        t = j - i + 1
-        tie_sum += t**3 - t
-        i = j + 1
-    out = []
-    start = 0
-    for g in groups:
-        out.append(ranks[start : start + len(g)])
-        start += len(g)
-    return out, tie_sum, n
+    # asking for first indices makes the sort stable: NaNs rank in input order
+    _, _, tie_of, counts = np.unique(pooled, return_index=True, return_inverse=True, return_counts=True, equal_nan=False)
+    # the t tied values at sorted 1-based ranks end - t + 1 .. end share their mean
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie_of]
+    tie_sum = float(np.sum(counts.astype(np.float64) ** 3 - counts))
+    return np.split(ranks, np.cumsum([len(g) for g in groups[:-1]])), tie_sum, len(pooled)
 
 
 def _check_groups(groups) -> list[np.ndarray]:
@@ -84,13 +70,29 @@ def _check_groups(groups) -> list[np.ndarray]:
     return groups
 
 
+def chi_square_tail(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with integer ``df`` >= 1: Q(df/2, x/2).
+
+    Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) from Q(1, y) = e^-y or
+    Q(1/2, y) = erfc(sqrt y); every term is positive, so nothing cancels.
+    """
+    y = x / 2.0
+    if df % 2 == 0:
+        a, q, term = 0.0, 0.0, math.exp(-y)
+    else:
+        a, q, term = 0.5, math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
+    while a < df / 2.0:
+        q += term
+        a += 1.0
+        term *= y / a
+    return q
+
+
 def kruskal_wallis(groups) -> TestResult:
     """Kruskal-Wallis H with tie correction; p from the chi-square tail.
 
     H = [12/(N(N+1)) sum R_i^2/n_i - 3(N+1)] / (1 - sum(t^3-t)/(N^3-N)).
     """
-    from scipy import special
-
     groups = _check_groups(groups)
     group_ranks, tie_sum, n = _ranks_and_ties(groups)
     h = 12.0 / (n * (n + 1)) * sum(r.sum() ** 2 / len(r) for r in group_ranks) - 3.0 * (n + 1)
@@ -99,7 +101,7 @@ def kruskal_wallis(groups) -> TestResult:
         raise DegenerateDataError("tie correction degenerates; all values identical")
     h /= correction
     df = len(groups) - 1
-    p = float(special.gammaincc(df / 2.0, max(h, 0.0) / 2.0))  # upper chi-square tail
+    p = chi_square_tail(max(h, 0.0), df)
     return TestResult(statistic=float(h), p_value=p)
 
 

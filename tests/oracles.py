@@ -602,6 +602,27 @@ def mesh_area_volume_oracle(mask, spacing):
     return area, abs(signed_volume)
 
 
+def mesh_vertices(mask, spacing):
+    """Cut-vertex coordinates of the mesh (edge midpoints between in/out voxels).
+
+    Fan centroids are convex combinations of these points, so pairwise
+    distance extremes over the full mesh are attained on this set.
+    Coordinates are padded index x spacing, the package's frame.
+    """
+    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    out = []
+    for axis in range(3):
+        lo = [slice(None)] * 3
+        hi = [slice(None)] * 3
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        crossing = padded[tuple(lo)] != padded[tuple(hi)]
+        pts = np.argwhere(crossing).astype(np.float64)
+        pts[:, axis] += 0.5
+        out.append(pts)
+    verts = np.vstack(out)
+    return verts * np.asarray(spacing, dtype=np.float64)
+
 def _max_dist(points):
     if len(points) < 2:
         return 0.0

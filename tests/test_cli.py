@@ -1,6 +1,7 @@
 """The command-line pipeline end to end on a small phantom cohort."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +263,66 @@ def test_extract_records_per_scan_errors(workspace, tmp_path, capsys):
     assert code == 1
     assert "broken" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 2  # header + the good scan
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_extract_names_every_dropped_label(tmp_path, capsys, jobs):
+    # label 2 is one voxel that nearest-neighbour sampling at 3 mm misses, in
+    # every scan: each (scan, label) gets its own line, in manifest order
+    rows = ["scan_id,image_path,mask_path,class_map"]
+    for i in range(3):
+        mask = np.zeros((12, 12, 12), dtype=np.uint8)
+        mask[2:9, 2:9, 2:9] = 1
+        mask[10, 10, 10] = 2
+        write_nifti(tmp_path / f"image{i}.nii", np.full(mask.shape, 40.0 + i), (1.0, 1.0, 1.0))
+        write_nifti(tmp_path / f"mask{i}.nii", mask, (1.0, 1.0, 1.0))
+        rows.append(f"scan{i},image{i}.nii,mask{i}.nii,1=1;2=2")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "features.csv"
+    argv = ["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", jobs]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: scan scan{i}: label 2 has no voxels and was dropped" for i in range(3)
+    ]
+    assert len(out.read_text().splitlines()) == 4  # header + label 1 of each scan
+
+
+_NO_SCIPY_PIPELINE = """
+import sys
+from ctradiomics.cli import main
+
+work = sys.argv[1]
+for name, counts, seed in (("train", "4", "1"), ("test", "2", "2")):
+    assert main(["phantom", "--out", f"{work}/{name}", "--n-per-class", counts, "--seed", seed]) == 0
+    assert main(["extract", "--manifest", f"{work}/{name}/manifest.csv", "--out", f"{work}/{name}.csv"]) == 0
+assert main(["experiments", "--train", f"{work}/train.csv", "--test", f"{work}/test.csv",
+             "--out", f"{work}/experiments.json", "--kfold", "3", "--max-lv", "3"]) == 0
+assert main(["stats", "--features", f"{work}/train.csv", "--out", f"{work}/stats.csv"]) == 0
+print("scipy:", *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_pipeline_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only; importing it costs every CLI process
+    # about half a second, so no command may pull it in, however lazily
+    import os
+    import subprocess
+    import sys
+
+    import ctradiomics
+
+    src = str(Path(ctradiomics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PIPELINE, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "scipy:"
 
 
 def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from ctradiomics.features import (
     discretize,
@@ -214,28 +216,93 @@ def test_shape_single_slice_matches_oracle():
     _assert_close(shape_features(region), expected, "single_slice")
 
 
-def test_flat_point_sets_keep_every_point_for_the_diameters():
-    # a coplanar set has no 3-D hull (QhullError); all points are kept, so the
-    # 3-D and projected diameters still equal the brute-force maxima
-    from ctradiomics.features.shape import _hull_vertices, _max_pairwise_distance
+DIAMETER_NAMES = (
+    "Maximum3DDiameter",
+    "Maximum2DDiameterSlice",
+    "Maximum2DDiameterColumn",
+    "Maximum2DDiameterRow",
+)
 
+
+def _brute_force_diameters(vertices):
+    """Largest distance over every pair of mesh vertices, in 3-D and in the
+    slice, column and row planes, summed in pdist's order."""
+    dx, dy, dz = ((c[:, None] - c[None, :]) ** 2 for c in vertices.T)
+    plane = dx + dy
+    return tuple(float(np.sqrt(s.max())) for s in (plane + dz, plane, dx + dz, dy + dz))
+
+
+def _single_slice_scatter():
     rng = np.random.default_rng(3)
-    pts = np.column_stack([rng.integers(0, 9, 30), rng.integers(0, 7, 30), np.full(30, 2)])
-    pts = np.unique(pts, axis=0) * (0.8, 1.0, 2.5)
-    hull = _hull_vertices(pts)
-    assert len(hull) == len(pts)
-    for axes in ((0, 1, 2), (0, 1), (0, 2), (1, 2)):
-        want = oracles._max_dist([tuple(p) for p in pts[:, axes]])
-        assert _max_pairwise_distance(hull[:, axes]) == pytest.approx(want, rel=1e-12)
+    mask = np.zeros((9, 7, 1), dtype=bool)
+    mask[rng.integers(0, 9, 12), rng.integers(0, 7, 12), 0] = True
+    return mask
 
 
-def test_hull_vertices_keep_every_projected_diameter():
-    from ctradiomics.features.shape import _hull_vertices, _max_pairwise_distance
+@hs.composite
+def _masks_and_spacings(draw):
+    """A random mask in a box of up to 6^3 voxels at anisotropic spacing."""
+    shape = draw(hs.tuples(*[hs.integers(1, 6)] * 3))
+    n = shape[0] * shape[1] * shape[2]
+    inside = draw(hs.lists(hs.booleans(), min_size=n, max_size=n))
+    inside[draw(hs.integers(0, n - 1))] = True
+    spacing = tuple(draw(hs.floats(0.3, 3.0)) for _ in range(3))
+    return np.reshape(inside, shape), spacing
 
-    rng = np.random.default_rng(4)
-    pts = np.unique(rng.integers(0, 12, size=(60, 3)), axis=0) * (0.7, 1.1, 1.6)
-    hull = _hull_vertices(pts)
-    assert len(hull) < len(pts)
-    for axes in ((0, 1, 2), (0, 1), (0, 2), (1, 2)):
-        # the maximising pair is among the hull vertices: the same float
-        assert _max_pairwise_distance(hull[:, axes]) == _max_pairwise_distance(pts[:, axes])
+
+@settings(max_examples=80, deadline=None)
+@given(_masks_and_spacings())
+@example((np.ones((1, 1, 1), dtype=bool), (0.7, 1.1, 2.5)))
+@example((np.ones((1, 1, 6), dtype=bool), (0.7, 1.1, 2.5)))
+@example((np.ones((5, 1, 1), dtype=bool), (0.7, 1.1, 2.5)))
+@example((np.ones((1, 4, 1), dtype=bool), (2.5, 0.7, 1.1)))
+@example((np.ones((6, 5, 1), dtype=bool), (0.8, 1.0, 2.5)))
+@example((_single_slice_scatter(), (0.8, 1.0, 2.5)))
+def test_diameters_equal_the_brute_force_maxima(case):
+    # exact, not approximate: the pruned vertex set keeps every hull vertex
+    # and sums squares in the order the brute force does
+    from conftest import region_from_mask
+
+    mask, spacing = case
+    region = region_from_mask(mask, np.zeros(mask.shape), spacing=spacing)
+    features = shape_features(region)
+    # the brute force runs on the region's bounding box, as shape_features does
+    coords = region.coordinates - region.coordinates.min(axis=0)
+    box = np.zeros(tuple(coords.max(axis=0) + 1), dtype=bool)
+    box[tuple(coords.T)] = True
+    want = _brute_force_diameters(oracles.mesh_vertices(box, spacing))
+    assert tuple(features[name] for name in DIAMETER_NAMES) == want
+
+
+def _noisy_mask(side, seed):
+    return np.random.default_rng(seed).random((side,) * 3) < 0.5
+
+
+def _ball(radius):
+    axis = np.arange(-radius, radius + 1)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    return gx**2 + gy**2 + gz**2 <= radius**2
+
+
+@pytest.mark.parametrize(
+    "mask, spacing",
+    [
+        (_noisy_mask(20, 0), (1.0, 1.0, 1.0)),
+        (_noisy_mask(30, 1), (0.7, 0.7, 2.5)),
+        (_ball(12), (1.0, 1.0, 1.0)),
+        (_ball(12), (0.7, 0.7, 2.5)),
+    ],
+    ids=["noisy20", "noisy30_aniso", "ball12", "ball12_aniso"],
+)
+def test_hull_candidates_stay_near_the_hull_vertex_count(mask, spacing):
+    # pruning must leave a near-hull point set, or the pairwise maximum
+    # grows with the square of the vertex count on noisy masks
+    from scipy.spatial import ConvexHull
+
+    from ctradiomics.features.shape import _hull_candidates
+
+    spacing = np.asarray(spacing)
+    candidates = _hull_candidates(mask, spacing)
+    hull = ConvexHull(oracles.mesh_vertices(mask, spacing))
+    assert len(candidates) <= 4 * len(hull.vertices)
+    assert len(np.unique(candidates, axis=0)) == len(candidates)

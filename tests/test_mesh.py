@@ -75,7 +75,7 @@ def test_axis_permutation_symmetry():
 def test_vertices_lie_on_crossing_edges():
     m = np.zeros((2, 2, 2), bool)
     m[0, 0, 0] = True
-    verts = mesh.mesh_vertices(m, (1.0, 1.0, 1.0))
+    verts = oracles.mesh_vertices(m, (1.0, 1.0, 1.0))
     assert len(verts) == 6  # octahedron corners
     centre = np.array([1.0, 1.0, 1.0])  # padded coords of the voxel centre
     assert np.allclose(np.linalg.norm(verts - centre, axis=1), 0.5)

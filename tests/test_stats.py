@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -59,6 +60,26 @@ class TestKruskalWallis:
     def test_identical_values_degenerate(self):
         with pytest.raises(DegenerateDataError):
             stats.kruskal_wallis([[2.0, 2.0], [2.0, 2.0]])
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("df", range(1, 11))
+    def test_matches_scipy_gammaincc(self, df):
+        xs = np.concatenate([np.linspace(0.0, 1000.0, 2001), np.geomspace(1e-9, 1000.0, 400)])
+        got = np.array([stats.chi_square_tail(float(x), df) for x in xs])
+        want = scipy.special.gammaincc(df / 2.0, xs / 2.0)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("df", range(1, 11))
+    def test_whole_mass_at_zero(self, df):
+        assert stats.chi_square_tail(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 10])
+    @pytest.mark.parametrize("x", [1500.0, 3000.0, 1e6, 1e300])
+    def test_far_tail_underflows_without_nan(self, df, x):
+        p = stats.chi_square_tail(x, df)
+        assert p == 0.0 or 0.0 < p < np.finfo(float).tiny
 
 
 class TestDunn:
