@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .dataio import Dataset, read_features_csv, write_features_csv
 from .features import FEATURE_COLUMNS, extract_all
 from .model_selection import ExperimentSpec, evaluate, experiment_specs, fit_experiment, run_experiments
-from .phantom import PhantomConfig, generate_phantom, generate_phantom_dataset
+from .phantom import generate_phantom, generate_phantom_dataset
 from .pls import PlsModel, load_model, predict, save_model, train_plsda, vip_scores
 from .volume_io import (
     LesionMask,
@@ -30,7 +30,6 @@ __all__ = [
     "FEATURE_COLUMNS",
     "LesionMask",
     "LesionRegion",
-    "PhantomConfig",
     "PlsModel",
     "VoxelVolume",
     "evaluate",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, model_selection as ms, phantom as ph, pls, stats as st
-from .features import FAMILIES, extract_all
+from .features import FAMILIES, extract_all, family_counts
 from .volume_io import extract_lesions, read_mask, read_volume, write_nifti
 from .volume_io import resample_isotropic  # noqa: F401  perfbench/tracing.py wraps it by name
 
@@ -118,7 +118,7 @@ def _extract_scan(args):
         records = []
         for region, class_id in lesions:
             lesion_id = f"{entry.scan_id}/{region.label}"
-            fv = extract_all(region, bin_width, lesion_id=lesion_id, class_id=class_id)
+            fv = extract_all(region, bin_width, lesion_id=lesion_id)
             records.append((lesion_id, entry.scan_id, class_id, fv))
     return records, [str(w.message) for w in caught]
 
@@ -145,6 +145,16 @@ def cmd_extract(args) -> int:
     return 1 if failures else 0
 
 
+def _metrics_to_dict(m: ms.ClassificationMetrics) -> dict:
+    return {
+        "accuracy": m.accuracy,
+        "class_labels": list(m.class_labels),
+        "confusion": m.confusion.tolist(),
+        "sensitivity": {str(c): m.sensitivity[c] for c in m.class_labels},
+        "specificity": {str(c): m.specificity[c] for c in m.class_labels},
+    }
+
+
 def _report_to_dict(report: ms.ExperimentReport) -> dict:
     doc = {
         "experiment": report.experiment_id,
@@ -156,20 +166,19 @@ def _report_to_dict(report: ms.ExperimentReport) -> dict:
         "selected_by_family": report.selected_by_family,
     }
     if report.metrics is not None:
-        m = report.metrics
-        doc["metrics"] = {
-            "accuracy": m.accuracy,
-            "class_labels": list(m.class_labels),
-            "confusion": m.confusion.tolist(),
-            "sensitivity": {str(c): m.sensitivity[c] for c in m.class_labels},
-            "specificity": {str(c): m.specificity[c] for c in m.class_labels},
-        }
+        doc["metrics"] = _metrics_to_dict(report.metrics)
     return doc
+
+
+def _format_table(header, rows) -> str:
+    rows = [header, *rows]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
 
 
 def _format_fitted_table(reports) -> str:
     header = ["Exp", "ER", "LV", "Considered", "Selected"] + [f.upper() for f in FAMILIES]
-    rows = [header]
+    rows = []
     for r in reports:
         cells = [f"#{r.experiment_id}", f"{r.error_rate:.2f}", str(r.chosen_lv), str(r.considered_total)]
         pct = 100.0 * r.selected_total / r.considered_total
@@ -182,25 +191,22 @@ def _format_fitted_table(reports) -> str:
                 sel = r.selected_by_family[fam]
                 cells.append(f"{sel} ({100.0 * sel / considered:.1f})")
         rows.append(cells)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
+    return _format_table(header, rows)
 
 
-def _format_performance_table(reports) -> str:
-    labelled = [r for r in reports if r.metrics is not None]
-    if not labelled:
+def _format_performance_table(named_metrics) -> str:
+    """One row per (name, ClassificationMetrics) pair; all share one class set."""
+    if not named_metrics:
         return ""
-    classes = labelled[0].metrics.class_labels
+    classes = named_metrics[0][1].class_labels
     header = ["Exp", "Acc"] + [f"Se C{c}" for c in classes] + [f"Sp C{c}" for c in classes]
-    rows = [header]
-    for r in labelled:
-        m = r.metrics
-        cells = [f"#{r.experiment_id}", f"{100.0 * m.accuracy:.1f}"]
+    rows = []
+    for name, m in named_metrics:
+        cells = [name, f"{100.0 * m.accuracy:.1f}"]
         cells += [f"{100.0 * m.sensitivity[c]:.1f}" for c in classes]
         cells += [f"{100.0 * m.specificity[c]:.1f}" for c in classes]
         rows.append(cells)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
+    return _format_table(header, rows)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -245,17 +251,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_model_columns(model: pls.PlsModel, dataset: dataio.Dataset) -> None:
-    missing = [c for c in model.feature_names if c not in dataset.feature_names]
-    if missing:
-        raise ValueError(f"feature CSV is missing model columns: {missing}")
-
-
 def cmd_predict(args) -> int:
     dataset = dataio.read_features_csv(args.features)
     model = pls.load_model(args.model)
-    _check_model_columns(model, dataset)
-    aligned = dataset.subset_columns(model.feature_names)
+    aligned = dataset.subset_columns(model.feature_names)  # names any column the model lacks
     y_hat, classes = pls.predict(model, aligned.x)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -277,45 +276,36 @@ def cmd_evaluate(args) -> int:
     if dataset is None:
         return 1
     model = pls.load_model(args.model)
-    _check_model_columns(model, dataset)
     metrics = ms.evaluate(model, dataset)
-    report = ms.ExperimentReport(
-        experiment_id=0,
-        error_rate=1.0 - metrics.accuracy,
-        chosen_lv=model.n_components,
-        considered_total=len(model.feature_names),
-        considered_by_family=ms._family_counts(model.feature_names),
-        selected_total=len(model.selected_features),
-        selected_by_family=ms._family_counts(model.selected_features),
-        metrics=metrics,
-    )
-    _write_json(args.out, _report_to_dict(report))
-    print(_format_performance_table([report]))
+    doc = {
+        "chosen_lv": model.n_components,
+        "selected_total": len(model.feature_names),
+        "selected_by_family": family_counts(model.feature_names),
+        "metrics": _metrics_to_dict(metrics),
+    }
+    _write_json(args.out, doc)
+    print(_format_performance_table([(args.model.name, metrics)]))
     print(f"wrote metrics to {args.out}")
     return 0
 
 
 def cmd_experiments(args) -> int:
-    train = dataio.read_features_csv(args.train_csv)
-    test = dataio.read_features_csv(args.test_csv)
-    specs = ms.experiment_specs(
-        k=args.kfold, max_lv=args.max_lv, seed=args.seed, vip_threshold=args.vip_threshold
-    )
-    reports = []
-    failures = []
-    for spec in specs:
-        try:
-            model, report = ms.fit_experiment(train, spec)
-            report.metrics = ms.evaluate(model, test)
-            reports.append(report)
-        except Exception as exc:
-            failures.append({"experiment": spec.experiment_id, "error": str(exc)})
-            print(f"error: experiment {spec.experiment_id}: {exc}", file=sys.stderr)
-    doc = {"experiments": [_report_to_dict(r) for r in reports], "failures": failures}
+    train = _read_labelled(args.train_csv, "training data has no class column")
+    test = _read_labelled(args.test_csv, "test data has no class column")
+    if train is None or test is None:
+        return 1
+    specs = ms.experiment_specs(k=args.kfold, max_lv=args.max_lv, seed=args.seed, vip_threshold=args.vip_threshold)
+    reports, failures = ms.run_experiments(train, test, specs)
+    for experiment_id, exc in failures.items():
+        print(f"error: experiment {experiment_id}: {exc}", file=sys.stderr)
+    doc = {
+        "experiments": [_report_to_dict(r) for r in reports],
+        "failures": [{"experiment": i, "error": str(exc)} for i, exc in failures.items()],
+    }
     _write_json(args.out, doc)
     print(_format_fitted_table(reports))
     print()
-    print(_format_performance_table(reports))
+    print(_format_performance_table([(f"#{r.experiment_id}", r.metrics) for r in reports]))
     print(f"wrote report to {args.out}")
     return 1 if failures else 0
 

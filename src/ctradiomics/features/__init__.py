@@ -23,8 +23,7 @@ from .shape import SHAPE_NAMES, shape_features, voxel_volume
 
 DEFAULT_BIN_WIDTH = 25.0  # HU
 
-FAMILIES: tuple[str, ...] = ("shape", "fos", "glcm", "gldm", "glrlm", "glszm", "ngtdm")
-
+# the one ordered family registry; every other family list derives from it
 FAMILY_NAMES: dict[str, tuple[str, ...]] = {
     "shape": SHAPE_NAMES,
     "fos": FOS_NAMES,
@@ -35,11 +34,13 @@ FAMILY_NAMES: dict[str, tuple[str, ...]] = {
     "ngtdm": NGTDM_NAMES,
 }
 
-FEATURE_COLUMNS: tuple[str, ...] = tuple(
-    f"{family}_{name}" for family in FAMILIES for name in FAMILY_NAMES[family]
-)
+FAMILIES: tuple[str, ...] = tuple(FAMILY_NAMES)
 
-TEXTURE_FAMILIES: tuple[str, ...] = ("glcm", "gldm", "glrlm", "glszm", "ngtdm")
+TEXTURE_FAMILIES: tuple[str, ...] = FAMILIES[2:]  # those computed on the discretized region
+
+FEATURE_COLUMNS: tuple[str, ...] = tuple(
+    f"{family}_{name}" for family, names in FAMILY_NAMES.items() for name in names
+)
 
 
 def family_of_column(column: str) -> str:
@@ -49,13 +50,20 @@ def family_of_column(column: str) -> str:
     return family
 
 
+def family_counts(columns) -> dict[str, int]:
+    """Number of ``columns`` in each family, every family listed."""
+    counts = dict.fromkeys(FAMILIES, 0)
+    for column in columns:
+        counts[family_of_column(column)] += 1
+    return counts
+
+
 @dataclass
 class FeatureVector:
     """All 105 descriptors of one lesion, keyed by canonical column name."""
 
     values: dict[str, float]
     lesion_id: str = ""
-    class_id: int | None = None
 
     def __post_init__(self):
         if tuple(self.values) != FEATURE_COLUMNS:
@@ -69,7 +77,6 @@ def extract_all(
     region: LesionRegion,
     bin_width: float = DEFAULT_BIN_WIDTH,
     lesion_id: str = "",
-    class_id: int | None = None,
 ) -> FeatureVector:
     """Compute the full 105-feature vector for one lesion region.
 
@@ -78,24 +85,25 @@ def extract_all(
     non-finite entries.
     """
     d = discretize(region, bin_width)
-    per_family = {
-        "shape": shape_features(region),
-        "fos": first_order_features(region, bin_width),
-        "glcm": glcm_features(d),
-        "gldm": gldm_features(d),
-        "glrlm": glrlm_features(d),
-        "glszm": glszm_features(d),
-        "ngtdm": ngtdm_features(d),
+    # called by name, not from a table: perfbench/tracing.py wraps these attributes
+    computed = (
+        shape_features(region),
+        first_order_features(region, bin_width),
+        glcm_features(d),
+        gldm_features(d),
+        glrlm_features(d),
+        glszm_features(d),
+        ngtdm_features(d),
+    )
+    values = {
+        f"{family}_{name}": float(result[name])
+        for (family, names), result in zip(FAMILY_NAMES.items(), computed)
+        for name in names
     }
-    values: dict[str, float] = {}
-    for family in FAMILIES:
-        computed = per_family[family]
-        for name in FAMILY_NAMES[family]:
-            values[f"{family}_{name}"] = float(computed[name])
     bad = [k for k, v in values.items() if not np.isfinite(v)]
     if bad:
         raise RuntimeError(f"non-finite feature values for {bad}")
-    return FeatureVector(values=values, lesion_id=lesion_id, class_id=class_id)
+    return FeatureVector(values=values, lesion_id=lesion_id)
 
 
 __all__ = [
@@ -108,6 +116,7 @@ __all__ = [
     "FeatureVector",
     "discretize",
     "extract_all",
+    "family_counts",
     "family_of_column",
     "first_order_features",
     "glcm_features",

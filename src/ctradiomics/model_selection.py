@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, columns_for_groups
-from .features import FAMILIES, TEXTURE_FAMILIES, family_of_column
+from .dataio import GROUP_PRESETS, Dataset, columns_for_groups
+from .features import family_counts
 from .pls import PlsModel, autoscale, encode_dummy, fit_pls, leading_components, predict
 from .pls import select_features_vip, vip_scores
 
@@ -41,13 +41,10 @@ def experiment_specs(k=10, max_lv=20, seed=42, vip_threshold=1.0) -> tuple[Exper
     """The five standard experiments: all features, selection over all,
     shape only, shape+first-order, and texture only (the last four with VIP
     pruning)."""
-    common = dict(k=k, max_lv=max_lv, seed=seed, vip_threshold=vip_threshold)
-    return (
-        ExperimentSpec(1, FAMILIES, False, **common),
-        ExperimentSpec(2, FAMILIES, True, **common),
-        ExperimentSpec(3, ("shape",), True, **common),
-        ExperimentSpec(4, ("shape", "fos"), True, **common),
-        ExperimentSpec(5, TEXTURE_FAMILIES, True, **common),
+    presets = (("all", False), ("all", True), ("shape", True), ("shape+fos", True), ("texture", True))
+    return tuple(
+        ExperimentSpec(i, GROUP_PRESETS[name], select, k=k, max_lv=max_lv, seed=seed, vip_threshold=vip_threshold)
+        for i, (name, select) in enumerate(presets, start=1)
     )
 
 
@@ -148,13 +145,6 @@ def _sweep_components(dataset: Dataset, folds, max_lv: int) -> tuple[int, float]
     return best + 1, float(errors[best])
 
 
-def _family_counts(names) -> dict[str, int]:
-    out = {fam: 0 for fam in FAMILIES}
-    for c in names:
-        out[family_of_column(c)] += 1
-    return out
-
-
 def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, ExperimentReport]:
     """Run one experiment: restrict to the spec's feature groups, pick the LV
     count by CV, optionally VIP-prune and re-run the sweep on the reduced
@@ -182,9 +172,9 @@ def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, Ex
         error_rate=best_err,
         chosen_lv=model.n_components,
         considered_total=len(considered),
-        considered_by_family=_family_counts(considered),
+        considered_by_family=family_counts(considered),
         selected_total=len(work.feature_names),
-        selected_by_family=_family_counts(work.feature_names),
+        selected_by_family=family_counts(work.feature_names),
     )
     return model, report
 
@@ -193,6 +183,8 @@ def evaluate(model: PlsModel, dataset: Dataset) -> ClassificationMetrics:
     """Confusion matrix, accuracy, and one-vs-rest sensitivity/specificity."""
     if dataset.y is None:
         raise ValueError("evaluation needs true class labels")
+    if len(dataset) == 0:
+        raise ValueError("evaluation needs at least one row")
     labels = model.class_labels
     unknown = sorted(set(dataset.y.tolist()) - set(labels))
     if unknown:
@@ -224,13 +216,17 @@ def evaluate(model: PlsModel, dataset: Dataset) -> ClassificationMetrics:
     )
 
 
-def run_experiments(train: Dataset, test: Dataset | None, specs) -> list[tuple[PlsModel, ExperimentReport]]:
-    """Fit every experiment on the training set and, when a test set is
-    given, attach its held-out metrics to each report."""
-    results = []
+def run_experiments(train: Dataset, test: Dataset, specs) -> tuple[list[ExperimentReport], dict[int, Exception]]:
+    """Fit every experiment on the training set and attach its held-out
+    metrics on the test set.  A spec that fails is recorded under its
+    experiment id and the remaining specs still run."""
+    reports, failures = [], {}
     for spec in specs:
-        model, report = fit_experiment(train, spec)
-        if test is not None:
+        try:
+            model, report = fit_experiment(train, spec)
             report.metrics = evaluate(model, test)
-        results.append((model, report))
-    return results
+        except Exception as exc:  # one failed experiment must not stop the others
+            failures[spec.experiment_id] = exc
+            continue
+        reports.append(report)
+    return reports, failures

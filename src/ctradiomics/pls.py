@@ -34,7 +34,6 @@ class PlsModel:
     n_components: int
     class_labels: tuple[int, ...]
     feature_names: tuple[str, ...]
-    selected_features: tuple[str, ...] = ()
 
     @property
     def n_features(self) -> int:
@@ -154,7 +153,6 @@ def fit_pls(
         n_components=weights.shape[1],
         class_labels=tuple(int(c) for c in class_labels),
         feature_names=tuple(feature_names),
-        selected_features=tuple(feature_names),
     )
 
 
@@ -230,7 +228,6 @@ def model_to_dict(model: PlsModel) -> dict:
         "B": model.coef.tolist(),
         "A": model.n_components,
         "class_labels": list(model.class_labels),
-        "selected_features": list(model.selected_features),
         "y_means": model.y_means.tolist(),
     }
 
@@ -248,7 +245,6 @@ def model_from_dict(doc: dict) -> PlsModel:
         n_components=int(doc["A"]),
         class_labels=tuple(int(c) for c in doc["class_labels"]),
         feature_names=tuple(doc["feature_names"]),
-        selected_features=tuple(doc["selected_features"]),
     )
 
 

@@ -172,7 +172,7 @@ def feature_group_report(
         raise ValueError("need at least two classes")
     col = {c: i for i, c in enumerate(dataset.feature_names)}
     rows: list[FeatureTestRow] = []
-    pending: list[PairwiseResult] = []  # pairwise results awaiting adjustment
+    families: list[list[PairwiseResult]] = []  # each feature's Dunn results, awaiting adjustment
     for feature in features:
         if feature not in col:
             raise ValueError(f"unknown feature {feature!r}")
@@ -185,41 +185,28 @@ def feature_group_report(
         try:
             omnibus = kruskal_wallis(groups)
         except DegenerateDataError:
-            rows.append(
-                FeatureTestRow(
-                    feature=feature,
-                    degenerate=True,
-                    result=None,
-                    per_class_median=per_median,
-                    per_class_iqr=per_iqr,
-                )
-            )
-            continue
-        if omnibus.p_value <= alpha:
+            omnibus = None
+        if omnibus is not None and omnibus.p_value <= alpha:
             pairwise = dunn_test(groups)
             for pr in pairwise:
                 pr.group_i = classes[pr.group_i]
                 pr.group_j = classes[pr.group_j]
             omnibus.pairwise = pairwise
-            if global_family:
-                pending.extend(pairwise)
-            else:
-                adjusted, rejected = benjamini_hochberg([pr.p_value for pr in pairwise], q)
-                for pr, pa, rej in zip(pairwise, adjusted, rejected):
-                    pr.p_adjusted = float(pa)
-                    pr.rejected = bool(rej)
+            families.append(pairwise)
         rows.append(
             FeatureTestRow(
                 feature=feature,
-                degenerate=False,
+                degenerate=omnibus is None,
                 result=omnibus,
                 per_class_median=per_median,
                 per_class_iqr=per_iqr,
             )
         )
-    if global_family and pending:
-        adjusted, rejected = benjamini_hochberg([pr.p_value for pr in pending], q)
-        for pr, pa, rej in zip(pending, adjusted, rejected):
+    if global_family:
+        families = [[pr for family in families for pr in family]]
+    for family in families:
+        adjusted, rejected = benjamini_hochberg([pr.p_value for pr in family], q)
+        for pr, pa, rej in zip(family, adjusted, rejected):
             pr.p_adjusted = float(pa)
             pr.rejected = bool(rej)
     return rows

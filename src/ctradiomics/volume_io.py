@@ -244,16 +244,13 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
             raise MaskError(f"{path}: mask contains non-integer voxel values")
         labels = rounded.astype(np.int32)
     boxes = _label_boxes(labels)
-    present = list(boxes)
-    if present and present[0] < 0:
-        raise MaskError(f"{path}: mask contains negative labels")
-    missing = [lbl for lbl in present if lbl not in class_map]
-    if missing:
-        raise ClassMapError(f"{path}: labels {missing} missing from the label-to-class map")
-    class_of_label = {lbl: int(class_map[lbl]) for lbl in present}
-    return LesionMask(
-        labels=labels, spacing=hdr["spacing"], class_of_label=class_of_label, origin=hdr["origin"], boxes=boxes
-    )
+    class_of_label = {lbl: class_map[lbl] for lbl in boxes if lbl in class_map}
+    try:
+        return LesionMask(
+            labels=labels, spacing=hdr["spacing"], class_of_label=class_of_label, origin=hdr["origin"], boxes=boxes
+        )
+    except (MaskError, ClassMapError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None:

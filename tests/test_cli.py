@@ -1,11 +1,14 @@
 """The command-line pipeline end to end on a small phantom cohort."""
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctradiomics import cli
 from ctradiomics.cli import main
 from ctradiomics.dataio import write_features_csv
 from ctradiomics.volume_io import write_nifti
@@ -288,8 +291,67 @@ def test_extract_names_every_dropped_label(tmp_path, capsys, jobs):
     assert len(out.read_text().splitlines()) == 4  # header + label 1 of each scan
 
 
+def _batch_manifest(tmp_path, n_good=3):
+    """``n_good`` small scans whose one-voxel label 2 is dropped at 3 mm,
+    then one scan whose mask disagrees with its image."""
+    rows = ["scan_id,image_path,mask_path,class_map"]
+    for i in range(n_good):
+        mask = np.zeros((12, 12, 12), dtype=np.uint8)
+        mask[2:9, 2:9, 2 + i : 9] = 1
+        mask[10, 10, 10] = 2
+        image = 40.0 + np.arange(mask.size).reshape(mask.shape) % (7 + i)
+        write_nifti(tmp_path / f"image{i}.nii", image, (1.0, 1.0, 1.0))
+        write_nifti(tmp_path / f"mask{i}.nii", mask, (1.0, 1.0, 1.0))
+        rows.append(f"scan{i},image{i}.nii,mask{i}.nii,1=1;2=2")
+    write_nifti(tmp_path / "small_mask.nii", np.ones((3, 3, 3), dtype=np.uint8), (1.0, 1.0, 1.0))
+    rows.append("broken,image0.nii,small_mask.nii,1=1")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return manifest
+
+
+def test_extract_jobs_do_not_change_the_output(tmp_path, capsys):
+    manifest = _batch_manifest(tmp_path)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"features{jobs}.csv"
+        argv = ["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", jobs]
+        assert main(argv) == 1
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+    csv_bytes, err = outputs[0]
+    assert len(csv_bytes.decode().splitlines()) == 4  # header + label 1 of each good scan
+    assert [line.split(":")[0] for line in err.splitlines()] == ["warning"] * 3 + ["error"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched reader reaches workers by fork")
+def test_extract_survives_a_dead_pool_worker(tmp_path, capsys, monkeypatch):
+    manifest = _batch_manifest(tmp_path, n_good=4)
+    clean = tmp_path / "clean.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(clean), "--spacing", "3"]) == 1
+    capsys.readouterr()
+    parent, read_volume = os.getpid(), cli.read_volume
+
+    def dies_on_scan2(path):
+        if path.name == "image2.nii" and os.getpid() != parent:
+            os._exit(1)  # the worker process vanishes mid-task
+        return read_volume(path)
+
+    monkeypatch.setattr(cli, "read_volume", dies_on_scan2)
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", "2"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    lost = [line.split(":")[1].removeprefix(" scan ") for line in errors]
+    assert "scan2" in lost
+    order = [row.split(",")[0] for row in manifest.read_text().splitlines()[1:]]
+    assert lost == [scan for scan in order if scan in lost]  # one line per lost scan, in manifest order
+    kept = [line for line in clean.read_text().splitlines()[1:] if line.split(",")[1] not in lost]
+    assert out.read_text().splitlines() == clean.read_text().splitlines()[:1] + kept
+
+
 _NO_SCIPY_PIPELINE = """
 import sys
+from ctradiomics import cli
 from ctradiomics.cli import main
 
 work = sys.argv[1]
@@ -299,6 +361,11 @@ for name, counts, seed in (("train", "4", "1"), ("test", "2", "2")):
 assert main(["experiments", "--train", f"{work}/train.csv", "--test", f"{work}/test.csv",
              "--out", f"{work}/experiments.json", "--kfold", "3", "--max-lv", "3"]) == 0
 assert main(["stats", "--features", f"{work}/train.csv", "--out", f"{work}/stats.csv"]) == 0
+assert main(["train", "--features", f"{work}/train.csv", "--out", f"{work}/model.json",
+             "--kfold", "3", "--max-lv", "3"]) == 0
+for command in ("predict", "evaluate"):
+    assert main([command, "--features", f"{work}/test.csv", "--model", f"{work}/model.json",
+                 "--out", f"{work}/{command}.out"]) == 0
 print("scipy:", *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -350,3 +417,44 @@ def test_header_only_csv_reports_no_lesion_rows(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err
     assert f"{features} has no lesion rows" in err
     assert "class column" not in err
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_experiments_on_a_header_only_csv(workspace, tmp_path, capsys, empty):
+    features = tmp_path / "features.csv"
+    write_features_csv(features, [])
+    inputs = {"train": workspace / "train.csv", "test": workspace / "test.csv", empty: features}
+    out = tmp_path / "report.json"
+    code = main(["experiments", "--train", str(inputs["train"]), "--test", str(inputs["test"]), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {features} has no lesion rows"]
+    assert not out.exists()
+
+
+def test_experiments_record_each_failed_experiment(workspace, tmp_path, capsys):
+    # no VIP reaches 50, so experiments 2-5 select nothing and fail
+    out = tmp_path / "experiments.json"
+    argv = ["experiments", "--train", str(workspace / "train.csv"), "--test", str(workspace / "test.csv")]
+    assert main(argv + ["--out", str(out), "--kfold", "5", "--max-lv", "6", "--vip-threshold", "50"]) == 1
+    doc = json.loads(out.read_text())
+    assert [e["experiment"] for e in doc["experiments"]] == [1]
+    assert [f["experiment"] for f in doc["failures"]] == [2, 3, 4, 5]
+    assert all("no feature has VIP > 50" in f["error"] for f in doc["failures"])
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in err] == [f"experiment {k}" for k in (2, 3, 4, 5)]
+
+
+def test_evaluate_reports_the_loaded_model(workspace, tmp_path):
+    model_path = tmp_path / "model.json"
+    argv = ["train", "--features", str(workspace / "train.csv"), "--out", str(model_path)]
+    assert main(argv + ["--kfold", "5", "--max-lv", "8"]) == 0
+    trained = json.loads(model_path.with_suffix(".report.json").read_text())
+    assert trained["selected_total"] < trained["considered_total"]
+    eval_path = tmp_path / "eval.json"
+    argv = ["evaluate", "--features", str(workspace / "test.csv"), "--model", str(model_path)]
+    assert main(argv + ["--out", str(eval_path)]) == 0
+    doc = json.loads(eval_path.read_text())
+    assert doc["selected_total"] == trained["selected_total"]
+    assert doc["selected_by_family"] == trained["selected_by_family"]
+    assert doc["chosen_lv"] == trained["chosen_lv"]
+    assert not [key for key in doc if key.startswith("considered")]

@@ -13,7 +13,7 @@ def _records(n=3):
     out = []
     for i in range(n):
         region = random_blob_region(seed=i)
-        fv = extract_all(region, lesion_id=f"scan_{i}/1", class_id=(i % 3) + 1)
+        fv = extract_all(region, lesion_id=f"scan_{i}/1")
         out.append((f"scan_{i}/1", f"scan_{i}", (i % 3) + 1, fv))
     return out
 

@@ -282,3 +282,21 @@ class TestEvaluate:
         _, pred = predict(model, ds.subset_columns(model.feature_names).x)
         err = float((pred != ds.y).mean())
         assert metrics.accuracy == pytest.approx(1.0 - err)
+
+    def test_empty_dataset_rejected(self):
+        ds = _gaussian_dataset(seed=12)
+        model, _ = ms.fit_experiment(ds, ms.ExperimentSpec(1, ("shape", "fos"), False, k=4, max_lv=3))
+        empty = Dataset(x=np.zeros((0, ds.x.shape[1])), y=np.zeros(0, dtype=int), feature_names=ds.feature_names)
+        with pytest.raises(ValueError, match="at least one row"):
+            ms.evaluate(model, empty)
+
+
+class TestRunExperiments:
+    def test_failed_spec_is_recorded_and_the_rest_run(self):
+        # no VIP reaches 50, so every experiment that selects fails
+        ds = _phantom_like_dataset(seed=4)
+        reports, failures = ms.run_experiments(ds, ds, ms.experiment_specs(k=5, max_lv=3, vip_threshold=50.0))
+        assert [r.experiment_id for r in reports] == [1]
+        assert reports[0].metrics is not None
+        assert sorted(failures) == [2, 3, 4, 5]
+        assert all(isinstance(exc, SelectionError) for exc in failures.values())

@@ -302,7 +302,6 @@ class TestSerialization:
         assert np.array_equal(ya, yb)
         assert np.array_equal(ca, cb)
         assert loaded.feature_names == model.feature_names
-        assert loaded.selected_features == model.selected_features
 
     def test_saved_document_is_stable(self, tmp_path):
         rng = np.random.default_rng(15)
