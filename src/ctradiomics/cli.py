@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, model_selection as ms, phantom as ph, pls, stats as st
-from .features import FAMILIES, extract_all, family_counts
+from .features import DEFAULT_BIN_WIDTH, FAMILIES, extract_all, family_counts
 from .volume_io import extract_lesions, read_mask, read_volume, write_nifti
 from .volume_io import resample_isotropic  # noqa: F401  perfbench/tracing.py wraps it by name
 
@@ -35,6 +36,21 @@ def _positive(kind):
     return parse
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """--kfold, --max-lv, --vip-threshold and --seed, defaulting to the
+    ExperimentSpec fields they set (see _run_settings)."""
+    spec = {f.name: f.default for f in dataclasses.fields(ms.ExperimentSpec)}
+    p.add_argument("--kfold", type=_positive(int), default=spec["k"])
+    p.add_argument("--max-lv", type=_positive(int), default=spec["max_lv"])
+    p.add_argument("--vip-threshold", type=_positive(float), default=spec["vip_threshold"])
+    p.add_argument("--seed", type=int, default=spec["seed"])
+
+
+def _run_settings(args) -> dict:
+    """The ExperimentSpec run fields given by _add_run_options' options."""
+    return {"k": args.kfold, "max_lv": args.max_lv, "seed": args.seed, "vip_threshold": args.vip_threshold}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctradiomics", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract feature vectors for every lesion in a manifest")
     p.add_argument("--manifest", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path, help="output feature CSV")
-    p.add_argument("--bin-width", type=_positive(float), default=25.0)
+    p.add_argument("--bin-width", type=_positive(float), default=DEFAULT_BIN_WIDTH)
     p.add_argument("--spacing", type=_positive(float), default=1.0, help="isotropic resample target (mm)")
     p.add_argument("--jobs", type=_positive(int), default=1)
 
@@ -52,10 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=Path, help="report JSON (default: <out>.report.json)")
     p.add_argument("--groups", default="all")
     p.add_argument("--select", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--kfold", type=_positive(int), default=10)
-    p.add_argument("--max-lv", type=_positive(int), default=20)
-    p.add_argument("--vip-threshold", type=_positive(float), default=1.0)
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_options(p)
 
     p = sub.add_parser("predict", help="predict classes for a feature CSV")
     p.add_argument("--features", required=True, type=Path)
@@ -71,10 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, type=Path, dest="train_csv")
     p.add_argument("--test", required=True, type=Path, dest="test_csv")
     p.add_argument("--out", required=True, type=Path, help="output report JSON")
-    p.add_argument("--kfold", type=_positive(int), default=10)
-    p.add_argument("--max-lv", type=_positive(int), default=20)
-    p.add_argument("--vip-threshold", type=_positive(float), default=1.0)
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_options(p)
 
     p = sub.add_parser("stats", help="per-feature Kruskal-Wallis/Dunn/FDR table")
     p.add_argument("--features", required=True, type=Path)
@@ -232,16 +242,7 @@ def cmd_train(args) -> int:
     dataset = _read_labelled(args.features, "training data has no class column")
     if dataset is None:
         return 1
-    groups = dataio.parse_groups(args.groups)
-    spec = ms.ExperimentSpec(
-        experiment_id=0,
-        feature_groups=groups,
-        do_vip_selection=args.select,
-        k=args.kfold,
-        max_lv=args.max_lv,
-        seed=args.seed,
-        vip_threshold=args.vip_threshold,
-    )
+    spec = ms.ExperimentSpec(0, dataio.parse_groups(args.groups), args.select, **_run_settings(args))
     model, report = ms.fit_experiment(dataset, spec)
     pls.save_model(model, args.out)
     report_path = args.report or args.out.with_suffix(".report.json")
@@ -294,7 +295,7 @@ def cmd_experiments(args) -> int:
     test = _read_labelled(args.test_csv, "test data has no class column")
     if train is None or test is None:
         return 1
-    specs = ms.experiment_specs(k=args.kfold, max_lv=args.max_lv, seed=args.seed, vip_threshold=args.vip_threshold)
+    specs = ms.experiment_specs(**_run_settings(args))
     reports, failures = ms.run_experiments(train, test, specs)
     for experiment_id, exc in failures.items():
         print(f"error: experiment {experiment_id}: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..volume_io import LesionRegion
-from .discretize import DiscretizedRegion, discretize
+from .discretize import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
 from .firstorder import FOS_NAMES, first_order_features
 from .glcm import GLCM_NAMES, glcm_features, glcm_matrices
 from .gldm import GLDM_NAMES, gldm_features, gldm_matrix
@@ -20,8 +20,6 @@ from .glrlm import GLRLM_NAMES, glrlm_features, glrlm_matrices
 from .glszm import GLSZM_NAMES, glszm_features, glszm_matrix
 from .ngtdm import NGTDM_NAMES, ngtdm_features, ngtdm_table
 from .shape import SHAPE_NAMES, shape_features, voxel_volume
-
-DEFAULT_BIN_WIDTH = 25.0  # HU
 
 # the one ordered family registry; every other family list derives from it
 FAMILY_NAMES: dict[str, tuple[str, ...]] = {

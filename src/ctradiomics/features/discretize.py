@@ -1,5 +1,6 @@
 """Fixed-bin-width gray-level discretization shared by all texture families,
-and the one neighbourhood context of a lesion that those families read."""
+the one neighbourhood context of a lesion that those families read, and the
+statistics that GLDM, GLRLM and GLSZM share over their count tables."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from functools import cached_property
 import numpy as np
 
 from ..volume_io import LesionRegion
+
+DEFAULT_BIN_WIDTH = 25.0  # HU
 
 # 13 unique displacement directions at distance 1: one representative per
 # +/- pair of the 26-neighbourhood (first nonzero component positive)
@@ -93,3 +96,44 @@ def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
         coordinates=region.coordinates,
         spacing=region.spacing,
     )
+
+
+def table_features(matrices, n_voxels: int) -> np.ndarray:
+    """The 16 statistics of each (gray level x size) count table, shape (16, T)
+    for T tables, in the order of ``GLRLM_NAMES`` and ``GLSZM_NAMES``.
+
+    Run, zone and dependence tables share these IBSI definitions.  Only the
+    nonzero cells (table, level, size, count) are read, so the cost follows
+    the cells, not the table width; every table must hold a count.
+    """
+    first = np.cumsum([0] + [m.shape[1] for m in matrices[:-1]])  # each table's first row below
+    columns = np.concatenate([m.T for m in matrices])  # size x level, table after table
+    at, row = columns.nonzero()  # cells grouped by table, then by size
+    count = columns[at, row]
+    table = first.searchsorted(at, "right") - 1
+    start = at.searchsorted(first)  # each table's first cell
+
+    def per_table(values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values, start, axis=-1)
+
+    i, j = row + 1.0, at - first[table] + 1.0
+    i2, j2 = i * i, j * j
+    sums = per_table(
+        np.array(
+            (count, count / j2, count * j2, count / i2, count * i2, count / (i2 * j2),
+             count * i2 / j2, count * j2 / i2, count * i2 * j2, count * i, count * j)
+        )
+    )
+    n = sums[0]
+    emphasis = sums[1:9] / n
+    mu_i, mu_j = sums[9:] / n
+    p = count / n[table]
+    gl_variance, size_variance, plogp = per_table(
+        p * np.array(((i - mu_i[table]) ** 2, (j - mu_j[table]) ** 2, np.log2(p)))
+    )
+    # per (table, level) and per (table, size) totals, exact: they sum integers
+    ng = columns.shape[1]
+    gln = (np.bincount(table * ng + row, count, len(matrices) * ng).reshape(-1, ng) ** 2).sum(axis=1)
+    szn = np.add.reduceat(np.bincount(at, count, len(columns)) ** 2, first)
+    shared = (gln / n, gln / n**2, szn / n, szn / n**2, n / n_voxels, gl_variance, size_variance, -plogp + 0.0)
+    return np.concatenate((emphasis[:2], shared, emphasis[2:]))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..volume_io import LesionRegion
-from .discretize import discretize
+from .discretize import DEFAULT_BIN_WIDTH, discretize
 
 FOS_NAMES = (
     "Energy",
@@ -29,7 +29,7 @@ FOS_NAMES = (
 )
 
 
-def first_order_features(region: LesionRegion, bin_width: float = 25.0) -> dict[str, float]:
+def first_order_features(region: LesionRegion, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, float]:
     """The 18 first-order statistics.
 
     Entropy and Uniformity are computed on the fixed-bin-width histogram;

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted
+from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted, table_features
 
 GLDM_NAMES = (
     "SmallDependenceEmphasis",
@@ -48,29 +48,8 @@ def gldm_matrix(d: DiscretizedRegion) -> np.ndarray:
 
 
 def gldm_features(d: DiscretizedRegion) -> dict[str, float]:
-    m = gldm_matrix(d)
-    ng, max_size = m.shape
-    total = m.sum()
-    i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
-    j = np.arange(1, max_size + 1, dtype=np.float64)[None, :]
-    p = m / total
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
-    mu_i = float((i * p).sum())
-    mu_j = float((j * p).sum())
-    return {
-        "SmallDependenceEmphasis": float((m / j**2).sum() / total),
-        "LargeDependenceEmphasis": float((m * j**2).sum() / total),
-        "GrayLevelNonUniformity": float((row**2).sum() / total),
-        "DependenceNonUniformity": float((col**2).sum() / total),
-        "DependenceNonUniformityNormalized": float((col**2).sum() / total**2),
-        "GrayLevelVariance": float((p * (i - mu_i) ** 2).sum()),
-        "DependenceVariance": float((p * (j - mu_j) ** 2).sum()),
-        "DependenceEntropy": float(-(p[p > 0] * np.log2(p[p > 0])).sum()) + 0.0,
-        "LowGrayLevelEmphasis": float((m / i**2).sum() / total),
-        "HighGrayLevelEmphasis": float((m * i**2).sum() / total),
-        "SmallDependenceLowGrayLevelEmphasis": float((m / (i**2 * j**2)).sum() / total),
-        "SmallDependenceHighGrayLevelEmphasis": float((m * i**2 / j**2).sum() / total),
-        "LargeDependenceLowGrayLevelEmphasis": float((m * j**2 / i**2).sum() / total),
-        "LargeDependenceHighGrayLevelEmphasis": float((m * i**2 * j**2).sum() / total),
-    }
+    """The shared table statistics of the dependence table, less GLNN (row 3)
+    and the percentage (row 6): the table total is the voxel count, so the
+    percentage is always 1 and GLNN is the first-order Uniformity."""
+    rows = [0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+    return dict(zip(GLDM_NAMES, table_features([gldm_matrix(d)], len(d))[rows, 0].tolist()))

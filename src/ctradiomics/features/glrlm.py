@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion
+from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -65,51 +65,7 @@ def _line_order(mask: np.ndarray, stride: int) -> np.ndarray:
     return np.flatnonzero(padded.reshape(lines, stride).T)
 
 
-def _features_from_stack(m: np.ndarray, n_voxels: int) -> dict[str, np.ndarray]:
-    """All 16 features of each run matrix in a (D, ng, L) stack, shape (D,) each."""
-    _, ng, max_len = m.shape
-    nr = m.sum(axis=(1, 2))
-    i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
-    j = np.arange(1, max_len + 1, dtype=np.float64)[None, :]
-    p = m / nr[:, None, None]
-    row = m.sum(axis=2)
-    col = m.sum(axis=1)
-    mu_i = (i * p).sum(axis=(1, 2))
-    mu_j = (j * p).sum(axis=(1, 2))
-    logp = np.log2(np.where(p > 0, p, 1.0))
-
-    def per_run(w: np.ndarray) -> np.ndarray:
-        return w.sum(axis=(1, 2)) / nr
-
-    return {
-        "ShortRunEmphasis": per_run(m / j**2),
-        "LongRunEmphasis": per_run(m * j**2),
-        "GrayLevelNonUniformity": (row**2).sum(axis=1) / nr,
-        "GrayLevelNonUniformityNormalized": (row**2).sum(axis=1) / nr**2,
-        "RunLengthNonUniformity": (col**2).sum(axis=1) / nr,
-        "RunLengthNonUniformityNormalized": (col**2).sum(axis=1) / nr**2,
-        "RunPercentage": nr / n_voxels,
-        "GrayLevelVariance": (p * (i - mu_i[:, None, None]) ** 2).sum(axis=(1, 2)),
-        "RunVariance": (p * (j - mu_j[:, None, None]) ** 2).sum(axis=(1, 2)),
-        "RunEntropy": -(p * logp).sum(axis=(1, 2)) + 0.0,
-        "LowGrayLevelRunEmphasis": per_run(m / i**2),
-        "HighGrayLevelRunEmphasis": per_run(m * i**2),
-        "ShortRunLowGrayLevelEmphasis": per_run(m / (i**2 * j**2)),
-        "ShortRunHighGrayLevelEmphasis": per_run(m * i**2 / j**2),
-        "LongRunLowGrayLevelEmphasis": per_run(m * j**2 / i**2),
-        "LongRunHighGrayLevelEmphasis": per_run(m * i**2 * j**2),
-    }
-
-
 def glrlm_features(d: DiscretizedRegion) -> dict[str, float]:
-    """The 16 run-length features, averaged over all 13 directions.
-
-    The direction matrices are zero-padded to one run length and the
-    features of all directions come from one (13, ng, L) stack.
-    """
-    matrices = list(glrlm_matrices(d).values())
-    stack = np.zeros((len(matrices), d.n_levels, max(m.shape[1] for m in matrices)))
-    for k, m in enumerate(matrices):
-        stack[k, :, : m.shape[1]] = m
-    per_direction = _features_from_stack(stack, len(d))
-    return {name: float(per_direction[name].mean()) for name in GLRLM_NAMES}
+    """The 16 run-length features, averaged over all 13 directions."""
+    per_direction = table_features(list(glrlm_matrices(d).values()), len(d))
+    return dict(zip(GLRLM_NAMES, per_direction.mean(axis=1).tolist()))

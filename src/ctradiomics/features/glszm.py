@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion
+from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
 
 GLSZM_NAMES = (
     "SmallAreaEmphasis",
@@ -86,41 +86,5 @@ def _joined(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def glszm_features(d: DiscretizedRegion) -> dict[str, float]:
-    m = glszm_matrix(d)
-    ng, max_size = m.shape
-    nz = m.sum()
-    n_voxels = len(d)
-    i = np.arange(1, ng + 1, dtype=np.float64)[:, None]
-    j = np.arange(1, max_size + 1, dtype=np.float64)[None, :]
-    # the four cross-weighted sums go through one scratch matrix, before p
-    # exists: a zone matrix can be wide, so no more than one matrix-sized
-    # temporary lives beside m and p (same operations, same order)
-    scratch = np.multiply(i**2, j**2)
-    small_low = float(np.divide(m, scratch, out=scratch).sum() / nz)
-    small_high = float(np.divide(np.multiply(m, i**2, out=scratch), j**2, out=scratch).sum() / nz)
-    large_low = float(np.divide(np.multiply(m, j**2, out=scratch), i**2, out=scratch).sum() / nz)
-    large_high = float(np.multiply(np.multiply(m, i**2, out=scratch), j**2, out=scratch).sum() / nz)
-    del scratch
-    p = m / nz
-    row = m.sum(axis=1)
-    col = m.sum(axis=0)
-    mu_i = float((i * p).sum())
-    mu_j = float((j * p).sum())
-    return {
-        "SmallAreaEmphasis": float((m / j**2).sum() / nz),
-        "LargeAreaEmphasis": float((m * j**2).sum() / nz),
-        "GrayLevelNonUniformity": float((row**2).sum() / nz),
-        "GrayLevelNonUniformityNormalized": float((row**2).sum() / nz**2),
-        "SizeZoneNonUniformity": float((col**2).sum() / nz),
-        "SizeZoneNonUniformityNormalized": float((col**2).sum() / nz**2),
-        "ZonePercentage": float(nz / n_voxels),
-        "GrayLevelVariance": float((p * (i - mu_i) ** 2).sum()),
-        "ZoneVariance": float((p * (j - mu_j) ** 2).sum()),
-        "ZoneEntropy": float(-(p[p > 0] * np.log2(p[p > 0])).sum()) + 0.0,
-        "LowGrayLevelZoneEmphasis": float((m / i**2).sum() / nz),
-        "HighGrayLevelZoneEmphasis": float((m * i**2).sum() / nz),
-        "SmallAreaLowGrayLevelEmphasis": small_low,
-        "SmallAreaHighGrayLevelEmphasis": small_high,
-        "LargeAreaLowGrayLevelEmphasis": large_low,
-        "LargeAreaHighGrayLevelEmphasis": large_high,
-    }
+    """The 16 size-zone features of the lesion's one zone table."""
+    return dict(zip(GLSZM_NAMES, table_features([glszm_matrix(d)], len(d))[:, 0].tolist()))

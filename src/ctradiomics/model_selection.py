@@ -37,13 +37,14 @@ class ExperimentSpec:
             raise ValueError("max_lv must be at least 1")
 
 
-def experiment_specs(k=10, max_lv=20, seed=42, vip_threshold=1.0) -> tuple[ExperimentSpec, ...]:
+def experiment_specs(**overrides) -> tuple[ExperimentSpec, ...]:
     """The five standard experiments: all features, selection over all,
     shape only, shape+first-order, and texture only (the last four with VIP
-    pruning)."""
+    pruning).  ``overrides`` set ExperimentSpec's run fields (k, max_lv,
+    seed, vip_threshold); the rest keep its defaults."""
     presets = (("all", False), ("all", True), ("shape", True), ("shape+fos", True), ("texture", True))
     return tuple(
-        ExperimentSpec(i, GROUP_PRESETS[name], select, k=k, max_lv=max_lv, seed=seed, vip_threshold=vip_threshold)
+        ExperimentSpec(i, GROUP_PRESETS[name], select, **overrides)
         for i, (name, select) in enumerate(presets, start=1)
     )
 

@@ -15,6 +15,8 @@ from ctradiomics.features import (
     ngtdm_features,
     shape_features,
 )
+from ctradiomics.features.discretize import table_features
+from ctradiomics.features.glrlm import GLRLM_NAMES
 
 import oracles
 
@@ -128,6 +130,42 @@ def test_isolated_voxels_use_the_same_fallbacks():
     _assert_close(
         gldm_features(d), oracles.gldm_oracle(d.coordinates, d.levels, d.n_levels), "isolated"
     )
+
+
+@hs.composite
+def _sparse_tables(draw):
+    """(n_levels, [(width, {(level, size): count}), ...]) for 1 to 13 tables."""
+    ng = draw(hs.integers(1, 6))
+    tables = []
+    for _ in range(draw(hs.integers(1, 13))):
+        width = draw(hs.integers(1, 40))
+        cells = hs.tuples(hs.integers(1, ng), hs.integers(1, width))
+        tables.append((width, draw(hs.dictionaries(cells, hs.integers(1, 10_000), min_size=1, max_size=20))))
+    return ng, tables
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_tables(), hs.integers(0, 1_000))
+@example((3, [(3, {(2, 3): 5})]), 0)  # a single cell
+@example((4, [(5, {(3, 1): 4, (3, 2): 7, (3, 5): 1})]), 3)  # a single gray level
+@example((2, [(w, {(1, w): 1, (2, 1): w}) for w in range(1, 14)]), 0)  # 13 tables of different widths
+@example((8, [(82_007, {(3, 82_007): 1, (1, 1): 40, (8, 2): 3})]), 82_009)  # a zone as wide as the big ball's
+def test_table_features_match_the_oracle(case, extra_voxels):
+    ng, tables = case
+    matrices = []
+    for width, table in tables:
+        m = np.zeros((ng, width))
+        for (level, size), count in table.items():
+            m[level - 1, size - 1] = count
+        matrices.append(m)
+    n_voxels = max(sum(table.values()) for _, table in tables) + extra_voxels
+    stats = table_features(matrices, n_voxels)
+    assert stats.shape == (16, len(tables))
+    for t, (_, table) in enumerate(tables):
+        expected = oracles._run_table_features(table, n_voxels)
+        for name, got in zip(GLRLM_NAMES, stats[:, t]):
+            want = expected[name]  # exactly 0 for one gray level's variance
+            assert got == pytest.approx(want, rel=1e-12, abs=0 if want else 1e-12), f"table {t}: {name}"
 
 
 def _assert_glcm_matches_oracle(region, bin_width, label):

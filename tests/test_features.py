@@ -344,7 +344,9 @@ class TestExtractAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20, f"extract_all peaked at {peak / 2**20:.1f} MiB"
+        # measured 17.9 MiB with numpy 2.4, most of it the context and the
+        # dense 8 x 82,007 zone matrix; the bound leaves about 4 MiB of margin
+        assert peak <= 22 * 2**20, f"extract_all peaked at {peak / 2**20:.1f} MiB"
 
 
 TEXTURE_PREFIXES = ("glcm", "gldm", "glrlm", "glszm", "ngtdm")
