@@ -12,13 +12,14 @@ axis permutations and reflections, and adjacent cells always agree on the
 shared face contour, making every produced surface watertight.  All
 arithmetic is float64.
 
-The per-configuration contour loops are generated once at import from the
-face rule; no hand-written case table is involved.
+The per-configuration contour loops are generated from the face rule on
+first use (``loop_table``); no hand-written case table is involved.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -110,8 +111,13 @@ def _face_segments(inside_uv):
     ]
 
 
-def _build_loop_table():
-    """Contour loops (as tuples of edge ids) for each of the 256 cell configs."""
+@functools.cache
+def loop_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Contour loops (as tuples of edge ids) for each of the 256 cell configs.
+
+    Built once per process, when a mesh is first asked for, so the commands
+    that never mesh do not pay for it.
+    """
     frames = _face_frames()
     table: list[tuple[tuple[int, ...], ...]] = []
     for config in range(256):
@@ -161,9 +167,6 @@ def _build_loop_table():
     return tuple(table)
 
 
-LOOP_TABLE = _build_loop_table()
-
-
 def _config_grid(mask: np.ndarray) -> np.ndarray:
     padded = np.pad(np.asarray(mask, dtype=bool), 1).astype(np.uint16)
     nx, ny, nz = padded.shape
@@ -180,23 +183,26 @@ def _spacing_constants(spacing: tuple[float, float, float]) -> tuple[tuple[float
     They depend only on the spacing, so each spacing is computed once per
     process; the key is a tuple of Python floats.
     """
-    sx, sy, sz = spacing
     constants = []
-    for loops in LOOP_TABLE:
+    for loops in loop_table():
         area = 0.0
         k1 = 0.0
         k2 = 0.0
         for loop in loops:
-            pts = EDGE_MIDPOINTS[list(loop)] * (sx, sy, sz)
-            centroid = pts.mean(axis=0)
-            for i in range(len(pts)):
-                b = pts[i]
+            pts = EDGE_MIDPOINTS[list(loop)] * spacing
+            cx, cy, cz = pts.mean(axis=0).tolist()
+            pts = pts.tolist()
+            for i, (bx, by, bz) in enumerate(pts):
                 c = pts[(i + 1) % len(pts)]
-                n = np.cross(b - centroid, c - centroid)
-                area += float(np.linalg.norm(n)) / 2.0
+                ux, uy, uz = bx - cx, by - cy, bz - cz
+                vx, vy, vz = c[0] - cx, c[1] - cy, c[2] - cz
+                # np.cross's products, in Python floats; the norm goes through np.dot, as in
+                # np.linalg.norm, because a plain sum of squares rounds differently
+                n = np.array((uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx))
+                area += math.sqrt(float(np.dot(n, n))) / 2.0
                 az = float(n[2]) / 2.0
                 k1 += az
-                k2 += az * (centroid[2] + b[2] + c[2]) / 3.0
+                k2 += az * (cz + bz + c[2]) / 3.0
         constants.append((area, k1, k2))
     return tuple(constants)
 

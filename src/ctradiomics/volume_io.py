@@ -1,10 +1,11 @@
 """Volume and lesion-mask I/O: single-file NIfTI-1 reading/writing, isotropic
 resampling, and splitting a labelled mask into per-lesion voxel regions.
 
-Volumes are held as (x, y, z)-indexed float64 arrays of Hounsfield units with
-physical voxel spacing in mm.  Only the geometry-bearing header fields are
-honoured (dim, pixdim, datatype, scl_slope/scl_inter, vox_offset, qoffset);
-orientation matrices are ignored.
+Volumes are held as (x, y, z)-indexed grids of Hounsfield units with
+physical voxel spacing in mm; a volume read from disk stays memory-mapped and
+is converted to float64 one lesion box at a time.  Only the geometry-bearing
+header fields are honoured (dim, pixdim, datatype, scl_slope/scl_inter,
+vox_offset, qoffset); orientation matrices are ignored.
 """
 
 from __future__ import annotations
@@ -31,28 +32,55 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
-@dataclass
 class VoxelVolume:
-    """A 3D scalar grid (HU) with physical spacing and origin in mm."""
+    """A 3D scalar grid (HU) with physical spacing and origin in mm.
 
-    data: np.ndarray
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    ``data`` is the whole grid as float64.  A volume from ``read_volume``
+    holds its memory-mapped on-disk payload and linear rescale instead, and
+    builds ``data`` only when it is first read; ``values`` converts just the
+    part of the grid a caller asks for.
+    """
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got shape {self.data.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
+    def __init__(self, data, spacing, origin=(0.0, 0.0, 0.0)):
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim != 3:
+            raise ValueError(f"volume data must be 3D, got shape {data.shape}")
+        self._set_geometry(spacing, origin)
+        if not np.isfinite(data).all():
+            raise ValueError("volume contains non-finite values")
+        self._payload = self._data = data
+        self._scale = (1.0, 0.0)
+
+    @classmethod
+    def _from_payload(cls, payload: np.ndarray, scale: tuple[float, float], spacing, origin) -> VoxelVolume:
+        """A volume over on-disk values whose HU values ``payload * slope + inter`` are known finite."""
+        vol = cls.__new__(cls)
+        vol._set_geometry(spacing, origin)
+        vol._payload, vol._scale, vol._data = payload, scale, None
+        return vol
+
+    def _set_geometry(self, spacing, origin) -> None:
+        self.spacing = tuple(float(s) for s in spacing)
+        self.origin = tuple(float(o) for o in origin)
         if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("volume contains non-finite values")
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self.values((slice(None),) * 3)
+        return self._data
+
+    def values(self, box: tuple[slice, slice, slice]) -> np.ndarray:
+        """The float64 HU values of the sub-grid ``box``, converted from the
+        payload unless ``data`` already exists."""
+        if self._data is not None:
+            return self._data[box]
+        return _to_hu(self._payload[box], self._scale)
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        return self._payload.shape
 
 
 @dataclass
@@ -176,8 +204,12 @@ def _parse_header(raw: bytes, path) -> dict:
 
 
 def _read_payload(path) -> tuple[dict, np.ndarray]:
-    """Read a single-file NIfTI-1 image as an (x, y, z) array of its on-disk
-    values, in native byte order."""
+    """Map a single-file NIfTI-1 image's payload as an (x, y, z) array of its
+    on-disk values, in the file's byte order.
+
+    The map is copy-on-write, so the array is writeable without touching the
+    file; it holds a duplicate of the file descriptor until it is collected.
+    """
     with open(path, "rb") as fh:
         hdr = _parse_header(fh.read(HEADER_SIZE), path)
         dims = hdr["dims"]
@@ -189,13 +221,12 @@ def _read_payload(path) -> tuple[dict, np.ndarray]:
             raise NiftiFormatError(
                 f"{path}: payload truncated ({size - start} bytes, need {n_voxels * dtype.itemsize})"
             )
-        fh.seek(start)
-        flat = np.fromfile(fh, dtype=dtype, count=n_voxels)
-    return hdr, flat.astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
+        payload = np.memmap(fh, dtype=dtype, mode="c", offset=start, shape=dims, order="F")
+    return hdr, payload.view(np.ndarray)
 
 
-def _rescaled(hdr: dict, payload: np.ndarray, path) -> np.ndarray:
-    """The payload as float64 with the header's linear rescale applied.
+def _scale(hdr: dict, path) -> tuple[float, float]:
+    """The header's (slope, intercept), slope 0 read as 1.
 
     A NaN or infinite scl_slope or scl_inter is rejected before any
     arithmetic, so it raises instead of warning.
@@ -204,25 +235,43 @@ def _rescaled(hdr: dict, payload: np.ndarray, path) -> np.ndarray:
         raise NiftiFormatError(
             f"{path}: non-finite rescale scl_slope={hdr['scl_slope']}, scl_inter={hdr['scl_inter']}"
         )
+    return (hdr["scl_slope"] if hdr["scl_slope"] != 0.0 else 1.0), hdr["scl_inter"]
+
+
+def _to_hu(payload: np.ndarray, scale: tuple[float, float]) -> np.ndarray:
+    """On-disk values as float64 with the linear rescale applied; element by
+    element, so any part of a payload converts to the bytes the whole has there."""
     data = payload.astype(np.float64)
-    slope = hdr["scl_slope"] if hdr["scl_slope"] != 0.0 else 1.0
-    if slope != 1.0 or hdr["scl_inter"] != 0.0:
-        data = data * slope + hdr["scl_inter"]
+    slope, inter = scale
+    if slope != 1.0 or inter != 0.0:
+        data = data * slope + inter
     return data
+
+
+# voxels per slab of the finiteness check (8 MiB as float64); a slab is at least one z slice
+_SLAB_VOXELS = 1 << 20
 
 
 def read_volume(path) -> VoxelVolume:
     """Read a CT volume from a single-file NIfTI-1 image.
 
     The header's linear rescale (scl_slope/scl_inter, slope 0 treated as 1)
-    is applied so the returned data is in Hounsfield units.
+    is applied so the data is in Hounsfield units.  The payload stays
+    memory-mapped: float64 is made only for the parts of the grid that are
+    read (``VoxelVolume.values``), or for all of it on first use of ``data``.
     """
     hdr, payload = _read_payload(path)
-    data = _rescaled(hdr, payload, path)
-    # integers under a finite float32 rescale stay finite in float64
-    if not np.issubdtype(payload.dtype, np.integer) and not np.isfinite(data).all():
-        raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
-    return VoxelVolume(data=data, spacing=hdr["spacing"], origin=hdr["origin"])
+    scale = _scale(hdr, path)
+    # integers under a finite float32 rescale stay finite in float64; floats
+    # are checked here, one z slab at a time, so no whole-scan float64 copy exists
+    if not np.issubdtype(payload.dtype, np.integer):
+        nx, ny, nz = payload.shape
+        step = max(1, _SLAB_VOXELS // (nx * ny))
+        with np.errstate(over="ignore"):  # a rescale that overflows is reported as non-finite
+            for k in range(0, nz, step):
+                if not np.isfinite(_to_hu(payload[:, :, k : k + step], scale)).all():
+                    raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
+    return VoxelVolume._from_payload(payload, scale, hdr["spacing"], hdr["origin"])
 
 
 def read_mask(path, class_map: dict[int, int]) -> LesionMask:
@@ -236,9 +285,9 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     """
     hdr, payload = _read_payload(path)
     if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
-        labels = payload
+        labels = payload.astype(payload.dtype.newbyteorder("="), copy=False)  # the map itself when native
     else:
-        data = _rescaled(hdr, payload, path)
+        data = _to_hu(payload, _scale(hdr, path))
         rounded = np.rint(data)
         if not np.array_equal(data, rounded):
             raise MaskError(f"{path}: mask contains non-integer voxel values")
@@ -307,16 +356,22 @@ def _output_grid(dims, spacing, target):
     return positions, nearest
 
 
-def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
-    """Trilinear samples of ``data`` on the grid xs × ys × zs of in-range input positions.
+def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
+    """Trilinear samples of ``vol`` on the grid xs × ys × zs of in-range input positions.
 
     Each output voxel is the same 8-corner weighted sum, in the same order,
     whatever part of the grid is asked for, so a crop of the grid gives the
-    bytes the whole grid has there.
+    bytes the whole grid has there.  Only the input box that the corners
+    span is converted to HU.
     """
     i0 = [np.floor(x).astype(np.intp) for x in (xs, ys, zs)]
     frac = [x - f for x, f in zip((xs, ys, zs), i0)]
-    i1 = [np.minimum(f + 1, d - 1) for f, d in zip(i0, data.shape)]
+    i1 = [np.minimum(f + 1, d - 1) for f, d in zip(i0, vol.dims)]
+    # shift the indices, not the positions, into the box: frac stays as it is
+    lo = [int(f.min()) for f in i0]
+    data = vol.values(tuple(slice(a, int(f.max()) + 1) for a, f in zip(lo, i1)))
+    i0 = [f - a for f, a in zip(i0, lo)]
+    i1 = [f - a for f, a in zip(i1, lo)]
     out = np.zeros((len(xs), len(ys), len(zs)), dtype=np.float64)
     for bx in (0, 1):
         wx = (frac[0] if bx else 1.0 - frac[0])[:, None, None]
@@ -349,7 +404,7 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     check_geometry(vol, mask)
     positions, nearest = _output_grid(vol.dims, vol.spacing, target)
     new_spacing = (target,) * 3
-    new_vol = VoxelVolume(data=_trilinear(vol.data, *positions), spacing=new_spacing, origin=vol.origin)
+    new_vol = VoxelVolume(data=_trilinear(vol, *positions), spacing=new_spacing, origin=vol.origin)
     new_mask = LesionMask(
         labels=mask.labels[np.ix_(*nearest)],
         spacing=new_spacing,
@@ -415,9 +470,9 @@ def extract_lesions(
             warnings.warn(f"label {label} has no voxels and was dropped", stacklevel=2)
             continue
         if target is None:
-            intensities = vol.data[tuple(coords.T)]
+            intensities = vol.values(tuple(axes))[tuple(local.T)]
         else:
-            intensities = _trilinear(vol.data, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
+            intensities = _trilinear(vol, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
         region = LesionRegion(coordinates=coords, intensities=intensities, spacing=spacing, label=label)
         regions.append((region, mask.class_of_label[label]))
     return regions

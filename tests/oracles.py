@@ -4,8 +4,10 @@ Everything here recomputes features directly from their definitions with
 plain Python loops over voxel coordinate sets, independently of the
 package's vectorized kernels.  numpy appears only for primitive linear
 algebra (eigenvalues, matrix products) and array plumbing.  The one helper
-that is not independent is ``triangle_mesh``: it assembles the package's own
-mesher table so structural tests can inspect the surface it describes.
+that are not independent are ``triangle_mesh``, which assembles the
+package's own mesher table so structural tests can inspect the surface it
+describes, and ``spacing_constants_oracle``, the plain numpy loop over that
+table that ``mesh._spacing_constants`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -563,7 +565,7 @@ def naive_mesh(mask, spacing):
 def triangle_mesh(mask, spacing):
     """Explicit (n, 3, 3) triangle array of the package mesher's iso-surface.
 
-    Assembled cell by cell from ``mesh.LOOP_TABLE``, so structural tests
+    Assembled cell by cell from ``mesh.loop_table()``, so structural tests
     (watertightness, winding) exercise the table the package itself uses.
     """
     spacing = np.asarray(spacing, dtype=np.float64)
@@ -571,7 +573,7 @@ def triangle_mesh(mask, spacing):
     tris = []
     for i, j, k in np.argwhere((cfg != 0) & (cfg != 255)):
         origin = np.array([i, j, k], dtype=np.float64)
-        for loop in mesh.LOOP_TABLE[cfg[i, j, k]]:
+        for loop in mesh.loop_table()[cfg[i, j, k]]:
             pts = (mesh.EDGE_MIDPOINTS[list(loop)] + origin) * spacing
             centroid = pts.mean(axis=0)
             for t in range(len(pts)):
@@ -579,6 +581,30 @@ def triangle_mesh(mask, spacing):
     if not tris:
         return np.zeros((0, 3, 3))
     return np.asarray(tris)
+
+
+def spacing_constants_oracle(spacing):
+    """(surface area, z-flux coefficient, z-flux offset) of every cell config,
+    one ``np.cross`` and ``np.linalg.norm`` per fan triangle."""
+    sx, sy, sz = spacing
+    constants = []
+    for loops in mesh.loop_table():
+        area = 0.0
+        k1 = 0.0
+        k2 = 0.0
+        for loop in loops:
+            pts = mesh.EDGE_MIDPOINTS[list(loop)] * (sx, sy, sz)
+            centroid = pts.mean(axis=0)
+            for i in range(len(pts)):
+                b = pts[i]
+                c = pts[(i + 1) % len(pts)]
+                n = np.cross(b - centroid, c - centroid)
+                area += float(np.linalg.norm(n)) / 2.0
+                az = float(n[2]) / 2.0
+                k1 += az
+                k2 += az * (centroid[2] + b[2] + c[2]) / 3.0
+        constants.append((area, k1, k2))
+    return tuple(constants)
 
 
 def mesh_area_volume_oracle(mask, spacing):

@@ -458,3 +458,23 @@ def test_evaluate_reports_the_loaded_model(workspace, tmp_path):
     assert doc["selected_by_family"] == trained["selected_by_family"]
     assert doc["chosen_lv"] == trained["chosen_lv"]
     assert not [key for key in doc if key.startswith("considered")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors through /proc (Linux)")
+def test_extract_releases_every_memory_map(tmp_path, capsys):
+    # each memory-mapped image and mask holds a duplicated file descriptor
+    # until the map is collected; a reference kept past its scan would run a
+    # large cohort into the open-file limit
+    assert main(["phantom", "--out", str(tmp_path / "c"), "--n-per-class", "10", "--seed", "3"]) == 0
+    manifest = tmp_path / "c" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    assert len(lines) == 31
+    # the last scan fails in read_mask, after its image is mapped
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",9=1"
+    manifest.write_text("\n".join(lines) + "\n")
+    before = len(os.listdir("/proc/self/fd"))
+    code = main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")])
+    after = len(os.listdir("/proc/self/fd"))
+    assert code == 1
+    assert capsys.readouterr().err.count("error: scan ") == 1
+    assert after == before

@@ -1,10 +1,16 @@
 """Structural properties of the binary iso-surface mesher."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from ctradiomics import mesh
 
@@ -87,3 +93,30 @@ def test_disjoint_components_add_up():
     area, volume = mesh.mesh_surface_and_volume(m, (1.0, 1.0, 1.0))
     assert volume == pytest.approx(2.0 / 6.0)
     assert area == pytest.approx(2.0 * math.sqrt(3.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(hs.tuples(*[hs.floats(0.05, 20.0, allow_nan=False, allow_infinity=False)] * 3))
+@example((1.0, 1.0, 1.0))
+@example((0.7, 0.7, 2.5))
+@example((0.3, 1.7, 11.0))
+def test_spacing_constants_match_the_numpy_loop_bitwise(spacing):
+    # Python-float cross products, and the norm through the same np.dot as np.linalg.norm
+    assert mesh._spacing_constants.__wrapped__(spacing) == oracles.spacing_constants_oracle(spacing)
+
+
+def test_loop_table_is_built_on_first_use():
+    # commands that never mesh (experiments, stats, train) skip its cost
+    import ctradiomics
+
+    src = str(Path(ctradiomics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "from ctradiomics import cli, mesh\n"
+        "print(mesh.loop_table.cache_info().currsize)\n"
+        "mesh.mesh_surface_and_volume(__import__('numpy').ones((1, 1, 1), bool), (1.0, 1.0, 1.0))\n"
+        "print(mesh.loop_table.cache_info().currsize)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]

@@ -1,8 +1,10 @@
 """NIfTI reading/writing, isotropic resampling, and lesion splitting."""
 
 import struct
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,9 +91,41 @@ class TestReadVolume:
         vol = read_volume(path)
         assert sorted(vol.data.ravel()) == list(range(8))
 
-    def test_truncated_payload_is_format_error(self, tmp_path):
+    def test_truncated_payload_is_format_error(self, tmp_path, monkeypatch):
+        def no_map(*args, **kwargs):
+            raise AssertionError("a truncated payload was mapped")
+
+        monkeypatch.setattr(np, "memmap", no_map)  # the length is checked before anything is mapped
         path = write_blob(tmp_path, make_nifti_bytes(truncate=352 + 7))
-        with pytest.raises(NiftiFormatError, match="truncated"):
+        for reader in (read_volume, lambda p: read_mask(p, {})):
+            with pytest.raises(NiftiFormatError, match="truncated"):
+                reader(path)
+
+    @pytest.mark.parametrize("datatype", [16, 64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_payload_is_format_error(self, tmp_path, monkeypatch, datatype, bad):
+        # read_volume itself raises; its check runs one slab at a time over the
+        # map, and with one z slice per slab only the last of five holds the bad voxel
+        import ctradiomics.volume_io as vio
+
+        monkeypatch.setattr(vio, "_SLAB_VOXELS", 12)
+        payload = np.arange(60.0)
+        payload[-1] = bad
+        path = write_blob(tmp_path, make_nifti_bytes(dims=(3, 4, 5), datatype=datatype, payload=payload))
+        with pytest.raises(NiftiFormatError, match="non-finite"):
+            read_volume(path)
+        payload[-1] = 0.0
+        path = write_blob(tmp_path, make_nifti_bytes(dims=(3, 4, 5), datatype=datatype, payload=payload))
+        assert read_volume(path).data.tobytes(order="F") == payload.tobytes()
+
+    def test_float64_rescale_overflow_fails_the_read(self, tmp_path, monkeypatch):
+        import ctradiomics.volume_io as vio
+
+        monkeypatch.setattr(vio, "_SLAB_VOXELS", 4)
+        payload = np.zeros(8)
+        payload[-1] = 1e308  # finite on disk, inf once multiplied by the slope
+        path = write_blob(tmp_path, make_nifti_bytes(datatype=64, payload=payload, scl_slope=10.0))
+        with pytest.raises(NiftiFormatError, match="non-finite"):
             read_volume(path)
 
     def test_bad_magic_is_format_error(self, tmp_path):
@@ -122,14 +156,6 @@ class TestReadVolume:
         vol = read_volume(path)
         assert np.allclose(sorted(vol.data.ravel()), payload)
 
-    @pytest.mark.parametrize("datatype", [16, 64])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_float_payload_is_format_error(self, tmp_path, datatype, bad):
-        payload = np.arange(8.0)
-        payload[5] = bad
-        path = write_blob(tmp_path, make_nifti_bytes(datatype=datatype, payload=payload))
-        with pytest.raises(NiftiFormatError, match="non-finite"):
-            read_volume(path)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [(np.nan, 0.0), (1.0, np.inf), (np.inf, 0.0)])
@@ -462,6 +488,11 @@ def _assert_roi_extraction_is_bitwise(data, labels, spacing, class_of_label, tar
         (w.category, str(w.message), w.filename) for w in want_warnings
     ]
     assert all(w.filename == __file__ for w in got_warnings)
+    _assert_same_regions(got, want)
+    return got, got_warnings
+
+
+def _assert_same_regions(got, want):
     assert len(got) == len(want)
     for (g, g_cls), (w, w_cls) in zip(got, want):
         assert (g.label, g_cls, g.spacing) == (w.label, w_cls, w.spacing)
@@ -469,7 +500,6 @@ def _assert_roi_extraction_is_bitwise(data, labels, spacing, class_of_label, tar
         assert g.coordinates.tobytes() == w.coordinates.tobytes()
         assert g.intensities.dtype == w.intensities.dtype
         assert g.intensities.tobytes() == w.intensities.tobytes()
-    return got, got_warnings
 
 
 _SPACINGS = (0.35, 0.7, 1.0, 1.3, 2.5)
@@ -548,6 +578,78 @@ class TestRoiExtraction:
             "label 3 has no voxels and was dropped",
             "label 5 has no voxels and was dropped",
         ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scans(), hs.sampled_from(["<", ">", "rescaled int16"]))
+    @example(_faces_scan(1.0), ">")
+    @example(_erased_scan(), "rescaled int16")
+    def test_memory_mapped_files_match_in_memory_bitwise(self, scan, layout):
+        # each lesion box converted from the map gives the bytes that the
+        # whole scan, converted first and resampled whole, gives there
+        data, labels, spacing, class_of_label, target = scan
+        if layout == "rescaled int16":
+            byteorder, datatype, scale = "<", 4, (0.5, -3.25)
+            payload = np.rint(data / scale[0]).astype(np.int16)
+            hu = payload * scale[0] + scale[1]
+        else:
+            byteorder, datatype, scale = layout, 64, (1.0, 0.0)
+            payload = hu = data
+        with tempfile.TemporaryDirectory() as tmp:
+            image, mask_file = Path(tmp) / "image.nii", Path(tmp) / "mask.nii"
+            image.write_bytes(
+                make_nifti_bytes(
+                    dims=data.shape,
+                    pixdim=spacing,
+                    datatype=datatype,
+                    payload=np.ravel(payload, order="F"),
+                    scl_slope=scale[0],
+                    scl_inter=scale[1],
+                    byteorder=byteorder,
+                )
+            )
+            mask_file.write_bytes(
+                make_nifti_bytes(
+                    dims=data.shape, pixdim=spacing, datatype=8, payload=np.ravel(labels, order="F"), byteorder=byteorder
+                )
+            )
+            vol = read_volume(image)
+            mask = read_mask(mask_file, class_of_label)
+            mem_vol, mem_mask = _pair(hu, labels, vol.spacing, mask.class_of_label)
+            for t in (target, None):
+                got, _ = _extract_recording_warnings(vol, mask, t)
+                want, _ = _extract_recording_warnings(*(resample_isotropic(mem_vol, mem_mask, t) if t else (mem_vol, mem_mask)))
+                _assert_same_regions(got, want)
+            assert vol.data.tobytes() == mem_vol.data.tobytes()
+            del vol, mask  # release the maps before the directory goes
+
+    def test_memory_follows_the_lesion_not_the_scan(self, tmp_path):
+        # a float64 copy of this int16 scan is 33.5 MB; the read, the mask read
+        # and the split may hold one byte per mask voxel (the nonzero pass) plus
+        # a few float64 copies of the lesion's input box
+        dims, spacing = (256, 256, 64), (0.7, 0.7, 2.5)
+        image = np.random.default_rng(5).integers(-1000, 1000, size=dims, dtype=np.int16)
+        labels = np.zeros(dims, dtype=np.uint8)
+        box = (slice(100, 110), slice(120, 128), slice(30, 34))
+        labels[box] = 1
+        write_nifti(tmp_path / "image.nii", image, spacing)
+        write_nifti(tmp_path / "mask.nii", labels, spacing)
+        box_bytes = 8 * np.prod([b.stop - b.start + 2 for b in box])  # the input box with its trilinear margin
+        bound = labels.size + 32 * box_bytes + 2**16
+        assert bound < image.size * 8 / 6
+        for target in (1.0, None):
+            tracemalloc.start()
+            try:
+                vol = read_volume(tmp_path / "image.nii")
+                mask = read_mask(tmp_path / "mask.nii", {1: 2})
+                regions = extract_lesions(vol, mask, target)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert [(r.label, cls) for r, cls in regions] == [(1, 2)]
+            assert peak < bound
+            if target is None:
+                assert regions[0][0].intensities.tobytes() == image[box].astype(np.float64).ravel().tobytes()
+            del vol, mask
 
     def test_target_validated_before_geometry(self):
         vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1))
