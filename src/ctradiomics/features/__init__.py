@@ -1,8 +1,9 @@
 """The 105-descriptor radiomics vector: 13 shape, 18 first-order, 23 GLCM,
 14 GLDM, 16 GLRLM, 16 GLSZM and 5 NGTDM features in a fixed canonical order.
 
-Column names are ``family_FeatureName`` (e.g. ``shape_Sphericity``); the
-texture families share one fixed-bin-width discretization of the region.
+Column names are ``family_FeatureName`` (e.g. ``shape_Sphericity``).  All
+seven families read one per-lesion context (``context.DiscretizedRegion``):
+the fixed-bin-width gray levels and the padded level grid built from them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..volume_io import LesionRegion
-from .discretize import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
+from .context import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
 from .firstorder import FOS_NAMES, first_order_features
 from .glcm import GLCM_NAMES, glcm_features, glcm_matrices
 from .gldm import GLDM_NAMES, gldm_features, gldm_matrix
@@ -34,7 +35,7 @@ FAMILY_NAMES: dict[str, tuple[str, ...]] = {
 
 FAMILIES: tuple[str, ...] = tuple(FAMILY_NAMES)
 
-TEXTURE_FAMILIES: tuple[str, ...] = FAMILIES[2:]  # those computed on the discretized region
+TEXTURE_FAMILIES: tuple[str, ...] = FAMILIES[2:]  # the gray-level texture families
 
 FEATURE_COLUMNS: tuple[str, ...] = tuple(
     f"{family}_{name}" for family, names in FAMILY_NAMES.items() for name in names
@@ -85,8 +86,8 @@ def extract_all(
     d = discretize(region, bin_width)
     # called by name, not from a table: perfbench/tracing.py wraps these attributes
     computed = (
-        shape_features(region),
-        first_order_features(region, bin_width),
+        shape_features(d),
+        first_order_features(region, d),
         glcm_features(d),
         gldm_features(d),
         glrlm_features(d),

@@ -1,6 +1,7 @@
-"""Fixed-bin-width gray-level discretization shared by all texture families,
-the one neighbourhood context of a lesion that those families read, and the
-statistics that GLDM, GLRLM and GLSZM share over their count tables."""
+"""The one per-lesion context that all seven feature families read: the
+fixed-bin-width gray levels, their histogram, the padded level grid with its
+occupancy and same-level neighbour masks, and the statistics that GLDM, GLRLM
+and GLSZM share over their count tables."""
 
 from __future__ import annotations
 
@@ -43,8 +44,8 @@ class DiscretizedRegion:
     anchored at the region minimum and shifting all intensities by a
     constant leaves the levels unchanged.
 
-    ``grid`` and ``same`` are the neighbourhood context of the texture
-    families, built on first use and then shared by all of them.
+    ``extract_all`` builds one per lesion.  The cached properties are built
+    on first use and then shared by every family that reads them.
     """
 
     levels: np.ndarray  # (n,) integer gray levels, 1-based
@@ -68,13 +69,29 @@ class DiscretizedRegion:
         return grid
 
     @cached_property
+    def histogram(self) -> np.ndarray:
+        """Voxel count of each gray level 1..n_levels."""
+        return np.bincount(self.levels, minlength=self.n_levels + 1)[1:]
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        """The region's occupancy on the padded grid: ``grid > 0``."""
+        return self.grid > 0
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Flat step on the padded grid of each entry of UNIQUE_DIRECTIONS;
+        each is > 0, as the first nonzero component of a direction is +1."""
+        steps = np.array(self.grid.strides) // self.grid.itemsize
+        return tuple(int(np.dot(direction, steps)) for direction in UNIQUE_DIRECTIONS)
+
+    @cached_property
     def same(self) -> tuple[np.ndarray, ...]:
         """Forward same-level masks over the padded grid, one per entry d of
         UNIQUE_DIRECTIONS: True at v when v and v + d are both in the region
         with equal levels.  The backward mask (v and v - d) is the view
         ``shifted(same[k], -d)``."""
-        inner = interior(self.grid)
-        inside = inner > 0
+        inner, inside = interior(self.grid), interior(self.inside)
         masks = []
         for offset in UNIQUE_DIRECTIONS:
             mask = np.zeros(self.grid.shape, dtype=bool)

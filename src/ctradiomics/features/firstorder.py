@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..volume_io import LesionRegion
-from .discretize import DEFAULT_BIN_WIDTH, discretize
+from .context import DiscretizedRegion
 
 FOS_NAMES = (
     "Energy",
@@ -29,10 +29,10 @@ FOS_NAMES = (
 )
 
 
-def first_order_features(region: LesionRegion, bin_width: float = DEFAULT_BIN_WIDTH) -> dict[str, float]:
-    """The 18 first-order statistics.
+def first_order_features(region: LesionRegion, d: DiscretizedRegion) -> dict[str, float]:
+    """The 18 first-order statistics of the region's intensities.
 
-    Entropy and Uniformity are computed on the fixed-bin-width histogram;
+    Entropy and Uniformity are computed on the gray-level histogram of ``d``;
     Variance is the population (biased) variance and Kurtosis is not
     excess-corrected.  Skewness and Kurtosis fall back to 0 on constant
     regions.  Percentiles interpolate linearly between order statistics.
@@ -56,8 +56,7 @@ def first_order_features(region: LesionRegion, bin_width: float = DEFAULT_BIN_WI
         skewness = 0.0
         kurtosis = 0.0
 
-    levels = discretize(region, bin_width).levels
-    p = np.bincount(levels)[1:] / n
+    p = d.histogram / n
     p = p[p > 0]
     entropy = float(-(p * np.log2(p)).sum()) + 0.0
     uniformity = float((p**2).sum())

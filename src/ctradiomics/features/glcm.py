@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted
 
 GLCM_NAMES = (
     "Autocorrelation",
@@ -169,7 +169,6 @@ def glcm_features(d: DiscretizedRegion) -> dict[str, float]:
     """
     matrices = list(glcm_matrices(d).values())
     if not matrices:
-        hist = np.bincount(d.levels, minlength=d.n_levels + 1)[1:].astype(np.float64)
-        matrices = [np.diag(hist / hist.sum())]
+        matrices = [np.diag(d.histogram / len(d))]
     per_direction = _features_from_stack(np.stack(matrices))
     return {name: float(per_direction[name].mean()) for name in GLCM_NAMES}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted, table_features
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted, table_features
 
 GLDM_NAMES = (
     "SmallDependenceEmphasis",
@@ -32,8 +32,7 @@ GLDM_NAMES = (
 
 def gldm_matrix(d: DiscretizedRegion) -> np.ndarray:
     """Dependence counts, rows = gray level 1..Ng, columns = size 1..27."""
-    inner = interior(d.grid)
-    in_region = inner > 0
+    inner, in_region = interior(d.grid), interior(d.inside)
     # dependent neighbours of v: v + d and v - d over the 13 directions
     dependents = np.zeros(inner.shape, dtype=np.uint8)
     for offset, same in zip(UNIQUE_DIRECTIONS, d.same):

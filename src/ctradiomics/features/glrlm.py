@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -37,12 +37,10 @@ def glrlm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarra
     up, and a run's length is its end's index minus its start's plus one.
     """
     levels = d.grid.ravel()
-    in_region = levels > 0
+    in_region = d.inside.ravel()
     ng = d.n_levels
-    steps = np.array(d.grid.strides) // d.grid.itemsize  # flat step per axis
     matrices = {}
-    for direction, same in zip(UNIQUE_DIRECTIONS, d.same):
-        stride = int(np.dot(direction, steps))  # > 0: first nonzero component is +1
+    for direction, stride, same in zip(UNIQUE_DIRECTIONS, d.strides, d.same):
         same = same.ravel()
         starts = in_region.copy()
         starts[stride:] &= ~same[:-stride]

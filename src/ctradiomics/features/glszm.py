@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
+from .context import DiscretizedRegion, table_features
 
 GLSZM_NAMES = (
     "SmallAreaEmphasis",
@@ -36,17 +36,16 @@ def glszm_matrix(d: DiscretizedRegion) -> np.ndarray:
     edge lists stay short.
     """
     levels = d.grid.ravel()
-    in_region = levels > 0
+    in_region = d.inside.ravel()
     # label k >= 1: the k-th same-level run along UNIQUE_DIRECTIONS[0] = (0, 0, 1)
     starts = in_region.copy()
     starts[1:] &= ~d.same[0].ravel()[:-1]
     labels = np.cumsum(starts, dtype=np.int32)
     root = np.arange(labels[-1] + 1, dtype=np.int32)
-    steps = np.array(d.grid.strides) // d.grid.itemsize  # flat step per axis
-    for k in range(1, len(UNIQUE_DIRECTIONS)):
-        at = np.flatnonzero(d.same[k])
+    for same, stride in zip(d.same[1:], d.strides[1:]):
+        at = np.flatnonzero(same)
         source = root[labels[at]]
-        target = root[labels[int(np.dot(UNIQUE_DIRECTIONS[k], steps)) :][at]]
+        target = root[labels[stride:][at]]
         root = _joined(root, source, target)
     zone = root[labels[in_region]]
     sizes = np.bincount(zone)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import DiscretizedRegion, interior
+from .context import DiscretizedRegion, interior
 
 NGTDM_NAMES = ("Coarseness", "Busyness", "Complexity", "Strength", "Contrast")
 
@@ -22,13 +22,11 @@ def ngtdm_table(d: DiscretizedRegion) -> tuple[np.ndarray, np.ndarray, int]:
     s_i sums |level - mean of in-region neighbours| over counted voxels of
     level i; n_i counts them.
     """
-    grid = d.grid
-    inner = interior(grid)
-    in_region = inner > 0
+    inner, in_region = interior(d.grid), interior(d.inside)
     ng = d.n_levels
     # levels are 0 outside the region, so the 26-neighbour level sum needs no mask
-    neighbour_sum = _neighbour_sum(grid, np.min_scalar_type(27 * ng))
-    neighbour_cnt = _neighbour_sum(grid > 0, np.uint8)
+    neighbour_sum = _neighbour_sum(d.grid, np.min_scalar_type(27 * ng))
+    neighbour_cnt = _neighbour_sum(d.inside, np.uint8)
     counted = in_region & (neighbour_cnt > 0)
     n_total = int(counted.sum())
     n_i = np.zeros(ng, dtype=np.float64)

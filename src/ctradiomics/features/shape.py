@@ -6,7 +6,7 @@ import numpy as np
 
 from .. import mesh
 from ..volume_io import LesionRegion
-from .discretize import UNIQUE_DIRECTIONS
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior
 
 SHAPE_NAMES = (
     "MeshVolume",
@@ -28,18 +28,10 @@ SHAPE_NAMES = (
 _DIAMETER_NAMES = SHAPE_NAMES[4:8]
 
 
-def _binary_grid(region: LesionRegion) -> np.ndarray:
-    lo = region.coordinates.min(axis=0)
-    shape = region.coordinates.max(axis=0) - lo + 1
-    grid = np.zeros(tuple(shape), dtype=bool)
-    idx = region.coordinates - lo
-    grid[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return grid
-
-
-def _hull_candidates(grid: np.ndarray, spacing: np.ndarray) -> np.ndarray:
-    """Mesh cut vertices that may be convex-hull vertices, as (n, 3) points
-    in the padded index x spacing frame.
+def _hull_candidates(padded: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Mesh cut vertices of a mask padded by one voxel on every side that may
+    be convex-hull vertices, as (n, 3) points in the padded index x spacing
+    frame.
 
     In doubled index coordinates every cut vertex is a lattice point.  One
     with other vertices on both sides of it along a lattice line lies inside
@@ -47,7 +39,6 @@ def _hull_candidates(grid: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     last vertex of each axis-parallel line, less those with vertices 1 or 2
     steps away on both sides along one of the 13 directions.
     """
-    padded = np.pad(grid, 1)
     shape = tuple(2 * n + 3 for n in padded.shape)  # a margin of 2 for the steps
     strides = np.array([shape[1] * shape[2], shape[2], 1])
     lattice = np.zeros(np.prod(shape), dtype=bool)
@@ -87,14 +78,14 @@ def _max_diameters(points: np.ndarray) -> tuple[float, float, float, float]:
     return tuple(float(d) for d in np.sqrt(best))
 
 
-def _axis_lengths(region: LesionRegion) -> tuple[float, float, float, float, float]:
+def _axis_lengths(d: DiscretizedRegion) -> tuple[float, float, float, float, float]:
     """Major/minor/least axis lengths plus elongation and flatness.
 
     Lengths are 4*sqrt(eigenvalue) of the physical-coordinate covariance.
     A region too small to span any direction gets zero lengths and the
     compact fallback elongation = flatness = 1.
     """
-    coords = region.coordinates * np.asarray(region.spacing)
+    coords = d.coordinates * np.asarray(d.spacing)
     if len(coords) < 2:
         return 0.0, 0.0, 0.0, 1.0, 1.0
     eigvals = np.linalg.eigvalsh(np.cov(coords, rowvar=False))
@@ -117,13 +108,12 @@ def voxel_volume(region: LesionRegion) -> float:
     return len(region) * float(np.prod(region.spacing))
 
 
-def shape_features(region: LesionRegion) -> dict[str, float]:
+def shape_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 13 shape descriptors from the mask's iso-surface mesh and PCA axes."""
-    grid = _binary_grid(region)
-    spacing = np.asarray(region.spacing, dtype=np.float64)
+    spacing = np.asarray(d.spacing, dtype=np.float64)
     # every non-empty mask's mesh encloses its voxels: area and volume are > 0
-    area, volume = mesh.mesh_surface_and_volume(grid, spacing)
-    diameters = _max_diameters(_hull_candidates(grid, spacing))
+    area, volume = mesh.mesh_surface_and_volume(interior(d.inside), spacing)
+    diameters = _max_diameters(_hull_candidates(d.inside, spacing))
     out: dict[str, float] = {
         "MeshVolume": volume,
         "SurfaceArea": area,
@@ -132,7 +122,7 @@ def shape_features(region: LesionRegion) -> dict[str, float]:
     }
     out.update(zip(_DIAMETER_NAMES, diameters))
 
-    major, minor, least, elongation, flatness = _axis_lengths(region)
+    major, minor, least, elongation, flatness = _axis_lengths(d)
     out["MajorAxisLength"] = major
     out["MinorAxisLength"] = minor
     out["LeastAxisLength"] = least

@@ -97,15 +97,7 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
 def _fit_on(x, y, n_components, n_classes, feature_names) -> PlsModel:
     xs, mean, scale = autoscale(x)
     yd = encode_dummy(y, n_classes)
-    return fit_pls(
-        xs,
-        yd,
-        n_components,
-        mean=mean,
-        scale=scale,
-        feature_names=feature_names,
-        class_labels=tuple(range(1, n_classes + 1)),
-    )
+    return fit_pls(xs, yd, n_components, mean=mean, scale=scale, feature_names=feature_names)
 
 
 def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
@@ -128,11 +120,6 @@ def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
             _, pred = predict(leading_components(model, a), x[test])
             errors[a - 1] += int((pred != y[test]).sum())
     return errors / len(dataset)
-
-
-def cv_error_rate(dataset: Dataset, n_components: int, folds) -> float:
-    """Pooled cross-validated misclassification rate at a fixed LV count."""
-    return float(cv_error_curve(dataset, n_components, folds)[-1])
 
 
 def _sweep_components(dataset: Dataset, folds, max_lv: int) -> tuple[int, float]:

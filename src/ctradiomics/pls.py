@@ -88,9 +88,9 @@ def fit_pls(
     mean: np.ndarray | None = None,
     scale: np.ndarray | None = None,
     feature_names=None,
-    class_labels=None,
 ) -> PlsModel:
-    """PLS2 on centred/scaled X against the dummy response matrix.
+    """PLS2 on centred/scaled X against the dummy response matrix, whose
+    columns are the classes 1..m.
 
     Per component: w is the top left singular vector of X'Y, t = Xw, and X is
     deflated by t p'.  Y is centred internally; its means are stored for
@@ -139,8 +139,6 @@ def fit_pls(
     y_loadings = np.column_stack(q_cols)
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(p))
-    if class_labels is None:
-        class_labels = tuple(range(1, m + 1))
     return PlsModel(
         mean=np.zeros(p) if mean is None else np.asarray(mean, dtype=np.float64),
         scale=np.ones(p) if scale is None else np.asarray(scale, dtype=np.float64),
@@ -151,7 +149,7 @@ def fit_pls(
         coef=_coef(weights, x_loadings, y_loadings),
         y_means=y_means,
         n_components=weights.shape[1],
-        class_labels=tuple(int(c) for c in class_labels),
+        class_labels=tuple(range(1, m + 1)),
         feature_names=tuple(feature_names),
     )
 
@@ -167,12 +165,9 @@ def leading_components(model: PlsModel, a: int) -> PlsModel:
 def train_plsda(x, y, n_components, feature_names=None) -> PlsModel:
     """Autoscale X, dummy-code y against classes 1..max, and fit."""
     y = np.asarray(y, dtype=int)
-    classes = tuple(range(1, int(y.max()) + 1))
     xs, mean, scale = autoscale(x)
-    yd = encode_dummy(y, len(classes))
-    return fit_pls(
-        xs, yd, n_components, mean=mean, scale=scale, feature_names=feature_names, class_labels=classes
-    )
+    yd = encode_dummy(y, int(y.max()))
+    return fit_pls(xs, yd, n_components, mean=mean, scale=scale, feature_names=feature_names)
 
 
 def predict(model: PlsModel, x_new) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +200,7 @@ def vip_scores(model: PlsModel) -> np.ndarray:
     return np.sqrt(p * ((w**2 / w_norm2) @ ss) / total)
 
 
-def select_features_vip(vip: np.ndarray, threshold: float = 1.0) -> np.ndarray:
+def select_features_vip(vip: np.ndarray, threshold: float) -> np.ndarray:
     """Indices of features with VIP strictly greater than the threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")

@@ -281,16 +281,20 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     from this particular file (e.g. one shared map for a whole cohort), but
     every nonzero label present in the file must have an entry.  Integer
     payloads keep their on-disk type; a float or rescaled payload must hold
-    whole numbers and becomes int32.
+    whole numbers in the int32 range and becomes int32.
     """
     hdr, payload = _read_payload(path)
     if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
         labels = payload.astype(payload.dtype.newbyteorder("="), copy=False)  # the map itself when native
     else:
-        data = _to_hu(payload, _scale(hdr, path))
+        with np.errstate(over="ignore"):  # a rescale that overflows fails the range check
+            data = _to_hu(payload, _scale(hdr, path))
         rounded = np.rint(data)
         if not np.array_equal(data, rounded):
             raise MaskError(f"{path}: mask contains non-integer voxel values")
+        lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+        if data.min() < lo or data.max() > hi:
+            raise MaskError(f"{path}: mask labels must lie in the int32 label range [{lo}, {hi}]")
         labels = rounded.astype(np.int32)
     boxes = _label_boxes(labels)
     class_of_label = {lbl: class_map[lbl] for lbl in boxes if lbl in class_map}

@@ -15,7 +15,7 @@ from ctradiomics.features import (
     ngtdm_features,
     shape_features,
 )
-from ctradiomics.features.discretize import table_features
+from ctradiomics.features.context import table_features
 from ctradiomics.features.glrlm import GLRLM_NAMES
 
 import oracles
@@ -38,7 +38,7 @@ def named_region(request, oracle_regions):
 def test_first_order_matches_oracle(named_region):
     label, region = named_region
     expected = oracles.fos_oracle(region.intensities, region.spacing)
-    _assert_close(first_order_features(region), expected, label)
+    _assert_close(first_order_features(region, discretize(region, 25.0)), expected, label)
 
 
 def test_glcm_matches_oracle(named_region):
@@ -79,7 +79,7 @@ def test_ngtdm_matches_oracle(named_region):
 def test_shape_matches_oracle(named_region):
     label, region = named_region
     expected = oracles.shape_oracle(region.coordinates, region.spacing)
-    _assert_close(shape_features(region), expected, label)
+    _assert_close(shape_features(discretize(region, 25.0)), expected, label)
 
 
 def test_shape_matches_oracle_anisotropic():
@@ -89,7 +89,7 @@ def test_shape_matches_oracle_anisotropic():
     mask = rng.random((5, 6, 4)) < 0.5
     region = region_from_mask(mask, rng.normal(40, 20, mask.shape), spacing=(0.7, 1.1, 1.6))
     expected = oracles.shape_oracle(region.coordinates, region.spacing)
-    _assert_close(shape_features(region), expected, "anisotropic")
+    _assert_close(shape_features(discretize(region, 25.0)), expected, "anisotropic")
 
 
 def test_texture_oracles_more_random_blobs(oracle_regions):
@@ -237,7 +237,7 @@ def test_shape_cache_follows_spacing():
     assert expected[0]["SurfaceArea"] != pytest.approx(expected[1]["SurfaceArea"])
     for k in (0, 1, 0, 1):
         region = region_from_mask(mask, intensities, spacing=spacings[k])
-        _assert_close(shape_features(region), expected[k], f"spacing{k}")
+        _assert_close(shape_features(discretize(region, 25.0)), expected[k], f"spacing{k}")
 
 
 def test_shape_single_slice_matches_oracle():
@@ -251,7 +251,7 @@ def test_shape_single_slice_matches_oracle():
     mask[4, 5, 0] = True
     region = region_from_mask(mask, np.zeros(mask.shape), spacing=(0.8, 1.0, 2.5))
     expected = oracles.shape_oracle(region.coordinates, region.spacing)
-    _assert_close(shape_features(region), expected, "single_slice")
+    _assert_close(shape_features(discretize(region, 25.0)), expected, "single_slice")
 
 
 DIAMETER_NAMES = (
@@ -303,7 +303,7 @@ def test_diameters_equal_the_brute_force_maxima(case):
 
     mask, spacing = case
     region = region_from_mask(mask, np.zeros(mask.shape), spacing=spacing)
-    features = shape_features(region)
+    features = shape_features(discretize(region, 25.0))
     # the brute force runs on the region's bounding box, as shape_features does
     coords = region.coordinates - region.coordinates.min(axis=0)
     box = np.zeros(tuple(coords.max(axis=0) + 1), dtype=bool)
@@ -340,7 +340,7 @@ def test_hull_candidates_stay_near_the_hull_vertex_count(mask, spacing):
     from ctradiomics.features.shape import _hull_candidates
 
     spacing = np.asarray(spacing)
-    candidates = _hull_candidates(mask, spacing)
+    candidates = _hull_candidates(np.pad(mask, 1), spacing)
     hull = ConvexHull(oracles.mesh_vertices(mask, spacing))
     assert len(candidates) <= 4 * len(hull.vertices)
     assert len(np.unique(candidates, axis=0)) == len(candidates)

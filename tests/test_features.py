@@ -59,7 +59,7 @@ class TestDiscretize:
 class TestFirstOrderExamples:
     def test_constant_region(self):
         region = constant_cube_region(side=2, value=5.0)  # 8 voxels
-        f = first_order_features(region)
+        f = first_order_features(region, discretize(region, 25.0))
         assert f["Mean"] == 5.0
         assert f["Variance"] == 0.0
         assert f["Entropy"] == 0.0
@@ -74,17 +74,17 @@ class TestFirstOrderExamples:
             intensities=[0.0, 0.0, 4.0, 4.0],
             spacing=(1, 1, 1),
         )
-        f = first_order_features(region)
+        f = first_order_features(region, discretize(region, 25.0))
         assert f["Mean"] == 2.0
         assert f["Variance"] == 4.0
         assert f["Range"] == 4.0
 
     def test_total_energy_scales_with_voxel_volume(self):
         region = constant_cube_region(side=2, value=3.0)
-        f1 = first_order_features(region)
+        f1 = first_order_features(region, discretize(region, 25.0))
         assert f1["TotalEnergy"] == f1["Energy"]  # 1 mm isotropic
         region2 = constant_cube_region(side=2, value=3.0, spacing=(2.0, 1.0, 0.5))
-        f2 = first_order_features(region2)
+        f2 = first_order_features(region2, discretize(region2, 25.0))
         assert f2["TotalEnergy"] == pytest.approx(f2["Energy"])
 
 
@@ -218,7 +218,7 @@ class TestNgtdmExamples:
 class TestShapeExamples:
     def test_cube_anchors(self):
         region = constant_cube_region(side=10)
-        f = shape_features(region)
+        f = shape_features(discretize(region, 25.0))
         assert f["MeshVolume"] == pytest.approx(1000.0, rel=0.05)
         assert f["SurfaceArea"] == pytest.approx(600.0, rel=0.10)
         assert f["SurfaceVolumeRatio"] * f["MeshVolume"] == pytest.approx(f["SurfaceArea"], abs=1e-9)
@@ -228,7 +228,7 @@ class TestShapeExamples:
         gx, gy, gz = np.meshgrid(x, x, x, indexing="ij")
         mask = gx**2 + gy**2 + gz**2 <= 400  # radius 20
         region = region_from_mask(mask, np.zeros(mask.shape))
-        f = shape_features(region)
+        f = shape_features(discretize(region, 25.0))
         # binary marching cubes overestimates the area of oblique surfaces,
         # so a digital ball lands near 0.93, below the analytic bound of 1
         assert 0.90 < f["Sphericity"] < 1.0
@@ -236,7 +236,7 @@ class TestShapeExamples:
 
     def test_rod_axes(self):
         region = rod_region(length=10)
-        f = shape_features(region)
+        f = shape_features(discretize(region, 25.0))
         assert f["Elongation"] < 1.0
         assert f["Flatness"] < 1.0
         assert f["Maximum3DDiameter"] > 9.0
@@ -245,12 +245,12 @@ class TestShapeExamples:
     def test_sphericity_never_exceeds_one(self):
         for seed in range(8):
             region = random_blob_region(seed=seed, shape=(5, 6, 4))
-            f = shape_features(region)
+            f = shape_features(discretize(region, 25.0))
             assert f["Sphericity"] <= 1.0 + 1e-9
 
     def test_single_voxel_is_finite(self):
         region = LesionRegion(coordinates=[[0, 0, 0]], intensities=[5.0], spacing=(1, 1, 1))
-        f = shape_features(region)
+        f = shape_features(discretize(region, 25.0))
         assert all(np.isfinite(v) for v in f.values())
         assert f["MeshVolume"] == pytest.approx(1.0 / 6.0)
         assert f["SurfaceArea"] == pytest.approx(math.sqrt(3))
@@ -273,7 +273,7 @@ class TestShapeExamples:
         mask = np.ones(mask_shape, dtype=bool)
         area, volume = mesh.mesh_surface_and_volume(mask, np.asarray(spacing))
         assert area > 0.0 and volume > 0.0
-        f = shape_features(region_from_mask(mask, np.zeros(mask_shape), spacing))
+        f = shape_features(discretize(region_from_mask(mask, np.zeros(mask_shape), spacing), 25.0))
         assert (f["SurfaceArea"], f["MeshVolume"]) == (area, volume)
 
     def test_voxel_volume_diagnostic(self):
@@ -325,6 +325,22 @@ class TestExtractAll:
         a = extract_all(region).values
         b = extract_all(region).values
         assert a == b
+
+    def test_one_context_per_lesion(self, monkeypatch):
+        # all seven families read the one DiscretizedRegion extract_all builds
+        from ctradiomics.features import context
+
+        built = []
+        init = context.DiscretizedRegion.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(context.DiscretizedRegion, "__init__", counted)
+        for seed in range(3):
+            extract_all(random_blob_region(seed=seed))
+        assert len(built) == 3
 
     def test_memory_follows_the_lesion_on_a_large_sphere(self):
         # a 179,579-voxel ball (radius 35) of noisy HU, the size of a large CT

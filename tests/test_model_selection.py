@@ -74,7 +74,7 @@ class TestCvErrorRate:
     def test_separable_data_has_zero_error(self):
         ds = _gaussian_dataset(seed=5)
         folds = ms.stratified_kfold(ds.y, 4, seed=0)
-        assert ms.cv_error_rate(ds, 2, folds) == 0.0
+        assert ms.cv_error_curve(ds, 2, folds)[-1] == 0.0
 
     def test_permuted_labels_near_chance(self):
         errors = []
@@ -85,21 +85,21 @@ class TestCvErrorRate:
                 x=ds.x, y=rng.permutation(ds.y), feature_names=ds.feature_names
             )
             folds = ms.stratified_kfold(shuffled.y, 5, seed=0)
-            errors.append(ms.cv_error_rate(shuffled, 2, folds))
+            errors.append(ms.cv_error_curve(shuffled, 2, folds)[-1])
         assert abs(np.mean(errors) - 2.0 / 3.0) < 0.15
 
     def test_leave_one_out_in_range(self):
-        # cv_error_rate accepts any partition; singleton folds give true LOO
+        # cv_error_curve accepts any partition; singleton folds give true LOO
         ds = _gaussian_dataset(n_per_class=4, p=5, seed=6)
         folds = [np.array([i]) for i in range(len(ds))]
-        err = ms.cv_error_rate(ds, 2, folds)
+        err = ms.cv_error_curve(ds, 2, folds)[-1]
         assert 0.0 <= err <= 1.0
 
     def test_too_many_components_rejected(self):
         ds = _gaussian_dataset(n_per_class=3, p=30, seed=7)
         folds = ms.stratified_kfold(ds.y, 3, seed=0)
         with pytest.raises(ValueError):
-            ms.cv_error_rate(ds, 25, folds)
+            ms.cv_error_curve(ds, 25, folds)
 
 
 def _phantom_like_dataset(seed=0, n_per_class=10):
@@ -141,7 +141,6 @@ class TestCvErrorCurve:
             cap = min(12, ds.x.shape[1])
             refit = _refit_error_curve(ds, cap, folds)
             assert ms.cv_error_curve(ds, cap, folds).tolist() == refit
-            assert ms.cv_error_rate(ds, cap, folds) == refit[-1]
 
     def test_rank_deficient_x_past_the_early_stop(self):
         rng = np.random.default_rng(9)

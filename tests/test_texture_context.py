@@ -6,6 +6,8 @@ GLDM dependence counts, per-direction GLRLM run counts, GLSZM zones and
 NGTDM n_i / s_i.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as hs
 
 import oracles
 from ctradiomics.features import glcm_matrices, gldm_matrix, glrlm_matrices, glszm_matrix, ngtdm_table
-from ctradiomics.features.discretize import UNIQUE_DIRECTIONS, DiscretizedRegion
+from ctradiomics.features.context import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
 
 
 def _region(coords, levels) -> DiscretizedRegion:
@@ -132,6 +134,27 @@ def test_zones_joined_only_across_corners():
 @pytest.mark.parametrize("level", [1, 7, 256])
 def test_single_voxel(level):
     assert_matches_oracle_tables(_region([(2, 5, 1)], [level]))
+
+
+def test_context_module_is_not_shadowed_by_discretize():
+    # the package re-exports the function discretize; its module has another name
+    from ctradiomics import features
+
+    module = importlib.import_module("ctradiomics.features.context")
+    assert module.table_features is table_features
+    assert features.discretize is module.discretize
+
+
+def test_context_histogram_and_occupancy():
+    d = _region([(0, 0, 0), (2, 0, 0), (0, 2, 1), (1, 1, 1)], [3, 1, 3, 3])
+    assert d.histogram.tolist() == [1, 0, 3]
+    assert np.array_equal(d.inside, d.grid > 0)
+    assert d.inside.sum() == len(d)
+    start = np.flatnonzero(d.inside)[0]
+    for direction, stride in zip(UNIQUE_DIRECTIONS, d.strides):
+        # a flat step of stride from a voxel lands on the voxel + direction
+        v = np.array(np.unravel_index(start, d.grid.shape)) + direction
+        assert np.ravel_multi_index(tuple(v), d.grid.shape) == start + stride
 
 
 def test_isolated_voxels():

@@ -243,6 +243,15 @@ class TestReadMask:
         with pytest.raises(MaskError, match="non-integer"):
             read_mask(path, {1: 1})
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value, slope", [(1e308, 10.0), (3e9, 1.0)], ids=["overflow", "beyond_int32"])
+    def test_labels_outside_int32_are_mask_error(self, tmp_path, value, slope):
+        payload = np.zeros(8)
+        payload[1] = value
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=64, scl_slope=slope))
+        with pytest.raises(MaskError, match=r"int32 label range \[-2147483648, 2147483647\]"):
+            read_mask(path, {1: 1})
+
     @pytest.mark.parametrize("datatype", [4, 8, 16])
     def test_negative_labels_are_mask_error(self, tmp_path, datatype):
         payload = [0, 1, 0, -3, 0, 0, 0, 0]
