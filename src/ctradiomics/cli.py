@@ -14,8 +14,6 @@ import dataclasses
 import json
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -133,23 +131,77 @@ def _extract_scan(args):
     return records, [str(w.message) for w in caught]
 
 
+def _outcome(run, *args):
+    """``run(*args)``, or the message of the exception it raised: the
+    exception itself would keep its scan's memory maps open through its
+    traceback."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return str(exc)
+
+
+def _pooled(tasks, order, jobs, outcomes) -> list:
+    """Run the scans ``order`` in one pool of ``jobs`` workers, at most
+    2 * jobs at a time, into ``outcomes``.  A worker that dies breaks the
+    pool: the scans then in flight are returned, each with the pool's error
+    message as its outcome, and the ones not yet started are left unset."""
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    waiting, running, broken = list(order), {}, []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while waiting or running:
+            try:
+                while waiting and len(running) < 2 * jobs:
+                    future = pool.submit(_extract_scan, tasks[waiting[0]])
+                    running[future] = waiting.pop(0)
+            except BrokenProcessPool:
+                waiting = []  # the pool broke since the last wait
+            if not running:
+                break
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = running.pop(future)
+                outcomes[i] = _outcome(future.result)
+                if isinstance(future.exception(), BrokenProcessPool):
+                    broken.append(i)
+                    waiting = []
+    return broken
+
+
+def _run_scans(tasks, jobs: int) -> list:
+    """Each scan's (rows, warning messages), or its error message, in task order.
+
+    With jobs > 1 the scans run in a process pool.  When a worker dies, each
+    scan that was in flight runs again alone in a fresh one-worker pool, so
+    only a scan that breaks a pool twice fails; the scans not yet started go
+    on in a fresh pool.
+    """
+    if jobs == 1:  # no pool: the process pool machinery is not even imported
+        return [_outcome(_extract_scan, t) for t in tasks]
+    outcomes = [None] * len(tasks)
+    while None in outcomes:
+        suspects = _pooled(tasks, [i for i, o in enumerate(outcomes) if o is None], jobs, outcomes)
+        for i in suspects:
+            _pooled(tasks, [i], 1, outcomes)
+    return outcomes
+
+
 def cmd_extract(args) -> int:
     entries = dataio.read_manifest(args.manifest)
     tasks = [(e, args.bin_width, args.spacing) for e in entries]
     failures = 0
     records = []
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        pending = [pool.submit(_extract_scan, t) for t in tasks] if pool else tasks
-        for entry, item in zip(entries, pending):
-            try:
-                rows, messages = item.result() if pool else _extract_scan(item)
-            except Exception as exc:
-                failures += 1
-                print(f"error: scan {entry.scan_id}: {exc}", file=sys.stderr)
-                continue
-            for message in messages:
-                print(f"warning: scan {entry.scan_id}: {message}", file=sys.stderr)
-            records.extend(rows)
+    for entry, outcome in zip(entries, _run_scans(tasks, args.jobs)):
+        if isinstance(outcome, str):
+            failures += 1
+            print(f"error: scan {entry.scan_id}: {outcome}", file=sys.stderr)
+            continue
+        rows, messages = outcome
+        for message in messages:
+            print(f"warning: scan {entry.scan_id}: {message}", file=sys.stderr)
+        records.extend(rows)
     dataio.write_features_csv(args.out, records)
     print(f"wrote {len(records)} lesion rows to {args.out}")
     return 1 if failures else 0

@@ -1,12 +1,13 @@
 """The one per-lesion context that all seven feature families read: the
 fixed-bin-width gray levels, their histogram, the padded level grid with its
-occupancy and same-level neighbour masks, and the statistics that GLDM, GLRLM
-and GLSZM share over their count tables."""
+occupancy, the table of every voxel's 26 neighbour levels, and the statistics
+that GLDM, GLRLM and GLSZM share over their count tables."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +26,26 @@ UNIQUE_DIRECTIONS: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
-def shifted(padded: np.ndarray, offset) -> np.ndarray:
-    """View of a grid padded by one voxel on every side, aligned with its
-    interior: ``shifted(a, o)[v]`` is ``a[v + o]`` for interior voxel v."""
-    return padded[tuple(slice(1 + o, n - 1 + o) for n, o in zip(padded.shape, offset))]
-
-
 def interior(padded: np.ndarray) -> np.ndarray:
-    """The unpadded bounding box of a padded grid, as a view."""
-    return shifted(padded, (0, 0, 0))
+    """The unpadded bounding box of a grid padded by one voxel on every side, as a view."""
+    return padded[1:-1, 1:-1, 1:-1]
+
+
+def batch_rows(n: int) -> int:
+    """Rows of n voxels each that fit 2 MiB of int64: a lesion-sized step
+    works on this many directions at once."""
+    return max(1, (1 << 18) // n)
+
+
+class Neighbours(NamedTuple):
+    """Every in-region voxel of a padded grid with the levels around it, the
+    voxels in flat (C) order of the grid."""
+
+    index: np.ndarray  # (n,) flat index of each voxel on the padded grid
+    level: np.ndarray  # (n,) its gray level
+    # (26, n) the level at index + s for each UNIQUE_DIRECTIONS stride s, then
+    # at index - s in the same order; 0 outside the region
+    table: np.ndarray
 
 
 @dataclass
@@ -86,18 +98,32 @@ class DiscretizedRegion:
         return tuple(int(np.dot(direction, steps)) for direction in UNIQUE_DIRECTIONS)
 
     @cached_property
-    def same(self) -> tuple[np.ndarray, ...]:
-        """Forward same-level masks over the padded grid, one per entry d of
-        UNIQUE_DIRECTIONS: True at v when v and v + d are both in the region
-        with equal levels.  The backward mask (v and v - d) is the view
-        ``shifted(same[k], -d)``."""
-        inner, inside = interior(self.grid), interior(self.inside)
-        masks = []
-        for offset in UNIQUE_DIRECTIONS:
-            mask = np.zeros(self.grid.shape, dtype=bool)
-            np.logical_and(inner == shifted(self.grid, offset), inside, out=interior(mask))
-            masks.append(mask)
-        return tuple(masks)
+    def neighbours(self) -> Neighbours:
+        """The 26 neighbour levels of every voxel, read once from the grid; the
+        texture families count their pairs, dependences, runs, zones and
+        neighbourhood sums from this table alone."""
+        flat = self.grid.ravel()
+        index = np.flatnonzero(flat)
+        steps = np.array(self.strides + tuple(-s for s in self.strides))[:, None]
+        table = np.empty((26, len(index)), dtype=flat.dtype)
+        batch = batch_rows(len(index))
+        for lo in range(0, 26, batch):
+            table[lo : lo + batch] = flat[steps[lo : lo + batch] + index]
+        return Neighbours(index, flat[index], table)
+
+    @cached_property
+    def table_statistics(self) -> dict[str, np.ndarray]:
+        """``table_features`` of GLDM's dependence table, GLRLM's 13 run
+        tables and GLSZM's zone table from one call, keyed by family, shape
+        (16, tables) each."""
+        # the table builders live with their families, which import this module
+        from .gldm import gldm_matrix
+        from .glrlm import glrlm_matrices
+        from .glszm import glszm_matrix
+
+        tables = [gldm_matrix(self), *glrlm_matrices(self).values(), glszm_matrix(self)]
+        stats = table_features(tables, len(self))
+        return {"gldm": stats[:, :1], "glrlm": stats[:, 1:14], "glszm": stats[:, 14:]}
 
 
 def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, batch_rows
 
 GLCM_NAMES = (
     "Autocorrelation",
@@ -39,20 +39,31 @@ def glcm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarray
     Counts accumulate only over voxel pairs that are both inside the region;
     directions without any pair are omitted.
     """
+    directions, p = _matrix_stack(d)
+    return dict(zip(directions, p))
+
+
+def _matrix_stack(d: DiscretizedRegion) -> tuple[tuple, np.ndarray]:
+    """The directions with pairs and their (D, ng, ng) stack of normalized
+    symmetric co-occurrence matrices."""
     ng = d.n_levels
-    # pair code (level(v), level(v + d)) over the padded levels 0..ng; level 0
-    # (outside the region) is dropped with row and column 0
-    row_code = interior(d.grid).astype(np.intp) * (ng + 1)
-    matrices = {}
-    for offset in UNIQUE_DIRECTIONS:
-        codes = (row_code + shifted(d.grid, offset)).ravel()
-        counts = np.bincount(codes, minlength=(ng + 1) ** 2).reshape(ng + 1, ng + 1)[1:, 1:]
-        if not counts.any():
-            continue
-        counts = counts.astype(np.float64)
-        counts = counts + counts.T  # symmetric accumulation
-        matrices[offset] = counts / counts.sum()
-    return matrices
+    nb = d.neighbours
+    # pair code (direction, level(v), level(v + d)) over the padded levels
+    # 0..ng; level 0 (outside the region) is dropped with column 0
+    cells = (ng + 1) ** 2
+    pair_code = nb.level.astype(np.intp) * (ng + 1)
+    batch = batch_rows(len(pair_code))
+    counts = np.empty(13 * cells, dtype=np.intp)
+    for lo in range(0, 13, batch):
+        rows = nb.table[lo : min(lo + batch, 13)]  # forward directions only
+        codes = np.arange(len(rows))[:, None] * cells + pair_code + rows
+        counts[lo * cells : (lo + len(rows)) * cells] = np.bincount(codes.ravel(), minlength=len(rows) * cells)
+    counts = counts.reshape(13, ng + 1, ng + 1)[:, 1:, 1:]
+    present = counts.any(axis=(1, 2))
+    counts = counts[present].astype(np.float64)
+    counts = counts + counts.transpose(0, 2, 1)  # symmetric accumulation
+    directions = tuple(direction for direction, keep in zip(UNIQUE_DIRECTIONS, present) if keep)
+    return directions, counts / counts.sum(axis=(1, 2))[:, None, None]
 
 
 def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
@@ -86,7 +97,14 @@ def _bincount_rows(flat: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 
 def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
-    """All 23 features of each matrix in a (D, ng, ng) stack, shape (D,) each."""
+    """All 23 features of each matrix in a (D, ng, ng) stack, shape (D,) each.
+
+    HXY1 = -sum p_ij log(px_i py_j) and HXY2 = -sum px_i py_j log(px_i py_j)
+    both equal HX + HY, as the rows of P sum to px and its columns to py.
+    The column marginal stays: P is symmetric, but py sums in another order
+    than px, and Correlation's mean over directions nearly cancels on noisy
+    lesions, so a last-bit change in mu_y moves it by up to 1e-11 relative.
+    """
     n_dir, ng, _ = p.shape
     i = np.arange(1, ng + 1, dtype=np.float64)
     ii, jj = np.meshgrid(i, i, indexing="ij")
@@ -107,11 +125,7 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
     h_xy = _entropy2(flat)
     h_x = _entropy2(px)
     h_y = _entropy2(py)
-    joint = (px[:, :, None] * py[:, None, :]).reshape(n_dir, ng * ng)
-    log_joint = np.log2(np.where(joint > 0, joint, 1.0))
-    # p > 0 implies joint > 0, so the zero entries of either drop out
-    h_xy1 = -(flat * log_joint).sum(axis=1)
-    h_xy2 = -(joint * log_joint).sum(axis=1)
+    h_xy1 = h_x + h_y  # = HXY2
 
     autocorr = (flat * (ii * jj).ravel()).sum(axis=1)
     correlation = np.divide(
@@ -122,7 +136,7 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
     )
     den = np.maximum(h_x, h_y)
     imc1 = np.divide(h_xy - h_xy1, den, out=np.zeros(n_dir), where=den > 0)
-    imc2 = np.sqrt(np.maximum(1.0 - np.exp(-2.0 * (h_xy2 - h_xy)), 0.0))
+    imc2 = np.sqrt(np.maximum(1.0 - np.exp(-2.0 * (h_xy1 - h_xy)), 0.0))
 
     # features of i+j and of |i-j| alone, summed over p_sum and p_diff
     sum_k = np.arange(2, 2 * ng + 1, dtype=np.float64)
@@ -167,8 +181,9 @@ def glcm_features(d: DiscretizedRegion) -> dict[str, float]:
     placed on the diagonal serves as the degenerate matrix so that every
     feature stays finite and deterministic.
     """
-    matrices = list(glcm_matrices(d).values())
-    if not matrices:
-        matrices = [np.diag(d.histogram / len(d))]
-    per_direction = _features_from_stack(np.stack(matrices))
-    return {name: float(per_direction[name].mean()) for name in GLCM_NAMES}
+    p = _matrix_stack(d)[1]
+    if not len(p):
+        p = np.diag(d.histogram / len(d))[None]
+    per_direction = _features_from_stack(p)
+    means = np.array([per_direction[name] for name in GLCM_NAMES]).mean(axis=1)
+    return dict(zip(GLCM_NAMES, means.tolist()))

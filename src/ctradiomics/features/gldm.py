@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior, shifted, table_features
+from .context import DiscretizedRegion
 
 GLDM_NAMES = (
     "SmallDependenceEmphasis",
@@ -32,17 +32,11 @@ GLDM_NAMES = (
 
 def gldm_matrix(d: DiscretizedRegion) -> np.ndarray:
     """Dependence counts, rows = gray level 1..Ng, columns = size 1..27."""
-    inner, in_region = interior(d.grid), interior(d.inside)
-    # dependent neighbours of v: v + d and v - d over the 13 directions
-    dependents = np.zeros(inner.shape, dtype=np.uint8)
-    for offset, same in zip(UNIQUE_DIRECTIONS, d.same):
-        dependents += interior(same)
-        dependents += shifted(same, tuple(-o for o in offset))
+    nb = d.neighbours
     ng = d.n_levels
     max_size = 27
-    levels = inner[in_region].astype(np.intp) - 1
-    sizes = dependents[in_region]  # dependent neighbours; +1 below via indexing
-    counts = np.bincount(levels * max_size + sizes, minlength=ng * max_size)
+    dependents = (nb.table == nb.level).sum(axis=0)  # +1 for the voxel itself below, via indexing
+    counts = np.bincount((nb.level.astype(np.intp) - 1) * max_size + dependents, minlength=ng * max_size)
     return counts.reshape(ng, max_size).astype(np.float64)
 
 
@@ -51,4 +45,4 @@ def gldm_features(d: DiscretizedRegion) -> dict[str, float]:
     and the percentage (row 6): the table total is the voxel count, so the
     percentage is always 1 and GLNN is the first-order Uniformity."""
     rows = [0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15]
-    return dict(zip(GLDM_NAMES, table_features([gldm_matrix(d)], len(d))[rows, 0].tolist()))
+    return dict(zip(GLDM_NAMES, d.table_statistics["gldm"][rows, 0].tolist()))

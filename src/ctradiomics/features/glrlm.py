@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, batch_rows
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -31,39 +31,39 @@ def glrlm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarra
 
     Runs are maximal same-level segments of in-region voxels along a
     direction.  On the flat padded grid a step along direction d is a step
-    of stride s, so a run starts where v is in the region but not the same
-    level as v - s and ends where it is not the same level as v + s.  In
-    line order (by position mod s, then position) the starts and ends pair
-    up, and a run's length is its end's index minus its start's plus one.
+    of stride s, so a run starts at a voxel whose level differs from the one
+    at v - s and ends at one whose level differs from the one at v + s.  In
+    line order (by direction, then position mod s, then position) the starts
+    and ends pair up, and a run's length is its end's key minus its start's
+    plus one.
     """
-    levels = d.grid.ravel()
-    in_region = d.inside.ravel()
+    nb = d.neighbours
     ng = d.n_levels
+    strides = np.array(d.strides)[:, None]
+    lines = -(-d.grid.size // strides)
+    shift = int((lines * strides).max()).bit_length()  # a direction's keys lie below 1 << shift
+    bits = ng.bit_length()  # a start's level rides in the low bits of its key
+    batch = batch_rows(len(nb.index))
     matrices = {}
-    for direction, stride, same in zip(UNIQUE_DIRECTIONS, d.strides, d.same):
-        same = same.ravel()
-        starts = in_region.copy()
-        starts[stride:] &= ~same[:-stride]
-        first = _line_order(starts, stride)
-        lengths = _line_order(in_region & ~same, stride) - first + 1
-        lines = -(-levels.size // stride)
-        run_levels = levels[(first % lines) * stride + first // lines].astype(np.intp)
-        max_len = int(lengths.max())
-        counts = np.bincount((run_levels - 1) * max_len + lengths - 1, minlength=ng * max_len)
-        matrices[direction] = counts.reshape(ng, max_len).astype(np.float64)
+    for lo in range(0, 13, batch):
+        k = slice(lo, min(lo + batch, 13))
+        # p // s through float64 division: exact, as the grid is far below 2**52 cells
+        row = (nb.index / strides[k]).astype(np.int64)
+        key = (np.arange(k.stop - lo)[:, None] << shift) + (nb.index - row * strides[k]) * lines[k] + row
+        first = np.sort(((key << bits) | nb.level).ravel()[(nb.table[13:][k] != nb.level).ravel()])
+        last = np.sort(key.ravel()[(nb.table[k] != nb.level).ravel()])
+        run_level = first & ((1 << bits) - 1)
+        first >>= bits
+        lengths = last - first + 1
+        in_batch = first >> shift  # each run's direction, counted from lo
+        widths = np.maximum.reduceat(lengths, in_batch.searchsorted(np.arange(k.stop - lo)))
+        cells = (in_batch * ng + run_level - 1) * widths.max() + lengths - 1
+        counts = np.bincount(cells, minlength=(k.stop - lo) * ng * widths.max())
+        counts = counts.reshape(-1, ng, widths.max()).astype(np.float64)
+        matrices.update(zip(UNIQUE_DIRECTIONS[k], (m[:, :width] for m, width in zip(counts, widths))))
     return matrices
-
-
-def _line_order(mask: np.ndarray, stride: int) -> np.ndarray:
-    """Indices of a flat mask's True entries in the line order of a stride:
-    position p is listed at (p % stride) * lines + p // stride."""
-    lines = -(-mask.size // stride)
-    padded = np.zeros(lines * stride, dtype=bool)
-    padded[: mask.size] = mask
-    return np.flatnonzero(padded.reshape(lines, stride).T)
 
 
 def glrlm_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 16 run-length features, averaged over all 13 directions."""
-    per_direction = table_features(list(glrlm_matrices(d).values()), len(d))
-    return dict(zip(GLRLM_NAMES, per_direction.mean(axis=1).tolist()))
+    return dict(zip(GLRLM_NAMES, d.table_statistics["glrlm"].mean(axis=1).tolist()))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import DiscretizedRegion, table_features
+from .context import DiscretizedRegion, batch_rows
 
 GLSZM_NAMES = (
     "SmallAreaEmphasis",
@@ -29,28 +29,29 @@ GLSZM_NAMES = (
 def glszm_matrix(d: DiscretizedRegion) -> np.ndarray:
     """Zone counts, rows = gray level 1..Ng, columns = zone size 1..max.
 
-    All levels are labelled in one pass over the flat padded grid.  The
-    same-level runs along the last axis are the first labels; each of the
-    other 12 directions then joins the labels its same-level pairs link.
-    A union step sees only the pairs whose labels are still apart, so its
-    edge lists stay short.
+    All levels are labelled in one pass over the voxels in flat grid order.
+    The same-level runs along the last axis are the first labels; the
+    same-level pairs of the other 12 directions then join the labels they
+    link, all 12 directions in one union on a small lesion and a few at a
+    time on a large one.
     """
-    levels = d.grid.ravel()
-    in_region = d.inside.ravel()
+    nb = d.neighbours
     # label k >= 1: the k-th same-level run along UNIQUE_DIRECTIONS[0] = (0, 0, 1)
-    starts = in_region.copy()
-    starts[1:] &= ~d.same[0].ravel()[:-1]
-    labels = np.cumsum(starts, dtype=np.int32)
+    labels = np.cumsum(nb.table[13] != nb.level, dtype=np.int32)
+    label_at = np.zeros(d.grid.size, dtype=np.int32)  # the labels on the flat grid
+    label_at[nb.index] = labels
     root = np.arange(labels[-1] + 1, dtype=np.int32)
-    for same, stride in zip(d.same[1:], d.strides[1:]):
-        at = np.flatnonzero(same)
-        source = root[labels[at]]
-        target = root[labels[stride:][at]]
-        root = _joined(root, source, target)
-    zone = root[labels[in_region]]
+    strides = np.array(d.strides)[:, None]
+    batch = batch_rows(len(nb.index))
+    for lo in range(1, 13, batch):
+        k = slice(lo, min(lo + batch, 13))
+        at = np.flatnonzero(nb.table[k] == nb.level)  # same-level pairs, direction after direction
+        target = label_at[(nb.index + strides[k]).ravel()[at]]
+        root = _joined(root, root[labels[at % len(labels)]], root[target])
+    zone = root[labels]
     sizes = np.bincount(zone)
     zone_level = np.zeros(len(sizes), dtype=np.intp)
-    zone_level[zone] = levels[in_region]
+    zone_level[zone] = nb.level
     present = sizes > 0
     max_size = int(sizes.max())
     cells = (zone_level[present] - 1) * max_size + sizes[present] - 1
@@ -86,4 +87,4 @@ def _joined(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def glszm_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 16 size-zone features of the lesion's one zone table."""
-    return dict(zip(GLSZM_NAMES, table_features([glszm_matrix(d)], len(d))[:, 0].tolist()))
+    return dict(zip(GLSZM_NAMES, d.table_statistics["glszm"][:, 0].tolist()))

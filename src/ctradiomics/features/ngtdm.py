@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import DiscretizedRegion, interior
+from .context import DiscretizedRegion
 
 NGTDM_NAMES = ("Coarseness", "Busyness", "Complexity", "Strength", "Contrast")
 
@@ -22,32 +22,22 @@ def ngtdm_table(d: DiscretizedRegion) -> tuple[np.ndarray, np.ndarray, int]:
     s_i sums |level - mean of in-region neighbours| over counted voxels of
     level i; n_i counts them.
     """
-    inner, in_region = interior(d.grid), interior(d.inside)
+    nb = d.neighbours
     ng = d.n_levels
     # levels are 0 outside the region, so the 26-neighbour level sum needs no mask
-    neighbour_sum = _neighbour_sum(d.grid, np.min_scalar_type(27 * ng))
-    neighbour_cnt = _neighbour_sum(d.inside, np.uint8)
-    counted = in_region & (neighbour_cnt > 0)
+    neighbour_sum = nb.table.sum(axis=0, dtype=np.min_scalar_type(26 * ng))
+    neighbour_cnt = (nb.table > 0).sum(axis=0, dtype=np.uint8)
+    counted = neighbour_cnt > 0
     n_total = int(counted.sum())
     n_i = np.zeros(ng, dtype=np.float64)
     s_i = np.zeros(ng, dtype=np.float64)
     if n_total:
-        levels = inner[counted]
+        levels = nb.level[counted]
         mean_nb = neighbour_sum[counted] / neighbour_cnt[counted]
         diffs = np.abs(levels - mean_nb)
         n_i = np.bincount(levels - 1, minlength=ng).astype(np.float64)
         s_i = np.bincount(levels - 1, weights=diffs, minlength=ng)
     return n_i, s_i, n_total
-
-
-def _neighbour_sum(padded: np.ndarray, dtype) -> np.ndarray:
-    """Sum over the 26 neighbours of each interior voxel of a padded grid:
-    the 3x3x3 box sum, taken one axis at a time, less the centre."""
-    box = padded.astype(dtype)
-    box = box[:-2] + box[1:-1] + box[2:]
-    box = box[:, :-2] + box[:, 1:-1] + box[:, 2:]
-    box = box[:, :, :-2] + box[:, :, 1:-1] + box[:, :, 2:]
-    return box - interior(padded)
 
 
 def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:

@@ -41,23 +41,22 @@ def _hull_candidates(padded: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     """
     shape = tuple(2 * n + 3 for n in padded.shape)  # a margin of 2 for the steps
     strides = np.array([shape[1] * shape[2], shape[2], 1])
+    # every cut vertex, odd along the axis it crosses; the diff of booleans is !=
+    points = np.concatenate(
+        [2 * np.argwhere(np.diff(padded, axis=axis)) + 2 + np.eye(3, dtype=np.intp)[axis] for axis in range(3)]
+    )
+    keys = points @ strides
+    extreme = np.ones(len(keys), dtype=bool)
+    for line in range(3):
+        # sorted by the line they lie on, then along it: a vertex with one
+        # of its line's vertices on either side of it is no line end
+        on_line = keys - points[:, line] * strides[line]
+        order = np.argsort(on_line * shape[line] + points[:, line])
+        ends = np.diff(on_line[order]) != 0
+        extreme[order[1:-1][~(ends[:-1] | ends[1:])]] = False
     lattice = np.zeros(np.prod(shape), dtype=bool)
-    keys, kept = [], []
-    for axis in range(3):
-        crossing = np.diff(padded, axis=axis)  # the diff of booleans is !=
-        points = np.argwhere(crossing)
-        # a 2x axis line meets the crossings of one axis only
-        extreme = np.ones(len(points), dtype=bool)
-        for line in range(3):
-            rest = tuple(points[:, a] for a in range(3) if a != line)
-            first = crossing.argmax(axis=line)[rest]
-            last = crossing.shape[line] - 1 - np.flip(crossing, line).argmax(axis=line)[rest]
-            extreme &= (points[:, line] == first) | (points[:, line] == last)
-        key = (2 * points + 2 + np.eye(3, dtype=np.intp)[axis]) @ strides
-        keys.append(key)
-        kept.append(key[extreme])
-    lattice[np.concatenate(keys)] = True
-    keep = np.concatenate(kept)
+    lattice[keys] = True
+    keep = keys[extreme]
     steps = np.asarray(UNIQUE_DIRECTIONS) @ strides
     steps = np.concatenate([steps, 2 * steps])
     inside = (lattice[keep[:, None] + steps] & lattice[keep[:, None] - steps]).any(axis=1)

@@ -177,8 +177,9 @@ def _config_grid(mask: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache
-def _spacing_constants(spacing: tuple[float, float, float]) -> tuple[tuple[float, ...], ...]:
-    """(surface area, z-flux coefficient, z-flux offset) of every cell config.
+def _spacing_constants(spacing: tuple[float, float, float]) -> np.ndarray:
+    """(surface area, z-flux coefficient, z-flux offset) of every cell config,
+    a read-only (256, 3) array.
 
     They depend only on the spacing, so each spacing is computed once per
     process; the key is a tuple of Python floats.
@@ -204,11 +205,18 @@ def _spacing_constants(spacing: tuple[float, float, float]) -> tuple[tuple[float
                 k1 += az
                 k2 += az * (cz + bz + c[2]) / 3.0
         constants.append((area, k1, k2))
-    return tuple(constants)
+    table = np.array(constants)
+    table.flags.writeable = False
+    return table
 
 
 def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:
-    """Total surface area and enclosed volume of the mask's iso-surface mesh."""
+    """Total surface area and enclosed volume of the mask's iso-surface mesh.
+
+    Each cell config present adds its constants times its cell count (and
+    its cells' z sum); ``np.cumsum`` adds those terms one after another in
+    config order, so the totals round as a plain loop over the configs does.
+    """
     constants = _spacing_constants(tuple(float(s) for s in spacing))
     cfg = _config_grid(mask)
     flat = cfg.ravel()
@@ -217,13 +225,10 @@ def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:
         np.arange(cfg.shape[2], dtype=np.float64) * spacing[2], cfg.shape
     ).ravel()
     zsum = np.bincount(flat, weights=nz_cell, minlength=256)
-
-    area_total = 0.0
-    volume_total = 0.0
-    for config in np.nonzero(counts)[0]:
-        if config == 0 or config == 255:
-            continue
-        area, k1, k2 = constants[config]
-        area_total += area * counts[config]
-        volume_total += k1 * zsum[config] + k2 * counts[config]
-    return area_total, abs(volume_total)
+    used = np.flatnonzero(counts[1:255]) + 1  # configs 0 and 255 hold no surface
+    area, k1, k2 = constants[used].T
+    n = counts[used]
+    # the leading 0.0 is a loop's starting total, and an empty mask's totals
+    area_total = np.cumsum(np.append(0.0, area * n))[-1]
+    volume_total = np.cumsum(np.append(0.0, k1 * zsum[used] + k2 * n))[-1]
+    return float(area_total), abs(float(volume_total))

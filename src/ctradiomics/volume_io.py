@@ -366,7 +366,8 @@ def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
     Each output voxel is the same 8-corner weighted sum, in the same order,
     whatever part of the grid is asked for, so a crop of the grid gives the
     bytes the whole grid has there.  Only the input box that the corners
-    span is converted to HU.
+    span is converted to HU, and a resample to the input spacing gathers one
+    corner, not eight.
     """
     i0 = [np.floor(x).astype(np.intp) for x in (xs, ys, zs)]
     frac = [x - f for x, f in zip((xs, ys, zs), i0)]
@@ -377,13 +378,17 @@ def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
     i0 = [f - a for f, a in zip(i0, lo)]
     i1 = [f - a for f, a in zip(i1, lo)]
     out = np.zeros((len(xs), len(ys), len(zs)), dtype=np.float64)
-    for bx in (0, 1):
+    # an upper corner whose weight is 0 along a whole axis adds only ±0.0
+    # (finite HU times 0.0), and the sum, which starts at +0.0 and so is never
+    # -0.0, does not change when ±0.0 is added: skipping it changes no bit
+    sides = [(0, 1) if f.any() else (0,) for f in frac]
+    for bx in sides[0]:
         wx = (frac[0] if bx else 1.0 - frac[0])[:, None, None]
         ix = i1[0] if bx else i0[0]
-        for by in (0, 1):
+        for by in sides[1]:
             wy = (frac[1] if by else 1.0 - frac[1])[None, :, None]
             iy = i1[1] if by else i0[1]
-            for bz in (0, 1):
+            for bz in sides[2]:
                 wz = (frac[2] if bz else 1.0 - frac[2])[None, None, :]
                 iz = i1[2] if bz else i0[2]
                 out += (wx * wy * wz) * data[np.ix_(ix, iy, iz)]

@@ -3,11 +3,14 @@
 Everything here recomputes features directly from their definitions with
 plain Python loops over voxel coordinate sets, independently of the
 package's vectorized kernels.  numpy appears only for primitive linear
-algebra (eigenvalues, matrix products) and array plumbing.  The one helper
+algebra (eigenvalues, matrix products) and array plumbing.  The helpers
 that are not independent are ``triangle_mesh``, which assembles the
 package's own mesher table so structural tests can inspect the surface it
-describes, and ``spacing_constants_oracle``, the plain numpy loop over that
-table that ``mesh._spacing_constants`` must match bit for bit.
+describes; ``spacing_constants_oracle``, the plain numpy loop over that
+table that ``mesh._spacing_constants`` must match bit for bit; and the two
+loops the package's vectorized mesh sum and hull scan replaced,
+``mesh_sums_loop`` and ``hull_candidates_loop``, which they must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -626,6 +629,53 @@ def mesh_area_volume_oracle(mask, spacing):
             + a[2] * (b[0] * c[1] - b[1] * c[0])
         ) / 6.0
     return area, abs(signed_volume)
+
+
+def mesh_sums_loop(mask, spacing):
+    """Area and volume of ``mesh.mesh_surface_and_volume``, accumulated by a
+    Python loop over the cell configs present, in config order."""
+    constants = mesh._spacing_constants(tuple(float(s) for s in spacing))
+    cfg = mesh._config_grid(mask)
+    flat = cfg.ravel()
+    counts = np.bincount(flat, minlength=256)
+    nz_cell = np.broadcast_to(np.arange(cfg.shape[2], dtype=np.float64) * spacing[2], cfg.shape).ravel()
+    zsum = np.bincount(flat, weights=nz_cell, minlength=256)
+    area_total = 0.0
+    volume_total = 0.0
+    for config in np.nonzero(counts)[0]:
+        if config == 0 or config == 255:
+            continue
+        area, k1, k2 = constants[config]
+        area_total += area * counts[config]
+        volume_total += k1 * zsum[config] + k2 * counts[config]
+    return float(area_total), abs(float(volume_total))
+
+
+def hull_candidates_loop(padded, spacing):
+    """``shape._hull_candidates`` with the first and last vertex of every
+    axis-parallel lattice line found by ``argmax`` over each crossing array."""
+    shape = tuple(2 * n + 3 for n in padded.shape)
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    lattice = np.zeros(np.prod(shape), dtype=bool)
+    keys, kept = [], []
+    for axis in range(3):
+        crossing = np.diff(padded, axis=axis)
+        points = np.argwhere(crossing)
+        extreme = np.ones(len(points), dtype=bool)
+        for line in range(3):
+            rest = tuple(points[:, a] for a in range(3) if a != line)
+            first = crossing.argmax(axis=line)[rest]
+            last = crossing.shape[line] - 1 - np.flip(crossing, line).argmax(axis=line)[rest]
+            extreme &= (points[:, line] == first) | (points[:, line] == last)
+        key = (2 * points + 2 + np.eye(3, dtype=np.intp)[axis]) @ strides
+        keys.append(key)
+        kept.append(key[extreme])
+    lattice[np.concatenate(keys)] = True
+    keep = np.concatenate(kept)
+    steps = np.asarray(DIRECTIONS) @ strides
+    steps = np.concatenate([steps, 2 * steps])
+    inside = (lattice[keep[:, None] + steps] & lattice[keep[:, None] - steps]).any(axis=1)
+    return (np.stack(np.unravel_index(keep[~inside], shape), axis=1) - 2) * (spacing / 2.0)
 
 
 def mesh_vertices(mask, spacing):

@@ -329,7 +329,7 @@ def test_extract_survives_a_dead_pool_worker(tmp_path, capsys, monkeypatch):
     manifest = _batch_manifest(tmp_path, n_good=4)
     clean = tmp_path / "clean.csv"
     assert main(["extract", "--manifest", str(manifest), "--out", str(clean), "--spacing", "3"]) == 1
-    capsys.readouterr()
+    assert "error: scan broken:" in capsys.readouterr().err  # fails with or without a pool
     parent, read_volume = os.getpid(), cli.read_volume
 
     def dies_on_scan2(path):
@@ -342,11 +342,32 @@ def test_extract_survives_a_dead_pool_worker(tmp_path, capsys, monkeypatch):
     assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", "2"]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     lost = [line.split(":")[1].removeprefix(" scan ") for line in errors]
-    assert "scan2" in lost
-    order = [row.split(",")[0] for row in manifest.read_text().splitlines()[1:]]
-    assert lost == [scan for scan in order if scan in lost]  # one line per lost scan, in manifest order
+    assert lost == ["scan2", "broken"]  # scans 3 and 4 run again in a fresh pool
     kept = [line for line in clean.read_text().splitlines()[1:] if line.split(",")[1] not in lost]
     assert out.read_text().splitlines() == clean.read_text().splitlines()[:1] + kept
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched reader reaches workers by fork")
+def test_extract_reruns_a_scan_whose_worker_died_once(tmp_path, capsys, monkeypatch):
+    manifest = _batch_manifest(tmp_path, n_good=4)
+    clean = tmp_path / "clean.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(clean), "--spacing", "3"]) == 1
+    capsys.readouterr()
+    parent, read_volume, died = os.getpid(), cli.read_volume, tmp_path / "died"
+
+    def dies_once_on_scan1(path):
+        if path.name == "image1.nii" and os.getpid() != parent and not died.exists():
+            died.touch()
+            os._exit(1)
+        return read_volume(path)
+
+    monkeypatch.setattr(cli, "read_volume", dies_once_on_scan1)
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", "2"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert died.exists()
+    assert [line.split(":")[1] for line in errors] == [" scan broken"]
+    assert out.read_bytes() == clean.read_bytes()
 
 
 _NO_SCIPY_PIPELINE = """
@@ -390,6 +411,33 @@ def test_pipeline_imports_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "scipy:"
+
+
+_ONE_JOB_EXTRACT = """
+import sys
+from ctradiomics.cli import main
+
+work = sys.argv[1]
+assert main(["phantom", "--out", work, "--n-per-class", "1", "--seed", "1"]) == 0
+assert main(["extract", "--manifest", f"{work}/manifest.csv", "--out", f"{work}/f.csv", "--jobs", "1"]) == 0
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_extract_with_one_job_imports_no_process_pool(tmp_path):
+    # the pool machinery costs every process start about 30 ms; one job needs none of it
+    import subprocess
+    import sys
+
+    import ctradiomics
+
+    src = str(Path(ctradiomics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _ONE_JOB_EXTRACT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):

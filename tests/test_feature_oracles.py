@@ -344,3 +344,19 @@ def test_hull_candidates_stay_near_the_hull_vertex_count(mask, spacing):
     hull = ConvexHull(oracles.mesh_vertices(mask, spacing))
     assert len(candidates) <= 4 * len(hull.vertices)
     assert len(np.unique(candidates, axis=0)) == len(candidates)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_masks_and_spacings())
+@example((_noisy_mask(12, 2), (0.7, 0.9, 2.5)))
+@example((_ball(6), (0.7, 0.9, 2.5)))
+@example((_single_slice_scatter(), (0.8, 1.0, 2.5)))
+def test_hull_candidates_equal_the_argmax_scan(case):
+    # one sort per line axis finds the same first and last vertex of every
+    # lattice line as an argmax over each crossing array: same points, same order
+    from ctradiomics.features.shape import _hull_candidates
+
+    mask, spacing = case
+    padded, spacing = np.pad(mask, 1), np.asarray(spacing)
+    got = _hull_candidates(padded, spacing)
+    assert np.array_equal(got, oracles.hull_candidates_loop(padded, spacing))

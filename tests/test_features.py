@@ -24,6 +24,7 @@ from ctradiomics.features import (
     ngtdm_table,
     shape_features,
 )
+from ctradiomics.features.context import UNIQUE_DIRECTIONS
 from ctradiomics.volume_io import LesionRegion
 
 
@@ -54,6 +55,18 @@ class TestDiscretize:
     def test_non_positive_width_rejected(self):
         with pytest.raises(ValueError):
             discretize(constant_cube_region(), 0.0)
+
+    def test_neighbour_table_reads_each_direction_forward_then_backward(self):
+        region = random_blob_region(seed=8)
+        d = discretize(region, 10.0)
+        nb = d.neighbours
+        assert np.array_equal(nb.index, np.flatnonzero(d.grid))  # flat grid order
+        assert np.array_equal(nb.level, d.grid.ravel()[nb.index])
+        assert nb.table.shape == (26, len(d)) and nb.table.dtype == d.grid.dtype
+        at = np.argwhere(d.grid)  # the voxels in the same order
+        for k, direction in enumerate(UNIQUE_DIRECTIONS):
+            for row, step in ((nb.table[k], direction), (nb.table[13 + k], np.negative(direction))):
+                assert np.array_equal(row, d.grid[tuple((at + step).T)])
 
 
 class TestFirstOrderExamples:

@@ -102,7 +102,27 @@ def test_disjoint_components_add_up():
 @example((0.3, 1.7, 11.0))
 def test_spacing_constants_match_the_numpy_loop_bitwise(spacing):
     # Python-float cross products, and the norm through the same np.dot as np.linalg.norm
-    assert mesh._spacing_constants.__wrapped__(spacing) == oracles.spacing_constants_oracle(spacing)
+    assert np.array_equal(mesh._spacing_constants.__wrapped__(spacing), oracles.spacing_constants_oracle(spacing))
+
+
+@hs.composite
+def _masks_and_spacings(draw):
+    """A random mask in a box of up to 7^3 voxels at anisotropic spacing."""
+    shape = draw(hs.tuples(*[hs.integers(1, 7)] * 3))
+    n = shape[0] * shape[1] * shape[2]
+    inside = draw(hs.lists(hs.booleans(), min_size=n, max_size=n))
+    spacing = tuple(draw(hs.floats(0.3, 3.0)) for _ in range(3))
+    return np.reshape(inside, shape), spacing
+
+
+@settings(max_examples=30, deadline=None)
+@given(_masks_and_spacings())
+@example((np.zeros((2, 2, 2), bool), (1.0, 1.0, 1.0)))
+@example((np.random.default_rng(0).random((9, 8, 7)) < 0.5, (0.7, 0.9, 2.5)))
+def test_mesh_sums_equal_the_config_loop(case):
+    # np.cumsum adds the per-config terms in the loop's order: equal bit for bit
+    mask, spacing = case
+    assert mesh.mesh_surface_and_volume(mask, spacing) == oracles.mesh_sums_loop(mask, spacing)
 
 
 def test_loop_table_is_built_on_first_use():

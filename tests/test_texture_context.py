@@ -1,6 +1,6 @@
 """The per-lesion neighbourhood context against the brute-force oracle tables.
 
-Every texture matrix built from ``DiscretizedRegion.grid`` and ``.same`` must
+Every texture matrix built from ``DiscretizedRegion.grid`` and ``.neighbours`` must
 equal the table its oracle counts voxel by voxel, exactly: GLCM pair counts,
 GLDM dependence counts, per-direction GLRLM run counts, GLSZM zones and
 NGTDM n_i / s_i.

@@ -364,6 +364,25 @@ class TestResample:
         assert np.array_equal(out_vol.data, data)
         assert np.array_equal(out_mask.labels, labels)
 
+    def test_target_equal_to_the_spacing_returns_the_payload_bitwise(self, tmp_path):
+        # every frac is 0, so only the lower corner is gathered: the HU values
+        # of the memory-mapped payload come back unchanged, in whole and in ROIs
+        rng = np.random.default_rng(2)
+        payload = rng.integers(-1000, 1000, size=(7, 6, 5)).astype(np.int16)
+        labels = np.zeros((7, 6, 5), dtype=np.uint8)
+        labels[1:4, 2:5, 1:3] = 1
+        labels[5:7, 0:2, 3:5] = 2
+        write_nifti(tmp_path / "img.nii", payload, (0.75, 0.75, 0.75))  # exact in the float32 pixdim
+        write_nifti(tmp_path / "mask.nii", labels, (0.75, 0.75, 0.75))
+        vol = read_volume(tmp_path / "img.nii")
+        mask = read_mask(tmp_path / "mask.nii", {1: 1, 2: 2})
+        hu = payload.astype(np.float64)
+        out_vol, out_mask = resample_isotropic(vol, mask, 0.75)
+        assert out_vol.data.tobytes() == hu.tobytes()
+        assert np.array_equal(out_mask.labels, labels)
+        for region, _ in extract_lesions(vol, mask, 0.75):
+            assert region.intensities.tobytes() == hu[tuple(region.coordinates.T)].tobytes()
+
     def test_constant_volume_doubles_dims(self):
         data = np.full((3, 3, 3), 7.0)
         labels = np.ones((3, 3, 3), dtype=np.int32)
