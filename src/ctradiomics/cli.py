@@ -27,8 +27,8 @@ from .volume_io import resample_isotropic  # noqa: F401  perfbench/tracing.py wr
 def _positive(kind):
     def parse(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < np.inf:  # NaN and inf would fail every scan or give one gray level
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
 
     return parse

@@ -99,8 +99,8 @@ class DiscretizedRegion:
 
     @cached_property
     def neighbours(self) -> Neighbours:
-        """The 26 neighbour levels of every voxel, read once from the grid; the
-        texture families count their pairs, dependences, runs, zones and
+        """The 26 neighbour levels of every voxel, read once from the grid;
+        GLCM, GLDM, GLSZM and NGTDM count their pairs, dependences, zones and
         neighbourhood sums from this table alone."""
         flat = self.grid.ravel()
         index = np.flatnonzero(flat)
@@ -128,8 +128,8 @@ class DiscretizedRegion:
 
 def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
     """Quantize region intensities into fixed-width bins (1-based levels)."""
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not 0 < bin_width < np.inf:  # an infinite width would give one gray level
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     shifted_intensities = region.intensities - region.intensities.min()
     levels = np.floor(shifted_intensities / bin_width).astype(np.int64) + 1
     return DiscretizedRegion(

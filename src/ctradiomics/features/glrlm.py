@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, batch_rows
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -30,37 +30,26 @@ def glrlm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarra
     """Run counts keyed by direction, rows = gray level, columns = run length.
 
     Runs are maximal same-level segments of in-region voxels along a
-    direction.  On the flat padded grid a step along direction d is a step
-    of stride s, so a run starts at a voxel whose level differs from the one
-    at v - s and ends at one whose level differs from the one at v + s.  In
-    line order (by direction, then position mod s, then position) the starts
-    and ends pair up, and a run's length is its end's key minus its start's
-    plus one.
+    direction.  On the flat padded grid a step along a direction is a step
+    of its stride s, so reading the grid as p, p + s, p + 2s, ... for each
+    p < s walks every line of that direction in turn.  No region voxel
+    touches the padded grid's faces, so each line starts and ends on a 0,
+    and a run is a stretch of one nonzero level in that walk.
     """
-    nb = d.neighbours
+    flat = d.grid.ravel()
     ng = d.n_levels
-    strides = np.array(d.strides)[:, None]
-    lines = -(-d.grid.size // strides)
-    shift = int((lines * strides).max()).bit_length()  # a direction's keys lie below 1 << shift
-    bits = ng.bit_length()  # a start's level rides in the low bits of its key
-    batch = batch_rows(len(nb.index))
     matrices = {}
-    for lo in range(0, 13, batch):
-        k = slice(lo, min(lo + batch, 13))
-        # p // s through float64 division: exact, as the grid is far below 2**52 cells
-        row = (nb.index / strides[k]).astype(np.int64)
-        key = (np.arange(k.stop - lo)[:, None] << shift) + (nb.index - row * strides[k]) * lines[k] + row
-        first = np.sort(((key << bits) | nb.level).ravel()[(nb.table[13:][k] != nb.level).ravel()])
-        last = np.sort(key.ravel()[(nb.table[k] != nb.level).ravel()])
-        run_level = first & ((1 << bits) - 1)
-        first >>= bits
-        lengths = last - first + 1
-        in_batch = first >> shift  # each run's direction, counted from lo
-        widths = np.maximum.reduceat(lengths, in_batch.searchsorted(np.arange(k.stop - lo)))
-        cells = (in_batch * ng + run_level - 1) * widths.max() + lengths - 1
-        counts = np.bincount(cells, minlength=(k.stop - lo) * ng * widths.max())
-        counts = counts.reshape(-1, ng, widths.max()).astype(np.float64)
-        matrices.update(zip(UNIQUE_DIRECTIONS[k], (m[:, :width] for m, width in zip(counts, widths))))
+    for direction, s in zip(UNIQUE_DIRECTIONS, d.strides):
+        walk = np.zeros(-(-flat.size // s) * s, dtype=flat.dtype)
+        walk[: flat.size] = flat
+        walk = walk.reshape(-1, s).T.ravel()
+        edges = np.flatnonzero(walk[1:] != walk[:-1]) + 1  # where each stretch after the first starts
+        level = walk[edges[:-1]]  # the last stretch is the walk's closing 0s
+        run = level > 0
+        lengths = np.diff(edges)[run]
+        width = int(lengths.max())
+        cells = (level[run].astype(np.intp) - 1) * width + lengths - 1
+        matrices[direction] = np.bincount(cells, minlength=ng * width).reshape(ng, width).astype(np.float64)
     return matrices
 
 

@@ -188,16 +188,15 @@ def _parse_header(raw: bytes, path) -> dict:
     expected_bitpix = np.dtype(_DTYPES[datatype]).itemsize * 8
     if bitpix != expected_bitpix:
         raise NiftiFormatError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
-    offset = int(vox_offset)
-    if offset < HEADER_SIZE:
-        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} below header size")
+    if not HEADER_SIZE <= vox_offset < np.inf:  # NaN too
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not a finite offset past the header")
     return {
         "order": order,
         "dims": tuple(int(d) for d in dims),
         "spacing": tuple(float(s) for s in spacing),
         "origin": tuple(float(q) for q in qoffset),
         "datatype": datatype,
-        "vox_offset": offset,
+        "vox_offset": int(vox_offset),
         "scl_slope": float(scl_slope),
         "scl_inter": float(scl_inter),
     }
@@ -396,8 +395,8 @@ def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
 
 
 def _check_target(target) -> float:
-    if target <= 0:
-        raise ValueError(f"target spacing must be positive, got {target}")
+    if not 0 < target < np.inf:
+        raise ValueError(f"target spacing must be positive and finite, got {target}")
     return float(target)
 
 

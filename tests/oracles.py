@@ -9,8 +9,9 @@ package's own mesher table so structural tests can inspect the surface it
 describes; ``spacing_constants_oracle``, the plain numpy loop over that
 table that ``mesh._spacing_constants`` must match bit for bit; and the two
 loops the package's vectorized mesh sum and hull scan replaced,
-``mesh_sums_loop`` and ``hull_candidates_loop``, which they must match bit
-for bit.
+``mesh_sums_loop`` and ``hull_candidates_loop``, and the packed-key run
+finder the GLRLM run-length pass replaced, ``glrlm_matrices_packed_keys``,
+which they must match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import combinations, product
 import numpy as np
 
 from ctradiomics import mesh
+from ctradiomics.features.context import batch_rows
 
 DIRECTIONS = [
     (dx, dy, dz)
@@ -326,6 +328,39 @@ def glrlm_run_table(pos, direction):
         key = (l, length)
         table[key] = table.get(key, 0) + 1
     return table
+
+
+def glrlm_matrices_packed_keys(d):
+    """``glrlm_matrices`` of a ``DiscretizedRegion`` by the packed-key sort it
+    replaced: each run start and end on the neighbour table gets an int64 key
+    (direction, position mod stride, position // stride), starts carry their
+    level in the low bits, and after sorting both lists the i-th start and the
+    i-th end bound the same run."""
+    nb = d.neighbours
+    ng = d.n_levels
+    strides = np.array(d.strides)[:, None]
+    lines = -(-d.grid.size // strides)
+    shift = int((lines * strides).max()).bit_length()  # a direction's keys lie below 1 << shift
+    bits = ng.bit_length()  # a start's level rides in the low bits of its key
+    batch = batch_rows(len(nb.index))
+    matrices = {}
+    for lo in range(0, 13, batch):
+        k = slice(lo, min(lo + batch, 13))
+        # p // s through float64 division: exact, as the grid is far below 2**52 cells
+        row = (nb.index / strides[k]).astype(np.int64)
+        key = (np.arange(k.stop - lo)[:, None] << shift) + (nb.index - row * strides[k]) * lines[k] + row
+        first = np.sort(((key << bits) | nb.level).ravel()[(nb.table[13:][k] != nb.level).ravel()])
+        last = np.sort(key.ravel()[(nb.table[k] != nb.level).ravel()])
+        run_level = first & ((1 << bits) - 1)
+        first >>= bits
+        lengths = last - first + 1
+        in_batch = first >> shift  # each run's direction, counted from lo
+        widths = np.maximum.reduceat(lengths, in_batch.searchsorted(np.arange(k.stop - lo)))
+        cells = (in_batch * ng + run_level - 1) * widths.max() + lengths - 1
+        counts = np.bincount(cells, minlength=(k.stop - lo) * ng * widths.max())
+        counts = counts.reshape(-1, ng, widths.max()).astype(np.float64)
+        matrices.update(zip(DIRECTIONS[k], (m[:, :width] for m, width in zip(counts, widths))))
+    return matrices
 
 
 def glrlm_oracle(coords, levels, ng):

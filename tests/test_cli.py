@@ -449,6 +449,27 @@ def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["extract", "--manifest", "m.csv", "--out", "o.csv", "--bin-width", "nan"],
+        ["extract", "--manifest", "m.csv", "--out", "o.csv", "--bin-width", "inf"],
+        ["extract", "--manifest", "m.csv", "--out", "o.csv", "--spacing", "nan"],
+        ["extract", "--manifest", "m.csv", "--out", "o.csv", "--spacing", "inf"],
+        ["train", "--features", "f.csv", "--out", "o.json", "--vip-threshold", "nan"],
+        ["stats", "--features", "f.csv", "--out", "o.csv", "--q", "inf"],
+    ],
+)
+def test_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, monkeypatch, argv):
+    # no input exists: the run must stop before any command reads one
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert f"{argv[-2]}: must be positive and finite, got {argv[-1]}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["train", "--out", "model.json"],
         ["evaluate", "--model", "model.json", "--out", "metrics.json"],
         ["stats", "--out", "stats.csv"],

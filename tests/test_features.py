@@ -53,8 +53,9 @@ class TestDiscretize:
         assert d.n_levels == 3
 
     def test_non_positive_width_rejected(self):
-        with pytest.raises(ValueError):
-            discretize(constant_cube_region(), 0.0)
+        for width in (0.0, -25.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="bin width"):
+                discretize(constant_cube_region(), width)
 
     def test_neighbour_table_reads_each_direction_forward_then_backward(self):
         region = random_blob_region(seed=8)

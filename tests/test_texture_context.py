@@ -3,10 +3,12 @@
 Every texture matrix built from ``DiscretizedRegion.grid`` and ``.neighbours`` must
 equal the table its oracle counts voxel by voxel, exactly: GLCM pair counts,
 GLDM dependence counts, per-direction GLRLM run counts, GLSZM zones and
-NGTDM n_i / s_i.
+NGTDM n_i / s_i.  The GLRLM run tables must also equal, bit for bit, those
+of the packed-key sort the run-length pass replaced.
 """
 
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import oracles
+from conftest import region_from_mask
 from ctradiomics.features import glcm_matrices, gldm_matrix, glrlm_matrices, glszm_matrix, ngtdm_table
-from ctradiomics.features.context import UNIQUE_DIRECTIONS, DiscretizedRegion, table_features
+from ctradiomics.features.context import UNIQUE_DIRECTIONS, DiscretizedRegion, discretize, table_features
 
 
 def _region(coords, levels) -> DiscretizedRegion:
@@ -53,6 +56,7 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
 
     glrlm = glrlm_matrices(d)
     assert tuple(glrlm) == UNIQUE_DIRECTIONS
+    assert_glrlm_equals_packed_keys(d)
     for direction in UNIQUE_DIRECTIONS:
         table = oracles.glrlm_run_table(pos, direction)
         expected = _dense(table, ng, max(size for _, size in table))
@@ -70,15 +74,34 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
     assert np.array_equal(s_i, [want_s.get(level, 0.0) for level in range(1, ng + 1)])
 
 
+def assert_glrlm_equals_packed_keys(d: DiscretizedRegion):
+    """The run tables equal those of the packed-key sort, shape and bits."""
+    glrlm = glrlm_matrices(d)
+    reference = oracles.glrlm_matrices_packed_keys(d)
+    assert tuple(glrlm) == tuple(reference)
+    for direction, m in reference.items():
+        assert glrlm[direction].dtype == m.dtype
+        assert np.array_equal(glrlm[direction], m), f"GLRLM {direction}"
+
+
 @hs.composite
 def _level_regions(draw):
     """A random region in a box of up to 6^3 voxels with 1 to 300 gray levels
-    (past 255 the grid needs a wider type), gaps between levels allowed."""
-    shape = draw(hs.tuples(*[hs.integers(1, 6)] * 3))
+    (past 255 the grid needs a wider type), gaps between levels allowed; or
+    in a long, thin box of up to 2 x 3 x 40 voxels, in any axis order, with 1
+    to 3 levels and mostly filled, so runs grow past 6 voxels and lines leave
+    through every face."""
+    if draw(hs.booleans()):
+        shape = draw(hs.tuples(*[hs.integers(1, 6)] * 3))
+        top = draw(hs.sampled_from([1, 2, 3, 6, 40, 61, 300]))
+        voxel = hs.booleans()
+    else:
+        shape = draw(hs.permutations([draw(hs.integers(1, 2)), draw(hs.integers(1, 3)), draw(hs.integers(7, 40))]))
+        top = draw(hs.integers(1, 3))
+        voxel = hs.sampled_from([True, True, True, False])
     n = shape[0] * shape[1] * shape[2]
-    inside = draw(hs.lists(hs.booleans(), min_size=n, max_size=n))
+    inside = draw(hs.lists(voxel, min_size=n, max_size=n))
     inside[draw(hs.integers(0, n - 1))] = True
-    top = draw(hs.sampled_from([1, 2, 3, 6, 40, 61, 300]))
     levels = draw(hs.lists(hs.integers(1, top), min_size=n, max_size=n))
     coords = np.argwhere(np.reshape(inside, shape))
     return coords, [levels[i] for i in np.flatnonzero(inside)]
@@ -88,6 +111,44 @@ def _level_regions(draw):
 @given(_level_regions())
 def test_context_matrices_equal_oracle_tables(case):
     assert_matches_oracle_tables(_region(*case))
+
+
+@pytest.mark.parametrize("axes", list(itertools.permutations(range(3))))
+def test_long_runs_in_a_thin_box(axes):
+    # a full 2 x 3 x 40 box: runs of 40 along its long axis, broken by one
+    # level change and one hole, in each axis order
+    box = np.ones((2, 3, 40), dtype=bool)
+    box[1, 2, 30] = False
+    coords = np.argwhere(box)
+    levels = np.where(coords[:, 2] < 17, 1, 3)
+    levels[(coords[:, 0] == 0) & (coords[:, 1] == 1)] = 2
+    assert_matches_oracle_tables(_region(coords[:, axes], levels))
+
+
+def _noisy_ball(radius, bin_width) -> DiscretizedRegion:
+    axis = np.arange(-radius, radius + 1)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    mask = gx**2 + gy**2 + gz**2 <= radius**2
+    rng = np.random.default_rng(radius)
+    return discretize(region_from_mask(mask, rng.normal(80.0, 20.0, mask.shape)), bin_width)
+
+
+@pytest.mark.parametrize(
+    "radius, voxels, bin_width, grid_type",
+    [
+        (12, 7_153, 25.0, np.uint8),
+        (20, 33_401, 25.0, np.uint8),
+        (35, 179_579, 25.0, np.uint8),
+        (20, 33_401, 0.375, np.uint16),
+    ],
+    ids=["ct512_small", "ct512_medium", "ct512_large", "400_levels"],
+)
+def test_glrlm_equals_packed_keys_on_spheres(radius, voxels, bin_width, grid_type):
+    # the three lesion sizes of the ct512 benchmark scan at 1 mm, and a ball
+    # of 418 levels, which need a uint16 grid
+    d = _noisy_ball(radius, bin_width)
+    assert len(d) == voxels and d.grid.dtype == grid_type
+    assert_glrlm_equals_packed_keys(d)
 
 
 def test_many_levels_in_a_blob():

@@ -101,6 +101,14 @@ class TestReadVolume:
             with pytest.raises(NiftiFormatError, match="truncated"):
                 reader(path)
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf, 100.0])
+    def test_bad_vox_offset_is_format_error_naming_the_path(self, tmp_path, offset):
+        path = write_blob(tmp_path, make_nifti_bytes(vox_offset=offset))
+        for reader in (read_volume, lambda p: read_mask(p, {})):
+            with pytest.raises(NiftiFormatError, match="vox_offset") as caught:
+                reader(path)
+            assert str(path) in str(caught.value)
+
     @pytest.mark.parametrize("datatype", [16, 64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_float_payload_is_format_error(self, tmp_path, monkeypatch, datatype, bad):
@@ -453,8 +461,9 @@ class TestResample:
         data = np.zeros((2, 2, 2))
         labels = np.zeros((2, 2, 2), dtype=np.int32)
         vol, mask = _pair(data, labels, (1, 1, 1), {})
-        with pytest.raises(ValueError):
-            resample_isotropic(vol, mask, 0.0)
+        for target in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="target spacing"):
+                resample_isotropic(vol, mask, target)
 
     def test_geometry_mismatch_rejected(self):
         vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1))
