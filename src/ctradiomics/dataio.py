@@ -157,7 +157,13 @@ def _parse_class_map(cell: str) -> dict[int, int]:
         if not pair:
             continue
         label, _, cls = pair.partition("=")
-        out[int(label)] = int(cls)
+        try:
+            label, cls = int(label), int(cls)
+        except ValueError:
+            raise ValueError(f"malformed label=class pair {pair!r} in class map cell {cell!r}") from None
+        if label in out:
+            raise ValueError(f"label {label} given twice in class map cell {cell!r}")
+        out[label] = cls
     if not out:
         raise ValueError(f"empty label=class map cell: {cell!r}")
     return out
@@ -167,24 +173,37 @@ def read_manifest(path) -> list[ManifestEntry]:
     """Read a batch manifest CSV: scan_id, image_path, mask_path, class_map.
 
     The class_map cell holds semicolon-separated ``label=class`` pairs,
-    e.g. ``1=2;2=3``.  Relative paths resolve against the manifest location.
+    e.g. ``1=2;2=3``.  Relative paths resolve against the manifest location,
+    and a scan_id may appear on one line only.  A bad row is rejected with
+    its line number.
     """
     base = Path(path).parent
     entries = []
+    line_of: dict[str, int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"scan_id", "image_path", "mask_path", "class_map"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: manifest needs columns {sorted(required)}")
         for row in reader:
+            line, scan_id = reader.line_num, row["scan_id"]
+            if None in row.values():
+                raise ValueError(f"{path}: line {line} has fewer cells than the header")
+            if scan_id in line_of:
+                raise ValueError(f"{path}: scan_id {scan_id!r} on line {line} repeats line {line_of[scan_id]}")
+            line_of[scan_id] = line
+            try:
+                class_map = _parse_class_map(row["class_map"])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
             image = Path(row["image_path"])
             mask = Path(row["mask_path"])
             entries.append(
                 ManifestEntry(
-                    scan_id=row["scan_id"],
+                    scan_id=scan_id,
                     image_path=image if image.is_absolute() else base / image,
                     mask_path=mask if mask.is_absolute() else base / mask,
-                    class_map=_parse_class_map(row["class_map"]),
+                    class_map=class_map,
                 )
             )
     if not entries:

@@ -20,7 +20,7 @@ from .gldm import GLDM_NAMES, gldm_features, gldm_matrix
 from .glrlm import GLRLM_NAMES, glrlm_features, glrlm_matrices
 from .glszm import GLSZM_NAMES, glszm_features, glszm_matrix
 from .ngtdm import NGTDM_NAMES, ngtdm_features, ngtdm_table
-from .shape import SHAPE_NAMES, shape_features, voxel_volume
+from .shape import SHAPE_NAMES, shape_features
 
 # the one ordered family registry; every other family list derives from it
 FAMILY_NAMES: dict[str, tuple[str, ...]] = {
@@ -129,5 +129,4 @@ __all__ = [
     "ngtdm_features",
     "ngtdm_table",
     "shape_features",
-    "voxel_volume",
 ]

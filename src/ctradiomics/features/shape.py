@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import mesh
-from ..volume_io import LesionRegion
 from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior
 
 SHAPE_NAMES = (
@@ -99,12 +98,6 @@ def _axis_lengths(d: DiscretizedRegion) -> tuple[float, float, float, float, flo
         float(np.sqrt(minor / major)),
         float(np.sqrt(least / major)),
     )
-
-
-def voxel_volume(region: LesionRegion) -> float:
-    """Voxel-count volume (n * voxel volume), a diagnostic outside the
-    canonical feature set; MeshVolume is the reported shape feature."""
-    return len(region) * float(np.prod(region.spacing))
 
 
 def shape_features(d: DiscretizedRegion) -> dict[str, float]:

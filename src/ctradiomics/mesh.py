@@ -2,15 +2,16 @@
 
 A marching-cubes style mesher specialised to 0/1 grids: cut vertices sit at
 the midpoints of grid edges joining an inside and an outside voxel, the
-contour on every cell face follows the marching-squares rule with diagonal
-(ambiguous) faces always resolved as *separated*, and each closed contour
-loop inside a cell is triangulated as a fan around its centroid.
+contour on every cell face follows one rule -- one segment per run of inside
+corners around a face; a diagonal pair is two runs (the *separated*
+resolution of the ambiguous face) -- and each closed contour loop inside a
+cell is triangulated as a fan around its centroid.
 
-The separated-diagonal rule depends only on the face's corner pattern and the
-centroid fan is equivariant, so the mesh geometry is exactly symmetric under
-axis permutations and reflections, and adjacent cells always agree on the
-shared face contour, making every produced surface watertight.  All
-arithmetic is float64.
+The face rule depends only on the face's corner pattern and the centroid fan
+is equivariant, so the mesh geometry is exactly symmetric under axis
+permutations and reflections, and adjacent cells always agree on the shared
+face contour, making every produced surface watertight.  All arithmetic is
+float64.
 
 The per-configuration contour loops are generated from the face rule on
 first use (``loop_table``); no hand-written case table is involved.
@@ -27,88 +28,16 @@ import numpy as np
 _CORNERS = [(cid & 1, (cid >> 1) & 1, (cid >> 2) & 1) for cid in range(8)]
 
 # the 12 cell edges as corner-id pairs, and their midpoints in cell coords
-_EDGES: list[tuple[int, int]] = []
-for a in range(8):
-    for b in range(a + 1, 8):
-        if bin(a ^ b).count("1") == 1:
-            _EDGES.append((a, b))
-_EDGE_OF_MIDPOINT = {}
-EDGE_MIDPOINTS = np.zeros((len(_EDGES), 3))
-for eid, (a, b) in enumerate(_EDGES):
-    mid = tuple((ca + cb) / 2.0 for ca, cb in zip(_CORNERS[a], _CORNERS[b]))
-    EDGE_MIDPOINTS[eid] = mid
-    _EDGE_OF_MIDPOINT[mid] = eid
+_EDGES = [(a, b) for a in range(8) for b in range(a + 1, 8) if bin(a ^ b).count("1") == 1]
+_EDGE_ID = {edge: eid for eid, edge in enumerate(_EDGES)}
+EDGE_MIDPOINTS = np.array([[(p + q) / 2.0 for p, q in zip(_CORNERS[a], _CORNERS[b])] for a, b in _EDGES])
+
+# each cell face as its 4 corner ids, counterclockwise seen from outside the cell
+_FACES = ((0, 4, 6, 2), (1, 3, 7, 5), (0, 1, 5, 4), (2, 6, 7, 3), (0, 2, 3, 1), (4, 5, 7, 6))
 
 
-def _face_frames():
-    """(axis, side, u_axis, v_axis) for each cell face, e_u x e_v = outward normal."""
-    frames = []
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        for side in (0, 1):
-            outward = 1 if side == 1 else -1
-            u_ax, v_ax = others
-            # sign of e_u x e_v along `axis` for the natural ordering
-            perm = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
-            natural = 1 if (u_ax, v_ax, axis) in perm else -1
-            if natural != outward:
-                u_ax, v_ax = v_ax, u_ax
-            frames.append((axis, side, u_ax, v_ax))
-    return frames
-
-
-def _incident_midpoints(corner):
-    """Midpoints of the two face edges meeting at a face corner."""
-    u, v = corner
-    return ((0.5, float(v)), (float(u), 0.5))
-
-
-def _incident_corners(corner):
-    """The two face corners adjacent to a face corner (same order as midpoints)."""
-    u, v = corner
-    return ((1 - u, v), (u, 1 - v))
-
-
-def _orient(p, q, ref):
-    """Direct segment p->q so that `ref` lies on its left; swap otherwise."""
-    left = (-(q[1] - p[1]), q[0] - p[0])
-    mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    dot = (ref[0] - mid[0]) * left[0] + (ref[1] - mid[1]) * left[1]
-    return (p, q) if dot > 0 else (q, p)
-
-
-def _face_segments(inside_uv):
-    """Directed marching-squares segments for one face, inside kept on the left.
-
-    ``inside_uv`` maps (u, v) in {0,1}^2 to the inside flag.  Diagonal
-    patterns produce two segments, each cutting off one inside corner.
-    Returns segments as ((u,v) start, (u,v) end) pairs of edge midpoints.
-    """
-    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    n_in = sum(inside_uv[c] for c in corners)
-    if n_in in (0, 4):
-        return []
-    ins = [c for c in corners if inside_uv[c]]
-    outs = [c for c in corners if not inside_uv[c]]
-    if n_in == 1:
-        return [_orient(*_incident_midpoints(ins[0]), ins[0])]
-    if n_in == 3:
-        # segment around the single outside corner; inside is everything else
-        return [_orient(*_incident_midpoints(outs[0]), (0.5, 0.5))]
-    a, b = ins
-    if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1:  # adjacent pair: one segment
-        mids = []
-        for c_in in (a, b):
-            for mid, other in zip(_incident_midpoints(c_in), _incident_corners(c_in)):
-                if not inside_uv[other]:
-                    mids.append(mid)
-        ref = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        return [_orient(mids[0], mids[1], ref)]
-    # diagonal pair: separated rule, one segment per inside corner
-    return [
-        _orient(*_incident_midpoints(a), a),
-        _orient(*_incident_midpoints(b), b),
-    ]
+def _edge(a: int, b: int) -> int:
+    return _EDGE_ID[min(a, b), max(a, b)]
 
 
 @functools.cache
@@ -118,52 +47,30 @@ def loop_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
     Built once per process, when a mesh is first asked for, so the commands
     that never mesh do not pay for it.
     """
-    frames = _face_frames()
     table: list[tuple[tuple[int, ...], ...]] = []
     for config in range(256):
         inside = [(config >> cid) & 1 == 1 for cid in range(8)]
+        # one segment per run of inside corners around a face, from the edge
+        # the run is left by to the edge it is entered by (inside on the left)
         successor: dict[int, int] = {}
-        for axis, side, u_ax, v_ax in frames:
-
-            def to3d(u, v):
-                pos = [0.0, 0.0, 0.0]
-                pos[axis] = float(side)
-                pos[u_ax] = u
-                pos[v_ax] = v
-                return tuple(pos)
-
-            inside_uv = {}
-            for u in (0, 1):
-                for v in (0, 1):
-                    pos = to3d(u, v)
-                    cid = int(pos[0]) + 2 * int(pos[1]) + 4 * int(pos[2])
-                    inside_uv[(u, v)] = inside[cid]
-            for (p, q) in _face_segments(inside_uv):
-                e_from = _EDGE_OF_MIDPOINT[to3d(*p)]
-                e_to = _EDGE_OF_MIDPOINT[to3d(*q)]
-                assert e_from not in successor
-                successor[e_from] = e_to
-        # chain directed segments into closed loops
+        for face in _FACES:
+            for i in range(4):
+                a, b = face[i], face[(i + 1) % 4]
+                if inside[a] and not inside[b]:
+                    j = i  # walk back to the run's first corner; face[-1] wraps
+                    while inside[face[j - 1]]:
+                        j -= 1
+                    successor[_edge(a, b)] = _edge(face[j - 1], face[j])
+        # chain the segments into closed loops, reversed to wind outward
         loops = []
         remaining = set(successor)
         while remaining:
-            start = min(remaining)
-            loop = [start]
-            nxt = successor[start]
-            while nxt != start:
-                loop.append(nxt)
-                nxt = successor[nxt]
+            loop = [min(remaining)]
+            while successor[loop[-1]] != loop[0]:
+                loop.append(successor[loop[-1]])
             remaining.difference_update(loop)
-            assert len(loop) >= 3
-            loops.append(tuple(loop))
+            loops.append(tuple(loop[::-1]))
         table.append(tuple(loops))
-
-    # fix the global winding so triangle normals point away from the inside
-    loop = table[1][0]  # single inside corner at the origin
-    pts = EDGE_MIDPOINTS[list(loop)]
-    normal = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    if float(normal @ (pts.mean(axis=0) - np.zeros(3))) < 0:
-        table = [tuple(loop[::-1] for loop in loops) for loops in table]
     return tuple(table)
 
 

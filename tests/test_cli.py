@@ -446,6 +446,20 @@ def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_repeated_scan_id_exits_2_before_any_scan_is_read(tmp_path, capsys):
+    # two rows for one scan_id would both be written as <scan_id>/<label>
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "scan_id,image_path,mask_path,class_map\nphantom_0000,a.nii,m.nii,1=1\nphantom_0000,a.nii,m.nii,1=1\n"
+    )
+    out = tmp_path / "o.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {manifest}: scan_id 'phantom_0000' on line 3 repeats line 2"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -132,6 +132,39 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest needs columns"):
             dataio.read_manifest(path)
 
+    def test_repeated_scan_id_rejected(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text(
+            "scan_id,image_path,mask_path,class_map\n"
+            "s1,a.nii,ma.nii,1=1\ns2,b.nii,mb.nii,1=2\ns1,c.nii,mc.nii,1=3\n"
+        )
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        assert str(caught.value) == f"{path}: scan_id 's1' on line 4 repeats line 2"
+
+    def test_label_given_twice_in_one_cell_rejected(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=1;1=3\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        assert str(caught.value) == f"{path}: line 2: label 1 given twice in class map cell '1=1;1=3'"
+
+    @pytest.mark.parametrize("pair", ["1", "1=", "=2", "a=1", "1=2=3"])
+    def test_malformed_class_map_pair_is_named(self, tmp_path, pair):
+        path = tmp_path / "manifest.csv"
+        path.write_text(f"scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,2=1;{pair}\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        message = f"{path}: line 2: malformed label=class pair {pair!r} in class map cell '2=1;{pair}'"
+        assert str(caught.value) == message
+
+    def test_short_row_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=1\ns2,b.nii,m.nii\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        assert str(caught.value) == f"{path}: line 3 has fewer cells than the header"
+
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("scan_id,image_path,mask_path,class_map\n")

@@ -290,13 +290,6 @@ class TestShapeExamples:
         f = shape_features(discretize(region_from_mask(mask, np.zeros(mask_shape), spacing), 25.0))
         assert (f["SurfaceArea"], f["MeshVolume"]) == (area, volume)
 
-    def test_voxel_volume_diagnostic(self):
-        from ctradiomics.features import voxel_volume
-
-        region = constant_cube_region(side=3, spacing=(1.0, 2.0, 0.5))
-        assert voxel_volume(region) == pytest.approx(27.0)
-        assert "shape_VoxelVolume" not in FEATURE_COLUMNS
-
 
 class TestExtractAll:
     def test_exactly_105_finite_values(self):
@@ -304,6 +297,7 @@ class TestExtractAll:
         assert len(fv.values) == 105
         assert tuple(fv.values) == FEATURE_COLUMNS
         assert all(np.isfinite(v) for v in fv.values.values())
+        assert "shape_VoxelVolume" not in FEATURE_COLUMNS  # MeshVolume is the volume feature
 
     def test_family_cardinalities(self):
         sizes = {fam: len(names) for fam, names in FAMILY_NAMES.items()}

@@ -1,5 +1,6 @@
 """Structural properties of the binary iso-surface mesher."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -25,6 +26,27 @@ def _random_masks(n, shape=(6, 7, 5), fill=0.42, seed=1):
         if m.any():
             out.append(m)
     return out
+
+
+def test_loop_table_is_pinned():
+    # every loop, its order and its starting edge: the mesh sums add in this order
+    table = mesh.loop_table()
+    assert (len(table), sum(len(loops) for loops in table)) == (256, 358)
+    assert sum(len(loop) for loops in table for loop in loops) == 1536
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == "25ddeb26998740cb2a51cb531a039bf9db8f73b2c871e9d5d0212a39957844da"
+
+
+def test_faces_wind_counterclockwise_seen_from_outside():
+    corners = np.array(mesh._CORNERS, dtype=float)
+    assert sorted(c for face in mesh._FACES for c in face) == sorted(list(range(8)) * 3)
+    for face in mesh._FACES:
+        pts = corners[list(face)]
+        assert (np.ptp(pts, axis=0) == 0).sum() == 1  # the corners span one side of the cube
+        outward = pts.mean(axis=0) - 0.5
+        for i in range(4):
+            a, b, c = pts[i], pts[(i + 1) % 4], pts[(i + 2) % 4]
+            assert np.cross(b - a, c - b) @ outward > 0
 
 
 def test_single_voxel_octahedron():

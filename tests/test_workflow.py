@@ -34,3 +34,10 @@ def test_an_unquoted_colon_in_a_plain_scalar_fails_the_parse():
     one_line = "        run: " + LINE_COUNT_STEP.splitlines()[1].strip() + "\n"
     with pytest.raises(yaml.YAMLError):
         jobs(text.replace(LINE_COUNT_STEP, one_line))
+
+
+def test_tier1_runs_the_benchmark_self_test():
+    # the only check that fails when src/ stops resolving a name that
+    # perfbench/tracing.py wraps (cli.extract_all, model_selection.fit_pls, ...)
+    steps = jobs(WORKFLOW.read_text())["tier1"]["steps"]
+    assert "python3 perfbench/selftest.py" in [step.get("run", "").strip() for step in steps]
