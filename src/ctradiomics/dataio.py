@@ -174,7 +174,8 @@ def read_manifest(path) -> list[ManifestEntry]:
 
     The class_map cell holds semicolon-separated ``label=class`` pairs,
     e.g. ``1=2;2=3``.  Relative paths resolve against the manifest location,
-    and a scan_id may appear on one line only.  A bad row is rejected with
+    and a scan_id must be non-empty and appear on one line only.  A bad row,
+    including one with more or fewer cells than the header, is rejected with
     its line number.
     """
     base = Path(path).parent
@@ -189,6 +190,10 @@ def read_manifest(path) -> list[ManifestEntry]:
             line, scan_id = reader.line_num, row["scan_id"]
             if None in row.values():
                 raise ValueError(f"{path}: line {line} has fewer cells than the header")
+            if None in row:  # DictReader files the surplus cells under the key None
+                raise ValueError(f"{path}: line {line} has more cells than the header")
+            if not scan_id:
+                raise ValueError(f"{path}: line {line} has an empty scan_id")
             if scan_id in line_of:
                 raise ValueError(f"{path}: scan_id {scan_id!r} on line {line} repeats line {line_of[scan_id]}")
             line_of[scan_id] = line

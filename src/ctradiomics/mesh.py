@@ -20,7 +20,6 @@ first use (``loop_table``); no hand-written case table is involved.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -89,32 +88,30 @@ def _spacing_constants(spacing: tuple[float, float, float]) -> np.ndarray:
     a read-only (256, 3) array.
 
     They depend only on the spacing, so each spacing is computed once per
-    process; the key is a tuple of Python floats.
+    process; the key is a tuple of Python floats.  The fan triangles take
+    ``np.cross``'s products and ``np.linalg.norm``'s dot product (a stacked
+    ``matmul``), and ``np.cumsum`` adds each config's terms one after another,
+    so the totals round as a loop over the triangles does.
     """
-    constants = []
-    for loops in loop_table():
-        area = 0.0
-        k1 = 0.0
-        k2 = 0.0
-        for loop in loops:
-            pts = EDGE_MIDPOINTS[list(loop)] * spacing
-            cx, cy, cz = pts.mean(axis=0).tolist()
-            pts = pts.tolist()
-            for i, (bx, by, bz) in enumerate(pts):
-                c = pts[(i + 1) % len(pts)]
-                ux, uy, uz = bx - cx, by - cy, bz - cz
-                vx, vy, vz = c[0] - cx, c[1] - cy, c[2] - cz
-                # np.cross's products, in Python floats; the norm goes through np.dot, as in
-                # np.linalg.norm, because a plain sum of squares rounds differently
-                n = np.array((uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx))
-                area += math.sqrt(float(np.dot(n, n))) / 2.0
-                az = float(n[2]) / 2.0
-                k1 += az
-                k2 += az * (cz + bz + c[2]) / 3.0
-        constants.append((area, k1, k2))
-    table = np.array(constants)
-    table.flags.writeable = False
-    return table
+    table = loop_table()
+    loops = [loop for loops in table for loop in loops]
+    config, slot = np.array([(k, j) for k, loops in enumerate(table) for j in range(len(loops))]).T
+    width = max(map(len, loops))
+    # each loop's fan (b, c) in a row padded to the widest, where +0.0 terms change no sum
+    pts = EDGE_MIDPOINTS[[[loop[i % len(loop)] for i in range(width + 1)] for loop in loops]] * spacing
+    b, c = pts[:, :-1], pts[:, 1:]
+    live = (np.arange(width) < np.array([len(loop) for loop in loops])[:, None])[..., None]
+    centre = np.where(live, b, 0.0).sum(axis=1, keepdims=True) / live.sum(axis=1, keepdims=True)
+    n = np.cross(b - centre, c - centre)
+    area = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0, 0] / 2.0
+    az = n[..., 2] / 2.0
+    terms = np.where(live, np.stack((area, az, az * (centre[..., 2] + b[..., 2] + c[..., 2]) / 3.0), -1), 0.0)
+    # one row per config: its loops' fans end to end, each after a 0.0 (a loop's starting total)
+    rows = np.zeros((256, slot.max() + 1, width + 1, 3))
+    rows[config, slot, 1:] = terms
+    constants = np.cumsum(rows.reshape(256, -1, 3), axis=1)[:, -1]
+    constants.flags.writeable = False
+    return constants
 
 
 def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:

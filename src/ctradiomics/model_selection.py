@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import GROUP_PRESETS, Dataset, columns_for_groups
 from .features import family_counts
-from .pls import PlsModel, autoscale, encode_dummy, fit_pls, leading_components, predict
+from .pls import PlsModel, apply_scaling, autoscale, encode_dummy, fit_pls, predict
 from .pls import select_features_vip, vip_scores
 
 
@@ -102,8 +102,10 @@ def _fit_on(x, y, n_components, n_classes, feature_names) -> PlsModel:
 
 def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
     """Pooled cross-validated misclassification rate at every LV count
-    1..max_components.  Each fold is fit once at the cap and every smaller
-    model is read off as its leading components."""
+    1..max_components.  Each fold is fit once at the cap and its held-out
+    rows scored once through the nested rotation R = W (P'W)^-1; the
+    response after a components is the running sum of t_k q_k' over k <= a.
+    A fold fit that stopped early at A components answers every a > A as A."""
     if dataset.y is None:
         raise ValueError("cross-validation needs class labels")
     x, y = dataset.x, dataset.y
@@ -116,9 +118,14 @@ def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
         test = np.zeros(len(dataset), dtype=bool)
         test[fold] = True
         model = _fit_on(x[~test], y[~test], max_components, n_classes, dataset.feature_names)
-        for a in range(1, max_components + 1):
-            _, pred = predict(leading_components(model, a), x[test])
-            errors[a - 1] += int((pred != y[test]).sum())
+        w = model.weights
+        rotation = np.linalg.solve(w.T @ model.x_loadings, w.T).T
+        scores = apply_scaling(x[test], model.mean, model.scale) @ rotation
+        # (rows, classes, components): the response after each prefix of components
+        y_hat = np.cumsum(scores[:, None, :] * model.y_loadings, axis=2) + model.y_means[:, None]
+        pred = np.argmax(y_hat, axis=1) + 1  # classes 1..m, ties to the lowest
+        lv = np.minimum(np.arange(max_components), model.n_components - 1)
+        errors += (pred[:, lv] != y[test][:, None]).sum(axis=0)
     return errors / len(dataset)
 
 

@@ -4,15 +4,19 @@ feature scoring.
 
 Each weight vector is the dominant left singular vector of X'Y for the
 deflated X, the fixed point of PLS2 NIPALS (Hoskuldsson 1988), so there is
-no iteration to converge and components are nested.  The decomposition is
-deterministic: weight vectors are unit-norm with their largest-magnitude
-entry positive, and ties in the class argmax break toward the lowest class id.
+no iteration to converge and components are nested.  So is the rotation
+R = W (P'W)^-1 that scores new rows, T = X R (de Jong 1993): P'W is upper
+triangular with a unit diagonal, so R's first a columns are the a-component
+model's and one score matrix serves every component count.  The
+decomposition is deterministic: weight vectors are unit-norm with their
+largest-magnitude entry positive, and ties in the class argmax break toward
+the lowest class id.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,11 +77,6 @@ def apply_scaling(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndar
 def _fix_sign(w: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(w)))
     return -w if w[k] < 0 else w
-
-
-def _coef(weights: np.ndarray, x_loadings: np.ndarray, y_loadings: np.ndarray) -> np.ndarray:
-    """B = W (P'W)^-1 Q', the regression matrix for centred X and Y."""
-    return weights @ np.linalg.solve(x_loadings.T @ weights, y_loadings.T)
 
 
 def fit_pls(
@@ -146,20 +145,12 @@ def fit_pls(
         x_loadings=x_loadings,
         y_loadings=y_loadings,
         scores=np.column_stack(t_cols),
-        coef=_coef(weights, x_loadings, y_loadings),
+        coef=weights @ np.linalg.solve(x_loadings.T @ weights, y_loadings.T),  # B = W (P'W)^-1 Q'
         y_means=y_means,
         n_components=weights.shape[1],
         class_labels=tuple(range(1, m + 1)),
         feature_names=tuple(feature_names),
     )
-
-
-def leading_components(model: PlsModel, a: int) -> PlsModel:
-    """The first min(a, A) components of ``model``: components are nested, so
-    this is the model ``fit_pls`` returns for ``a`` components on the same data."""
-    k = min(a, model.n_components)
-    w, p, q, t = (m[:, :k] for m in (model.weights, model.x_loadings, model.y_loadings, model.scores))
-    return replace(model, weights=w, x_loadings=p, y_loadings=q, scores=t, coef=_coef(w, p, q), n_components=k)
 
 
 def train_plsda(x, y, n_components, feature_names=None) -> PlsModel:

@@ -345,14 +345,16 @@ def check_geometry(vol: VoxelVolume, mask: LesionMask) -> None:
         raise GeometryError(f"origin mismatch: volume {vol.origin} vs mask {mask.origin}")
 
 
-def _output_grid(dims, spacing, target):
-    """Per axis, the input-space sample positions of the output grid (clamped
-    to the border voxel) and the nearest input index of each sample."""
+def _output_grid(dims, spacing, targets):
+    """Per axis, the input-space sample positions of the output grid with
+    spacing ``targets`` (clamped to the border voxel) and the nearest input
+    index of each sample.  A target equal to the input spacing gives the
+    input grid: positions 0, 1, ... and frac 0."""
     positions, nearest = [], []
-    for d, s in zip(dims, spacing):
-        n_out = int(np.ceil(d * (s / target)))
-        # sample o maps to input index o * target / spacing; clamp to the border voxel
-        x = np.arange(n_out, dtype=np.float64) * (target / s)
+    for d, s, t in zip(dims, spacing, targets):
+        n_out = int(np.ceil(d * (s / t)))
+        # sample o maps to input index o * t / spacing; clamp to the border voxel
+        x = np.arange(n_out, dtype=np.float64) * (t / s)
         np.clip(x, 0.0, d - 1, out=x)
         positions.append(x)
         nearest.append(np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1))
@@ -410,8 +412,8 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     """
     target = _check_target(target)
     check_geometry(vol, mask)
-    positions, nearest = _output_grid(vol.dims, vol.spacing, target)
     new_spacing = (target,) * 3
+    positions, nearest = _output_grid(vol.dims, vol.spacing, new_spacing)
     new_vol = VoxelVolume(data=_trilinear(vol, *positions), spacing=new_spacing, origin=vol.origin)
     new_mask = LesionMask(
         labels=mask.labels[np.ix_(*nearest)],
@@ -453,16 +455,15 @@ def extract_lesions(
     output-grid coordinates, but only each lesion's bounding box on the
     output grid is resampled, so the cost follows lesion size, not scan size.
 
+    Without ``target`` the pair is sampled on its own grid by the same path,
+    one trilinear corner per voxel, so the intensities are the input's
+    except that a -0.0 becomes +0.0.
+
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
     erased by nearest-neighbour resampling) is dropped with a warning.
     """
-    if target is None:
-        spacing = vol.spacing
-        nearest = [np.arange(d) for d in vol.dims]
-    else:
-        target = _check_target(target)
-        spacing = (target,) * 3
-        positions, nearest = _output_grid(vol.dims, vol.spacing, target)
+    spacing = vol.spacing if target is None else (_check_target(target),) * 3
+    positions, nearest = _output_grid(vol.dims, vol.spacing, spacing)
     check_geometry(vol, mask)
     regions = []
     for label in sorted(mask.class_of_label):
@@ -477,10 +478,7 @@ def extract_lesions(
         if len(coords) == 0:
             warnings.warn(f"label {label} has no voxels and was dropped", stacklevel=2)
             continue
-        if target is None:
-            intensities = vol.values(tuple(axes))[tuple(local.T)]
-        else:
-            intensities = _trilinear(vol, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
+        intensities = _trilinear(vol, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
         region = LesionRegion(coordinates=coords, intensities=intensities, spacing=spacing, label=label)
         regions.append((region, mask.class_of_label[label]))
     return regions

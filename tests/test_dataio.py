@@ -165,6 +165,20 @@ class TestManifest:
             dataio.read_manifest(path)
         assert str(caught.value) == f"{path}: line 3 has fewer cells than the header"
 
+    def test_long_row_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=1\ns2,b.nii,m.nii,1=1,extra\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        assert str(caught.value) == f"{path}: line 3 has more cells than the header"
+
+    def test_empty_scan_id_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("scan_id,image_path,mask_path,class_map\n,a.nii,m.nii,1=1\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        assert str(caught.value) == f"{path}: line 2 has an empty scan_id"
+
     def test_empty_manifest_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("scan_id,image_path,mask_path,class_map\n")

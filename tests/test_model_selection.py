@@ -136,9 +136,14 @@ class TestCvErrorCurve:
     """One fit per fold, read off at every prefix, equals a refit per LV count."""
 
     def test_matches_refit_per_lv(self):
-        for ds in (_phantom_like_dataset(seed=7), _gaussian_dataset(n_per_class=10, seed=8)):
-            folds = ms.stratified_kfold(ds.y, 5, seed=1)
-            cap = min(12, ds.x.shape[1])
+        cases = (
+            (_phantom_like_dataset(seed=7), 5, 12),
+            (_gaussian_dataset(n_per_class=10, seed=8), 5, 12),
+            (_phantom_like_dataset(seed=3, n_per_class=50), 10, 20),  # experiments' k and max_lv
+        )
+        for ds, k, max_lv in cases:
+            folds = ms.stratified_kfold(ds.y, k, seed=1)
+            cap = min(max_lv, ds.x.shape[1])
             refit = _refit_error_curve(ds, cap, folds)
             assert ms.cv_error_curve(ds, cap, folds).tolist() == refit
 

@@ -190,18 +190,17 @@ class TestNipalsOracle:
         self._assert_matches(ds.x, ds.y, 20)
 
 
-class TestLeadingComponents:
-    def test_equals_a_fresh_fit_bit_for_bit(self):
+class TestNestedComponents:
+    def test_a_fresh_fit_is_a_prefix_of_the_larger_fit_bit_for_bit(self):
         rng = np.random.default_rng(21)
         xs, mean, scale = pls.autoscale(rng.normal(size=(30, 10)))
         yd = pls.encode_dummy(rng.integers(1, 4, 30), 3)
         full = pls.fit_pls(xs, yd, 8, mean=mean, scale=scale)
         for a in range(1, 9):
-            prefix = pls.leading_components(full, a)
             fresh = pls.fit_pls(xs, yd, a, mean=mean, scale=scale)
-            assert prefix.n_components == fresh.n_components == a
-            for field in ("weights", "x_loadings", "y_loadings", "scores", "coef"):
-                assert np.array_equal(getattr(prefix, field), getattr(fresh, field)), (a, field)
+            assert fresh.n_components == a
+            for field in ("weights", "x_loadings", "y_loadings", "scores"):
+                assert np.array_equal(getattr(full, field)[:, :a], getattr(fresh, field)), (a, field)
 
 
 class TestPredict:

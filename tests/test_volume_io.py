@@ -489,6 +489,18 @@ class TestExtractLesions:
         for c, v in zip(region.coordinates, region.intensities):
             assert v == data[tuple(c)]
 
+    def test_no_target_samples_the_input_grid(self):
+        labels = np.zeros((5, 4, 3), dtype=np.int32)
+        labels[1:4, 1:3, :] = 1
+        data = np.random.default_rng(1).normal(size=(5, 4, 3))
+        data[2, 1, 1] = -0.0
+        vol, mask = _pair(data, labels, (0.7, 1.3, 2.5), {1: 1})
+        ((region, _),) = extract_lesions(vol, mask)
+        assert region.spacing == (0.7, 1.3, 2.5)
+        assert np.array_equal(region.coordinates, np.argwhere(labels == 1))
+        # one trilinear corner per voxel: the input's bytes, but -0.0 + 0.0 is +0.0
+        assert region.intensities.tobytes() == (data[labels == 1] + 0.0).tobytes()
+
     def test_two_labels_in_label_order(self):
         labels = np.zeros((4, 4, 4), dtype=np.int32)
         labels[0, 0, 0] = 2

@@ -41,3 +41,15 @@ def test_tier1_runs_the_benchmark_self_test():
     # perfbench/tracing.py wraps (cli.extract_all, model_selection.fit_pls, ...)
     steps = jobs(WORKFLOW.read_text())["tier1"]["steps"]
     assert "python3 perfbench/selftest.py" in [step.get("run", "").strip() for step in steps]
+
+
+def test_runtime_only_compares_two_runs_of_experiments_and_train():
+    # the CV sweep's determinism, checked where only numpy is installed
+    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
+    script = "\n".join(step.get("run", "") for step in steps)
+    for first, second in (
+        ("experiments-1.json", "experiments-2.json"),
+        ("model-1.json", "model-2.json"),
+        ("model-1.report.json", "model-2.report.json"),
+    ):
+        assert f'cmp "$work/{first}" "$work/{second}"' in script
