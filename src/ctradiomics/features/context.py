@@ -26,11 +26,6 @@ UNIQUE_DIRECTIONS: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
-def interior(padded: np.ndarray) -> np.ndarray:
-    """The unpadded bounding box of a grid padded by one voxel on every side, as a view."""
-    return padded[1:-1, 1:-1, 1:-1]
-
-
 def batch_rows(n: int) -> int:
     """Rows of n voxels each that fit 2 MiB of int64: a lesion-sized step
     works on this many directions at once."""
@@ -52,9 +47,9 @@ class Neighbours(NamedTuple):
 class DiscretizedRegion:
     """A lesion region with intensities quantized to gray levels 1..n_levels.
 
-    level(v) = floor((I(v) - min I) / bin_width) + 1, so the binning is
-    anchored at the region minimum and shifting all intensities by a
-    constant leaves the levels unchanged.
+    ``discretize`` sets level(v) = floor((I(v) - min I) / bin_width) + 1,
+    so the binning is anchored at the region minimum and shifting all
+    intensities by a constant leaves the levels unchanged.
 
     ``extract_all`` builds one per lesion.  The cached properties are built
     on first use and then shared by every family that reads them.
@@ -62,7 +57,6 @@ class DiscretizedRegion:
 
     levels: np.ndarray  # (n,) integer gray levels, 1-based
     n_levels: int
-    bin_width: float
     coordinates: np.ndarray  # (n, 3) voxel indices
     spacing: tuple[float, float, float]
 
@@ -135,7 +129,6 @@ def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
     return DiscretizedRegion(
         levels=levels,
         n_levels=int(levels.max()),
-        bin_width=float(bin_width),
         coordinates=region.coordinates,
         spacing=region.spacing,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import mesh
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, interior
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion
 
 SHAPE_NAMES = (
     "MeshVolume",
@@ -104,7 +104,7 @@ def shape_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 13 shape descriptors from the mask's iso-surface mesh and PCA axes."""
     spacing = np.asarray(d.spacing, dtype=np.float64)
     # every non-empty mask's mesh encloses its voxels: area and volume are > 0
-    area, volume = mesh.mesh_surface_and_volume(interior(d.inside), spacing)
+    area, volume = mesh.mesh_surface_and_volume(d.inside, spacing)
     diameters = _max_diameters(_hull_candidates(d.inside, spacing))
     out: dict[str, float] = {
         "MeshVolume": volume,

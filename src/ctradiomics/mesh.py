@@ -73,8 +73,8 @@ def loop_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(table)
 
 
-def _config_grid(mask: np.ndarray) -> np.ndarray:
-    padded = np.pad(np.asarray(mask, dtype=bool), 1).astype(np.uint16)
+def _config_grid(padded: np.ndarray) -> np.ndarray:
+    padded = np.asarray(padded, dtype=bool).astype(np.uint16)
     nx, ny, nz = padded.shape
     cfg = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
     for cid, (cx, cy, cz) in enumerate(_CORNERS):
@@ -114,15 +114,17 @@ def _spacing_constants(spacing: tuple[float, float, float]) -> np.ndarray:
     return constants
 
 
-def mesh_surface_and_volume(mask: np.ndarray, spacing) -> tuple[float, float]:
-    """Total surface area and enclosed volume of the mask's iso-surface mesh.
+def mesh_surface_and_volume(padded: np.ndarray, spacing) -> tuple[float, float]:
+    """Total surface area and enclosed volume of the iso-surface mesh of a
+    mask already padded by one background voxel on every side, as
+    ``DiscretizedRegion.inside`` is; a mask touching its border meshes open.
 
     Each cell config present adds its constants times its cell count (and
     its cells' z sum); ``np.cumsum`` adds those terms one after another in
     config order, so the totals round as a plain loop over the configs does.
     """
     constants = _spacing_constants(tuple(float(s) for s in spacing))
-    cfg = _config_grid(mask)
+    cfg = _config_grid(padded)
     flat = cfg.ravel()
     counts = np.bincount(flat, minlength=256)
     nz_cell = np.broadcast_to(

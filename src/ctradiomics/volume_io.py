@@ -35,10 +35,10 @@ _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 class VoxelVolume:
     """A 3D scalar grid (HU) with physical spacing and origin in mm.
 
-    ``data`` is the whole grid as float64.  A volume from ``read_volume``
-    holds its memory-mapped on-disk payload and linear rescale instead, and
-    builds ``data`` only when it is first read; ``values`` converts just the
-    part of the grid a caller asks for.
+    The grid is held once, as a payload and a linear rescale: the float64
+    array it was built from, or the memory-mapped file values of a volume
+    from ``read_volume``.  ``values`` converts the sub-grid a caller asks
+    for and ``data`` the whole grid, each into a new float64 array.
     """
 
     def __init__(self, data, spacing, origin=(0.0, 0.0, 0.0)):
@@ -48,15 +48,14 @@ class VoxelVolume:
         self._set_geometry(spacing, origin)
         if not np.isfinite(data).all():
             raise ValueError("volume contains non-finite values")
-        self._payload = self._data = data
-        self._scale = (1.0, 0.0)
+        self._payload, self._scale = data, (1.0, 0.0)
 
     @classmethod
     def _from_payload(cls, payload: np.ndarray, scale: tuple[float, float], spacing, origin) -> VoxelVolume:
         """A volume over on-disk values whose HU values ``payload * slope + inter`` are known finite."""
         vol = cls.__new__(cls)
         vol._set_geometry(spacing, origin)
-        vol._payload, vol._scale, vol._data = payload, scale, None
+        vol._payload, vol._scale = payload, scale
         return vol
 
     def _set_geometry(self, spacing, origin) -> None:
@@ -67,15 +66,10 @@ class VoxelVolume:
 
     @property
     def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = self.values((slice(None),) * 3)
-        return self._data
+        return self.values((slice(None),) * 3)
 
     def values(self, box: tuple[slice, slice, slice]) -> np.ndarray:
-        """The float64 HU values of the sub-grid ``box``, converted from the
-        payload unless ``data`` already exists."""
-        if self._data is not None:
-            return self._data[box]
+        """The float64 HU values of the sub-grid ``box``, converted from the payload."""
         return _to_hu(self._payload[box], self._scale)
 
     @property
@@ -247,8 +241,16 @@ def _to_hu(payload: np.ndarray, scale: tuple[float, float]) -> np.ndarray:
     return data
 
 
-# voxels per slab of the finiteness check (8 MiB as float64); a slab is at least one z slice
+# voxels per chunk of a payload streamed from its file (8 MiB as float64)
 _SLAB_VOXELS = 1 << 20
+
+
+def _payload_chunks(path, hdr: dict, payload: np.ndarray):
+    """Each run of ``_SLAB_VOXELS`` on-disk values in file (F) order, with the flat
+    index of its first; read from the file, not the map, so no page of the map stays resident."""
+    for start in range(0, payload.size, _SLAB_VOXELS):
+        offset = hdr["vox_offset"] + start * payload.itemsize
+        yield start, np.fromfile(path, payload.dtype, min(_SLAB_VOXELS, payload.size - start), offset=offset)
 
 
 def read_volume(path) -> VoxelVolume:
@@ -257,18 +259,16 @@ def read_volume(path) -> VoxelVolume:
     The header's linear rescale (scl_slope/scl_inter, slope 0 treated as 1)
     is applied so the data is in Hounsfield units.  The payload stays
     memory-mapped: float64 is made only for the parts of the grid that are
-    read (``VoxelVolume.values``), or for all of it on first use of ``data``.
+    read (``VoxelVolume.values``), or for all of it on each read of ``data``.
     """
     hdr, payload = _read_payload(path)
     scale = _scale(hdr, path)
     # integers under a finite float32 rescale stay finite in float64; floats
-    # are checked here, one z slab at a time, so no whole-scan float64 copy exists
+    # are checked here, streamed one chunk at a time, so no whole-scan copy exists
     if not np.issubdtype(payload.dtype, np.integer):
-        nx, ny, nz = payload.shape
-        step = max(1, _SLAB_VOXELS // (nx * ny))
         with np.errstate(over="ignore"):  # a rescale that overflows is reported as non-finite
-            for k in range(0, nz, step):
-                if not np.isfinite(_to_hu(payload[:, :, k : k + step], scale)).all():
+            for _, chunk in _payload_chunks(path, hdr, payload):
+                if not np.isfinite(_to_hu(chunk, scale)).all():
                     raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
     return VoxelVolume._from_payload(payload, scale, hdr["spacing"], hdr["origin"])
 
@@ -280,21 +280,25 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     from this particular file (e.g. one shared map for a whole cohort), but
     every nonzero label present in the file must have an entry.  Integer
     payloads keep their on-disk type; a float or rescaled payload must hold
-    whole numbers in the int32 range and becomes int32.
+    whole numbers in the int32 range and becomes int32 one chunk at a time.
     """
     hdr, payload = _read_payload(path)
     if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
         labels = payload.astype(payload.dtype.newbyteorder("="), copy=False)  # the map itself when native
     else:
-        with np.errstate(over="ignore"):  # a rescale that overflows fails the range check
-            data = _to_hu(payload, _scale(hdr, path))
-        rounded = np.rint(data)
-        if not np.array_equal(data, rounded):
-            raise MaskError(f"{path}: mask contains non-integer voxel values")
+        scale = _scale(hdr, path)
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-        if data.min() < lo or data.max() > hi:
-            raise MaskError(f"{path}: mask labels must lie in the int32 label range [{lo}, {hi}]")
-        labels = rounded.astype(np.int32)
+        labels = np.empty(payload.shape, dtype=np.int32, order="F")
+        flat = labels.reshape(-1, order="F")  # a view, filled in file order
+        for start, chunk in _payload_chunks(path, hdr, payload):
+            with np.errstate(over="ignore"):  # a rescale that overflows fails the range check
+                data = _to_hu(chunk, scale)
+            rounded = np.rint(data)
+            if not np.array_equal(data, rounded):
+                raise MaskError(f"{path}: mask contains non-integer voxel values")
+            if data.min() < lo or data.max() > hi:
+                raise MaskError(f"{path}: mask labels must lie in the int32 label range [{lo}, {hi}]")
+            flat[start : start + len(chunk)] = rounded
     boxes = _label_boxes(labels)
     class_of_label = {lbl: class_map[lbl] for lbl in boxes if lbl in class_map}
     try:

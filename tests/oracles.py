@@ -607,7 +607,7 @@ def triangle_mesh(mask, spacing):
     (watertightness, winding) exercise the table the package itself uses.
     """
     spacing = np.asarray(spacing, dtype=np.float64)
-    cfg = mesh._config_grid(mask)
+    cfg = mesh._config_grid(np.pad(np.asarray(mask, dtype=bool), 1))
     tris = []
     for i, j, k in np.argwhere((cfg != 0) & (cfg != 255)):
         origin = np.array([i, j, k], dtype=np.float64)
@@ -670,7 +670,7 @@ def mesh_sums_loop(mask, spacing):
     """Area and volume of ``mesh.mesh_surface_and_volume``, accumulated by a
     Python loop over the cell configs present, in config order."""
     constants = mesh._spacing_constants(tuple(float(s) for s in spacing))
-    cfg = mesh._config_grid(mask)
+    cfg = mesh._config_grid(np.pad(np.asarray(mask, dtype=bool), 1))
     flat = cfg.ravel()
     counts = np.bincount(flat, minlength=256)
     nz_cell = np.broadcast_to(np.arange(cfg.shape[2], dtype=np.float64) * spacing[2], cfg.shape).ravel()

@@ -1,5 +1,6 @@
 """Hand-worked feature examples, canonical ordering, and module invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -285,7 +286,7 @@ class TestShapeExamples:
         from ctradiomics import mesh
 
         mask = np.ones(mask_shape, dtype=bool)
-        area, volume = mesh.mesh_surface_and_volume(mask, np.asarray(spacing))
+        area, volume = mesh.mesh_surface_and_volume(np.pad(mask, 1), np.asarray(spacing))
         assert area > 0.0 and volume > 0.0
         f = shape_features(discretize(region_from_mask(mask, np.zeros(mask_shape), spacing), 25.0))
         assert (f["SurfaceArea"], f["MeshVolume"]) == (area, volume)
@@ -394,33 +395,38 @@ class TestInvariances:
         assert b["fos_Variance"] == pytest.approx(a["fos_Variance"], rel=1e-9)
 
     def test_axis_permutation(self):
-        # plane-bound diameters permute with the axes; everything else is invariant
+        # all 48 symmetries of the cube (6 axis permutations x 8 reflections),
+        # with the spacing permuted with the axes: plane-bound diameters
+        # permute with the axes; everything else is invariant
         diameter_of_plane = {
             frozenset({0, 1}): "shape_Maximum2DDiameterSlice",
             frozenset({0, 2}): "shape_Maximum2DDiameterColumn",
             frozenset({1, 2}): "shape_Maximum2DDiameterRow",
         }
-        region = random_blob_region(seed=6)
-        base = extract_all(region).values
-        for perm in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
-            permuted = LesionRegion(
-                coordinates=region.coordinates[:, perm],
-                intensities=region.intensities,
-                spacing=region.spacing,
-            )
-            other = extract_all(permuted).values
-            for k, v in base.items():
-                if k in diameter_of_plane.values():
-                    continue
-                assert other[k] == pytest.approx(v, rel=1e-9, abs=1e-9), f"{perm}:{k}"
-            # a plane {a, b} of the original appears as plane {perm^-1} image
-            inverse = {perm[i]: i for i in range(3)}
-            for plane, name in diameter_of_plane.items():
-                image = frozenset(inverse[a] for a in plane)
-                assert other[diameter_of_plane[image]] == pytest.approx(base[name], rel=1e-9), (
-                    perm,
-                    name,
+        symmetries = list(itertools.product(itertools.permutations(range(3)), itertools.product((1, -1), repeat=3)))
+        assert len(symmetries) == 48
+        blob = random_blob_region(seed=6)
+        for spacing in ((1.0, 1.0, 1.0), (0.7, 1.1, 2.5)):
+            region = LesionRegion(coordinates=blob.coordinates, intensities=blob.intensities, spacing=spacing)
+            base = extract_all(region).values
+            for perm, signs in symmetries:
+                moved = region.coordinates[:, perm] * signs
+                permuted = LesionRegion(
+                    coordinates=moved - moved.min(axis=0),
+                    intensities=region.intensities,
+                    spacing=tuple(spacing[a] for a in perm),
                 )
+                other = extract_all(permuted).values
+                case = (spacing, perm, signs)
+                for k, v in base.items():
+                    if k in diameter_of_plane.values():
+                        continue
+                    assert other[k] == pytest.approx(v, rel=1e-9, abs=1e-9), (case, k)
+                # a plane {a, b} of the original appears as plane {perm^-1} image
+                inverse = {perm[i]: i for i in range(3)}
+                for plane, name in diameter_of_plane.items():
+                    image = frozenset(inverse[a] for a in plane)
+                    assert other[diameter_of_plane[image]] == pytest.approx(base[name], rel=1e-9), (case, name)
 
     def test_probability_normalization(self):
         d = discretize(random_blob_region(seed=8), 25.0)

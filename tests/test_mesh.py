@@ -1,6 +1,7 @@
 """Structural properties of the binary iso-surface mesher."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -50,26 +51,26 @@ def test_faces_wind_counterclockwise_seen_from_outside():
 
 
 def test_single_voxel_octahedron():
-    area, volume = mesh.mesh_surface_and_volume(np.ones((1, 1, 1), bool), (1.0, 1.0, 1.0))
+    area, volume = mesh.mesh_surface_and_volume(np.pad(np.ones((1, 1, 1), bool), 1), (1.0, 1.0, 1.0))
     assert volume == pytest.approx(1.0 / 6.0)
     assert area == pytest.approx(math.sqrt(3.0))
 
 
 def test_cube_anchors():
-    area, volume = mesh.mesh_surface_and_volume(np.ones((10, 10, 10), bool), (1.0, 1.0, 1.0))
+    area, volume = mesh.mesh_surface_and_volume(np.pad(np.ones((10, 10, 10), bool), 1), (1.0, 1.0, 1.0))
     assert volume == pytest.approx(1000.0, rel=0.05)
     assert area == pytest.approx(600.0, rel=0.10)
 
 
 def test_anisotropic_box():
-    area, volume = mesh.mesh_surface_and_volume(np.ones((4, 4, 4), bool), (1.0, 2.0, 3.0))
+    area, volume = mesh.mesh_surface_and_volume(np.pad(np.ones((4, 4, 4), bool), 1), (1.0, 2.0, 3.0))
     assert volume < 4 * 8 * 12  # chamfered corners shave the full box
     assert volume == pytest.approx(4 * 8 * 12, rel=0.15)
 
 
 def test_matches_naive_mesher():
     for m in _random_masks(10):
-        area, volume = mesh.mesh_surface_and_volume(m, (1.0, 1.3, 0.7))
+        area, volume = mesh.mesh_surface_and_volume(np.pad(m, 1), (1.0, 1.3, 0.7))
         oracle_area, oracle_volume = oracles.mesh_area_volume_oracle(m, (1.0, 1.3, 0.7))
         assert area == pytest.approx(oracle_area, rel=1e-9)
         assert volume == pytest.approx(oracle_volume, rel=1e-9)
@@ -92,12 +93,18 @@ def test_meshes_are_watertight():
 
 
 def test_axis_permutation_symmetry():
-    for m in _random_masks(5, seed=3):
-        area0, vol0 = mesh.mesh_surface_and_volume(m, (1.0, 1.0, 1.0))
-        for perm in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
-            area1, vol1 = mesh.mesh_surface_and_volume(np.transpose(m, perm), (1.0, 1.0, 1.0))
-            assert area1 == pytest.approx(area0, rel=1e-12)
-            assert vol1 == pytest.approx(vol0, rel=1e-12)
+    # all 48 symmetries of the cube: 6 axis permutations x 8 reflections,
+    # with the spacing permuted with the axes
+    symmetries = list(itertools.product(itertools.permutations(range(3)), itertools.product((1, -1), repeat=3)))
+    assert len(symmetries) == 48
+    for spacing in ((1.0, 1.0, 1.0), (0.7, 1.1, 2.5)):
+        for m in _random_masks(5, seed=3):
+            area0, vol0 = mesh.mesh_surface_and_volume(np.pad(m, 1), spacing)
+            for perm, signs in symmetries:
+                moved = np.transpose(m, perm)[tuple(slice(None, None, sign) for sign in signs)]
+                area1, vol1 = mesh.mesh_surface_and_volume(np.pad(moved, 1), [spacing[a] for a in perm])
+                assert area1 == pytest.approx(area0, rel=1e-12), (spacing, perm, signs)
+                assert vol1 == pytest.approx(vol0, rel=1e-12), (spacing, perm, signs)
 
 
 def test_vertices_lie_on_crossing_edges():
@@ -112,7 +119,7 @@ def test_vertices_lie_on_crossing_edges():
 def test_disjoint_components_add_up():
     m = np.zeros((5, 1, 1), bool)
     m[0] = m[4] = True
-    area, volume = mesh.mesh_surface_and_volume(m, (1.0, 1.0, 1.0))
+    area, volume = mesh.mesh_surface_and_volume(np.pad(m, 1), (1.0, 1.0, 1.0))
     assert volume == pytest.approx(2.0 / 6.0)
     assert area == pytest.approx(2.0 * math.sqrt(3.0))
 
@@ -144,7 +151,7 @@ def _masks_and_spacings(draw):
 def test_mesh_sums_equal_the_config_loop(case):
     # np.cumsum adds the per-config terms in the loop's order: equal bit for bit
     mask, spacing = case
-    assert mesh.mesh_surface_and_volume(mask, spacing) == oracles.mesh_sums_loop(mask, spacing)
+    assert mesh.mesh_surface_and_volume(np.pad(mask, 1), spacing) == oracles.mesh_sums_loop(mask, spacing)
 
 
 def test_loop_table_is_built_on_first_use():
@@ -154,9 +161,10 @@ def test_loop_table_is_built_on_first_use():
     src = str(Path(ctradiomics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
+        "import numpy as np\n"
         "from ctradiomics import cli, mesh\n"
         "print(mesh.loop_table.cache_info().currsize)\n"
-        "mesh.mesh_surface_and_volume(__import__('numpy').ones((1, 1, 1), bool), (1.0, 1.0, 1.0))\n"
+        "mesh.mesh_surface_and_volume(np.pad(np.ones((1, 1, 1), bool), 1), (1.0, 1.0, 1.0))\n"
         "print(mesh.loop_table.cache_info().currsize)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)

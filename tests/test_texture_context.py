@@ -24,9 +24,7 @@ from ctradiomics.features.context import UNIQUE_DIRECTIONS, DiscretizedRegion, d
 def _region(coords, levels) -> DiscretizedRegion:
     coords = np.asarray(coords, dtype=np.intp).reshape(-1, 3)
     levels = np.asarray(levels, dtype=np.int64)
-    return DiscretizedRegion(
-        levels=levels, n_levels=int(levels.max()), bin_width=1.0, coordinates=coords, spacing=(1.0, 1.0, 1.0)
-    )
+    return DiscretizedRegion(levels=levels, n_levels=int(levels.max()), coordinates=coords, spacing=(1.0, 1.0, 1.0))
 
 
 def _dense(table, ng, width) -> np.ndarray:

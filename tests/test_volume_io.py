@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from ctradiomics import errors
 from ctradiomics.errors import ClassMapError, GeometryError, MaskError, NiftiFormatError, UnsupportedDataTypeError
 from ctradiomics.volume_io import (
     LesionMask,
@@ -125,6 +126,20 @@ class TestReadVolume:
         payload[-1] = 0.0
         path = write_blob(tmp_path, make_nifti_bytes(dims=(3, 4, 5), datatype=datatype, payload=payload))
         assert read_volume(path).data.tobytes(order="F") == payload.tobytes()
+
+    @pytest.mark.parametrize("bad_index", [(1 << 20) - 1, -1], ids=["first_chunk_end", "file_end"])
+    def test_non_finite_voxel_at_a_chunk_end_fails_the_read(self, tmp_path, bad_index):
+        # float payloads stream from the file in chunks of 2^20 voxels; the
+        # last voxel of the first chunk and of the file are each checked
+        import ctradiomics.volume_io as vio
+
+        dims = (128, 128, 65)
+        assert vio._SLAB_VOXELS == 1 << 20 < np.prod(dims)
+        flat = np.zeros(np.prod(dims), dtype=np.float32)
+        flat[bad_index] = np.nan
+        write_nifti(tmp_path / "v.nii", flat.reshape(dims, order="F"), (1.0, 1.0, 1.0))
+        with pytest.raises(NiftiFormatError, match="non-finite"):
+            read_volume(tmp_path / "v.nii")
 
     def test_float64_rescale_overflow_fails_the_read(self, tmp_path, monkeypatch):
         import ctradiomics.volume_io as vio
@@ -325,6 +340,109 @@ class TestReadMask:
             tracemalloc.stop()
         assert [(r.label, cls) for r, cls in regions] == [(top, 2)]
         assert peak < 50 * 2**20
+
+    def test_float_mask_streams_into_its_labels(self, tmp_path, monkeypatch):
+        # a float mask becomes int32 one chunk at a time: the peak is the
+        # labels, the label pass's byte per voxel and a few float64 chunks,
+        # not whole-mask float64 copies
+        import ctradiomics.volume_io as vio
+
+        monkeypatch.setattr(vio, "_SLAB_VOXELS", 1 << 16)
+        dims = (128, 128, 32)
+        labels = np.zeros(dims, dtype=np.float32)
+        labels[10:20, 30:40, 5:9] = 1
+        labels[60:70, 60:80, 10:20] = 2
+        write_nifti(tmp_path / "m.nii", labels, (0.7, 0.7, 2.5))
+        tracemalloc.start()
+        try:
+            mask = read_mask(tmp_path / "m.nii", {1: 1, 2: 3})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.labels.dtype == np.int32
+        assert np.array_equal(mask.labels, labels)
+        bound = 4 * labels.size + labels.size + 4 * 8 * vio._SLAB_VOXELS + 2**16
+        assert peak < bound
+
+
+# every exception type that ctradiomics.errors defines
+_TYPED_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
+_ITEMSIZE = {2: 1, 4: 2, 8: 4, 16: 4, 64: 8}
+
+
+def _mostly(draw, common, rare):
+    """A draw from the strategy ``common`` nine times in ten, else from ``rare``."""
+    return draw(rare if draw(hs.integers(0, 9)) == 0 else common)
+
+
+@hs.composite
+def _nifti_files(draw):
+    """A single-file NIfTI-1 blob with fuzzed geometry, type, offset and
+    rescale fields, in either byte order, possibly cut short.  Each field is
+    usually valid, so that most blobs reach the payload checks."""
+    order = draw(hs.sampled_from("<>"))
+    ndim = _mostly(draw, hs.just(3), hs.sampled_from([4, 7, 2, 8, 0, -1]))
+    dims = [_mostly(draw, hs.integers(1, 5), hs.sampled_from([0, -1, 32767])) for _ in range(3)]
+    higher = [_mostly(draw, hs.just(1), hs.sampled_from([0, 2, -1])) for _ in range(4)]
+    pixdim = [_mostly(draw, hs.sampled_from([1.0, 0.7, 2.5]), hs.floats(width=32)) for _ in range(3)]
+    datatype = _mostly(draw, hs.sampled_from([2, 4, 8, 16, 64]), hs.sampled_from([0, 1, 128, 256, 512, 1536]))
+    bitpix = _mostly(draw, hs.just(8 * _ITEMSIZE.get(datatype, 1)), hs.integers(-(2**15), 2**15 - 1))
+    vox_offset = _mostly(
+        draw, hs.sampled_from([352.0, 348.0, 360.0, 357.5]), hs.sampled_from([347.0, 0.0, 1e10]) | hs.floats(width=32)
+    )
+    slope = _mostly(draw, hs.sampled_from([1.0, 0.0, 2.0, -0.5]), hs.floats(width=32))
+    inter = _mostly(draw, hs.sampled_from([0.0, -1024.0]), hs.floats(width=32))
+
+    hdr = bytearray(352)
+    struct.pack_into(order + "i", hdr, 0, 348)
+    struct.pack_into(order + "8h", hdr, 40, ndim, *dims, *higher)
+    struct.pack_into(order + "hh", hdr, 70, datatype, bitpix)
+    struct.pack_into(order + "8f", hdr, 76, 0.0, *pixdim, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(order + "3f", hdr, 108, vox_offset, slope, inter)
+    hdr[344:348] = b"n+1\x00"
+    gap = int(vox_offset) - 352 if 352 <= vox_offset < 400 else 0
+    n = int(np.prod(dims)) if all(0 < d <= 5 for d in dims) else draw(hs.integers(0, 8))
+    # half the payloads hold only labels of the class map below (0 and 1..3)
+    tame = draw(hs.booleans())
+    if datatype in (16, 64):
+        dtype = np.float32 if datatype == 16 else np.float64
+        values = hs.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]) if tame else hs.floats(width=8 * _ITEMSIZE[datatype])
+    else:
+        dtype = {4: np.int16, 8: np.int32}.get(datatype, np.uint8)
+        info = np.iinfo(dtype)
+        values = hs.sampled_from([0, 0, 1, 2, 3]) if tame else hs.integers(int(info.min), int(info.max))
+    payload = np.array(draw(hs.lists(values, min_size=n, max_size=n)), dtype=np.dtype(dtype).newbyteorder(order))
+    blob = bytes(hdr) + bytes(gap) + payload.tobytes()
+    return _mostly(draw, hs.just(blob), hs.integers(0, len(blob)).map(lambda cut: blob[:cut]))
+
+
+class TestFuzzedFiles:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(_nifti_files())
+    @example(make_nifti_bytes(datatype=64, payload=[0.0] * 7 + [np.inf], byteorder=">"))
+    @example(make_nifti_bytes(datatype=16, payload=[1, 2, 3, 0, 0, 0, 0, np.nan], scl_slope=3.0))
+    @example(make_nifti_bytes(datatype=64, payload=[1e308] * 8, scl_slope=-10.0, scl_inter=5.0))
+    @example(make_nifti_bytes(datatype=8, payload=[-(2**31)] * 8, scl_slope=float(np.finfo(np.float32).max)))
+    @example(make_nifti_bytes(dims=(3, 1, 2), datatype=2, payload=[0, 1, 2, 3, 0, 1], vox_offset=352.5))
+    def test_only_typed_errors_escape_the_readers(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_blob(Path(tmp), blob)
+            try:
+                vol = read_volume(path)
+            except _TYPED_ERRORS:
+                pass
+            else:
+                assert np.isfinite(vol.data).all()
+                del vol
+            try:
+                mask = read_mask(path, {1: 1, 2: 2, 3: 3})
+            except _TYPED_ERRORS:
+                pass
+            else:
+                assert np.issubdtype(mask.labels.dtype, np.integer)
+                assert set(mask.boxes) <= {1, 2, 3}
+                del mask  # release the map before the directory goes
 
 
 class TestWriteNifti:

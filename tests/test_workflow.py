@@ -53,3 +53,11 @@ def test_runtime_only_compares_two_runs_of_experiments_and_train():
         ("model-1.report.json", "model-2.report.json"),
     ):
         assert f'cmp "$work/{first}" "$work/{second}"' in script
+
+
+def test_runtime_only_memory_guard_extracts_a_float64_image():
+    # float payloads are checked for NaN in streamed chunks: the guard holds
+    # a float64 copy of its scan to the same peak RSS limit as the int16 one
+    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
+    script = "\n".join(step.get("run", "") for step in steps)
+    assert 'write_nifti(work / "image-float64.nii", image.astype(np.float64), spacing)' in script
