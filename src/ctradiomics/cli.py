@@ -114,20 +114,33 @@ def _counts(text):
     return tuple(int(p) for p in parts)
 
 
+def extract_scan(scan_id: str, vol, mask, bin_width: float, spacing: float) -> list:
+    """The (lesion_id, scan_id, class_id, FeatureVector) row of each lesion of
+    one scan, sampled at ``spacing`` mm and binned at ``bin_width`` HU: the one
+    extraction path, for the ``extract`` command and for scans in memory."""
+    lesions = extract_lesions(vol, mask, spacing)
+    del vol, mask  # the regions hold copies; free the scan before the features run
+    records = []
+    for region, class_id in lesions:
+        lesion_id = f"{scan_id}/{region.label}"
+        records.append((lesion_id, scan_id, class_id, extract_all(region, bin_width, lesion_id=lesion_id)))
+    return records
+
+
 def _extract_scan(args):
-    """The scan's lesion rows, and the messages of the warnings raised meanwhile."""
+    """The rows of a manifest entry's scan, and the messages of the warnings
+    raised meanwhile."""
     entry, bin_width, spacing = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the default filter shows a repeat once per process
-        vol = read_volume(entry.image_path)
-        mask = read_mask(entry.mask_path, entry.class_map)
-        lesions = extract_lesions(vol, mask, spacing)
-        del vol, mask  # the regions hold copies; free the scan before the features run
-        records = []
-        for region, class_id in lesions:
-            lesion_id = f"{entry.scan_id}/{region.label}"
-            fv = extract_all(region, bin_width, lesion_id=lesion_id)
-            records.append((lesion_id, entry.scan_id, class_id, fv))
+        # the reads are passed on unnamed, so extract_scan can free the scan
+        records = extract_scan(
+            entry.scan_id,
+            read_volume(entry.image_path),
+            read_mask(entry.mask_path, entry.class_map),
+            bin_width,
+            spacing,
+        )
     return records, [str(w.message) for w in caught]
 
 

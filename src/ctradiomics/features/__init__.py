@@ -16,9 +16,9 @@ from ..volume_io import LesionRegion
 from .context import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
 from .firstorder import FOS_NAMES, first_order_features
 from .glcm import GLCM_NAMES, glcm_features, glcm_matrices
-from .gldm import GLDM_NAMES, gldm_features, gldm_matrix
-from .glrlm import GLRLM_NAMES, glrlm_features, glrlm_matrices
-from .glszm import GLSZM_NAMES, glszm_features, glszm_matrix
+from .gldm import GLDM_NAMES, gldm_cells, gldm_features
+from .glrlm import GLRLM_NAMES, glrlm_cells, glrlm_features
+from .glszm import GLSZM_NAMES, glszm_cells, glszm_features
 from .ngtdm import NGTDM_NAMES, ngtdm_features, ngtdm_table
 from .shape import SHAPE_NAMES, shape_features
 
@@ -120,12 +120,12 @@ __all__ = [
     "first_order_features",
     "glcm_features",
     "glcm_matrices",
+    "gldm_cells",
     "gldm_features",
-    "gldm_matrix",
+    "glrlm_cells",
     "glrlm_features",
-    "glrlm_matrices",
+    "glszm_cells",
     "glszm_features",
-    "glszm_matrix",
     "ngtdm_features",
     "ngtdm_table",
     "shape_features",

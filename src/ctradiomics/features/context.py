@@ -43,6 +43,21 @@ class Neighbours(NamedTuple):
     table: np.ndarray
 
 
+class Cells(NamedTuple):
+    """The nonzero cells of one (gray level x size) count table in order of size,
+    then level: GLDM's, GLRLM's and GLSZM's tables as ``table_features`` reads them."""
+
+    level: np.ndarray  # (k,) gray level, 1-based
+    size: np.ndarray  # (k,) dependence size, run length or zone size, 1-based
+    count: np.ndarray  # (k,) > 0
+
+    @classmethod
+    def of_codes(cls, code: np.ndarray, count: np.ndarray, n_levels: int) -> Cells:
+        """The cells of codes (size - 1) * n_levels + level - 1, ascending."""
+        size, level = np.divmod(code, n_levels)
+        return cls(level + 1, size + 1, count)
+
+
 @dataclass
 class DiscretizedRegion:
     """A lesion region with intensities quantized to gray levels 1..n_levels.
@@ -110,12 +125,9 @@ class DiscretizedRegion:
         """``table_features`` of GLDM's dependence table, GLRLM's 13 run
         tables and GLSZM's zone table from one call, keyed by family, shape
         (16, tables) each."""
-        # the table builders live with their families, which import this module
-        from .gldm import gldm_matrix
-        from .glrlm import glrlm_matrices
-        from .glszm import glszm_matrix
+        from . import gldm, glrlm, glszm  # the table builders import this module
 
-        tables = [gldm_matrix(self), *glrlm_matrices(self).values(), glszm_matrix(self)]
+        tables = [gldm.gldm_cells(self), *glrlm.glrlm_cells(self), glszm.glszm_cells(self)]
         stats = table_features(tables, len(self))
         return {"gldm": stats[:, :1], "glrlm": stats[:, 1:14], "glszm": stats[:, 14:]}
 
@@ -134,42 +146,35 @@ def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
     )
 
 
-def table_features(matrices, n_voxels: int) -> np.ndarray:
+def table_features(tables: list[Cells], n_voxels: int) -> np.ndarray:
     """The 16 statistics of each (gray level x size) count table, shape (16, T)
     for T tables, in the order of ``GLRLM_NAMES`` and ``GLSZM_NAMES``.
 
-    Run, zone and dependence tables share these IBSI definitions.  Only the
-    nonzero cells (table, level, size, count) are read, so the cost follows
-    the cells, not the table width; every table must hold a count.
+    Run, zone and dependence tables share these IBSI definitions.  Each table
+    comes as its nonzero cells, so the cost follows the cells, not n_levels x
+    the largest size; every table must hold a count.
     """
-    first = np.cumsum([0] + [m.shape[1] for m in matrices[:-1]])  # each table's first row below
-    columns = np.concatenate([m.T for m in matrices])  # size x level, table after table
-    at, row = columns.nonzero()  # cells grouped by table, then by size
-    count = columns[at, row]
-    table = first.searchsorted(at, "right") - 1
-    start = at.searchsorted(first)  # each table's first cell
-
-    def per_table(values: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(values, start, axis=-1)
-
-    i, j = row + 1.0, at - first[table] + 1.0
+    level, size, count = (np.concatenate(column) for column in zip(*tables))
+    table = np.repeat(np.arange(len(tables)), [len(t.count) for t in tables])
+    start = np.flatnonzero(np.diff(table, prepend=-1))  # each table's first cell
+    i, j = level.astype(np.float64), size.astype(np.float64)
     i2, j2 = i * i, j * j
-    sums = per_table(
-        np.array(
-            (count, count / j2, count * j2, count / i2, count * i2, count / (i2 * j2),
-             count * i2 / j2, count * j2 / i2, count * i2 * j2, count * i, count * j)
-        )
+    sums = np.add.reduceat(
+        (count, count / j2, count * j2, count / i2, count * i2, count / (i2 * j2),
+         count * i2 / j2, count * j2 / i2, count * i2 * j2, count * i, count * j), start, axis=-1
     )
     n = sums[0]
     emphasis = sums[1:9] / n
     mu_i, mu_j = sums[9:] / n
     p = count / n[table]
-    gl_variance, size_variance, plogp = per_table(
-        p * np.array(((i - mu_i[table]) ** 2, (j - mu_j[table]) ** 2, np.log2(p)))
+    gl_variance, size_variance, plogp = np.add.reduceat(
+        p * np.array(((i - mu_i[table]) ** 2, (j - mu_j[table]) ** 2, np.log2(p))), start, axis=-1
     )
     # per (table, level) and per (table, size) totals, exact: they sum integers
-    ng = columns.shape[1]
-    gln = (np.bincount(table * ng + row, count, len(matrices) * ng).reshape(-1, ng) ** 2).sum(axis=1)
-    szn = np.add.reduceat(np.bincount(at, count, len(columns)) ** 2, first)
+    ng = int(level.max())
+    gln = (np.bincount(table * ng + level - 1, count, len(tables) * ng).reshape(-1, ng) ** 2).sum(axis=1)
+    # the first cell of each (table, size): cells come in order of table, then size
+    first = np.flatnonzero(np.diff(table * (int(size.max()) + 1) + size, prepend=-1))
+    szn = np.bincount(table[first], np.add.reduceat(count, first) ** 2, len(tables))
     shared = (gln / n, gln / n**2, szn / n, szn / n**2, n / n_voxels, gl_variance, size_variance, -plogp + 0.0)
     return np.concatenate((emphasis[:2], shared, emphasis[2:]))

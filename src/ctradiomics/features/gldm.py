@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import DiscretizedRegion
+from .context import Cells, DiscretizedRegion
 
 GLDM_NAMES = (
     "SmallDependenceEmphasis",
@@ -30,14 +30,13 @@ GLDM_NAMES = (
 )
 
 
-def gldm_matrix(d: DiscretizedRegion) -> np.ndarray:
-    """Dependence counts, rows = gray level 1..Ng, columns = size 1..27."""
+def gldm_cells(d: DiscretizedRegion) -> Cells:
+    """Dependence counts by gray level and dependence size 1..27."""
     nb = d.neighbours
-    ng = d.n_levels
-    max_size = 27
-    dependents = (nb.table == nb.level).sum(axis=0)  # +1 for the voxel itself below, via indexing
-    counts = np.bincount((nb.level.astype(np.intp) - 1) * max_size + dependents, minlength=ng * max_size)
-    return counts.reshape(ng, max_size).astype(np.float64)
+    dependents = (nb.table == nb.level).sum(axis=0)  # the size less the voxel itself
+    counts = np.bincount(dependents * d.n_levels + nb.level - 1)
+    code = np.flatnonzero(counts)
+    return Cells.of_codes(code, counts[code], d.n_levels)
 
 
 def gldm_features(d: DiscretizedRegion) -> dict[str, float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion
+from .context import Cells, DiscretizedRegion
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -26,8 +26,8 @@ GLRLM_NAMES = (
 )
 
 
-def glrlm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarray]:
-    """Run counts keyed by direction, rows = gray level, columns = run length.
+def glrlm_cells(d: DiscretizedRegion) -> list[Cells]:
+    """Run counts by gray level and run length, one table per UNIQUE_DIRECTIONS entry.
 
     Runs are maximal same-level segments of in-region voxels along a
     direction.  On the flat padded grid a step along a direction is a step
@@ -37,20 +37,16 @@ def glrlm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarra
     and a run is a stretch of one nonzero level in that walk.
     """
     flat = d.grid.ravel()
-    ng = d.n_levels
-    matrices = {}
-    for direction, s in zip(UNIQUE_DIRECTIONS, d.strides):
-        walk = np.zeros(-(-flat.size // s) * s, dtype=flat.dtype)
-        walk[: flat.size] = flat
-        walk = walk.reshape(-1, s).T.ravel()
+    tables = []
+    for s in d.strides:
+        walk = np.concatenate((flat, np.zeros(-flat.size % s, flat.dtype))).reshape(-1, s).T.ravel()
         edges = np.flatnonzero(walk[1:] != walk[:-1]) + 1  # where each stretch after the first starts
         level = walk[edges[:-1]]  # the last stretch is the walk's closing 0s
         run = level > 0
-        lengths = np.diff(edges)[run]
-        width = int(lengths.max())
-        cells = (level[run].astype(np.intp) - 1) * width + lengths - 1
-        matrices[direction] = np.bincount(cells, minlength=ng * width).reshape(ng, width).astype(np.float64)
-    return matrices
+        counts = np.bincount((np.diff(edges)[run] - 1) * d.n_levels + level[run] - 1)
+        code = np.flatnonzero(counts)
+        tables.append(Cells.of_codes(code, counts[code], d.n_levels))
+    return tables
 
 
 def glrlm_features(d: DiscretizedRegion) -> dict[str, float]:

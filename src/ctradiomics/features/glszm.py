@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import DiscretizedRegion, batch_rows
+from .context import Cells, DiscretizedRegion, batch_rows
 
 GLSZM_NAMES = (
     "SmallAreaEmphasis",
@@ -26,8 +26,8 @@ GLSZM_NAMES = (
 )
 
 
-def glszm_matrix(d: DiscretizedRegion) -> np.ndarray:
-    """Zone counts, rows = gray level 1..Ng, columns = zone size 1..max.
+def glszm_cells(d: DiscretizedRegion) -> Cells:
+    """Zone counts by gray level and zone size, from one code per zone.
 
     All levels are labelled in one pass over the voxels in flat grid order.
     The same-level runs along the last axis are the first labels; the
@@ -52,12 +52,8 @@ def glszm_matrix(d: DiscretizedRegion) -> np.ndarray:
     sizes = np.bincount(zone)
     zone_level = np.zeros(len(sizes), dtype=np.intp)
     zone_level[zone] = nb.level
-    present = sizes > 0
-    max_size = int(sizes.max())
-    cells = (zone_level[present] - 1) * max_size + sizes[present] - 1
-    # weighted, so the (possibly wide) matrix is built as float64 in one go
-    counts = np.bincount(cells, weights=np.ones(len(cells)), minlength=d.n_levels * max_size)
-    return counts.reshape(d.n_levels, max_size)
+    code, count = np.unique(((sizes - 1) * d.n_levels + zone_level - 1)[sizes > 0], return_counts=True)
+    return Cells.of_codes(code, count, d.n_levels)
 
 
 def _joined(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

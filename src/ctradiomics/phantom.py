@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset
-from .features import FEATURE_COLUMNS, extract_all
-from .volume_io import LesionMask, VoxelVolume, extract_lesions
+from .volume_io import LesionMask, VoxelVolume
 
 # features the construction drives hard; VIP selection is expected to keep them
 PLANTED_FEATURES: tuple[str, ...] = ("shape_Sphericity", "glcm_Contrast", "fos_Variance")
@@ -126,28 +124,3 @@ def generate_phantom(n_per_class, seed: int) -> list[PhantomScan]:
                 remaining[cls - 1] -= 1
                 scans.append(_make_scan(f"phantom_{len(scans):04d}", cls, rng))
     return scans
-
-
-def generate_phantom_dataset(n_per_class, seed: int) -> Dataset:
-    """Generate phantoms and extract their features at the default bin width
-    and 1 mm spacing."""
-    scans = generate_phantom(n_per_class, seed)
-    rows = []
-    y = []
-    lesion_ids = []
-    scan_ids = []
-    for scan in scans:
-        for region, class_id in extract_lesions(scan.volume, scan.mask, 1.0):
-            lesion_id = f"{scan.scan_id}/{region.label}"
-            fv = extract_all(region, lesion_id=lesion_id)
-            rows.append(fv.as_array())
-            y.append(class_id)
-            lesion_ids.append(lesion_id)
-            scan_ids.append(scan.scan_id)
-    return Dataset(
-        x=np.vstack(rows),
-        y=np.array(y, dtype=int),
-        feature_names=FEATURE_COLUMNS,
-        lesion_ids=tuple(lesion_ids),
-        scan_ids=tuple(scan_ids),
-    )

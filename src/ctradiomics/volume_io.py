@@ -280,7 +280,9 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     from this particular file (e.g. one shared map for a whole cohort), but
     every nonzero label present in the file must have an entry.  Integer
     payloads keep their on-disk type; a float or rescaled payload must hold
-    whole numbers in the int32 range and becomes int32 one chunk at a time.
+    whole numbers in the int32 range.  It is read one chunk at a time into
+    uint8 labels, which are widened only when a chunk holds a label they
+    cannot.
     """
     hdr, payload = _read_payload(path)
     if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
@@ -288,17 +290,20 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     else:
         scale = _scale(hdr, path)
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
-        labels = np.empty(payload.shape, dtype=np.int32, order="F")
-        flat = labels.reshape(-1, order="F")  # a view, filled in file order
+        labels = np.empty(payload.shape, dtype=np.uint8, order="F")
         for start, chunk in _payload_chunks(path, hdr, payload):
             with np.errstate(over="ignore"):  # a rescale that overflows fails the range check
                 data = _to_hu(chunk, scale)
             rounded = np.rint(data)
             if not np.array_equal(data, rounded):
                 raise MaskError(f"{path}: mask contains non-integer voxel values")
-            if data.min() < lo or data.max() > hi:
+            low, high = data.min(), data.max()
+            if low < lo or high > hi:
                 raise MaskError(f"{path}: mask labels must lie in the int32 label range [{lo}, {hi}]")
-            flat[start : start + len(chunk)] = rounded
+            wider = np.result_type(labels.dtype, np.min_scalar_type(int(low)), np.min_scalar_type(int(high)))
+            if wider != labels.dtype:
+                labels = labels.astype(wider, order="F")
+            labels.reshape(-1, order="F")[start : start + len(chunk)] = rounded  # a view, filled in file order
     boxes = _label_boxes(labels)
     class_of_label = {lbl: class_map[lbl] for lbl in boxes if lbl in class_map}
     try:

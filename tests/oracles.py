@@ -331,11 +331,12 @@ def glrlm_run_table(pos, direction):
 
 
 def glrlm_matrices_packed_keys(d):
-    """``glrlm_matrices`` of a ``DiscretizedRegion`` by the packed-key sort it
-    replaced: each run start and end on the neighbour table gets an int64 key
-    (direction, position mod stride, position // stride), starts carry their
-    level in the low bits, and after sorting both lists the i-th start and the
-    i-th end bound the same run."""
+    """The run tables of a ``DiscretizedRegion``, dense (level x run length)
+    float64 keyed by direction, by the packed-key sort that the run-length
+    pass of ``glrlm_cells`` replaced: each run start and end on the neighbour
+    table gets an int64 key (direction, position mod stride, position //
+    stride), starts carry their level in the low bits, and after sorting both
+    lists the i-th start and the i-th end bound the same run."""
     nb = d.neighbours
     ng = d.n_levels
     strides = np.array(d.strides)[:, None]

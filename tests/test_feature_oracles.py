@@ -15,7 +15,7 @@ from ctradiomics.features import (
     ngtdm_features,
     shape_features,
 )
-from ctradiomics.features.context import table_features
+from ctradiomics.features.context import Cells, table_features
 from ctradiomics.features.glrlm import GLRLM_NAMES
 
 import oracles
@@ -152,14 +152,13 @@ def _sparse_tables(draw):
 @example((8, [(82_007, {(3, 82_007): 1, (1, 1): 40, (8, 2): 3})]), 82_009)  # a zone as wide as the big ball's
 def test_table_features_match_the_oracle(case, extra_voxels):
     ng, tables = case
-    matrices = []
-    for width, table in tables:
-        m = np.zeros((ng, width))
-        for (level, size), count in table.items():
-            m[level - 1, size - 1] = count
-        matrices.append(m)
+    cells = []
+    for _, table in tables:
+        keys = sorted(table, key=lambda cell: cell[::-1])  # by size, then level
+        level, size = np.array(keys).T
+        cells.append(Cells(level, size, np.array([table[key] for key in keys])))
     n_voxels = max(sum(table.values()) for _, table in tables) + extra_voxels
-    stats = table_features(matrices, n_voxels)
+    stats = table_features(cells, n_voxels)
     assert stats.shape == (16, len(tables))
     for t, (_, table) in enumerate(tables):
         expected = oracles._run_table_features(table, n_voxels)

@@ -15,12 +15,12 @@ from ctradiomics.features import (
     first_order_features,
     glcm_features,
     glcm_matrices,
+    gldm_cells,
     gldm_features,
-    gldm_matrix,
+    glrlm_cells,
     glrlm_features,
-    glrlm_matrices,
+    glszm_cells,
     glszm_features,
-    glszm_matrix,
     ngtdm_features,
     ngtdm_table,
     shape_features,
@@ -133,19 +133,23 @@ class TestGlcmExamples:
             assert np.allclose(p, p.T)
 
 
+def _listed(cells) -> tuple[list, list, list]:
+    """A table's (level, size, count) cells as three lists."""
+    return tuple(column.tolist() for column in cells)
+
+
 class TestGldmExamples:
     def test_single_voxel(self):
         region = LesionRegion(coordinates=[[0, 0, 0]], intensities=[7.0], spacing=(1, 1, 1))
         d = discretize(region, 25.0)
-        m = gldm_matrix(d)
-        assert m[0, 0] == 1  # dependence size 1
+        assert _listed(gldm_cells(d)) == ([1], [1], [1])  # one voxel of level 1, dependence size 1
         assert gldm_features(d)["SmallDependenceEmphasis"] == 1.0
 
     def test_constant_cube_centre_dependence(self):
         d = discretize(constant_cube_region(side=3), 25.0)
-        m = gldm_matrix(d)
-        assert m[0, 26] == 1  # the centre voxel depends on all 26 neighbours
-        assert m.sum() == 27
+        cells = gldm_cells(d)
+        assert (cells.size[-1], cells.count[-1]) == (27, 1)  # the centre voxel depends on all 26 neighbours
+        assert cells.count.sum() == 27
 
     def test_gray_level_variance_zero_for_constant(self):
         d = discretize(constant_cube_region(side=3), 25.0)
@@ -156,11 +160,9 @@ class TestGlrlmExamples:
     def test_constant_rod_z_direction(self):
         region = rod_region(length=4)
         d = discretize(region, 25.0)
-        mats = glrlm_matrices(d)
-        z = mats[(0, 0, 1)]
-        assert z.shape == (1, 4)
-        assert z[0].tolist() == [0, 0, 0, 1]  # one run of length 4
-        sre_z = (z / np.arange(1, 5) ** 2).sum() / z.sum()
+        z = glrlm_cells(d)[UNIQUE_DIRECTIONS.index((0, 0, 1))]
+        assert _listed(z) == ([1], [4], [1])  # one run of length 4
+        sre_z = (z.count / z.size**2).sum() / z.count.sum()
         assert sre_z == pytest.approx(1.0 / 16.0)
 
     def test_alternating_levels_all_unit_runs(self):
@@ -170,8 +172,8 @@ class TestGlrlmExamples:
             spacing=(1, 1, 1),
         )
         d = discretize(region, 25.0)
-        z = glrlm_matrices(d)[(0, 0, 1)]
-        assert z.shape[1] == 1  # no run longer than 1
+        z = glrlm_cells(d)[UNIQUE_DIRECTIONS.index((0, 0, 1))]
+        assert z.size.tolist() == [1, 1]  # no run longer than 1
         f = glrlm_features(d)
         assert f["ShortRunEmphasis"] == 1.0
         assert f["RunPercentage"] == 1.0
@@ -181,9 +183,7 @@ class TestGlszmExamples:
     def test_single_zone(self):
         region = constant_cube_region(side=2)
         d = discretize(region, 25.0)
-        m = glszm_matrix(d)
-        assert m.shape == (1, 8)
-        assert m[0, 7] == 1
+        assert _listed(glszm_cells(d)) == ([1], [8], [1])
         assert glszm_features(d)["ZonePercentage"] == pytest.approx(1.0 / 8.0)
 
     def test_two_disjoint_blobs_same_level(self):
@@ -192,10 +192,7 @@ class TestGlszmExamples:
         mask[5:8] = True
         region = region_from_mask(mask, np.zeros(mask.shape))
         d = discretize(region, 25.0)
-        m = glszm_matrix(d)
-        assert m[0, 1] == 1  # size-2 zone
-        assert m[0, 2] == 1  # size-3 zone
-        assert m.sum() == 2
+        assert _listed(glszm_cells(d)) == ([1, 1], [2, 3], [1, 1])  # a size-2 and a size-3 zone
 
     def test_single_level_nonuniformity(self):
         d = discretize(constant_cube_region(side=3), 25.0)
@@ -353,7 +350,7 @@ class TestExtractAll:
 
     def test_memory_follows_the_lesion_on_a_large_sphere(self):
         # a 179,579-voxel ball (radius 35) of noisy HU, the size of a large CT
-        # lesion at 1 mm: a few levels, short runs and wide zone matrices
+        # lesion at 1 mm: a few levels, short runs and zones up to 82,007 voxels
         import tracemalloc
 
         axis = np.arange(-35, 36)
@@ -369,8 +366,8 @@ class TestExtractAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 17.9 MiB with numpy 2.4, most of it the context and the
-        # dense 8 x 82,007 zone matrix; the bound leaves about 4 MiB of margin
+        # measured 14.4 MiB with numpy 2.4, most of it the context; a dense
+        # 8 x 82,007 zone matrix made it 17.9 MiB
         assert peak <= 22 * 2**20, f"extract_all peaked at {peak / 2**20:.1f} MiB"
 
 
@@ -432,11 +429,9 @@ class TestInvariances:
         d = discretize(random_blob_region(seed=8), 25.0)
         for p in glcm_matrices(d).values():
             assert abs(p.sum() - 1.0) < 1e-12
-        m = gldm_matrix(d)
-        assert abs(m.sum() / len(d) - 1.0) < 1e-12
-        for m in glrlm_matrices(d).values():
-            assert m.sum() > 0
-        z = glszm_matrix(d)
-        assert z.sum() > 0
+        assert gldm_cells(d).count.sum() == len(d)
+        for cells in glrlm_cells(d):
+            assert cells.count.sum() > 0
+        assert glszm_cells(d).count.sum() > 0
         n_i, _, n_total = ngtdm_table(d)
         assert abs(n_i.sum() / n_total - 1.0) < 1e-12

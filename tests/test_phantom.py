@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from ctradiomics import phantom
+from ctradiomics.cli import extract_scan
+from ctradiomics.dataio import Dataset
+from ctradiomics.features import DEFAULT_BIN_WIDTH, FEATURE_COLUMNS
 
 
 def test_counts_and_interleaving():
@@ -39,7 +42,14 @@ def test_masks_have_single_label_and_class_map():
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    return phantom.generate_phantom_dataset(8, seed=42)
+    # extracted in memory through the CLI's one extraction path, at 25 HU and 1 mm
+    rows = [
+        row
+        for scan in phantom.generate_phantom(8, seed=42)
+        for row in extract_scan(scan.scan_id, scan.volume, scan.mask, DEFAULT_BIN_WIDTH, 1.0)
+    ]
+    lesion_ids, scan_ids, y, vectors = zip(*rows)
+    return Dataset(np.vstack([fv.as_array() for fv in vectors]), np.array(y), FEATURE_COLUMNS, lesion_ids, scan_ids)
 
 
 def test_dataset_shape(small_dataset):

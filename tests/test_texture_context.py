@@ -1,14 +1,16 @@
 """The per-lesion neighbourhood context against the brute-force oracle tables.
 
-Every texture matrix built from ``DiscretizedRegion.grid`` and ``.neighbours`` must
+Every texture table built from ``DiscretizedRegion.grid`` and ``.neighbours`` must
 equal the table its oracle counts voxel by voxel, exactly: GLCM pair counts,
-GLDM dependence counts, per-direction GLRLM run counts, GLSZM zones and
-NGTDM n_i / s_i.  The GLRLM run tables must also equal, bit for bit, those
-of the packed-key sort the run-length pass replaced.
+the cells of GLDM dependence counts, of per-direction GLRLM run counts and
+of GLSZM zones, and NGTDM n_i / s_i.  The GLRLM run cells must also equal,
+bit for bit, the nonzero cells of the packed-key sort the run-length pass
+replaced.
 """
 
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from hypothesis import strategies as hs
 
 import oracles
 from conftest import region_from_mask
-from ctradiomics.features import glcm_matrices, gldm_matrix, glrlm_matrices, glszm_matrix, ngtdm_table
-from ctradiomics.features.context import UNIQUE_DIRECTIONS, DiscretizedRegion, discretize, table_features
+from ctradiomics.features import glcm_matrices, gldm_cells, glrlm_cells, glszm_cells, ngtdm_table
+from ctradiomics.features.context import UNIQUE_DIRECTIONS, Cells, DiscretizedRegion, discretize, table_features
 
 
 def _region(coords, levels) -> DiscretizedRegion:
@@ -27,12 +29,12 @@ def _region(coords, levels) -> DiscretizedRegion:
     return DiscretizedRegion(levels=levels, n_levels=int(levels.max()), coordinates=coords, spacing=(1.0, 1.0, 1.0))
 
 
-def _dense(table, ng, width) -> np.ndarray:
-    """(level, size) -> count as an (ng, width) float64 matrix."""
-    m = np.zeros((ng, width))
-    for (level, size), count in table.items():
-        m[level - 1, size - 1] += count
-    return m
+def _table(cells: Cells) -> dict:
+    """The cells as a (level, size) -> count dict, once they are checked to
+    come in order of size, then level, each once, with a positive count."""
+    code = cells.size * (int(cells.level.max()) + 1) + cells.level
+    assert (np.diff(code) > 0).all() and (cells.count > 0).all()
+    return dict(zip(zip(cells.level.tolist(), cells.size.tolist()), cells.count.tolist()))
 
 
 def assert_matches_oracle_tables(d: DiscretizedRegion):
@@ -44,26 +46,23 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
     for direction in UNIQUE_DIRECTIONS:
         counts, n_pairs = oracles.glcm_pair_counts(pos, direction)
         if n_pairs:
-            m = _dense(counts, ng, ng)
-            expected_glcm[direction] = m / m.sum()
+            expected_glcm[direction] = {cell: count / (2 * n_pairs) for cell, count in counts.items()}
     assert glcm.keys() == expected_glcm.keys()
-    for direction, m in expected_glcm.items():
-        assert np.array_equal(glcm[direction], m), f"GLCM {direction}"
+    for direction, p in expected_glcm.items():
+        i, j = glcm[direction].nonzero()
+        got = dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), glcm[direction][i, j].tolist()))
+        assert got == p, f"GLCM {direction}"
 
-    assert np.array_equal(gldm_matrix(d), _dense(oracles.gldm_table(pos), ng, 27))
+    assert _table(gldm_cells(d)) == oracles.gldm_table(pos)
 
-    glrlm = glrlm_matrices(d)
-    assert tuple(glrlm) == UNIQUE_DIRECTIONS
     assert_glrlm_equals_packed_keys(d)
-    for direction in UNIQUE_DIRECTIONS:
-        table = oracles.glrlm_run_table(pos, direction)
-        expected = _dense(table, ng, max(size for _, size in table))
-        assert np.array_equal(glrlm[direction], expected), f"GLRLM {direction}"
+    for direction, cells in zip(UNIQUE_DIRECTIONS, glrlm_cells(d), strict=True):
+        assert _table(cells) == oracles.glrlm_run_table(pos, direction), f"GLRLM {direction}"
 
     zones = {}
     for zone in oracles.glszm_zones(pos):
         zones[zone] = zones.get(zone, 0) + 1
-    assert np.array_equal(glszm_matrix(d), _dense(zones, ng, max(size for _, size in zones)))
+    assert _table(glszm_cells(d)) == zones
 
     n_i, s_i, n_total = ngtdm_table(d)
     want_n, want_s, want_total = oracles.ngtdm_sums(pos)
@@ -73,13 +72,15 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
 
 
 def assert_glrlm_equals_packed_keys(d: DiscretizedRegion):
-    """The run tables equal those of the packed-key sort, shape and bits."""
-    glrlm = glrlm_matrices(d)
+    """The run cells equal the nonzero cells of the packed-key sort's
+    tables, direction by direction, in order and bit for bit."""
     reference = oracles.glrlm_matrices_packed_keys(d)
-    assert tuple(glrlm) == tuple(reference)
-    for direction, m in reference.items():
-        assert glrlm[direction].dtype == m.dtype
-        assert np.array_equal(glrlm[direction], m), f"GLRLM {direction}"
+    assert tuple(reference) == UNIQUE_DIRECTIONS
+    for (direction, m), cells in zip(reference.items(), glrlm_cells(d), strict=True):
+        size, level = m.T.nonzero()  # in order of size, then level
+        assert np.array_equal(cells.level, level + 1), f"GLRLM {direction}"
+        assert np.array_equal(cells.size, size + 1), f"GLRLM {direction}"
+        assert np.array_equal(cells.count, m.T[size, level]), f"GLRLM {direction}"
 
 
 @hs.composite
@@ -147,6 +148,32 @@ def test_glrlm_equals_packed_keys_on_spheres(radius, voxels, bin_width, grid_typ
     d = _noisy_ball(radius, bin_width)
     assert len(d) == voxels and d.grid.dtype == grid_type
     assert_glrlm_equals_packed_keys(d)
+
+
+def test_table_statistics_memory_follows_the_cells():
+    # a 33,401-voxel ball at 0 HU with 1% of its voxels drawn from 0-800 HU,
+    # at bin width 1: 799 gray levels and one 33,065-voxel zone, so a table
+    # of n_levels x the largest zone would take 200 MiB
+    axis = np.arange(-20, 21)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    mask = gx**2 + gy**2 + gz**2 <= 20**2
+    rng = np.random.default_rng(0)
+    spikes = rng.random(mask.shape) < 0.01
+    hu = np.zeros(mask.shape)
+    hu[spikes] = rng.uniform(0.0, 800.0, int(spikes.sum()))
+    region = region_from_mask(mask, hu)
+    discretize(region, 1.0).table_statistics  # imports
+    d = discretize(region, 1.0)
+    assert (len(d), d.n_levels) == (33_401, 799)
+    tracemalloc.start()
+    try:
+        d.table_statistics
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 8.7 MiB with numpy 2.4, the neighbour table included; dense
+    # tables peaked at 411 MiB
+    assert peak <= 32 * 2**20, f"table_statistics peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_many_levels_in_a_blob():

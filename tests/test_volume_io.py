@@ -257,7 +257,7 @@ class TestReadMask:
         path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=4, scl_slope=2.0))
         mask = read_mask(path, {2: 1, 4: 3})
         assert np.array_equal(mask.labels, 2 * np.reshape(payload, (2, 2, 2), order="F"))
-        assert mask.labels.dtype == np.int32
+        assert mask.labels.dtype == np.uint8  # the smallest type that holds the labels
 
     @pytest.mark.parametrize("slope, inter", [(0.5, 0.0), (1.0, 0.25)])
     def test_rescaled_non_integer_values_are_mask_error(self, tmp_path, slope, inter):
@@ -342,9 +342,9 @@ class TestReadMask:
         assert peak < 50 * 2**20
 
     def test_float_mask_streams_into_its_labels(self, tmp_path, monkeypatch):
-        # a float mask becomes int32 one chunk at a time: the peak is the
+        # a float mask becomes uint8 one chunk at a time: the peak is the
         # labels, the label pass's byte per voxel and a few float64 chunks,
-        # not whole-mask float64 copies
+        # not whole-mask float64 or int32 copies
         import ctradiomics.volume_io as vio
 
         monkeypatch.setattr(vio, "_SLAB_VOXELS", 1 << 16)
@@ -359,10 +359,40 @@ class TestReadMask:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert mask.labels.dtype == np.int32
+        assert mask.labels.dtype == np.uint8
         assert np.array_equal(mask.labels, labels)
-        bound = 4 * labels.size + labels.size + 4 * 8 * vio._SLAB_VOXELS + 2**16
+        bound = labels.size + labels.size + 4 * 8 * vio._SLAB_VOXELS + 2**16
         assert peak < bound
+
+    @pytest.mark.parametrize(
+        "label, dtype", [(255, np.uint8), (256, np.uint16), (70_000, np.uint32), (2**31 - 1, np.uint32)]
+    )
+    def test_float_mask_widens_when_a_chunk_needs_it(self, tmp_path, monkeypatch, label, dtype):
+        # the label that needs a wider type sits in the last chunk: the
+        # chunks already read must survive the widening
+        import ctradiomics.volume_io as vio
+
+        monkeypatch.setattr(vio, "_SLAB_VOXELS", 1 << 10)
+        labels = np.zeros((16, 16, 12), dtype=np.float64)
+        labels[1:3, 1:3, 0] = 7
+        labels[4:6, 9:12, 5] = 200
+        labels[10:12, 10:12, 11] = label
+        write_nifti(tmp_path / "m.nii", labels, (1.0, 1.0, 1.0))
+        mask = read_mask(tmp_path / "m.nii", {7: 1, 200: 2, label: 3})
+        assert mask.labels.dtype == np.dtype(dtype)
+        assert np.array_equal(mask.labels, labels)
+        assert mask.class_of_label == {7: 1, 200: 2, label: 3}
+
+    def test_negative_label_in_a_later_chunk_is_mask_error(self, tmp_path, monkeypatch):
+        import ctradiomics.volume_io as vio
+
+        monkeypatch.setattr(vio, "_SLAB_VOXELS", 1 << 10)
+        labels = np.zeros((16, 16, 12), dtype=np.float32)
+        labels[1:3, 1:3, 0] = 1
+        labels[10, 10, 11] = -2
+        write_nifti(tmp_path / "m.nii", labels, (1.0, 1.0, 1.0))
+        with pytest.raises(MaskError, match="non-negative"):
+            read_mask(tmp_path / "m.nii", {1: 1, -2: 2})
 
 
 # every exception type that ctradiomics.errors defines

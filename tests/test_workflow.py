@@ -61,3 +61,13 @@ def test_runtime_only_memory_guard_extracts_a_float64_image():
     steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
     script = "\n".join(step.get("run", "") for step in steps)
     assert 'write_nifti(work / "image-float64.nii", image.astype(np.float64), spacing)' in script
+
+
+def test_runtime_only_memory_guard_reads_a_float32_mask():
+    # a float mask is streamed into uint8 labels: the guard holds a float32
+    # copy of its mask to the same limit, and its rows to the uint8 mask's
+    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
+    script = "\n".join(step.get("run", "") for step in steps)
+    assert 'write_nifti(work / "mask-float32.nii", labels.astype(np.float32), spacing)' in script
+    assert 'for variant in ("", "-float64", "-float32-mask"):' in script
+    assert 'cmp "$work/ct.csv" "$work/ct-float32-mask.csv"' in script
