@@ -10,8 +10,10 @@ that rewrites them must say in CHANGES.md which columns moved and by how much.
 The run: the train cohort ``phantom --n-per-class 4 --seed 1`` extracted at
 the default 25 HU bin width, at a 2 HU bin width and at ``--spacing 0.8``;
 the test cohort ``phantom --n-per-class 2 --seed 2``; one small anisotropic
-two-lesion scan written with ``write_nifti``; and ``experiments``, ``train``
-and ``stats`` on the train and test features.
+two-lesion scan written with ``write_nifti``; ``experiments``, ``train`` and
+``stats`` (per-feature and ``--global-family``) on the train and test
+features; ``predict`` and ``evaluate`` of the test features with the trained
+model; and the train cohort's manifest as ``phantom`` writes it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ OUTPUTS = (
     "model.json",
     "model.report.json",
     "stats.csv",
+    "stats-global.csv",
+    "predictions.csv",
+    "metrics.json",
+    "manifest.csv",
 )
 
 
@@ -77,6 +83,10 @@ def build(out: Path, work: Path) -> None:
     _run("experiments", "--train", out / "train.csv", "--test", out / "test.csv", "--out", out / "experiments.json", *runs)
     _run("train", "--features", out / "train.csv", "--out", out / "model.json", *runs)
     _run("stats", "--features", out / "train.csv", "--out", out / "stats.csv")
+    _run("stats", "--features", out / "train.csv", "--out", out / "stats-global.csv", "--global-family")
+    _run("predict", "--features", out / "test.csv", "--model", out / "model.json", "--out", out / "predictions.csv")
+    _run("evaluate", "--features", out / "test.csv", "--model", out / "model.json", "--out", out / "metrics.json")
+    (out / "manifest.csv").write_bytes(train.read_bytes())
 
 
 if __name__ == "__main__":
