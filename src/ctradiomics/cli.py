@@ -9,9 +9,7 @@ per-experiment error was recorded.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -284,12 +282,6 @@ def _format_performance_table(named_metrics) -> str:
     return _format_table(header, rows)
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _read_labelled(path: Path, no_class_message: str) -> dataio.Dataset | None:
     """The feature rows of ``path`` with their classes, or None once the
     reason there are none has been printed."""
@@ -311,7 +303,7 @@ def cmd_train(args) -> int:
     model, report = ms.fit_experiment(dataset, spec)
     pls.save_model(model, args.out)
     report_path = args.report or args.out.with_suffix(".report.json")
-    _write_json(report_path, _report_to_dict(report))
+    dataio.write_json(report_path, _report_to_dict(report))
     print(_format_fitted_table([report]))
     print(f"wrote model to {args.out} and report to {report_path}")
     return 0
@@ -322,17 +314,9 @@ def cmd_predict(args) -> int:
     model = pls.load_model(args.model)
     aligned = dataset.subset_columns(model.feature_names)  # names any column the model lacks
     y_hat, classes = pls.predict(model, aligned.x)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["lesion_id", "scan_id", "predicted_class"]
-            + [f"response_{c}" for c in model.class_labels]
-        )
-        for i in range(len(aligned)):
-            writer.writerow(
-                [aligned.lesion_ids[i], aligned.scan_ids[i], int(classes[i])]
-                + [repr(float(v)) for v in y_hat[i]]
-            )
+    header = ["lesion_id", "scan_id", "predicted_class"] + [f"response_{c}" for c in model.class_labels]
+    rows = zip(aligned.lesion_ids, aligned.scan_ids, classes.tolist(), y_hat.tolist())
+    dataio.write_csv(args.out, header, ([lesion, scan, c, *responses] for lesion, scan, c, responses in rows))
     print(f"wrote {len(aligned)} predictions to {args.out}")
     return 0
 
@@ -349,7 +333,7 @@ def cmd_evaluate(args) -> int:
         "selected_by_family": family_counts(model.feature_names),
         "metrics": _metrics_to_dict(metrics),
     }
-    _write_json(args.out, doc)
+    dataio.write_json(args.out, doc)
     print(_format_performance_table([(args.model.name, metrics)]))
     print(f"wrote metrics to {args.out}")
     return 0
@@ -368,7 +352,7 @@ def cmd_experiments(args) -> int:
         "experiments": [_report_to_dict(r) for r in reports],
         "failures": [{"experiment": i, "error": str(exc)} for i, exc in failures.items()],
     }
-    _write_json(args.out, doc)
+    dataio.write_json(args.out, doc)
     print(_format_fitted_table(reports))
     print()
     print(_format_performance_table([(f"#{r.experiment_id}", r.metrics) for r in reports]))
@@ -393,30 +377,21 @@ def cmd_stats(args) -> int:
         header += [f"z_{a}v{b}", f"p_{a}v{b}", f"p_adj_{a}v{b}", f"rejected_{a}v{b}"]
     for c in classes:
         header += [f"median_c{c}", f"iqr_c{c}"]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            cells = [row.feature, str(row.degenerate).lower()]
-            if row.result is None:
-                cells += ["", ""] + [""] * (4 * len(pairs))
-            else:
-                cells += [repr(row.result.statistic), repr(row.result.p_value)]
-                by_pair = {(pr.group_i, pr.group_j): pr for pr in row.result.pairwise}
-                for pair in pairs:
-                    pr = by_pair.get(pair)
-                    if pr is None:
-                        cells += ["", "", "", ""]
-                    else:
-                        cells += [
-                            repr(pr.z),
-                            repr(pr.p_value),
-                            "" if pr.p_adjusted is None else repr(pr.p_adjusted),
-                            "" if pr.rejected is None else str(pr.rejected).lower(),
-                        ]
-            for c in classes:
-                cells += [repr(row.per_class_median[c]), repr(row.per_class_iqr[c])]
-            writer.writerow(cells)
+    table = []
+    for row in rows:
+        cells = [row.feature, row.degenerate]
+        result = row.result
+        if result is None:
+            cells += [None] * (2 + 4 * len(pairs))
+        else:
+            cells += [result.statistic, result.p_value]
+            by_pair = {(p.group_i, p.group_j): [p.z, p.p_value, p.p_adjusted, p.rejected] for p in result.pairwise}
+            for pair in pairs:
+                cells += by_pair.get(pair, [None] * 4)
+        for c in classes:
+            cells += [row.per_class_median[c], row.per_class_iqr[c]]
+        table.append(cells)
+    dataio.write_csv(args.out, header, table)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return 0
 
@@ -432,8 +407,8 @@ def cmd_phantom(args) -> int:
     for scan in scans:
         image_path = images / f"{scan.scan_id}.nii"
         mask_path = masks / f"{scan.scan_id}.nii"
-        write_nifti(image_path, scan.volume.data.astype(np.float32), scan.volume.spacing, scan.volume.origin)
-        write_nifti(mask_path, scan.mask.labels.astype(np.uint8), scan.mask.spacing, scan.mask.origin)
+        write_nifti(image_path, scan.volume.data.astype(ph.IMAGE_DTYPE), scan.volume.spacing, scan.volume.origin)
+        write_nifti(mask_path, scan.mask.labels, scan.mask.spacing, scan.mask.origin)
         entries.append(
             dataio.ManifestEntry(
                 scan_id=scan.scan_id,

@@ -1,13 +1,14 @@
 """Feature-table and manifest I/O plus the in-memory dataset carrier.
 
 The feature CSV layout is: ``lesion_id, scan_id, class`` followed by the 105
-canonical feature columns.  Floats are written with ``repr`` so identical
-inputs always produce byte-identical files.
+canonical feature columns.  Every CSV and JSON output goes through
+``write_csv`` or ``write_json``, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 from .features import FAMILIES, FEATURE_COLUMNS, FeatureVector, TEXTURE_FAMILIES, family_of_column
 
 ID_COLUMNS = ("lesion_id", "scan_id", "class")
+MANIFEST_COLUMNS = ("scan_id", "image_path", "mask_path", "class_map")
 
 GROUP_PRESETS: dict[str, tuple[str, ...]] = {
     "all": FAMILIES,
@@ -96,23 +98,50 @@ def parse_groups(spec: str) -> tuple[str, ...]:
     raise ValueError(f"unknown group set {spec!r}; use one of {sorted(GROUP_PRESETS)} or custom:<list>")
 
 
-def write_features_csv(path, records) -> None:
-    """Write (lesion_id, scan_id, class_id, FeatureVector) records as CSV."""
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV with ``\n`` line ends.  Of Python
+    scalars, a float is written as its shortest repr, a bool as ``true``/``false``, None as empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ID_COLUMNS + FEATURE_COLUMNS)
-        for lesion_id, scan_id, class_id, fv in records:
-            row = [lesion_id, scan_id, "" if class_id is None else int(class_id)]
-            row.extend(repr(fv.values[c]) for c in FEATURE_COLUMNS)
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows([str(c).lower() if isinstance(c, bool) else c for c in row] for row in rows)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _check_header(path, header) -> None:
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{path}: the header names {', '.join(repeated)} more than once")
+
+
+def write_features_csv(path, records) -> None:
+    """Write (lesion_id, scan_id, class_id, FeatureVector) records as CSV."""
+    rows = ([lesion_id, scan_id, class_id, *fv.values.values()] for lesion_id, scan_id, class_id, fv in records)
+    write_csv(path, ID_COLUMNS + FEATURE_COLUMNS, rows)
+
+
+def _bad_cell(header, row) -> str:
+    """Name the first feature cell of ``row`` that is not a number, else the class cell."""
+    for column, cell in zip(header[3:], row[3:]):
+        try:
+            float(cell)
+        except ValueError:
+            return f"column {column!r} cell {cell!r} is not a number"
+    return f"class cell {row[2]!r} is not an integer"
 
 
 def read_features_csv(path) -> Dataset:
     """Load a feature CSV; the class column may be empty (unlabeled data).
 
     A header-only file (what ``extract`` writes when every scan fails) reads
-    as a 0-row dataset with an empty class column; a row whose cell count
-    differs from the header's is rejected with its line number.
+    as a 0-row dataset with an empty class column.  A repeated column, and a
+    row with the wrong cell count or a cell that does not parse, are rejected.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -121,25 +150,26 @@ def read_features_csv(path) -> Dataset:
             raise ValueError(f"{path}: empty feature file")
         if tuple(header[:3]) != ID_COLUMNS:
             raise ValueError(f"{path}: expected id columns {ID_COLUMNS}, got {tuple(header[:3])}")
+        _check_header(path, header)
         feature_names = tuple(header[3:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
-        rows = []
+        lesion_ids, scan_ids, classes, x = [], [], [], []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {reader.line_num} has {len(row)} cells but the header has {len(header)}"
                 )
-            rows.append(row)
-    lesion_ids = tuple(r[0] for r in rows)
-    scan_ids = tuple(r[1] for r in rows)
-    class_cells = [r[2] for r in rows]
-    y = None
-    if all(c != "" for c in class_cells):
-        y = np.array([int(c) for c in class_cells], dtype=int)
-    x = np.array([[float(v) for v in r[3:]] for r in rows], dtype=np.float64)
-    x = x.reshape(len(rows), len(feature_names))
-    return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=lesion_ids, scan_ids=scan_ids)
+            try:
+                classes.append(int(row[2]) if row[2] else None)
+                x.append([float(v) for v in row[3:]])
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num}: {_bad_cell(header, row)}") from None
+            lesion_ids.append(row[0])
+            scan_ids.append(row[1])
+    y = None if None in classes else np.array(classes, dtype=int)
+    x = np.array(x, dtype=np.float64).reshape(len(x), len(feature_names))
+    return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=tuple(lesion_ids), scan_ids=tuple(scan_ids))
 
 
 @dataclass
@@ -183,9 +213,9 @@ def read_manifest(path) -> list[ManifestEntry]:
     line_of: dict[str, int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"scan_id", "image_path", "mask_path", "class_map"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: manifest needs columns {sorted(required)}")
+        if reader.fieldnames is None or not set(MANIFEST_COLUMNS).issubset(reader.fieldnames):
+            raise ValueError(f"{path}: manifest needs columns {sorted(MANIFEST_COLUMNS)}")
+        _check_header(path, reader.fieldnames)
         for row in reader:
             line, scan_id = reader.line_num, row["scan_id"]
             if None in row.values():
@@ -217,9 +247,8 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def write_manifest(path, entries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scan_id", "image_path", "mask_path", "class_map"])
-        for e in entries:
-            cell = ";".join(f"{label}={cls}" for label, cls in sorted(e.class_map.items()))
-            writer.writerow([e.scan_id, str(e.image_path), str(e.mask_path), cell])
+    rows = (
+        [e.scan_id, e.image_path, e.mask_path, ";".join(f"{label}={cls}" for label, cls in sorted(e.class_map.items()))]
+        for e in entries
+    )
+    write_csv(path, MANIFEST_COLUMNS, rows)

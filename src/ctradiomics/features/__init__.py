@@ -15,7 +15,7 @@ import numpy as np
 from ..volume_io import LesionRegion
 from .context import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
 from .firstorder import FOS_NAMES, first_order_features
-from .glcm import GLCM_NAMES, glcm_features, glcm_matrices
+from .glcm import GLCM_NAMES, glcm_features
 from .gldm import GLDM_NAMES, gldm_cells, gldm_features
 from .glrlm import GLRLM_NAMES, glrlm_cells, glrlm_features
 from .glszm import GLSZM_NAMES, glszm_cells, glszm_features
@@ -68,9 +68,6 @@ class FeatureVector:
         if tuple(self.values) != FEATURE_COLUMNS:
             raise ValueError("feature vector keys must be the canonical 105 columns in order")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.values[c] for c in FEATURE_COLUMNS], dtype=np.float64)
-
 
 def extract_all(
     region: LesionRegion,
@@ -119,7 +116,6 @@ __all__ = [
     "family_of_column",
     "first_order_features",
     "glcm_features",
-    "glcm_matrices",
     "gldm_cells",
     "gldm_features",
     "glrlm_cells",

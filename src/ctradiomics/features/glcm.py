@@ -33,16 +33,6 @@ GLCM_NAMES = (
 )
 
 
-def glcm_matrices(d: DiscretizedRegion) -> dict[tuple[int, int, int], np.ndarray]:
-    """Normalized symmetric co-occurrence matrices keyed by direction.
-
-    Counts accumulate only over voxel pairs that are both inside the region;
-    directions without any pair are omitted.
-    """
-    directions, p = _matrix_stack(d)
-    return dict(zip(directions, p))
-
-
 def _matrix_stack(d: DiscretizedRegion) -> tuple[tuple, np.ndarray]:
     """The directions with pairs and their (D, ng, ng) stack of normalized
     symmetric co-occurrence matrices."""

@@ -26,6 +26,7 @@ from .volume_io import LesionMask, VoxelVolume
 PLANTED_FEATURES: tuple[str, ...] = ("shape_Sphericity", "glcm_Contrast", "fos_Variance")
 
 SPACING = (1.0, 1.0, 1.0)
+IMAGE_DTYPE, LABEL_DTYPE = np.float32, np.uint8  # the files' dtypes; scans in memory hold the same values
 MARGIN = 6  # background voxels around the lesion on every side
 BACKGROUND_MEAN, BACKGROUND_SIGMA = 25.0, 6.0
 BASE_HU = (55.0, 75.0)
@@ -99,9 +100,9 @@ def _make_scan(scan_id: str, class_id: int, rng: np.random.Generator) -> Phantom
     data = rng.normal(BACKGROUND_MEAN, BACKGROUND_SIGMA, size=mask.shape)
     base = rng.uniform(*BASE_HU)
     data[mask] = base + rng.normal(0.0, NOISE_SIGMA[class_id], size=int(mask.sum()))
-    volume = VoxelVolume(data=data, spacing=SPACING)
+    volume = VoxelVolume(data=data.astype(IMAGE_DTYPE), spacing=SPACING)
     lesion_mask = LesionMask(
-        labels=mask.astype(np.int16),
+        labels=mask.astype(LABEL_DTYPE),
         spacing=SPACING,
         class_of_label={1: class_id},
     )

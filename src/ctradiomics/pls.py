@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_json
 from .errors import SelectionError, UndefinedModelError
 
 
@@ -235,9 +236,7 @@ def model_from_dict(doc: dict) -> PlsModel:
 
 
 def save_model(model: PlsModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> PlsModel:

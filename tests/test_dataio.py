@@ -1,4 +1,6 @@
-"""Feature CSV and manifest round trips, group parsing."""
+"""Feature CSV and manifest round trips, the output cell format, group parsing."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ class TestFeatureCsv:
         assert len(ds) == 3
         assert ds.y.tolist() == [1, 2, 3]
         for row, (_, _, _, fv) in zip(ds.x, records):
-            assert np.array_equal(row, fv.as_array())  # repr round-trips exactly
+            assert np.array_equal(row, list(fv.values.values()))  # repr round-trips exactly
 
     def test_write_is_deterministic(self, tmp_path):
         records = _records()
@@ -66,6 +68,28 @@ class TestFeatureCsv:
         assert ds.x.shape == (0, len(FEATURE_COLUMNS))
         assert ds.feature_names == FEATURE_COLUMNS
         assert ds.y.dtype.kind == "i" and ds.y.shape == (0,)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # subset_columns would fill both columns from the second
+        path = tmp_path / "features.csv"
+        path.write_text("lesion_id,scan_id,class,shape_MeshVolume,shape_MeshVolume\na,s,1,1.0,2.0\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: the header names shape_MeshVolume more than once"
+
+    def test_class_cell_not_an_integer_names_path_and_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("lesion_id,scan_id,class,shape_MeshVolume\na,s,1,1.0\nb,s,x,2.0\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: line 3: class cell 'x' is not an integer"
+
+    def test_feature_cell_not_a_number_names_path_line_and_column(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("lesion_id,scan_id,class,shape_MeshVolume,shape_SurfaceArea\na,s,1,1.0,abc\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: line 2: column 'shape_SurfaceArea' cell 'abc' is not a number"
 
     def test_ragged_row_names_path_and_line(self, tmp_path):
         path = tmp_path / "features.csv"
@@ -105,6 +129,16 @@ class TestGroups:
             assert len(dataio.columns_for_groups(FEATURE_COLUMNS, groups)) == expected
 
 
+def test_write_csv_cell_format(tmp_path):
+    # the bytes every CSV output is made of: a float as its shortest repr, a
+    # bool as true/false and None as an empty cell
+    path = tmp_path / "cells.csv"
+    row = [0.1, float(np.float64(2.0) / 3.0), 1e-05, 1e16, True, False, None, 7, "a,b", Path("images/x.nii")]
+    dataio.write_csv(path, ["f", "f64", "small", "big", "t", "f", "none", "int", "str", "path"], [row])
+    expected = 'f,f64,small,big,t,f,none,int,str,path\n0.1,0.6666666666666666,1e-05,1e+16,true,false,,7,"a,b",images/x.nii\n'
+    assert path.read_bytes() == expected.encode()
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         entries = [
@@ -116,6 +150,14 @@ class TestManifest:
         loaded = dataio.read_manifest(path)
         assert [e.scan_id for e in loaded] == ["s1", "s2"]
         assert loaded[1].class_map == {1: 1, 2: 3}
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # DictReader would keep the last class_map cell and map label 1 to class 3
+        path = tmp_path / "manifest.csv"
+        path.write_text("scan_id,image_path,mask_path,class_map,class_map\ns1,a.nii,m.nii,1=1,1=3\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_manifest(path)
+        assert str(caught.value) == f"{path}: the header names class_map more than once"
 
     def test_relative_paths_resolve_against_manifest(self, tmp_path):
         path = tmp_path / "manifest.csv"

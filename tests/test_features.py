@@ -14,7 +14,6 @@ from ctradiomics.features import (
     extract_all,
     first_order_features,
     glcm_features,
-    glcm_matrices,
     gldm_cells,
     gldm_features,
     glrlm_cells,
@@ -26,7 +25,14 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import UNIQUE_DIRECTIONS
+from ctradiomics.features.glcm import _matrix_stack
 from ctradiomics.volume_io import LesionRegion
+
+
+def glcm_matrices(d) -> dict:
+    """Normalized symmetric co-occurrence matrices keyed by direction; a
+    direction without any pair is omitted."""
+    return dict(zip(*_matrix_stack(d)))
 
 
 class TestDiscretize:

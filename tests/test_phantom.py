@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ctradiomics import phantom
-from ctradiomics.cli import extract_scan
-from ctradiomics.dataio import Dataset
+from ctradiomics.cli import extract_scan, main
+from ctradiomics.dataio import Dataset, write_features_csv
 from ctradiomics.features import DEFAULT_BIN_WIDTH, FEATURE_COLUMNS
 
 
@@ -40,6 +40,20 @@ def test_masks_have_single_label_and_class_map():
         assert scan.mask.class_of_label == {1: scan.class_id}
 
 
+def test_rows_in_memory_are_the_bytes_of_phantom_and_extract(tmp_path):
+    # a scan in memory holds the values the phantom command writes to its files
+    cohort = tmp_path / "cohort"
+    assert main(["phantom", "--out", str(cohort), "--n-per-class", "2", "--seed", "5"]) == 0
+    assert main(["extract", "--manifest", str(cohort / "manifest.csv"), "--out", str(tmp_path / "cli.csv")]) == 0
+    rows = [
+        row
+        for scan in phantom.generate_phantom(2, seed=5)
+        for row in extract_scan(scan.scan_id, scan.volume, scan.mask, DEFAULT_BIN_WIDTH, 1.0)
+    ]
+    write_features_csv(tmp_path / "memory.csv", rows)
+    assert (tmp_path / "memory.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     # extracted in memory through the CLI's one extraction path, at 25 HU and 1 mm
@@ -49,7 +63,8 @@ def small_dataset():
         for row in extract_scan(scan.scan_id, scan.volume, scan.mask, DEFAULT_BIN_WIDTH, 1.0)
     ]
     lesion_ids, scan_ids, y, vectors = zip(*rows)
-    return Dataset(np.vstack([fv.as_array() for fv in vectors]), np.array(y), FEATURE_COLUMNS, lesion_ids, scan_ids)
+    x = np.array([list(fv.values.values()) for fv in vectors])
+    return Dataset(x, np.array(y), FEATURE_COLUMNS, lesion_ids, scan_ids)
 
 
 def test_dataset_shape(small_dataset):

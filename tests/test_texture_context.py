@@ -19,8 +19,9 @@ from hypothesis import strategies as hs
 
 import oracles
 from conftest import region_from_mask
-from ctradiomics.features import glcm_matrices, gldm_cells, glrlm_cells, glszm_cells, ngtdm_table
+from ctradiomics.features import gldm_cells, glrlm_cells, glszm_cells, ngtdm_table
 from ctradiomics.features.context import UNIQUE_DIRECTIONS, Cells, DiscretizedRegion, discretize, table_features
+from ctradiomics.features.glcm import _matrix_stack
 
 
 def _region(coords, levels) -> DiscretizedRegion:
@@ -41,7 +42,7 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
     pos = {tuple(int(x) for x in c): int(l) for c, l in zip(d.coordinates, d.levels)}
     ng = d.n_levels
 
-    glcm = glcm_matrices(d)
+    glcm = dict(zip(*_matrix_stack(d)))
     expected_glcm = {}
     for direction in UNIQUE_DIRECTIONS:
         counts, n_pairs = oracles.glcm_pair_counts(pos, direction)

@@ -71,3 +71,12 @@ def test_runtime_only_memory_guard_reads_a_float32_mask():
     assert 'write_nifti(work / "mask-float32.nii", labels.astype(np.float32), spacing)' in script
     assert 'for variant in ("", "-float64", "-float32-mask"):' in script
     assert 'cmp "$work/ct.csv" "$work/ct-float32-mask.csv"' in script
+
+
+def test_runtime_only_compares_rows_in_memory_with_the_cli_files():
+    # generate_phantom + extract_scan, the Python API's route, must write the
+    # bytes of phantom + extract where only numpy is installed
+    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
+    script = "\n".join(step.get("run", "") for step in steps)
+    assert "dataio.write_features_csv(sys.argv[1], rows)" in script
+    assert 'cmp "$work/train.csv" "$work/train-memory.csv"' in script
