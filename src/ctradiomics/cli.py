@@ -397,14 +397,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_phantom(args) -> int:
+    scans = ph.generate_phantom(args.n_per_class, args.seed)  # checks the counts; makes no scan yet
     out = Path(args.out)
     images = out / "images"
     masks = out / "masks"
     images.mkdir(parents=True, exist_ok=True)
     masks.mkdir(parents=True, exist_ok=True)
-    scans = ph.generate_phantom(args.n_per_class, args.seed)
     entries = []
-    for scan in scans:
+    for scan in scans:  # one scan in memory at a time: its files are written before the next is made
         image_path = images / f"{scan.scan_id}.nii"
         mask_path = masks / f"{scan.scan_id}.nii"
         write_nifti(image_path, scan.volume.data.astype(ph.IMAGE_DTYPE), scan.volume.spacing, scan.volume.origin)
@@ -418,7 +418,7 @@ def cmd_phantom(args) -> int:
             )
         )
     dataio.write_manifest(out / "manifest.csv", entries)
-    print(f"wrote {len(scans)} image/mask pairs and manifest to {out}")
+    print(f"wrote {len(entries)} image/mask pairs and manifest to {out}")
     return 0
 
 

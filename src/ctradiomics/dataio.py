@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,10 +128,11 @@ def write_features_csv(path, records) -> None:
 
 
 def _bad_cell(header, row) -> str:
-    """Name the first feature cell of ``row`` that is not a number, else the class cell."""
+    """Name the first feature cell of ``row`` that is not a finite number, else the class cell."""
     for column, cell in zip(header[3:], row[3:]):
         try:
-            float(cell)
+            if not math.isfinite(float(cell)):
+                return f"column {column!r} cell {cell!r} is not finite"
         except ValueError:
             return f"column {column!r} cell {cell!r} is not a number"
     return f"class cell {row[2]!r} is not an integer"
@@ -140,8 +142,9 @@ def read_features_csv(path) -> Dataset:
     """Load a feature CSV; the class column may be empty (unlabeled data).
 
     A header-only file (what ``extract`` writes when every scan fails) reads
-    as a 0-row dataset with an empty class column.  A repeated column, and a
-    row with the wrong cell count or a cell that does not parse, are rejected.
+    as a 0-row dataset with an empty class column.  A repeated column, a row
+    with the wrong cell count or a cell that does not parse or is not finite,
+    and a class column empty on some lines only, are rejected.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -154,7 +157,7 @@ def read_features_csv(path) -> Dataset:
         feature_names = tuple(header[3:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
-        lesion_ids, scan_ids, classes, x = [], [], [], []
+        lesion_ids, scan_ids, classes, x, unlabelled = [], [], [], [], []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(
@@ -163,11 +166,17 @@ def read_features_csv(path) -> Dataset:
             try:
                 classes.append(int(row[2]) if row[2] else None)
                 x.append([float(v) for v in row[3:]])
+                if not all(map(math.isfinite, x[-1])):  # named like a cell that does not parse
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"{path}: line {reader.line_num}: {_bad_cell(header, row)}") from None
+            if not row[2]:
+                unlabelled.append(reader.line_num)
             lesion_ids.append(row[0])
             scan_ids.append(row[1])
-    y = None if None in classes else np.array(classes, dtype=int)
+    if 0 < len(unlabelled) < len(classes):  # an empty class column is unlabelled data, a partly empty one an error
+        raise ValueError(f"{path}: line {unlabelled[0]} has no class, but other lines do")
+    y = None if unlabelled else np.array(classes, dtype=int)
     x = np.array(x, dtype=np.float64).reshape(len(x), len(feature_names))
     return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=tuple(lesion_ids), scan_ids=tuple(scan_ids))
 

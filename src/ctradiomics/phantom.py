@@ -16,6 +16,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +59,15 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _coordinate_grid(extent: float) -> np.ndarray:
+def _coordinate_grid(extent: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Voxel-centre positions of a cube holding ``extent`` plus the margin on
-    each side of its centre."""
+    each side of its centre, and the three 1-D axes they are broadcast from."""
     side = int(2 * (np.ceil(extent) + MARGIN) + 1)
     centre = (side - 1) / 2.0
     ax = [(np.arange(side) - centre) * s for s in SPACING]
-    gx, gy, gz = np.meshgrid(*ax, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1)
+    pos = np.empty((side, side, side, 3))
+    pos[..., 0], pos[..., 1], pos[..., 2] = ax[0][:, None, None], ax[1][:, None], ax[2]
+    return pos, ax
 
 
 def _lesion_mask(class_id: int, rng: np.random.Generator) -> np.ndarray:
@@ -76,8 +78,9 @@ def _lesion_mask(class_id: int, rng: np.random.Generator) -> np.ndarray:
         thickness = u(*SHELL_THICKNESS)
         half_angle = np.deg2rad(u(*SHELL_CAP_HALF_ANGLE_DEG))
         axis = _random_rotation(rng)[:, 0]
-        pos = _coordinate_grid(radius + thickness)
-        r = np.linalg.norm(pos, axis=-1)
+        pos, ax = _coordinate_grid(radius + thickness)
+        sq = [a * a for a in ax]  # the sum np.linalg.norm(pos, axis=-1) takes, per axis
+        r = np.sqrt((sq[0][:, None, None] + sq[1][:, None]) + sq[2])
         with np.errstate(invalid="ignore", divide="ignore"):
             cos_angle = np.where(r > 0, (pos @ axis) / np.where(r > 0, r, 1.0), 1.0)
         return (np.abs(r - radius) <= thickness / 2.0) & (cos_angle >= np.cos(half_angle))
@@ -89,8 +92,10 @@ def _lesion_mask(class_id: int, rng: np.random.Generator) -> np.ndarray:
         a = u(*BLOB_AXIS)
         semi = np.array([a, a * u(*BLOB_RATIO), a * u(*BLOB_RATIO)])
     rot = _random_rotation(rng)
-    local = _coordinate_grid(semi.max()) @ rot  # rotate coordinates into the ellipsoid frame
-    return ((local / semi) ** 2).sum(axis=-1) <= 1.0
+    pos, _ = _coordinate_grid(semi.max())
+    # coordinates rotated into the ellipsoid frame, as one (N, 3) @ (3, 3) product
+    q = (pos.reshape(-1, 3) @ rot / semi) ** 2
+    return ((q[:, 0] + q[:, 1]) + q[:, 2] <= 1.0).reshape(pos.shape[:3])  # added in .sum(axis=-1)'s order
 
 
 def _make_scan(scan_id: str, class_id: int, rng: np.random.Generator) -> PhantomScan:
@@ -109,19 +114,16 @@ def _make_scan(scan_id: str, class_id: int, rng: np.random.Generator) -> Phantom
     return PhantomScan(scan_id=scan_id, volume=volume, mask=lesion_mask, class_id=class_id)
 
 
-def generate_phantom(n_per_class, seed: int) -> list[PhantomScan]:
-    """Generate phantom scans, classes interleaved 1,2,3,1,2,3,...
+def generate_phantom(n_per_class, seed: int) -> Iterator[PhantomScan]:
+    """Phantom scans, classes interleaved 1,2,3,1,2,3,..., each made only when
+    the returned iterator is advanced.
 
-    ``n_per_class`` is a single count or three per-class counts.
+    ``n_per_class`` is a single count or three per-class counts; it is checked
+    here, before the first scan is asked for.
     """
-    remaining = [n_per_class] * 3 if isinstance(n_per_class, int) else [int(c) for c in n_per_class]
-    if len(remaining) != 3 or min(remaining) < 0 or sum(remaining) == 0:
+    counts = [n_per_class] * 3 if isinstance(n_per_class, int) else [int(c) for c in n_per_class]
+    if len(counts) != 3 or min(counts) < 0 or sum(counts) == 0:
         raise ValueError("n_per_class must be one count or three per-class counts, non-negative and not all zero")
     rng = np.random.default_rng(seed)
-    scans = []
-    while sum(remaining) > 0:
-        for cls in (1, 2, 3):
-            if remaining[cls - 1] > 0:
-                remaining[cls - 1] -= 1
-                scans.append(_make_scan(f"phantom_{len(scans):04d}", cls, rng))
-    return scans
+    classes = [c for k in range(max(counts)) for c in (1, 2, 3) if k < counts[c - 1]]
+    return (_make_scan(f"phantom_{i:04d}", c, rng) for i, c in enumerate(classes))

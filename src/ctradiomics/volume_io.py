@@ -341,7 +341,7 @@ def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None
     hdr[344:348] = b"n+1\x00"
     with open(path, "wb") as fh:
         fh.write(bytes(hdr))
-        fh.write(data.flatten(order="F").tobytes())
+        fh.write(data.tobytes(order="F"))
 
 
 def check_geometry(vol: VoxelVolume, mask: LesionMask) -> None:

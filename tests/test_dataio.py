@@ -91,6 +91,27 @@ class TestFeatureCsv:
             dataio.read_features_csv(path)
         assert str(caught.value) == f"{path}: line 2: column 'shape_SurfaceArea' cell 'abc' is not a number"
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_feature_cell_not_finite_names_path_line_and_column(self, tmp_path, cell):
+        # Dataset would reject the table as "X contains non-finite values", with no location
+        path = tmp_path / "features.csv"
+        path.write_text(f"lesion_id,scan_id,class,shape_MeshVolume,shape_SurfaceArea\na,s,1,1.0,2.0\nb,s,2,3.0,{cell}\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: line 3: column 'shape_SurfaceArea' cell {cell!r} is not finite"
+
+    @pytest.mark.parametrize(
+        "classes, line", [(("1", "", "2", ""), 3), (("", "1", "2", "3"), 2), (("1", "2", "3", ""), 5)]
+    )
+    def test_class_column_empty_on_some_lines_names_the_first(self, tmp_path, classes, line):
+        # read as wholly unlabelled, stats and train would refuse it as having no class column
+        path = tmp_path / "features.csv"
+        rows = "".join(f"l{i},s,{c},{i}.5\n" for i, c in enumerate(classes))
+        path.write_text("lesion_id,scan_id,class,shape_MeshVolume\n" + rows)
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: line {line} has no class, but other lines do"
+
     def test_ragged_row_names_path_and_line(self, tmp_path):
         path = tmp_path / "features.csv"
         dataio.write_features_csv(path, _records(2))

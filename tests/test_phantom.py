@@ -1,4 +1,10 @@
-"""Phantom generation: determinism and the planted class differences."""
+"""Phantom generation: determinism, streaming, the written bytes and the
+planted class differences."""
+
+import contextlib
+import hashlib
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +16,84 @@ from ctradiomics.features import DEFAULT_BIN_WIDTH, FEATURE_COLUMNS
 
 
 def test_counts_and_interleaving():
-    scans = phantom.generate_phantom(2, seed=0)
+    scans = list(phantom.generate_phantom(2, seed=0))
     assert len(scans) == 6
     assert [s.class_id for s in scans] == [1, 2, 3, 1, 2, 3]
-    scans = phantom.generate_phantom((2, 1, 1), seed=0)
+    scans = list(phantom.generate_phantom((2, 1, 1), seed=0))
     assert [s.class_id for s in scans] == [1, 2, 3, 1]
+    scans = list(phantom.generate_phantom((0, 3, 1), seed=0))
+    assert [s.class_id for s in scans] == [2, 3, 2, 2]
+    assert [s.scan_id for s in scans] == [f"phantom_{i:04d}" for i in range(4)]
+
+
+def test_scans_are_made_one_at_a_time():
+    scans = phantom.generate_phantom(2, seed=0)
+    assert not isinstance(scans, list)
+    first = next(scans)
+    assert (first.scan_id, first.class_id) == ("phantom_0000", 1)
+    assert len(list(scans)) == 5
+
+
+@pytest.mark.parametrize("counts", [(0, 0, 0), (-1, 2, 2), 0, (1, 2)])
+def test_bad_counts_raise_at_the_call(counts):
+    with pytest.raises(ValueError, match="n_per_class"):
+        phantom.generate_phantom(counts, seed=1)  # no scan is asked for
+
+
+def test_cli_bad_counts_exit_2_and_write_no_manifest(tmp_path, capsys):
+    assert main(["phantom", "--out", str(tmp_path / "cohort"), "--n-per-class", "0,0,0", "--seed", "1"]) == 2
+    assert not (tmp_path / "cohort").exists()  # the counts are checked before any directory is made
+    assert "n_per_class" in capsys.readouterr().err
+
+
+def _phantom_peak_mib(out, n_per_class):
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["phantom", "--out", str(out), "--n-per-class", str(n_per_class), "--seed", "1"]) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_memory_does_not_grow_with_the_cohort(tmp_path):
+    # one scan is held at a time, so the peak follows the largest scan, not the cohort
+    small = _phantom_peak_mib(tmp_path / "small", 2)
+    large = _phantom_peak_mib(tmp_path / "large", 20)
+    assert large - small <= 3.0, (small, large)
+
+
+# SHA-256 of the files `phantom --n-per-class 2 --seed 1` writes, recorded
+# before the generator streamed its scans and built its masks from 1-D axes
+PINNED_SHA256 = {
+    "images/phantom_0000.nii": "90873507a4418e6363fcb9db94935c3362fc6ad3e76f0793a962b5db14326286",
+    "images/phantom_0001.nii": "773d83c6f34eb929ae726245cc9f710f5abc0d2e0860251bf695fed22abbcb04",
+    "images/phantom_0002.nii": "830f5e6f051a24eed5ea3ea05310804146136b8e6057601d41cf4e57d568077e",
+    "images/phantom_0003.nii": "5e261506d818e0f9326f56223025d0462b2c944e65161e5e7d7c6e43f9519052",
+    "images/phantom_0004.nii": "2bd81738139e327b69af8df8fe80208963018672a9037f58c4482791408ea648",
+    "images/phantom_0005.nii": "8f6b6a355f43269a315119e7dcce5555eb4d0767ab7c67be841959bf55ecb808",
+    "masks/phantom_0000.nii": "bfe8e15771be404d59102248a5b8dcdae0f04d3b9b58a68a7078659271891f9e",
+    "masks/phantom_0001.nii": "b97014a775ffb5cfd8626c1bbbbdde9ceda87b5d92ddc0c743b143a8cab05e61",
+    "masks/phantom_0002.nii": "3e63e8e5a189048a97009c5b2fb7110bee82ef2e0a12af9027c6471c629fb628",
+    "masks/phantom_0003.nii": "1e61e2e4818115feda2a167d245e37d10c48dcaf26ed1a6583d62e205b73b523",
+    "masks/phantom_0004.nii": "13bbec4f49dca8248ccf06dbac00d7505db0685168c0a39a93d990eeb3e28f69",
+    "masks/phantom_0005.nii": "b4eb604c4ab05f07abf8bc663d430f245ce9583c53da78c2f928a72827c18ee1",
+}
+
+
+def test_cli_writes_the_pinned_bytes(tmp_path):
+    # the golden gate compares features at rel 1e-12; a last-bit change in a float32 image passes it
+    assert main(["phantom", "--out", str(tmp_path), "--n-per-class", "2", "--seed", "1"]) == 0
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("*/*.nii")}
+    assert written == set(PINNED_SHA256)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in sorted(written)}
+    assert digests == PINNED_SHA256
 
 
 def test_determinism_bytes():
-    a = phantom.generate_phantom(2, seed=42)
-    b = phantom.generate_phantom(2, seed=42)
+    a = list(phantom.generate_phantom(2, seed=42))
+    b = list(phantom.generate_phantom(2, seed=42))
+    assert len(a) == len(b) == 6
     for sa, sb in zip(a, b):
         assert sa.scan_id == sb.scan_id
         assert sa.class_id == sb.class_id
@@ -28,8 +102,8 @@ def test_determinism_bytes():
 
 
 def test_seed_changes_data():
-    a = phantom.generate_phantom(1, seed=1)
-    b = phantom.generate_phantom(1, seed=2)
+    a = list(phantom.generate_phantom(1, seed=1))
+    b = list(phantom.generate_phantom(1, seed=2))
     assert a[0].volume.data.tobytes() != b[0].volume.data.tobytes()
 
 

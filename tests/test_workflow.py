@@ -80,3 +80,12 @@ def test_runtime_only_compares_rows_in_memory_with_the_cli_files():
     script = "\n".join(step.get("run", "") for step in steps)
     assert "dataio.write_features_csv(sys.argv[1], rows)" in script
     assert 'cmp "$work/train.csv" "$work/train-memory.csv"' in script
+
+
+def test_runtime_only_memory_guard_runs_two_phantom_cohorts():
+    # phantom holds one scan at a time: 40 scans a class may peak at most
+    # 10 MB above 2 a class, each started from a small parent
+    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
+    script = "\n".join(step.get("run", "") for step in steps)
+    assert 'for n in ("2", "40"):' in script
+    assert "sys.exit(growth > 10)" in script
