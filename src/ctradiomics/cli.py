@@ -407,7 +407,8 @@ def cmd_phantom(args) -> int:
     for scan in scans:  # one scan in memory at a time: its files are written before the next is made
         image_path = images / f"{scan.scan_id}.nii"
         mask_path = masks / f"{scan.scan_id}.nii"
-        write_nifti(image_path, scan.volume.data.astype(ph.IMAGE_DTYPE), scan.volume.spacing, scan.volume.origin)
+        # a phantom volume holds its float32 image with no rescale: written as it is held
+        write_nifti(image_path, scan.volume.payload, scan.volume.spacing, scan.volume.origin)
         write_nifti(mask_path, scan.mask.labels, scan.mask.spacing, scan.mask.origin)
         entries.append(
             dataio.ManifestEntry(

@@ -8,9 +8,8 @@ the fixed-bin-width gray levels and the padded level grid built from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..volume_io import LesionRegion
 from .context import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
@@ -96,7 +95,7 @@ def extract_all(
         for (family, names), result in zip(FAMILY_NAMES.items(), computed)
         for name in names
     }
-    bad = [k for k, v in values.items() if not np.isfinite(v)]
+    bad = [k for k, v in values.items() if not math.isfinite(v)]
     if bad:
         raise RuntimeError(f"non-finite feature values for {bad}")
     return FeatureVector(values=values, lesion_id=lesion_id)

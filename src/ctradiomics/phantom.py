@@ -27,7 +27,7 @@ from .volume_io import LesionMask, VoxelVolume
 PLANTED_FEATURES: tuple[str, ...] = ("shape_Sphericity", "glcm_Contrast", "fos_Variance")
 
 SPACING = (1.0, 1.0, 1.0)
-IMAGE_DTYPE, LABEL_DTYPE = np.float32, np.uint8  # the files' dtypes; scans in memory hold the same values
+IMAGE_DTYPE, LABEL_DTYPE = np.float32, np.uint8  # the files' dtypes; scans in memory hold these arrays
 MARGIN = 6  # background voxels around the lesion on every side
 BACKGROUND_MEAN, BACKGROUND_SIGMA = 25.0, 6.0
 BASE_HU = (55.0, 75.0)
@@ -59,31 +59,38 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _coordinate_grid(extent: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Voxel-centre positions of a cube holding ``extent`` plus the margin on
-    each side of its centre, and the three 1-D axes they are broadcast from."""
-    side = int(2 * (np.ceil(extent) + MARGIN) + 1)
-    centre = (side - 1) / 2.0
-    ax = [(np.arange(side) - centre) * s for s in SPACING]
-    pos = np.empty((side, side, side, 3))
-    pos[..., 0], pos[..., 1], pos[..., 2] = ax[0][:, None, None], ax[1][:, None], ax[2]
-    return pos, ax
+def _lesion_box(extent: float, half) -> tuple[tuple[slice, ...], list[np.ndarray], int]:
+    """The box of ``half`` voxels each side of the centre of a cube holding
+    ``extent`` plus the margin on each side, the box's three 1-D voxel-centre
+    axes, and the cube's side."""
+    centre = int(np.ceil(extent)) + MARGIN
+    box = tuple(slice(centre - h, centre + h + 1) for h in half)
+    return box, [(np.arange(b.start, b.stop) - centre) * s for b, s in zip(box, SPACING)], 2 * centre + 1
 
 
-def _lesion_mask(class_id: int, rng: np.random.Generator) -> np.ndarray:
-    """Binary lesion mask on a freshly sized cubic grid."""
+def _lesion_mask(class_id: int, rng: np.random.Generator) -> tuple[np.ndarray, tuple[slice, ...], int]:
+    """Binary lesion mask on the box the lesion can occupy, that box in a
+    freshly sized cubic grid, and the grid's side.
+
+    The box reaches one voxel past the lesion, where the shape test misses by
+    a margin no rounding closes, so the mask placed in the zero cube is the
+    one the test evaluated on every voxel of the cube gives.
+    """
     u = rng.uniform
     if class_id == 1:
         radius = u(*SHELL_RADIUS)
         thickness = u(*SHELL_THICKNESS)
         half_angle = np.deg2rad(u(*SHELL_CAP_HALF_ANGLE_DEG))
         axis = _random_rotation(rng)[:, 0]
-        pos, ax = _coordinate_grid(radius + thickness)
+        # the band |r - radius| <= thickness / 2 first, from the 1-D axes; the angle test on its voxels only
+        box, ax, side = _lesion_box(radius + thickness, [int(radius + thickness / 2.0) + 1] * 3)
         sq = [a * a for a in ax]  # the sum np.linalg.norm(pos, axis=-1) takes, per axis
         r = np.sqrt((sq[0][:, None, None] + sq[1][:, None]) + sq[2])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_angle = np.where(r > 0, (pos @ axis) / np.where(r > 0, r, 1.0), 1.0)
-        return (np.abs(r - radius) <= thickness / 2.0) & (cos_angle >= np.cos(half_angle))
+        band = np.nonzero(np.abs(r - radius) <= thickness / 2.0)
+        pos = np.stack([a[i] for a, i in zip(ax, band)], axis=1)
+        mask = np.zeros(r.shape, dtype=bool)
+        mask[band] = (pos @ axis) / r[band] >= np.cos(half_angle)  # r >= radius - thickness / 2 > 0 on the band
+        return mask, box, side
     if class_id == 2:
         a = u(*LENS_AXIS)
         c = a * u(*LENS_RATIO)
@@ -92,24 +99,32 @@ def _lesion_mask(class_id: int, rng: np.random.Generator) -> np.ndarray:
         a = u(*BLOB_AXIS)
         semi = np.array([a, a * u(*BLOB_RATIO), a * u(*BLOB_RATIO)])
     rot = _random_rotation(rng)
-    pos, _ = _coordinate_grid(semi.max())
+    # the rotated ellipsoid's half-widths; a voxel past them, q >= 1.2
+    box, ax, side = _lesion_box(semi.max(), [int(h) + 1 for h in np.sqrt(((rot * semi) ** 2).sum(axis=1))])
+    pos = np.empty((len(ax[0]), len(ax[1]), len(ax[2]), 3))
+    pos[..., 0], pos[..., 1], pos[..., 2] = ax[0][:, None, None], ax[1][:, None], ax[2]
     # coordinates rotated into the ellipsoid frame, as one (N, 3) @ (3, 3) product
     q = (pos.reshape(-1, 3) @ rot / semi) ** 2
-    return ((q[:, 0] + q[:, 1]) + q[:, 2] <= 1.0).reshape(pos.shape[:3])  # added in .sum(axis=-1)'s order
+    return ((q[:, 0] + q[:, 1]) + q[:, 2] <= 1.0).reshape(pos.shape[:3]), box, side  # in .sum(axis=-1)'s order
 
 
 def _make_scan(scan_id: str, class_id: int, rng: np.random.Generator) -> PhantomScan:
-    mask = _lesion_mask(class_id, rng)
-    while mask.sum() < MIN_VOXELS:
-        mask = _lesion_mask(class_id, rng)
-    data = rng.normal(BACKGROUND_MEAN, BACKGROUND_SIGMA, size=mask.shape)
+    lesion, box, side = _lesion_mask(class_id, rng)
+    while lesion.sum() < MIN_VOXELS:
+        lesion, box, side = _lesion_mask(class_id, rng)
+    data = rng.normal(BACKGROUND_MEAN, BACKGROUND_SIGMA, size=(side,) * 3).astype(IMAGE_DTYPE)
     base = rng.uniform(*BASE_HU)
-    data[mask] = base + rng.normal(0.0, NOISE_SIGMA[class_id], size=int(mask.sum()))
-    volume = VoxelVolume(data=data.astype(IMAGE_DTYPE), spacing=SPACING)
+    # the box is a view in the cube's C order: the draws land on the voxels of the whole-cube mask
+    data[box][lesion] = base + rng.normal(0.0, NOISE_SIGMA[class_id], size=int(lesion.sum()))
+    volume = VoxelVolume(data=data, spacing=SPACING)
+    labels = np.zeros(data.shape, dtype=LABEL_DTYPE)
+    labels[box] = lesion
+    inside = np.argwhere(lesion) + [b.start for b in box]  # found on the box, not the cube
     lesion_mask = LesionMask(
-        labels=mask.astype(LABEL_DTYPE),
+        labels=labels,
         spacing=SPACING,
         class_of_label={1: class_id},
+        boxes={1: (inside.min(axis=0), inside.max(axis=0))},
     )
     return PhantomScan(scan_id=scan_id, volume=volume, mask=lesion_mask, class_id=class_id)
 

@@ -35,14 +35,17 @@ _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 class VoxelVolume:
     """A 3D scalar grid (HU) with physical spacing and origin in mm.
 
-    The grid is held once, as a payload and a linear rescale: the float64
-    array it was built from, or the memory-mapped file values of a volume
-    from ``read_volume``.  ``values`` converts the sub-grid a caller asks
-    for and ``data`` the whole grid, each into a new float64 array.
+    The grid is held once, as a payload and a linear rescale: the array it
+    was built from, widened to float64 unless NIfTI-1 stores its dtype, or
+    the memory-mapped file values of a volume from ``read_volume``.  ``values``
+    converts the sub-grid a caller asks for and ``data`` the whole grid, each
+    into a new float64 array.
     """
 
     def __init__(self, data, spacing, origin=(0.0, 0.0, 0.0)):
-        data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype not in _DTYPE_CODES:
+            data = data.astype(np.float64)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
         self._set_geometry(spacing, origin)
@@ -63,6 +66,11 @@ class VoxelVolume:
         self.origin = tuple(float(o) for o in origin)
         if any(s <= 0 for s in self.spacing):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
+
+    @property
+    def payload(self) -> np.ndarray:
+        """The array held, whose values give HU through the volume's linear rescale."""
+        return self._payload
 
     @property
     def data(self) -> np.ndarray:

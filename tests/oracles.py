@@ -11,7 +11,9 @@ table that ``mesh._spacing_constants`` must match bit for bit; and the two
 loops the package's vectorized mesh sum and hull scan replaced,
 ``mesh_sums_loop`` and ``hull_candidates_loop``, and the packed-key run
 finder the GLRLM run-length pass replaced, ``glrlm_matrices_packed_keys``,
-which they must match bit for bit.
+which they must match bit for bit; and the phantom generator's
+whole-cube lesion mask, ``lesion_mask_whole_cube``, which the mask it builds
+on the lesion's box must match bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ctradiomics import mesh
+from ctradiomics import mesh, phantom
 from ctradiomics.features.context import batch_rows
 
 DIRECTIONS = [
@@ -846,6 +848,50 @@ def nearest_oracle(labels, spacing, target):
                     idx.append(min(int(math.floor(x + 0.5)), d - 1))
                 out[i, j, k] = labels[tuple(idx)]
     return out
+
+
+# -------------------------------------------------------------- phantom masks
+
+
+def _coordinate_grid(extent):
+    """Voxel-centre positions of a cube holding ``extent`` plus the margin on
+    each side of its centre, and the three 1-D axes they are broadcast from."""
+    side = int(2 * (np.ceil(extent) + phantom.MARGIN) + 1)
+    centre = (side - 1) / 2.0
+    ax = [(np.arange(side) - centre) * s for s in phantom.SPACING]
+    pos = np.empty((side, side, side, 3))
+    pos[..., 0], pos[..., 1], pos[..., 2] = ax[0][:, None, None], ax[1][:, None], ax[2]
+    return pos, ax
+
+
+def lesion_mask_whole_cube(class_id, rng):
+    """The phantom lesion mask evaluated on every voxel of its cube: the
+    generator's mask before it was built on the lesion's box, kept verbatim
+    so the box-built mask can be checked against it bit for bit."""
+    u = rng.uniform
+    if class_id == 1:
+        radius = u(*phantom.SHELL_RADIUS)
+        thickness = u(*phantom.SHELL_THICKNESS)
+        half_angle = np.deg2rad(u(*phantom.SHELL_CAP_HALF_ANGLE_DEG))
+        axis = phantom._random_rotation(rng)[:, 0]
+        pos, ax = _coordinate_grid(radius + thickness)
+        sq = [a * a for a in ax]  # the sum np.linalg.norm(pos, axis=-1) takes, per axis
+        r = np.sqrt((sq[0][:, None, None] + sq[1][:, None]) + sq[2])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_angle = np.where(r > 0, (pos @ axis) / np.where(r > 0, r, 1.0), 1.0)
+        return (np.abs(r - radius) <= thickness / 2.0) & (cos_angle >= np.cos(half_angle))
+    if class_id == 2:
+        a = u(*phantom.LENS_AXIS)
+        c = a * u(*phantom.LENS_RATIO)
+        semi = np.array([a, a, c])
+    else:
+        a = u(*phantom.BLOB_AXIS)
+        semi = np.array([a, a * u(*phantom.BLOB_RATIO), a * u(*phantom.BLOB_RATIO)])
+    rot = phantom._random_rotation(rng)
+    pos, _ = _coordinate_grid(semi.max())
+    # coordinates rotated into the ellipsoid frame, as one (N, 3) @ (3, 3) product
+    q = (pos.reshape(-1, 3) @ rot / semi) ** 2
+    return ((q[:, 0] + q[:, 1]) + q[:, 2] <= 1.0).reshape(pos.shape[:3])  # added in .sum(axis=-1)'s order
 
 
 # ------------------------------------------------------------------------ PLS

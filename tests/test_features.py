@@ -303,6 +303,18 @@ class TestExtractAll:
         assert all(np.isfinite(v) for v in fv.values.values())
         assert "shape_VoxelVolume" not in FEATURE_COLUMNS  # MeshVolume is the volume feature
 
+    def test_a_non_finite_value_names_its_column(self, monkeypatch):
+        from ctradiomics import features
+
+        ngtdm = features.ngtdm_features
+
+        def busyness_nan(d):
+            return {**ngtdm(d), "Busyness": float("nan")}
+
+        monkeypatch.setattr(features, "ngtdm_features", busyness_nan)
+        with pytest.raises(RuntimeError, match=r"non-finite feature values for \['ngtdm_Busyness'\]"):
+            extract_all(random_blob_region(seed=1))
+
     def test_family_cardinalities(self):
         sizes = {fam: len(names) for fam, names in FAMILY_NAMES.items()}
         assert sizes == {

@@ -1,5 +1,5 @@
-"""Phantom generation: determinism, streaming, the written bytes and the
-planted class differences."""
+"""Phantom generation: determinism, streaming, the written bytes, the masks
+built on the lesion's box and the planted class differences."""
 
 import contextlib
 import hashlib
@@ -7,12 +7,14 @@ import io
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 
 from ctradiomics import phantom
 from ctradiomics.cli import extract_scan, main
 from ctradiomics.dataio import Dataset, write_features_csv
 from ctradiomics.features import DEFAULT_BIN_WIDTH, FEATURE_COLUMNS
+from ctradiomics.volume_io import _label_boxes
 
 
 def test_counts_and_interleaving():
@@ -61,6 +63,43 @@ def test_cli_memory_does_not_grow_with_the_cohort(tmp_path):
     small = _phantom_peak_mib(tmp_path / "small", 2)
     large = _phantom_peak_mib(tmp_path / "large", 20)
     assert large - small <= 3.0, (small, large)
+
+
+def test_cli_peak_follows_the_lesion_box(tmp_path):
+    # masks are built on the lesion's box and the float32 image is held once:
+    # measured 1.3 MiB with numpy 2.4, and 5.2 MiB from whole-cube masks and float64 twins
+    _phantom_peak_mib(tmp_path / "warm", 1)  # imports
+    assert _phantom_peak_mib(tmp_path / "cohort", 20) <= 3.0
+
+
+@pytest.mark.parametrize("class_id", [1, 2, 3])
+def test_box_masks_equal_the_whole_cube_oracle(class_id):
+    # the sub-block products must round as the whole-cube ones do, and the
+    # same draws must be consumed, or every later scan's bytes move
+    for seed in range(100):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        lesion, box, side = phantom._lesion_mask(class_id, ours)
+        whole = np.zeros((side,) * 3, dtype=bool)
+        whole[box] = lesion
+        expected = oracles.lesion_mask_whole_cube(class_id, theirs)
+        assert whole.shape == expected.shape and np.array_equal(whole, expected), seed
+        assert ours.bit_generator.state == theirs.bit_generator.state, seed
+
+
+def test_volume_holds_the_float32_image_once():
+    scan = next(phantom.generate_phantom(1, seed=4))
+    payload = scan.volume.payload
+    assert payload.dtype == phantom.IMAGE_DTYPE and payload.shape == scan.mask.dims
+    assert [k for k, v in vars(scan.volume).items() if isinstance(v, np.ndarray)] == ["_payload"]
+    assert np.array_equal(scan.volume.data, payload.astype(np.float64))
+
+
+def test_mask_boxes_are_the_label_boxes():
+    for scan in phantom.generate_phantom(6, seed=0):
+        expected = _label_boxes(scan.mask.labels)
+        assert list(scan.mask.boxes) == list(expected) == [1], scan.scan_id
+        for got, want in zip(scan.mask.boxes[1], expected[1]):
+            assert np.array_equal(got, want), scan.scan_id
 
 
 # SHA-256 of the files `phantom --n-per-class 2 --seed 1` writes, recorded
