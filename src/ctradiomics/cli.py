@@ -22,11 +22,13 @@ from .volume_io import extract_lesions, read_mask, read_volume, write_nifti
 from .volume_io import resample_isotropic  # noqa: F401  perfbench/tracing.py wraps it by name
 
 
-def _positive(kind):
+def _positive(kind, most=np.inf):
     def parse(text):
         value = kind(text)
         if not 0 < value < np.inf:  # NaN and inf would fail every scan or give one gray level
             raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
         return value
 
     return parse
@@ -86,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path, help="output CSV")
     p.add_argument("--features-list", help="comma-separated feature subset (default: all)")
-    p.add_argument("--alpha", type=_positive(float), default=0.05)
-    p.add_argument("--q", type=_positive(float), default=0.05)
+    p.add_argument("--alpha", type=_positive(float, most=1.0), default=0.05)
+    p.add_argument("--q", type=_positive(float, most=1.0), default=0.05)
     p.add_argument("--global-family", action="store_true", help="one FDR family across all features")
 
     p = sub.add_parser("phantom", help="write synthetic image/mask pairs plus a manifest")
@@ -153,13 +155,14 @@ def _outcome(run, *args):
 
 
 def _pooled(tasks, order, jobs, outcomes) -> list:
-    """Run the scans ``order`` in one pool of ``jobs`` workers, at most
-    2 * jobs at a time, into ``outcomes``.  A worker that dies breaks the
-    pool: the scans then in flight are returned, each with the pool's error
-    message as its outcome, and the ones not yet started are left unset."""
+    """Run the scans ``order`` in one pool of ``jobs`` workers, or one per scan
+    if fewer, at most 2 * jobs at a time, into ``outcomes``.  A worker that
+    dies breaks the pool: the scans then in flight are returned, each with the
+    pool's error message as its outcome; the ones not yet started stay unset."""
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
+    jobs = min(jobs, len(order))  # a fork-started pool forks all its workers at once
     waiting, running, broken = list(order), {}, []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         while waiting or running:

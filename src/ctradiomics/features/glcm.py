@@ -89,22 +89,16 @@ def _bincount_rows(flat: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
     """All 23 features of each matrix in a (D, ng, ng) stack, shape (D,) each.
 
-    HXY1 = -sum p_ij log(px_i py_j) and HXY2 = -sum px_i py_j log(px_i py_j)
-    both equal HX + HY, as the rows of P sum to px and its columns to py.
-    The column marginal stays: P is symmetric, but py sums in another order
-    than px, and Correlation's mean over directions nearly cancels on noisy
-    lesions, so a last-bit change in mu_y moves it by up to 1e-11 relative.
+    Each P is symmetric, so rows and columns share one marginal px, with one
+    mean, variance and entropy HX, and HXY1 = HXY2 = 2 HX.
     """
     n_dir, ng, _ = p.shape
     i = np.arange(1, ng + 1, dtype=np.float64)
     ii, jj = np.meshgrid(i, i, indexing="ij")
     flat = p.reshape(n_dir, ng * ng)
     px = p.sum(axis=2)
-    py = p.sum(axis=1)
-    mu_x = (i * px).sum(axis=1)
-    mu_y = (i * py).sum(axis=1)
-    var_x = ((i - mu_x[:, None]) ** 2 * px).sum(axis=1)
-    var_y = ((i - mu_y[:, None]) ** 2 * py).sum(axis=1)
+    mu = (i * px).sum(axis=1)
+    var = ((i - mu[:, None]) ** 2 * px).sum(axis=1)
 
     # p_diff over |i-j| = 0..ng-1 and p_sum over i+j-2 = 0..2ng-2
     p_diff = _bincount_rows(flat, np.abs(ii - jj).astype(np.intp).ravel(), ng)
@@ -114,23 +108,16 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
     diff_avg = (diff_k * p_diff).sum(axis=1)
     h_xy = _entropy2(flat)
     h_x = _entropy2(px)
-    h_y = _entropy2(py)
-    h_xy1 = h_x + h_y  # = HXY2
+    h_xy1 = 2.0 * h_x  # = HXY2
 
     autocorr = (flat * (ii * jj).ravel()).sum(axis=1)
-    correlation = np.divide(
-        autocorr - mu_x * mu_y,
-        np.sqrt(var_x * var_y),
-        out=np.ones(n_dir),  # flat marginal fallback
-        where=(var_x > 0) & (var_y > 0),
-    )
-    den = np.maximum(h_x, h_y)
-    imc1 = np.divide(h_xy - h_xy1, den, out=np.zeros(n_dir), where=den > 0)
+    correlation = np.divide(autocorr - mu**2, var, out=np.ones(n_dir), where=var > 0)  # 1 if flat
+    imc1 = np.divide(h_xy - h_xy1, h_x, out=np.zeros(n_dir), where=h_x > 0)
     imc2 = np.sqrt(np.maximum(1.0 - np.exp(-2.0 * (h_xy1 - h_xy)), 0.0))
 
     # features of i+j and of |i-j| alone, summed over p_sum and p_diff
     sum_k = np.arange(2, 2 * ng + 1, dtype=np.float64)
-    centred = sum_k - mu_x[:, None] - mu_y[:, None]
+    centred = sum_k - 2.0 * mu[:, None]
     inv_sq = np.divide(1.0, diff_k**2, out=np.zeros(ng), where=diff_k > 0)
 
     def over_diff(w: np.ndarray) -> np.ndarray:
@@ -153,13 +140,13 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
         "Imc1": imc1,
         "Imc2": imc2,
         "InverseVariance": over_diff(inv_sq),
-        "JointAverage": mu_x,
+        "JointAverage": mu,
         "JointEnergy": (flat**2).sum(axis=1),
         "JointEntropy": h_xy,
         "MCC": _mcc(p, px),
         "MaximumProbability": flat.max(axis=1),
         "SumEntropy": _entropy2(p_sum),
-        "SumSquares": var_x,
+        "SumSquares": var,
     }
 
 

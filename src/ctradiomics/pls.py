@@ -204,8 +204,8 @@ def select_features_vip(vip: np.ndarray, threshold: float) -> np.ndarray:
     return idx
 
 
-def model_to_dict(model: PlsModel) -> dict:
-    return {
+def save_model(model: PlsModel, path) -> None:
+    doc = {
         "feature_names": list(model.feature_names),
         "mean": model.mean.tolist(),
         "scale": model.scale.tolist(),
@@ -217,28 +217,38 @@ def model_to_dict(model: PlsModel) -> dict:
         "class_labels": list(model.class_labels),
         "y_means": model.y_means.tolist(),
     }
-
-
-def model_from_dict(doc: dict) -> PlsModel:
-    return PlsModel(
-        mean=np.asarray(doc["mean"], dtype=np.float64),
-        scale=np.asarray(doc["scale"], dtype=np.float64),
-        weights=np.asarray(doc["W"], dtype=np.float64),
-        x_loadings=np.asarray(doc["P"], dtype=np.float64),
-        y_loadings=np.asarray(doc["Q"], dtype=np.float64),
-        scores=np.zeros((0, int(doc["A"]))),  # training scores are not serialized
-        coef=np.asarray(doc["B"], dtype=np.float64),
-        y_means=np.asarray(doc["y_means"], dtype=np.float64),
-        n_components=int(doc["A"]),
-        class_labels=tuple(int(c) for c in doc["class_labels"]),
-        feature_names=tuple(doc["feature_names"]),
-    )
-
-
-def save_model(model: PlsModel, path) -> None:
-    write_json(path, model_to_dict(model))
+    write_json(path, doc)
 
 
 def load_model(path) -> PlsModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """The model a ``save_model`` file holds; ValueError naming the file if it
+    is no JSON object, lacks a key or holds arrays of disagreeing shapes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError(f"the JSON is a {type(doc).__name__}, not an object")
+        p, m, a = len(doc["feature_names"]), len(doc["class_labels"]), int(doc["A"])
+        shapes = {"mean": (p,), "scale": (p,), "W": (p, a), "P": (p, a), "Q": (m, a), "B": (p, m), "y_means": (m,)}
+        arrays = {key: np.asarray(doc[key], dtype=np.float64) for key in shapes}
+        wrong = [f"{key} is {v.shape}, not {shapes[key]}" for key, v in arrays.items() if v.shape != shapes[key]]
+        if wrong:
+            raise ValueError(f"with {p} features, {m} classes and {a} components, {'; '.join(wrong)}")
+        class_labels = tuple(int(c) for c in doc["class_labels"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a model: no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a model: {exc}") from None
+    return PlsModel(
+        mean=arrays["mean"],
+        scale=arrays["scale"],
+        weights=arrays["W"],
+        x_loadings=arrays["P"],
+        y_loadings=arrays["Q"],
+        scores=np.zeros((0, a)),  # training scores are not serialized
+        coef=arrays["B"],
+        y_means=arrays["y_means"],
+        n_components=a,
+        class_labels=class_labels,
+        feature_names=tuple(doc["feature_names"]),
+    )

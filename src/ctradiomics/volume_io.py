@@ -190,8 +190,8 @@ def _parse_header(raw: bytes, path) -> dict:
     expected_bitpix = np.dtype(_DTYPES[datatype]).itemsize * 8
     if bitpix != expected_bitpix:
         raise NiftiFormatError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
-    if not HEADER_SIZE <= vox_offset < np.inf:  # NaN too
-        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not a finite offset past the header")
+    if not (HEADER_SIZE <= vox_offset < np.inf and vox_offset.is_integer()):  # NaN too
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not a whole byte offset past the header")
     return {
         "order": order,
         "dims": tuple(int(d) for d in dims),

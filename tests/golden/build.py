@@ -2,10 +2,14 @@
 
     PYTHONPATH=src python tests/golden/build.py
 
+builds the outputs in a temporary directory, prints for each output it would
+change every moved CSV column or JSON key path (list indices as ``*``) with
+its largest relative move, |new - old| / max(|new|, |old|), and only then
 rewrites the files next to this script.  ``tests/test_golden.py`` builds the
 same outputs in a temporary directory and compares them with the committed
 ones, so a change that moves any output shows up as a failing test.  A change
-that rewrites them must say in CHANGES.md which columns moved and by how much.
+that rewrites them must say in CHANGES.md which columns moved and by how much:
+the printed report is that list.
 
 The run: the train cohort ``phantom --n-per-class 4 --seed 1`` extracted at
 the default 25 HU bin width, at a 2 HU bin width and at ``--spacing 0.8``;
@@ -18,6 +22,10 @@ model; and the train cohort's manifest as ``phantom`` writes it.
 
 from __future__ import annotations
 
+import csv
+import json
+import math
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -89,6 +97,73 @@ def build(out: Path, work: Path) -> None:
     (out / "manifest.csv").write_bytes(train.read_bytes())
 
 
+def _move(new, old) -> float:
+    """The relative move from ``old`` to ``new``: 0 if equal, inf if either is
+    not a number."""
+    if new == old:
+        return 0.0
+    try:
+        a, b = float(new), float(old)
+    except (TypeError, ValueError):
+        return math.inf
+    if math.isnan(a) and math.isnan(b):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
+
+
+def _json_moves(new, old, at: str, moves: dict[str, float]) -> None:
+    if isinstance(new, dict) and isinstance(old, dict) and new.keys() == old.keys():
+        for key in old:
+            _json_moves(new[key], old[key], f"{at}/{key}", moves)
+    elif isinstance(new, list) and isinstance(old, list) and len(new) == len(old):
+        for n, o in zip(new, old):
+            _json_moves(n, o, f"{at}/*", moves)
+    else:
+        moved = _move(new, old) if type(new) is type(old) else math.inf  # 2 and 2.0 differ
+        moves[at or "/"] = max(moves.get(at or "/", 0.0), moved)
+
+
+def _moves(new: Path, old: Path) -> dict[str, float]:
+    """The largest relative move of each CSV column or JSON key path from
+    ``old`` to ``new``, for the ones that moved."""
+    moves: dict[str, float] = {}
+    if new.suffix == ".json":
+        _json_moves(json.loads(new.read_text()), json.loads(old.read_text()), "", moves)
+    else:
+        with open(new, newline="") as fh_new, open(old, newline="") as fh_old:
+            rows_new, rows_old = list(csv.reader(fh_new)), list(csv.reader(fh_old))
+        if [len(r) for r in rows_new] != [len(r) for r in rows_old] or rows_new[:1] != rows_old[:1]:
+            return {"header or shape": math.inf}
+        for row_new, row_old in zip(rows_new[1:], rows_old[1:]):
+            for column, n, o in zip(rows_old[0], row_new, row_old):
+                moves[column] = max(moves.get(column, 0.0), _move(n, o))
+    return {key: moved for key, moved in moves.items() if moved}
+
+
+def report(built: Path) -> None:
+    """Print what rewriting the golden files with those in ``built`` moves."""
+    def changes(name: str) -> bool:
+        return not (HERE / name).exists() or (built / name).read_bytes() != (HERE / name).read_bytes()
+
+    changed = [name for name in OUTPUTS if changes(name)]
+    print(f"golden outputs that change: {len(changed)}")
+    for name in changed:
+        new, old = built / name, HERE / name
+        if not old.exists():
+            print(f"{name}: new file")
+        else:
+            moves = _moves(new, old)
+            print(f"{name}: bytes differ" + ("" if moves else ", no value moved"))
+            for key, moved in sorted(moves.items(), key=lambda kv: -kv[1]):
+                print(f"  {key}: {'changed' if math.isinf(moved) else f'{moved:.2g}'}")
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        build(HERE, Path(work))
+    with tempfile.TemporaryDirectory() as tmp:
+        out, work = Path(tmp, "out"), Path(tmp, "work")
+        out.mkdir()
+        work.mkdir()
+        build(out, work)
+        report(out)
+        for name in OUTPUTS:
+            shutil.copyfile(out / name, HERE / name)

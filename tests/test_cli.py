@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctradiomics import cli
+from ctradiomics import cli, pls
 from ctradiomics.cli import main
 from ctradiomics.dataio import write_features_csv
 from ctradiomics.volume_io import write_nifti
@@ -370,6 +370,30 @@ def test_extract_reruns_a_scan_whose_worker_died_once(tmp_path, capsys, monkeypa
     assert out.read_bytes() == clean.read_bytes()
 
 
+def test_extract_starts_no_more_workers_than_scans(tmp_path, capsys, monkeypatch):
+    # a fork-started pool forks all its workers at the first submit, so a
+    # pool of --jobs workers on a short manifest would fork idle processes
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    manifest = _batch_manifest(tmp_path, n_good=1)  # two scans, the second fails
+    outputs = []
+    for jobs in ("1", "8"):
+        out = tmp_path / f"features{jobs}.csv"
+        argv = ["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", jobs]
+        assert main(argv) == 1
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert started == [2]
+    assert outputs[0] == outputs[1]
+
+
 _NO_SCIPY_PIPELINE = """
 import sys
 from ctradiomics import cli
@@ -479,6 +503,55 @@ def test_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, monkeypatch, 
     assert caught.value.code == 2
     assert f"{argv[-2]}: must be positive and finite, got {argv[-1]}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--q"])
+@pytest.mark.parametrize("value", ["5", "1.5"])
+def test_probabilities_above_1_exit_2_at_parse_time(tmp_path, capsys, monkeypatch, option, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        main(["stats", "--features", "f.csv", "--out", "o.csv", option, value])
+    assert caught.value.code == 2
+    assert f"{option}: must be at most 1.0, got {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    args = cli.build_parser().parse_args(["stats", "--features", "f", "--out", "o", option, "1"])
+    assert getattr(args, option[2:]) == 1.0  # 1 is a probability
+
+
+def _malformed(doc: dict, case: str) -> str:
+    """The text of a model file, ``doc`` spoilt as ``case`` says."""
+    if case == "not JSON":
+        return json.dumps(doc)[:-1]
+    if case == "not an object":
+        return "[1, 2]"
+    if case == "missing key":
+        return json.dumps({key: value for key, value in doc.items() if key != "mean"})
+    return json.dumps({**doc, "B": doc["B"][:-1]})  # one feature row short
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("not JSON", "Expecting ',' delimiter"),
+        ("not an object", "the JSON is a list, not an object"),
+        ("missing key", "no key 'mean'"),
+        ("wrong B shape", "with 4 features, 3 classes and 2 components, B is (3, 3), not (4, 3)"),
+    ],
+    ids=["not-JSON", "not-an-object", "missing-key", "wrong-B-shape"],
+)
+def test_malformed_model_file_exits_2_naming_it(workspace, tmp_path, capsys, case, message):
+    names = ["shape_Sphericity", "fos_Mean", "glcm_Contrast", "ngtdm_Busyness"]
+    x = np.random.default_rng(3).normal(size=(12, 4))
+    good = tmp_path / "good.json"
+    pls.save_model(pls.train_plsda(x, np.tile([1, 2, 3], 4), 2, feature_names=names), good)
+    model = tmp_path / "model.json"
+    model.write_text(_malformed(json.loads(good.read_text()), case))
+    for command in ("predict", "evaluate"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--features", str(workspace / "test.csv"), "--model", str(model), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {model}: not a model: {message}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

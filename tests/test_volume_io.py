@@ -102,7 +102,8 @@ class TestReadVolume:
             with pytest.raises(NiftiFormatError, match="truncated"):
                 reader(path)
 
-    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf, 100.0])
+    # 352.9 names no byte: the reader must not truncate it to 352
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf, 100.0, 352.9])
     def test_bad_vox_offset_is_format_error_naming_the_path(self, tmp_path, offset):
         path = write_blob(tmp_path, make_nifti_bytes(vox_offset=offset))
         for reader in (read_volume, lambda p: read_mask(p, {})):

@@ -43,6 +43,13 @@ def test_tier1_runs_the_benchmark_self_test():
     assert "python3 perfbench/selftest.py" in [step.get("run", "").strip() for step in steps]
 
 
+def test_tier1_lists_its_slowest_tests():
+    # every run shows where tier-1 time goes
+    steps = jobs(WORKFLOW.read_text())["tier1"]["steps"]
+    runs = [step.get("run", "") for step in steps if "pytest" in step.get("run", "")]
+    assert len(runs) == 1 and "--durations=10" in runs[0].split()
+
+
 def test_runtime_only_compares_two_runs_of_experiments_and_train():
     # the CV sweep's determinism, checked where only numpy is installed
     steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
