@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .dataio import Dataset, read_features_csv, write_features_csv
 from .features import FEATURE_COLUMNS, extract_all
-from .model_selection import ExperimentSpec, evaluate, experiment_specs, fit_experiment, run_experiments
+from .model_selection import ExperimentSpec, evaluate, experiment_specs, fit_experiment, fit_plsda, run_experiments
 from .phantom import generate_phantom
-from .pls import PlsModel, load_model, predict, save_model, train_plsda, vip_scores
+from .pls import PlsModel, load_model, predict, save_model, vip_scores
 from .volume_io import (
     LesionMask,
     LesionRegion,
@@ -37,6 +37,7 @@ __all__ = [
     "extract_all",
     "extract_lesions",
     "fit_experiment",
+    "fit_plsda",
     "generate_phantom",
     "load_model",
     "predict",
@@ -46,7 +47,6 @@ __all__ = [
     "resample_isotropic",
     "run_experiments",
     "save_model",
-    "train_plsda",
     "vip_scores",
     "write_features_csv",
     "write_nifti",

@@ -368,7 +368,7 @@ def cmd_stats(args) -> int:
     if dataset is None:
         return 1
     features = None
-    if args.features_list:
+    if args.features_list is not None:
         features = [f.strip() for f in args.features_list.split(",") if f.strip()]
     rows = st.feature_group_report(
         dataset, features=features, alpha=args.alpha, q=args.q, global_family=args.global_family

@@ -94,10 +94,10 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def _fit_on(x, y, n_components, n_classes, feature_names) -> PlsModel:
+def fit_plsda(x, y, n_components: int, n_classes: int, feature_names=None) -> PlsModel:
+    """PLS-DA: autoscale X, dummy-code y against classes 1..n_classes, and fit."""
     xs, mean, scale = autoscale(x)
-    yd = encode_dummy(y, n_classes)
-    return fit_pls(xs, yd, n_components, mean=mean, scale=scale, feature_names=feature_names)
+    return fit_pls(xs, encode_dummy(y, n_classes), n_components, mean=mean, scale=scale, feature_names=feature_names)
 
 
 def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
@@ -117,7 +117,7 @@ def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
     for fold in folds:
         test = np.zeros(len(dataset), dtype=bool)
         test[fold] = True
-        model = _fit_on(x[~test], y[~test], max_components, n_classes, dataset.feature_names)
+        model = fit_plsda(x[~test], y[~test], max_components, n_classes, dataset.feature_names)
         w = model.weights
         rotation = np.linalg.solve(w.T @ model.x_loadings, w.T).T
         scores = apply_scaling(x[test], model.mean, model.scale) @ rotation
@@ -155,13 +155,13 @@ def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, Ex
 
     best_lv, best_err = _sweep_components(work, folds, spec.max_lv)
     if spec.do_vip_selection:
-        full_model = _fit_on(work.x, work.y, best_lv, n_classes, work.feature_names)
+        full_model = fit_plsda(work.x, work.y, best_lv, n_classes, work.feature_names)
         vip = vip_scores(full_model)
         keep = select_features_vip(vip, spec.vip_threshold)
         work = work.subset_columns([work.feature_names[i] for i in keep])
         best_lv, best_err = _sweep_components(work, folds, spec.max_lv)
 
-    model = _fit_on(work.x, work.y, best_lv, n_classes, work.feature_names)
+    model = fit_plsda(work.x, work.y, best_lv, n_classes, work.feature_names)
     report = ExperimentReport(
         experiment_id=spec.experiment_id,
         error_rate=best_err,

@@ -154,14 +154,6 @@ def fit_pls(
     )
 
 
-def train_plsda(x, y, n_components, feature_names=None) -> PlsModel:
-    """Autoscale X, dummy-code y against classes 1..max, and fit."""
-    y = np.asarray(y, dtype=int)
-    xs, mean, scale = autoscale(x)
-    yd = encode_dummy(y, int(y.max()))
-    return fit_pls(xs, yd, n_components, mean=mean, scale=scale, feature_names=feature_names)
-
-
 def predict(model: PlsModel, x_new) -> tuple[np.ndarray, np.ndarray]:
     """Predicted responses and class ids for raw (unscaled) feature rows."""
     x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))

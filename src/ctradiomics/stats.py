@@ -10,6 +10,7 @@ features jointly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,11 +163,17 @@ def feature_group_report(
     Dunn tests run only where the omnibus p <= alpha.  BH adjustment spans
     each feature's own pairwise family unless ``global_family`` pools every
     pairwise p value across features.  Constant features are marked
-    degenerate and excluded from the adjustment family.
+    degenerate and excluded from the adjustment family.  A repeated feature
+    (which would enter a family twice) or an empty list raises ValueError.
     """
     if dataset.y is None:
         raise ValueError("group statistics need class labels")
     features = list(features) if features is not None else list(dataset.feature_names)
+    if not features:
+        raise ValueError("the feature list names no feature")
+    repeated = [feature for feature, count in Counter(features).items() if count > 1]
+    if repeated:
+        raise ValueError(f"feature {repeated[0]!r} is listed more than once")
     classes = sorted(set(dataset.y.tolist()))
     if len(classes) < 2:
         raise ValueError("need at least two classes")

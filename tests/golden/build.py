@@ -6,8 +6,10 @@ builds the outputs in a temporary directory, prints for each output it would
 change every moved CSV column or JSON key path (list indices as ``*``) with
 its largest relative move, |new - old| / max(|new|, |old|), and only then
 rewrites the files next to this script.  ``tests/test_golden.py`` builds the
-same outputs in a temporary directory and compares them with the committed
-ones, so a change that moves any output shows up as a failing test.  A change
+same outputs in a temporary directory and walks them with the same
+``_moves``, failing on any move above ``REL``, so a change that moves any
+output shows up as a failing test.  Integer text, JSON ints and bools and
+ids compare exactly: their only moves are 0 and inf ("changed").  A change
 that rewrites them must say in CHANGES.md which columns moved and by how much:
 the printed report is that list.
 
@@ -35,6 +37,7 @@ from ctradiomics import cli
 from ctradiomics.volume_io import write_nifti
 
 HERE = Path(__file__).resolve().parent
+REL = 1e-12  # the golden gate fails on any relative move above this
 OUTPUTS = (
     "train.csv",
     "train-bw2.csv",
@@ -97,16 +100,29 @@ def build(out: Path, work: Path) -> None:
     (out / "manifest.csv").write_bytes(train.read_bytes())
 
 
-def _move(new, old) -> float:
-    """The relative move from ``old`` to ``new``: 0 if equal, inf if either is
-    not a number."""
-    if new == old:
-        return 0.0
+def _as_float(value) -> float | None:
+    """``value`` as a float if it is one: a JSON float, or CSV text of a
+    number that is not an integer.  None for anything else (integer text,
+    JSON ints and bools, ids), which must match exactly."""
+    if isinstance(value, float):
+        return value
+    if not isinstance(value, str) or value.lstrip("-").isdigit():
+        return None
     try:
-        a, b = float(new), float(old)
-    except (TypeError, ValueError):
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _move(new, old) -> float:
+    """The relative move from ``old`` to ``new``: 0 if equal, inf if they
+    differ and either is not a float (so ``2`` -> ``2.0`` is a change)."""
+    if new == old and type(new) is type(old):
+        return 0.0
+    a, b = _as_float(new), _as_float(old)
+    if a is None or b is None:
         return math.inf
-    if math.isnan(a) and math.isnan(b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
 
@@ -119,13 +135,12 @@ def _json_moves(new, old, at: str, moves: dict[str, float]) -> None:
         for n, o in zip(new, old):
             _json_moves(n, o, f"{at}/*", moves)
     else:
-        moved = _move(new, old) if type(new) is type(old) else math.inf  # 2 and 2.0 differ
-        moves[at or "/"] = max(moves.get(at or "/", 0.0), moved)
+        moves[at or "/"] = max(moves.get(at or "/", 0.0), _move(new, old))
 
 
-def _moves(new: Path, old: Path) -> dict[str, float]:
+def _moves(new: Path, old: Path, rel: float = 0.0) -> dict[str, float]:
     """The largest relative move of each CSV column or JSON key path from
-    ``old`` to ``new``, for the ones that moved."""
+    ``old`` to ``new``, for the ones that moved by more than ``rel``."""
     moves: dict[str, float] = {}
     if new.suffix == ".json":
         _json_moves(json.loads(new.read_text()), json.loads(old.read_text()), "", moves)
@@ -137,7 +152,7 @@ def _moves(new: Path, old: Path) -> dict[str, float]:
         for row_new, row_old in zip(rows_new[1:], rows_old[1:]):
             for column, n, o in zip(rows_old[0], row_new, row_old):
                 moves[column] = max(moves.get(column, 0.0), _move(n, o))
-    return {key: moved for key, moved in moves.items() if moved}
+    return {key: moved for key, moved in moves.items() if moved > rel}
 
 
 def report(built: Path) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctradiomics import cli, pls
+from ctradiomics import cli, model_selection as ms, pls
 from ctradiomics.cli import main
 from ctradiomics.dataio import write_features_csv
 from ctradiomics.volume_io import write_nifti
@@ -212,6 +212,22 @@ def test_stats_command(workspace, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("feature,degenerate,H,p_value")
+
+
+@pytest.mark.parametrize(
+    "features_list, message",
+    [
+        ("shape_Sphericity,glcm_Contrast,shape_Sphericity", "feature 'shape_Sphericity' is listed more than once"),
+        (",", "the feature list names no feature"),
+    ],
+    ids=["repeated", "empty"],
+)
+def test_stats_rejects_a_repeated_or_empty_features_list(workspace, tmp_path, capsys, features_list, message):
+    out = tmp_path / "stats.csv"
+    argv = ["stats", "--features", str(workspace / "train.csv"), "--out", str(out), "--features-list", features_list]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_predict_missing_column_lists_it(workspace, tmp_path, capsys):
@@ -543,7 +559,7 @@ def test_malformed_model_file_exits_2_naming_it(workspace, tmp_path, capsys, cas
     names = ["shape_Sphericity", "fos_Mean", "glcm_Contrast", "ngtdm_Busyness"]
     x = np.random.default_rng(3).normal(size=(12, 4))
     good = tmp_path / "good.json"
-    pls.save_model(pls.train_plsda(x, np.tile([1, 2, 3], 4), 2, feature_names=names), good)
+    pls.save_model(ms.fit_plsda(x, np.tile([1, 2, 3], 4), 2, 3, feature_names=names), good)
     model = tmp_path / "model.json"
     model.write_text(_malformed(json.loads(good.read_text()), case))
     for command in ("predict", "evaluate"):

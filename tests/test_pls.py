@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctradiomics.errors import SelectionError, UndefinedModelError
-from ctradiomics import pls
+from ctradiomics import model_selection as ms, pls
 
 import oracles
 from test_model_selection import _phantom_like_dataset
@@ -116,14 +116,14 @@ class TestFitPls:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 8))
         y = rng.integers(1, 4, 30)
-        model = pls.train_plsda(x, y, 5)
+        model = ms.fit_plsda(x, y, 5, 3)
         tt = model.scores.T @ model.scores
         off = tt - np.diag(np.diag(tt))
         assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(tt)).max()
 
     def test_weight_sign_convention(self):
         rng = np.random.default_rng(20)
-        model = pls.train_plsda(rng.normal(size=(25, 7)), rng.integers(1, 4, 25), 4)
+        model = ms.fit_plsda(rng.normal(size=(25, 7)), rng.integers(1, 4, 25), 4, 3)
         for a in range(model.n_components):
             w = model.weights[:, a]
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +131,7 @@ class TestFitPls:
 
     def test_coef_identity(self):
         rng = np.random.default_rng(4)
-        model = pls.train_plsda(rng.normal(size=(25, 6)), rng.integers(1, 4, 25), 4)
+        model = ms.fit_plsda(rng.normal(size=(25, 6)), rng.integers(1, 4, 25), 4, 3)
         recomposed = model.weights @ np.linalg.solve(
             model.x_loadings.T @ model.weights, model.y_loadings.T
         )
@@ -155,9 +155,9 @@ class TestFitPls:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(25, 6))
         y = rng.integers(1, 4, 25)
-        model_a = pls.train_plsda(x, y, 3)
+        model_a = ms.fit_plsda(x, y, 3, 3)
         perm = rng.permutation(25)
-        model_b = pls.train_plsda(x[perm], y[perm], 3)
+        model_b = ms.fit_plsda(x[perm], y[perm], 3, 3)
         assert np.abs(model_a.coef - model_b.coef).max() < 1e-9
         assert np.abs(np.abs(model_a.weights) - np.abs(model_b.weights)).max() < 1e-9
         ya, _ = pls.predict(model_a, x)
@@ -209,13 +209,13 @@ class TestPredict:
         centers = np.array([[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
         y = np.repeat([1, 2, 3], 20)
         x = centers[y - 1] + rng.normal(scale=0.3, size=(60, 3))
-        model = pls.train_plsda(x, y, 2)
+        model = ms.fit_plsda(x, y, 2, 3)
         _, pred = pls.predict(model, x)
         assert np.array_equal(pred, y)
 
     def test_duplicated_rows_identical_predictions(self):
         rng = np.random.default_rng(8)
-        model = pls.train_plsda(rng.normal(size=(20, 4)), rng.integers(1, 4, 20), 2)
+        model = ms.fit_plsda(rng.normal(size=(20, 4)), rng.integers(1, 4, 20), 2, 3)
         row = rng.normal(size=(1, 4))
         y_hat, cls = pls.predict(model, np.vstack([row, row]))
         assert np.array_equal(y_hat[0], y_hat[1])
@@ -225,10 +225,10 @@ class TestPredict:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 5))
         y = rng.integers(1, 4, 30)
-        model_a = pls.train_plsda(x, y, 3)
+        model_a = ms.fit_plsda(x, y, 3, 3)
         x_scaled = x.copy()
         x_scaled[:, 1] *= 12.5
-        model_b = pls.train_plsda(x_scaled, y, 3)
+        model_b = ms.fit_plsda(x_scaled, y, 3, 3)
         ya, ca = pls.predict(model_a, x)
         yb, cb = pls.predict(model_b, x_scaled)
         assert np.abs(ya - yb).max() < 1e-10
@@ -236,14 +236,12 @@ class TestPredict:
 
     def test_column_count_mismatch_rejected(self):
         rng = np.random.default_rng(10)
-        model = pls.train_plsda(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1)
+        model = ms.fit_plsda(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1, 2)
         with pytest.raises(ValueError, match="3 feature columns"):
             pls.predict(model, np.zeros((2, 4)))
 
     def test_tie_breaks_to_lowest_class(self):
-        model = pls.train_plsda(
-            np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 2, 2]), 1
-        )
+        model = ms.fit_plsda(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 2, 2]), 1, 2)
         # the midpoint scores both classes equally; argmax picks class 1
         y_hat, cls = pls.predict(model, np.array([[1.5]]))
         assert y_hat[0, 0] == pytest.approx(y_hat[0, 1])
@@ -254,7 +252,7 @@ class TestVip:
     def test_single_feature_vip_is_one(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(15, 1))
-        model = pls.train_plsda(x, (x[:, 0] > 0).astype(int) + 1, 1)
+        model = ms.fit_plsda(x, (x[:, 0] > 0).astype(int) + 1, 1, 2)
         assert pls.vip_scores(model) == pytest.approx([1.0])
 
     def test_zero_weight_feature(self):
@@ -268,7 +266,7 @@ class TestVip:
     def test_mean_square_identity(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            model = pls.train_plsda(rng.normal(size=(40, 9)), rng.integers(1, 4, 40), 4)
+            model = ms.fit_plsda(rng.normal(size=(40, 9)), rng.integers(1, 4, 40), 4, 3)
             vip = pls.vip_scores(model)
             assert np.mean(vip**2) == pytest.approx(1.0, abs=1e-10)
 
@@ -282,7 +280,7 @@ class TestVip:
 
     def test_undefined_model_error(self):
         rng = np.random.default_rng(13)
-        model = pls.train_plsda(rng.normal(size=(10, 2)), rng.integers(1, 3, 10), 1)
+        model = ms.fit_plsda(rng.normal(size=(10, 2)), rng.integers(1, 3, 10), 1, 2)
         model.scores = np.zeros_like(model.scores)
         with pytest.raises(UndefinedModelError):
             pls.vip_scores(model)
@@ -292,7 +290,7 @@ class TestSerialization:
     def test_round_trip_predictions_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(30, 6))
-        model = pls.train_plsda(x, rng.integers(1, 4, 30), 3, feature_names=[f"f{i}" for i in range(6)])
+        model = ms.fit_plsda(x, rng.integers(1, 4, 30), 3, 3, feature_names=[f"f{i}" for i in range(6)])
         path = tmp_path / "model.json"
         pls.save_model(model, path)
         loaded = pls.load_model(path)
@@ -304,7 +302,7 @@ class TestSerialization:
 
     def test_saved_document_is_stable(self, tmp_path):
         rng = np.random.default_rng(15)
-        model = pls.train_plsda(rng.normal(size=(12, 3)), rng.integers(1, 3, 12), 2)
+        model = ms.fit_plsda(rng.normal(size=(12, 3)), rng.integers(1, 3, 12), 2, 2)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         pls.save_model(model, p1)

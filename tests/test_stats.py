@@ -182,6 +182,15 @@ class TestFeatureGroupReport:
         rows = stats.feature_group_report(ds, features=["fos_noise"])
         assert len(rows) == 1
 
+    def test_repeated_feature_rejected(self):
+        # listed twice, its p values would enter the global BH family twice
+        with pytest.raises(ValueError, match="feature 'fos_noise' is listed more than once"):
+            stats.feature_group_report(_feature_dataset(), features=["fos_noise", "shape_Sphericity", "fos_noise"])
+
+    def test_empty_feature_list_rejected(self):
+        with pytest.raises(ValueError, match="the feature list names no feature"):
+            stats.feature_group_report(_feature_dataset(), features=[])
+
     def test_summary_stats_present(self):
         ds = _feature_dataset()
         row = stats.feature_group_report(ds, features=["shape_Sphericity"])[0]

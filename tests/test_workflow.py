@@ -1,12 +1,16 @@
-"""The CI workflow is valid YAML and defines the jobs it exists to run.
+"""The CI workflow is valid YAML and defines the jobs it exists to run, and
+``tests/guards.py``, the checks its numpy-only job runs, keeps its limits and
+measures what it says.
 
 A workflow that does not parse runs no job at all, and nothing else fails."""
 
+import subprocess
+import sys
 from pathlib import Path
 
+import guards
+import numpy as np
 import pytest
-
-yaml = pytest.importorskip("yaml")
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 LINE_COUNT_STEP = """\
@@ -16,7 +20,7 @@ LINE_COUNT_STEP = """\
 
 
 def jobs(text: str) -> dict:
-    return yaml.safe_load(text)["jobs"]
+    return pytest.importorskip("yaml").safe_load(text)["jobs"]
 
 
 def test_workflow_defines_the_tier1_and_runtime_only_jobs():
@@ -32,7 +36,7 @@ def test_an_unquoted_colon_in_a_plain_scalar_fails_the_parse():
     text = WORKFLOW.read_text()
     assert LINE_COUNT_STEP in text
     one_line = "        run: " + LINE_COUNT_STEP.splitlines()[1].strip() + "\n"
-    with pytest.raises(yaml.YAMLError):
+    with pytest.raises(pytest.importorskip("yaml").YAMLError):
         jobs(text.replace(LINE_COUNT_STEP, one_line))
 
 
@@ -50,49 +54,70 @@ def test_tier1_lists_its_slowest_tests():
     assert len(runs) == 1 and "--durations=10" in runs[0].split()
 
 
-def test_runtime_only_compares_two_runs_of_experiments_and_train():
-    # the CV sweep's determinism, checked where only numpy is installed
+def test_runtime_only_runs_the_entry_point_and_the_guards():
+    # numpy alone installed: the console script must start, and every guard run
     steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
-    script = "\n".join(step.get("run", "") for step in steps)
-    for first, second in (
-        ("experiments-1.json", "experiments-2.json"),
+    commands = [line.strip() for step in steps for line in step.get("run", "").splitlines()]
+    assert "python -m pip install -e ." in commands
+    assert commands.index("ctradiomics --help > /dev/null") < commands.index("python tests/guards.py")
+
+
+def test_guards_keep_their_limits_cohorts_and_variants():
+    assert guards.PIPELINE_COHORTS == {"train": (4, 1), "test": (2, 2)}
+    assert guards.RUN_OPTIONS == ("--kfold", "3", "--max-lv", "3")
+    assert guards.EXTRACT_LIMIT_MB == 200
+    assert (guards.CT_DIMS, guards.CT_SPACING, guards.CT_SEED) == ((512, 512, 100), (0.7, 0.7, 2.5), 0)
+    assert guards.CT_BALLS == ((90.0, 12.0), (180.0, 20.0), (270.0, 35.0))
+    # float images are checked for NaN in streamed chunks, and float masks
+    # streamed into uint8 labels: both held to the int16 scan's limit
+    assert guards.CT_VARIANTS == {
+        "": ("int16", "uint8"),
+        "-float64": ("float64", "uint8"),
+        "-float32-mask": ("int16", "float32"),
+    }
+    # phantom holds one scan at a time: 40 scans a class peak at most 10 MB above 2
+    assert (guards.PHANTOM_N_PER_CLASS, guards.PHANTOM_SEED, guards.PHANTOM_GROWTH_LIMIT_MB) == ((2, 40), 1, 10)
+    assert guards.SAME_BYTES == (
+        ("train.csv", "train-jobs2.csv"),  # the pool and its retry path
+        ("train.csv", "train-memory.csv"),  # generate_phantom + extract_scan, the Python API's route
+        ("experiments-1.json", "experiments-2.json"),  # the CV sweep, run twice
         ("model-1.json", "model-2.json"),
         ("model-1.report.json", "model-2.report.json"),
-    ):
-        assert f'cmp "$work/{first}" "$work/{second}"' in script
+        ("ct.csv", "ct-float64.csv"),  # the float variants hold the int16 and uint8 values
+        ("ct.csv", "ct-float32-mask.csv"),
+    )
 
 
-def test_runtime_only_memory_guard_extracts_a_float64_image():
-    # float payloads are checked for NaN in streamed chunks: the guard holds
-    # a float64 copy of its scan to the same peak RSS limit as the int16 one
-    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
-    script = "\n".join(step.get("run", "") for step in steps)
-    assert 'write_nifti(work / "image-float64.nii", image.astype(np.float64), spacing)' in script
+def test_peak_mb_measures_the_child_not_its_parent():
+    # a child forked from this process would report its 200 MB as its own peak
+    held = np.ones(200 * 2**20, dtype=np.uint8)
+    assert guards.peak_mb([sys.executable, "-c", "pass"]) < 50
+    assert held.sum() == held.size
+    with pytest.raises(subprocess.CalledProcessError):
+        guards.peak_mb([sys.executable, "-c", "raise SystemExit(3)"])
 
 
-def test_runtime_only_memory_guard_reads_a_float32_mask():
-    # a float mask is streamed into uint8 labels: the guard holds a float32
-    # copy of its mask to the same limit, and its rows to the uint8 mask's
-    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
-    script = "\n".join(step.get("run", "") for step in steps)
-    assert 'write_nifti(work / "mask-float32.nii", labels.astype(np.float32), spacing)' in script
-    assert 'for variant in ("", "-float64", "-float32-mask"):' in script
-    assert 'cmp "$work/ct.csv" "$work/ct-float32-mask.csv"' in script
+def test_guards_print_one_line_per_check_and_fail_on_any(monkeypatch, capsys):
+    def writes(work):
+        for name, text in (("a", "x"), ("b", "x"), ("c", "y")):
+            (work / name).write_text(text)
+        yield True, "wrote a, b and c"
 
+    def stops(work):
+        yield False, "first check"
+        raise subprocess.CalledProcessError(3, ["ctradiomics", "extract"])
 
-def test_runtime_only_compares_rows_in_memory_with_the_cli_files():
-    # generate_phantom + extract_scan, the Python API's route, must write the
-    # bytes of phantom + extract where only numpy is installed
-    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
-    script = "\n".join(step.get("run", "") for step in steps)
-    assert "dataio.write_features_csv(sys.argv[1], rows)" in script
-    assert 'cmp "$work/train.csv" "$work/train-memory.csv"' in script
-
-
-def test_runtime_only_memory_guard_runs_two_phantom_cohorts():
-    # phantom holds one scan at a time: 40 scans a class may peak at most
-    # 10 MB above 2 a class, each started from a small parent
-    steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
-    script = "\n".join(step.get("run", "") for step in steps)
-    assert 'for n in ("2", "40"):' in script
-    assert "sys.exit(growth > 10)" in script
+    monkeypatch.setattr(guards, "SAME_BYTES", (("a", "b"), ("a", "c"), ("a", "missing")))
+    monkeypatch.setattr(guards, "GUARDS", (writes, stops, guards.same_bytes))
+    assert guards.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok   wrote a, b and c",
+        "FAIL first check",
+        "FAIL stops: ctradiomics extract exited 3",
+        "ok   same bytes: a b",
+        "FAIL same bytes: a c",
+        "FAIL same bytes: a missing",
+    ]
+    monkeypatch.setattr(guards, "SAME_BYTES", (("a", "b"),))
+    monkeypatch.setattr(guards, "GUARDS", (writes, guards.same_bytes))
+    assert guards.main() == 0
