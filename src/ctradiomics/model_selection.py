@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import GROUP_PRESETS, Dataset, columns_for_groups
 from .features import family_counts
-from .pls import PlsModel, apply_scaling, autoscale, encode_dummy, fit_pls, predict
+from .pls import PlsModel, autoscale, encode_dummy, fit_pls, predict, predict_each_component_count
 from .pls import select_features_vip, vip_scores
 
 
@@ -30,7 +30,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not self.feature_groups:
-            raise ValueError("feature_groups must be non-empty")
+            raise ValueError("the feature group list is empty")
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if self.max_lv < 1:
@@ -103,27 +103,20 @@ def fit_plsda(x, y, n_components: int, n_classes: int, feature_names=None) -> Pl
 def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
     """Pooled cross-validated misclassification rate at every LV count
     1..max_components.  Each fold is fit once at the cap and its held-out
-    rows scored once through the nested rotation R = W (P'W)^-1; the
-    response after a components is the running sum of t_k q_k' over k <= a.
-    A fold fit that stopped early at A components answers every a > A as A."""
+    rows classified once at every component count
+    (``pls.predict_each_component_count``).  A fold fit that stopped early at
+    A components answers every a > A as A; ``fit_pls`` rejects a cap that a
+    training split cannot hold."""
     if dataset.y is None:
         raise ValueError("cross-validation needs class labels")
     x, y = dataset.x, dataset.y
     n_classes = int(y.max())
-    min_train = min(len(dataset) - len(f) for f in folds)
-    if max_components > min(min_train - 1, x.shape[1]):
-        raise ValueError(f"n_components {max_components} too large for the fold sizes")
     errors = np.zeros(max_components, dtype=int)
     for fold in folds:
         test = np.zeros(len(dataset), dtype=bool)
         test[fold] = True
         model = fit_plsda(x[~test], y[~test], max_components, n_classes, dataset.feature_names)
-        w = model.weights
-        rotation = np.linalg.solve(w.T @ model.x_loadings, w.T).T
-        scores = apply_scaling(x[test], model.mean, model.scale) @ rotation
-        # (rows, classes, components): the response after each prefix of components
-        y_hat = np.cumsum(scores[:, None, :] * model.y_loadings, axis=2) + model.y_means[:, None]
-        pred = np.argmax(y_hat, axis=1) + 1  # classes 1..m, ties to the lowest
+        pred = predict_each_component_count(model, x[test])
         lv = np.minimum(np.arange(max_components), model.n_components - 1)
         errors += (pred[:, lv] != y[test][:, None]).sum(axis=0)
     return errors / len(dataset)

@@ -154,15 +154,31 @@ def fit_pls(
     )
 
 
-def predict(model: PlsModel, x_new) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted responses and class ids for raw (unscaled) feature rows."""
+def _scaled_rows(model: PlsModel, x_new) -> np.ndarray:
+    """Raw (unscaled) feature rows under the model's input scaling."""
     x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
     if x_new.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} feature columns, got {x_new.shape[1]}")
-    xc = apply_scaling(x_new, model.mean, model.scale)
-    y_hat = xc @ model.coef + model.y_means
+    return apply_scaling(x_new, model.mean, model.scale)
+
+
+def predict(model: PlsModel, x_new) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted responses and class ids for raw (unscaled) feature rows."""
+    y_hat = _scaled_rows(model, x_new) @ model.coef + model.y_means
     classes = np.asarray(model.class_labels)[np.argmax(y_hat, axis=1)]
     return y_hat, classes
+
+
+def predict_each_component_count(model: PlsModel, x_new) -> np.ndarray:
+    """Class ids of raw feature rows under every prefix of the model's
+    components: column a - 1 holds the a-component model's.  The rows are
+    scored once through the nested rotation R = W (P'W)^-1, and the response
+    after a components is the running sum of t_k q_k' over k <= a."""
+    w = model.weights
+    scores = _scaled_rows(model, x_new) @ np.linalg.solve(w.T @ model.x_loadings, w.T).T
+    # (rows, classes, components): the response after each prefix of components
+    y_hat = np.cumsum(scores[:, None, :] * model.y_loadings, axis=2) + model.y_means[:, None]
+    return np.asarray(model.class_labels)[np.argmax(y_hat, axis=1)]
 
 
 def vip_scores(model: PlsModel) -> np.ndarray:

@@ -32,6 +32,17 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 
+def _geometry(spacing, origin) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Spacing and origin as tuples of floats; ValueError unless every spacing
+    is positive and finite and every origin coordinate finite."""
+    spacing, origin = tuple(float(s) for s in spacing), tuple(float(o) for o in origin)
+    if not all(0 < s < np.inf for s in spacing):  # NaN too
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if not np.isfinite(origin).all():
+        raise ValueError(f"origin must be finite, got {origin}")
+    return spacing, origin
+
+
 class VoxelVolume:
     """A 3D scalar grid (HU) with physical spacing and origin in mm.
 
@@ -48,7 +59,7 @@ class VoxelVolume:
             data = data.astype(np.float64)
         if data.ndim != 3:
             raise ValueError(f"volume data must be 3D, got shape {data.shape}")
-        self._set_geometry(spacing, origin)
+        self.spacing, self.origin = _geometry(spacing, origin)
         if not np.isfinite(data).all():
             raise ValueError("volume contains non-finite values")
         self._payload, self._scale = data, (1.0, 0.0)
@@ -57,15 +68,9 @@ class VoxelVolume:
     def _from_payload(cls, payload: np.ndarray, scale: tuple[float, float], spacing, origin) -> VoxelVolume:
         """A volume over on-disk values whose HU values ``payload * slope + inter`` are known finite."""
         vol = cls.__new__(cls)
-        vol._set_geometry(spacing, origin)
+        vol.spacing, vol.origin = _geometry(spacing, origin)
         vol._payload, vol._scale = payload, scale
         return vol
-
-    def _set_geometry(self, spacing, origin) -> None:
-        self.spacing = tuple(float(s) for s in spacing)
-        self.origin = tuple(float(o) for o in origin)
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
 
     @property
     def payload(self) -> np.ndarray:
@@ -112,10 +117,7 @@ class LesionMask:
         present = list(self.boxes)
         if present and present[0] < 0:
             raise MaskError("mask labels must be non-negative")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        self.spacing, self.origin = _geometry(self.spacing, self.origin)
         self.class_of_label = {int(k): int(v) for k, v in self.class_of_label.items()}
         for label, cls in self.class_of_label.items():
             if cls not in (1, 2, 3):
@@ -182,9 +184,10 @@ def _parse_header(raw: bytes, path) -> dict:
     dims = dim[1:4]
     if any(d < 1 for d in dims):
         raise NiftiFormatError(f"{path}: non-positive dims {dims}")
-    spacing = pixdim[1:4]
-    if any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise NiftiFormatError(f"{path}: non-positive pixdim {spacing}")
+    try:
+        spacing, origin = _geometry(pixdim[1:4], qoffset)
+    except ValueError as exc:
+        raise NiftiFormatError(f"{path}: pixdim or qoffset: {exc}") from None
     if datatype not in _DTYPES:
         raise UnsupportedDataTypeError(f"{path}: unsupported NIfTI datatype code {datatype}")
     expected_bitpix = np.dtype(_DTYPES[datatype]).itemsize * 8
@@ -195,8 +198,8 @@ def _parse_header(raw: bytes, path) -> dict:
     return {
         "order": order,
         "dims": tuple(int(d) for d in dims),
-        "spacing": tuple(float(s) for s in spacing),
-        "origin": tuple(float(q) for q in qoffset),
+        "spacing": spacing,
+        "origin": origin,
         "datatype": datatype,
         "vox_offset": int(vox_offset),
         "scl_slope": float(scl_slope),
@@ -462,24 +465,18 @@ def _label_boxes(labels: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]
     return {int(lbl): (lo[:, i], hi[:, i]) for i, lbl in enumerate(present)}
 
 
-def extract_lesions(
-    vol: VoxelVolume, mask: LesionMask, target: float | None = None
-) -> list[tuple[LesionRegion, int]]:
+def extract_lesions(vol: VoxelVolume, mask: LesionMask, target: float) -> list[tuple[LesionRegion, int]]:
     """Split a mask into per-lesion regions, ordered by ascending label.
 
-    With ``target`` set, the regions are those of the pair resampled by
+    The regions are those of the pair resampled by
     ``resample_isotropic(vol, mask, target)``, bit for bit and in global
     output-grid coordinates, but only each lesion's bounding box on the
     output grid is resampled, so the cost follows lesion size, not scan size.
 
-    Without ``target`` the pair is sampled on its own grid by the same path,
-    one trilinear corner per voxel, so the intensities are the input's
-    except that a -0.0 becomes +0.0.
-
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
     erased by nearest-neighbour resampling) is dropped with a warning.
     """
-    spacing = vol.spacing if target is None else (_check_target(target),) * 3
+    spacing = (_check_target(target),) * 3
     positions, nearest = _output_grid(vol.dims, vol.spacing, spacing)
     check_geometry(vol, mask)
     regions = []

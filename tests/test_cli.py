@@ -162,6 +162,18 @@ def test_train_group_presets(workspace, tmp_path):
         assert report["selected_total"] == considered
 
 
+@pytest.mark.parametrize(
+    "groups, message",
+    [("custom:wavelet", "unknown feature groups: ['wavelet']"), ("custom:", "the feature group list is empty")],
+)
+def test_train_rejects_an_unknown_or_empty_custom_group_list(workspace, tmp_path, capsys, groups, message):
+    out = tmp_path / "model.json"
+    argv = ["train", "--features", str(workspace / "train.csv"), "--out", str(out), "--groups", groups]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_experiments_and_determinism(workspace, tmp_path):
     out1 = tmp_path / "exp1.json"
     out2 = tmp_path / "exp2.json"
@@ -478,6 +490,41 @@ def test_extract_with_one_job_imports_no_process_pool(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+_TRACING_INSTALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+
+class Recording(tracing.Tracer):
+    def wrap(self, owner, attr, name, counts=None):
+        super().wrap(owner, attr, name, counts)
+        print(owner.__name__, attr, getattr(owner, attr).__name__)
+
+tracing.install(Recording(), {})
+"""
+
+
+def test_benchmark_tracing_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps functions at the names cli, features and
+    # model_selection look them up by; removing one fails here, with an AttributeError
+    import subprocess
+    import sys
+
+    import ctradiomics
+
+    src = str(Path(ctradiomics.__file__).resolve().parents[1])
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACING_INSTALL, perfbench], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    wrapped = [line.split() for line in done.stdout.splitlines()]
+    assert ["ctradiomics.cli", "resample_isotropic", "traced"] in wrapped
+    assert ["ctradiomics.model_selection", "predict", "traced"] in wrapped
+    assert len(wrapped) > 20 and all(name == "traced" for _, _, name in wrapped)
 
 
 def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):

@@ -60,6 +60,16 @@ class TestFeatureCsv:
         with pytest.raises(ValueError, match="id columns"):
             dataio.read_features_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel saves "CSV UTF-8" with a BOM before the first column name
+        path = tmp_path / "features.csv"
+        dataio.write_features_csv(path, _records())
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        got, want = dataio.read_features_csv(bom), dataio.read_features_csv(path)
+        assert (got.feature_names, got.lesion_ids, got.y.tolist()) == (want.feature_names, want.lesion_ids, want.y.tolist())
+        assert got.x.tobytes() == want.x.tobytes()
+
     def test_header_only_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "features.csv"
         dataio.write_features_csv(path, [])
@@ -133,10 +143,13 @@ class TestGroups:
         assert dataio.parse_groups("custom:glcm,ngtdm") == ("glcm", "ngtdm")
 
     def test_unknown_rejected(self):
+        # an unknown family in a custom list is rejected where it is used,
+        # by columns_for_groups (tests/test_cli.py runs it through train)
         with pytest.raises(ValueError):
             dataio.parse_groups("everything")
-        with pytest.raises(ValueError):
-            dataio.parse_groups("custom:wavelet")
+        assert dataio.parse_groups("custom:wavelet") == ("wavelet",)
+        with pytest.raises(ValueError, match=r"unknown feature groups: \['wavelet'\]"):
+            dataio.columns_for_groups(FEATURE_COLUMNS, ("glcm", "wavelet"))
 
     def test_columns_for_groups_counts(self):
         counts = {
@@ -188,6 +201,12 @@ class TestManifest:
         entry = dataio.read_manifest(path)[0]
         assert entry.image_path == tmp_path / "images/a.nii"
         assert entry.mask_path == tmp_path / "masks/a.nii"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_bytes(b"\xef\xbb\xbfscan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=2\n")
+        (entry,) = dataio.read_manifest(path)
+        assert (entry.scan_id, entry.image_path, entry.class_map) == ("s1", tmp_path / "a.nii", {1: 2})
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"

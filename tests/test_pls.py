@@ -248,6 +248,26 @@ class TestPredict:
         assert cls[0] == 1
 
 
+class TestPredictEachComponentCount:
+    def test_column_a_is_the_a_component_prediction(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(40, 6)), np.repeat([1, 2, 3], [14, 13, 13])
+        x[:, 0] += 1.5 * y
+        full = ms.fit_plsda(x, y, 5, 3)
+        x_new = rng.normal(size=(25, 6))
+        got = pls.predict_each_component_count(full, x_new)
+        assert got.shape == (25, 5)
+        for a in range(1, 6):
+            _, want = pls.predict(ms.fit_plsda(x, y, a, 3), x_new)
+            assert np.array_equal(got[:, a - 1], want), a
+
+    def test_column_count_mismatch_rejected(self):
+        rng = np.random.default_rng(10)
+        model = ms.fit_plsda(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1, 2)
+        with pytest.raises(ValueError, match="3 feature columns"):
+            pls.predict_each_component_count(model, np.zeros((2, 4)))
+
+
 class TestVip:
     def test_single_feature_vip_is_one(self):
         rng = np.random.default_rng(11)

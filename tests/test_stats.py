@@ -62,6 +62,28 @@ class TestKruskalWallis:
             stats.kruskal_wallis([[2.0, 2.0], [2.0, 2.0]])
 
 
+@pytest.mark.parametrize("rank_test", [stats.kruskal_wallis, stats.dunn_test])
+def test_identical_groups_are_degenerate_in_both_tests(rank_test):
+    with pytest.raises(DegenerateDataError, match="identical"):
+        rank_test([[-3.5] * 4, [-3.5], [-3.5] * 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.lists(hs.lists(hs.integers(0, 3), min_size=1, max_size=12), min_size=2, max_size=4))
+def test_tie_correction_and_rank_variance_positive_past_the_check(groups):
+    # few distinct values, so heavy ties: once _check_groups passes, the
+    # pooled values form two or more tie groups, and both denominators stay > 0
+    try:
+        checked = stats._check_groups(groups)
+    except ValueError:  # DegenerateDataError among them
+        return
+    _, tie_sum, n = stats._ranks_and_ties(checked)
+    assert 1.0 - tie_sum / (n**3 - n) > 0.0
+    assert n * (n + 1) / 12.0 - tie_sum / (12.0 * (n - 1)) > 0.0
+    assert np.isfinite(stats.kruskal_wallis(groups).statistic)
+    assert all(np.isfinite(pr.z) for pr in stats.dunn_test(groups))
+
+
 class TestChiSquareTail:
     @pytest.mark.parametrize("df", range(1, 11))
     def test_matches_scipy_gammaincc(self, df):

@@ -174,6 +174,26 @@ class TestReadVolume:
         with pytest.raises(NiftiFormatError, match="too short"):
             read_volume(write_blob(tmp_path, b"x" * 100))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_qoffset_is_format_error_naming_the_path(self, tmp_path, bad):
+        path = tmp_path / "img.nii"
+        write_nifti(path, np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<3f", blob, 268, 0.0, bad, 0.0)  # qoffset_x, _y, _z
+        path.write_bytes(bytes(blob))
+        for reader in (read_volume, lambda p: read_mask(p, {})):
+            with pytest.raises(NiftiFormatError, match="origin must be finite") as caught:
+                reader(path)
+            assert str(caught.value).startswith(f"{path}: pixdim or qoffset: ")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_pixdim_is_format_error_naming_the_path(self, tmp_path, bad):
+        path = write_blob(tmp_path, make_nifti_bytes(pixdim=(1.0, bad, 1.0)))
+        for reader in (read_volume, lambda p: read_mask(p, {})):
+            with pytest.raises(NiftiFormatError, match="spacing must be positive and finite") as caught:
+                reader(path)
+            assert str(path) in str(caught.value)
+
     def test_float64_payload(self, tmp_path):
         payload = np.linspace(-3.5, 3.5, 8)
         path = write_blob(tmp_path, make_nifti_bytes(datatype=64, payload=payload))
@@ -501,6 +521,30 @@ def _pair(data, labels, spacing, class_of_label):
     return vol, mask
 
 
+class TestGeometry:
+    """VoxelVolume and LesionMask check spacing and origin by one rule."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_spacing_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1.0, bad, 1.0))
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=(1.0, 1.0, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_origin_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1), origin=(bad, 0.0, 0.0))
+        with pytest.raises(ValueError, match="origin must be finite"):
+            LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=(1, 1, 1), origin=(0.0, 0.0, bad))
+
+    def test_geometry_is_held_as_floats(self):
+        vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 2, 3), origin=np.array([4, 5, 6]))
+        mask = LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=[1, 2, 3], origin=(4, 5, 6))
+        for geometry in (vol.spacing, vol.origin, mask.spacing, mask.origin):
+            assert type(geometry) is tuple and all(type(v) is float for v in geometry)
+
+
 class TestResample:
     def test_identity_is_bitwise(self):
         rng = np.random.default_rng(0)
@@ -630,7 +674,7 @@ class TestExtractLesions:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(4, 4, 4))
         vol, mask = _pair(data, labels, (1, 1, 1), {1: 2})
-        regions = extract_lesions(vol, mask)
+        regions = extract_lesions(vol, mask, 1.0)
         assert len(regions) == 1
         region, class_id = regions[0]
         assert class_id == 2
@@ -638,24 +682,12 @@ class TestExtractLesions:
         for c, v in zip(region.coordinates, region.intensities):
             assert v == data[tuple(c)]
 
-    def test_no_target_samples_the_input_grid(self):
-        labels = np.zeros((5, 4, 3), dtype=np.int32)
-        labels[1:4, 1:3, :] = 1
-        data = np.random.default_rng(1).normal(size=(5, 4, 3))
-        data[2, 1, 1] = -0.0
-        vol, mask = _pair(data, labels, (0.7, 1.3, 2.5), {1: 1})
-        ((region, _),) = extract_lesions(vol, mask)
-        assert region.spacing == (0.7, 1.3, 2.5)
-        assert np.array_equal(region.coordinates, np.argwhere(labels == 1))
-        # one trilinear corner per voxel: the input's bytes, but -0.0 + 0.0 is +0.0
-        assert region.intensities.tobytes() == (data[labels == 1] + 0.0).tobytes()
-
     def test_two_labels_in_label_order(self):
         labels = np.zeros((4, 4, 4), dtype=np.int32)
         labels[0, 0, 0] = 2
         labels[1, 1, 1] = 1
         vol, mask = _pair(np.zeros((4, 4, 4)), labels, (1, 1, 1), {1: 1, 2: 3})
-        regions = extract_lesions(vol, mask)
+        regions = extract_lesions(vol, mask, 1.0)
         assert [r.label for r, _ in regions] == [1, 2]
         assert [cls for _, cls in regions] == [1, 3]
 
@@ -667,7 +699,7 @@ class TestExtractLesions:
         rvol, rmask = resample_isotropic(vol, mask, 5.0)
         assert not (rmask.labels == 1).any()
         with pytest.warns(UserWarning, match="label 1"):
-            regions = extract_lesions(rvol, rmask)
+            regions = extract_lesions(rvol, rmask, 5.0)
         assert regions == []
 
 
@@ -681,7 +713,7 @@ def _extract_recording_warnings(*args):
 def _assert_roi_extraction_is_bitwise(data, labels, spacing, class_of_label, target):
     vol, mask = _pair(data, labels, spacing, class_of_label)
     got, got_warnings = _extract_recording_warnings(vol, mask, target)
-    want, want_warnings = _extract_recording_warnings(*resample_isotropic(vol, mask, target))
+    want, want_warnings = _extract_recording_warnings(*resample_isotropic(vol, mask, target), target)
     assert [(w.category, str(w.message), w.filename) for w in got_warnings] == [
         (w.category, str(w.message), w.filename) for w in want_warnings
     ]
@@ -753,7 +785,8 @@ def _erased_scan():
 
 
 class TestRoiExtraction:
-    """extract_lesions(vol, mask, t) against extract_lesions(*resample_isotropic(vol, mask, t))."""
+    """extract_lesions(vol, mask, t) against extract_lesions(rvol, rmask, t) on the
+    pair (rvol, rmask) that resample_isotropic(vol, mask, t) makes."""
 
     @settings(max_examples=60, deadline=None)
     @given(_scans())
@@ -813,10 +846,9 @@ class TestRoiExtraction:
             vol = read_volume(image)
             mask = read_mask(mask_file, class_of_label)
             mem_vol, mem_mask = _pair(hu, labels, vol.spacing, mask.class_of_label)
-            for t in (target, None):
-                got, _ = _extract_recording_warnings(vol, mask, t)
-                want, _ = _extract_recording_warnings(*(resample_isotropic(mem_vol, mem_mask, t) if t else (mem_vol, mem_mask)))
-                _assert_same_regions(got, want)
+            got, _ = _extract_recording_warnings(vol, mask, target)
+            want, _ = _extract_recording_warnings(*resample_isotropic(mem_vol, mem_mask, target), target)
+            _assert_same_regions(got, want)
             assert vol.data.tobytes() == mem_vol.data.tobytes()
             del vol, mask  # release the maps before the directory goes
 
@@ -834,20 +866,17 @@ class TestRoiExtraction:
         box_bytes = 8 * np.prod([b.stop - b.start + 2 for b in box])  # the input box with its trilinear margin
         bound = labels.size + 32 * box_bytes + 2**16
         assert bound < image.size * 8 / 6
-        for target in (1.0, None):
-            tracemalloc.start()
-            try:
-                vol = read_volume(tmp_path / "image.nii")
-                mask = read_mask(tmp_path / "mask.nii", {1: 2})
-                regions = extract_lesions(vol, mask, target)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert [(r.label, cls) for r, cls in regions] == [(1, 2)]
-            assert peak < bound
-            if target is None:
-                assert regions[0][0].intensities.tobytes() == image[box].astype(np.float64).ravel().tobytes()
-            del vol, mask
+        tracemalloc.start()
+        try:
+            vol = read_volume(tmp_path / "image.nii")
+            mask = read_mask(tmp_path / "mask.nii", {1: 2})
+            regions = extract_lesions(vol, mask, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(r.label, cls) for r, cls in regions] == [(1, 2)]
+        assert peak < bound
+        del vol, mask
 
     def test_target_validated_before_geometry(self):
         vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 1, 1))
