@@ -127,10 +127,9 @@ def extract_scan(scan_id: str, vol, mask, bin_width: float, spacing: float) -> l
     return records
 
 
-def _extract_scan(args):
+def _extract_scan(entry, bin_width: float, spacing: float):
     """The rows of a manifest entry's scan, and the messages of the warnings
     raised meanwhile."""
-    entry, bin_width, spacing = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # the default filter shows a repeat once per process
         # the reads are passed on unnamed, so extract_scan can free the scan
@@ -154,51 +153,47 @@ def _outcome(run, *args):
         return str(exc)
 
 
-def _pooled(tasks, order, jobs, outcomes) -> list:
-    """Run the scans ``order`` in one pool of ``jobs`` workers, or one per scan
-    if fewer, at most 2 * jobs at a time, into ``outcomes``.  A worker that
-    dies breaks the pool: the scans then in flight are returned, each with the
-    pool's error message as its outcome; the ones not yet started stay unset."""
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    jobs = min(jobs, len(order))  # a fork-started pool forks all its workers at once
-    waiting, running, broken = list(order), {}, []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while waiting or running:
-            try:
-                while waiting and len(running) < 2 * jobs:
-                    future = pool.submit(_extract_scan, tasks[waiting[0]])
-                    running[future] = waiting.pop(0)
-            except BrokenProcessPool:
-                waiting = []  # the pool broke since the last wait
-            if not running:
-                break
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = running.pop(future)
-                outcomes[i] = _outcome(future.result)
-                if isinstance(future.exception(), BrokenProcessPool):
-                    broken.append(i)
-                    waiting = []
-    return broken
-
-
 def _run_scans(tasks, jobs: int) -> list:
     """Each scan's (rows, warning messages), or its error message, in task order.
 
-    With jobs > 1 the scans run in a process pool.  When a worker dies, each
-    scan that was in flight runs again alone in a fresh one-worker pool, so
-    only a scan that breaks a pool twice fails; the scans not yet started go
-    on in a fresh pool.
+    With jobs > 1 the scans run on min(jobs, scans) one-worker process pools,
+    one scan per worker.  A worker that dies breaks only its own pool, so it
+    names one scan: the one it was running or, had it died idle unnoticed,
+    the next one handed to it.  That scan runs once more on a fresh worker,
+    and fails with the pool's error message if that worker dies too.
     """
     if jobs == 1:  # no pool: the process pool machinery is not even imported
-        return [_outcome(_extract_scan, t) for t in tasks]
+        return [_outcome(_extract_scan, *t) for t in tasks]
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+    from contextlib import ExitStack
+
     outcomes = [None] * len(tasks)
-    while None in outcomes:
-        suspects = _pooled(tasks, [i for i, o in enumerate(outcomes) if o is None], jobs, outcomes)
-        for i in suspects:
-            _pooled(tasks, [i], 1, outcomes)
+    waiting = [(i, 1) for i in range(len(tasks))]  # (scan, attempt) in run order
+    running = {}  # future: (its pool, scan, attempt)
+    with ExitStack() as pools:  # shuts every pool down, also on an exception
+
+        def worker():
+            return pools.enter_context(ProcessPoolExecutor(max_workers=1))
+
+        idle = [worker() for _ in range(min(jobs, len(tasks)))]
+        while waiting or running:
+            while waiting and idle:
+                pool = idle.pop()
+                try:
+                    future = pool.submit(_extract_scan, *tasks[waiting[0][0]])
+                except BrokenProcessPool:  # its worker died, on an earlier scan or idle: no attempt of this one
+                    pool.shutdown()  # before its replacement forks
+                    idle.append(worker())
+                    continue
+                running[future] = pool, *waiting.pop(0)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                pool, i, attempt = running.pop(future)
+                outcomes[i] = _outcome(future.result)
+                if isinstance(future.exception(), BrokenProcessPool) and attempt == 1:
+                    waiting.insert(0, (i, 2))  # the rerun's outcome replaces this one
+                idle.append(pool)  # a broken pool is replaced at its next submit
     return outcomes
 
 

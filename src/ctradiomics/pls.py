@@ -187,6 +187,8 @@ def vip_scores(model: PlsModel) -> np.ndarray:
     VIP_j = sqrt(p * sum_a SS_a (w_ja / |w_a|)^2 / sum_a SS_a) with
     SS_a = (q_a'q_a)(t_a't_a), so mean(VIP^2) = 1 exactly.
     """
+    if not len(model.scores):
+        raise ValueError("a loaded model holds no training scores; VIP needs the model as fitted")
     w = model.weights
     ss = np.einsum("ma,ma->a", model.y_loadings, model.y_loadings) * np.einsum(
         "na,na->a", model.scores, model.scores

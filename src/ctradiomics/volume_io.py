@@ -149,7 +149,7 @@ class LesionRegion:
             raise ValueError("a lesion region cannot be empty")
         if len(self.intensities) != len(self.coordinates):
             raise ValueError("coordinates and intensities length mismatch")
-        self.spacing = tuple(float(s) for s in self.spacing)
+        self.spacing = _geometry(self.spacing, ())[0]  # a region has no origin
 
     def __len__(self) -> int:
         return len(self.coordinates)
@@ -336,6 +336,7 @@ def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None
         raise ValueError("only 3D arrays can be written")
     if data.dtype not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {data.dtype}; use one of {sorted(_DTYPES.values(), key=str)}")
+    spacing, origin = _geometry(spacing, origin)  # what read_volume would refuse
     code = _DTYPE_CODES[data.dtype]
     bitpix = data.dtype.itemsize * 8
     hdr = bytearray(352)

@@ -16,9 +16,9 @@ temporary directory, and exits 1 if any check fails:
 - phantom growth: ``phantom`` writes each scan before it makes the next, so
   its peak RSS at the larger of ``PHANTOM_N_PER_CLASS`` is at most
   ``PHANTOM_GROWTH_LIMIT_MB`` above the smaller;
-- same bytes: each pair of ``SAME_BYTES`` is byte-identical, so the pool
-  (and its retry path), the scans in memory, the CV sweep and the float
-  variants of the scan give the bytes they must.
+- same bytes: each pair of ``SAME_BYTES`` is byte-identical, so the
+  one-worker pools of ``--jobs 2``, the scans in memory, the CV sweep and
+  the float variants of the scan give the bytes they must.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_extract_survives_a_dead_pool_worker(tmp_path, capsys, monkeypatch):
     assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", "2"]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     lost = [line.split(":")[1].removeprefix(" scan ") for line in errors]
-    assert lost == ["scan2", "broken"]  # scans 3 and 4 run again in a fresh pool
+    assert lost == ["scan2", "broken"]  # the scans beside scan2 are not lost
     kept = [line for line in clean.read_text().splitlines()[1:] if line.split(",")[1] not in lost]
     assert out.read_text().splitlines() == clean.read_text().splitlines()[:1] + kept
 
@@ -398,9 +399,63 @@ def test_extract_reruns_a_scan_whose_worker_died_once(tmp_path, capsys, monkeypa
     assert out.read_bytes() == clean.read_bytes()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched reader reaches workers by fork")
+def test_extract_reruns_only_the_scan_whose_worker_died(tmp_path, capsys, monkeypatch):
+    manifest = _batch_manifest(tmp_path, n_good=6)
+    parent, read_mask, runs = os.getpid(), cli.read_mask, tmp_path / "runs"
+    runs.mkdir()
+
+    def counts_runs_and_dies_on_scan3(path, class_map):
+        if os.getpid() != parent:
+            with open(runs / path.name, "a") as fh:
+                fh.write("run\n")
+            if path.name == "mask3.nii":
+                os._exit(1)  # on every attempt
+            time.sleep(0.2)  # so other scans are in flight when scan3's worker dies
+        return read_mask(path, class_map)
+
+    monkeypatch.setattr(cli, "read_mask", counts_runs_and_dies_on_scan3)
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", "3"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert [line.split(":")[1] for line in errors] == [" scan scan3", " scan broken"]
+    counts = {marker.name: len(marker.read_text().splitlines()) for marker in runs.iterdir()}
+    assert counts == {"mask3.nii": 2, "small_mask.nii": 1, **{f"mask{i}.nii": 1 for i in (0, 1, 2, 4, 5)}}
+
+
+def test_extract_replaces_a_worker_killed_while_idle(tmp_path, capsys, monkeypatch):
+    # a pool whose idle worker was killed raises at submit; the scan goes to a
+    # fresh worker, and the break does not count as one of the scan's attempts
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    started, breaks = [], [1, 1]
+
+    class BreaksAtSubmit(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            if breaks:
+                breaks.pop()
+                raise BrokenProcessPool("a worker was killed while idle")
+            return super().submit(*args, **kwargs)
+
+    manifest = _batch_manifest(tmp_path, n_good=1)  # two scans, the second fails
+    outputs = []
+    for jobs in ("1", "8"):
+        out = tmp_path / f"features{jobs}.csv"
+        argv = ["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "3", "--jobs", jobs]
+        assert main(argv) == 1
+        outputs.append((out.read_bytes(), capsys.readouterr().err))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreaksAtSubmit)
+    assert started == [1, 1, 1, 1]  # two workers and two replacements
+    assert outputs[0] == outputs[1]
+
+
 def test_extract_starts_no_more_workers_than_scans(tmp_path, capsys, monkeypatch):
-    # a fork-started pool forks all its workers at the first submit, so a
-    # pool of --jobs workers on a short manifest would fork idle processes
+    # each worker is a pool of its own, started only for a scan it may run
     import concurrent.futures
 
     started = []
@@ -418,7 +473,7 @@ def test_extract_starts_no_more_workers_than_scans(tmp_path, capsys, monkeypatch
         assert main(argv) == 1
         outputs.append((out.read_bytes(), capsys.readouterr().err))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert started == [2]
+    assert started == [1, 1]
     assert outputs[0] == outputs[1]
 
 

@@ -320,6 +320,14 @@ class TestSerialization:
         assert np.array_equal(ca, cb)
         assert loaded.feature_names == model.feature_names
 
+    def test_vip_of_a_loaded_model_names_the_missing_scores(self, tmp_path):
+        rng = np.random.default_rng(16)
+        model = ms.fit_plsda(rng.normal(size=(30, 6)), rng.integers(1, 4, 30), 3, 3)
+        assert np.isfinite(pls.vip_scores(model)).all()
+        pls.save_model(model, tmp_path / "model.json")
+        with pytest.raises(ValueError, match="a loaded model holds no training scores"):
+            pls.vip_scores(pls.load_model(tmp_path / "model.json"))
+
     def test_saved_document_is_stable(self, tmp_path):
         rng = np.random.default_rng(15)
         model = ms.fit_plsda(rng.normal(size=(12, 3)), rng.integers(1, 3, 12), 2, 2)

@@ -15,6 +15,7 @@ from ctradiomics import errors
 from ctradiomics.errors import ClassMapError, GeometryError, MaskError, NiftiFormatError, UnsupportedDataTypeError
 from ctradiomics.volume_io import (
     LesionMask,
+    LesionRegion,
     VoxelVolume,
     extract_lesions,
     read_mask,
@@ -514,6 +515,20 @@ class TestWriteNifti:
         mask = read_mask(path, {1: 1})
         assert np.array_equal(mask.labels, labels)
 
+    @pytest.mark.parametrize(
+        "spacing, origin, message",
+        [
+            ((0.0, 1.0, 1.0), (0.0, 0.0, 0.0), "spacing"),
+            ((np.inf, 1.0, 1.0), (0.0, 0.0, 0.0), "spacing"),
+            ((1.0, 1.0, 1.0), (0.0, np.nan, 0.0), "origin"),
+        ],
+    )
+    def test_geometry_read_volume_refuses_is_not_written(self, tmp_path, spacing, origin, message):
+        path = tmp_path / "v.nii"
+        with pytest.raises(ValueError, match=f"{message} must be"):
+            write_nifti(path, np.zeros((2, 2, 2), dtype=np.int16), spacing, origin)
+        assert not path.exists()
+
 
 def _pair(data, labels, spacing, class_of_label):
     vol = VoxelVolume(data=data, spacing=spacing)
@@ -522,7 +537,7 @@ def _pair(data, labels, spacing, class_of_label):
 
 
 class TestGeometry:
-    """VoxelVolume and LesionMask check spacing and origin by one rule."""
+    """VoxelVolume, LesionMask and LesionRegion check spacing and origin by one rule."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_spacing_must_be_positive_and_finite(self, bad):
@@ -530,6 +545,8 @@ class TestGeometry:
             VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1.0, bad, 1.0))
         with pytest.raises(ValueError, match="spacing must be positive and finite"):
             LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=(1.0, 1.0, bad))
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            LesionRegion(coordinates=[[0, 0, 0]], intensities=[1.0], spacing=(bad, 1.0, 1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_origin_must_be_finite(self, bad):
@@ -541,7 +558,8 @@ class TestGeometry:
     def test_geometry_is_held_as_floats(self):
         vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 2, 3), origin=np.array([4, 5, 6]))
         mask = LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=[1, 2, 3], origin=(4, 5, 6))
-        for geometry in (vol.spacing, vol.origin, mask.spacing, mask.origin):
+        region = LesionRegion(coordinates=[[0, 0, 0]], intensities=[1.0], spacing=np.array([1, 2, 3]))
+        for geometry in (vol.spacing, vol.origin, mask.spacing, mask.origin, region.spacing):
             assert type(geometry) is tuple and all(type(v) is float for v in geometry)
 
 
