@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FAMILIES, FEATURE_COLUMNS, FeatureVector, TEXTURE_FAMILIES, family_of_column
+from .volume_io import CLASS_IDS
 
 ID_COLUMNS = ("lesion_id", "scan_id", "class")
 MANIFEST_COLUMNS = ("scan_id", "image_path", "mask_path", "class_map")
@@ -130,7 +131,11 @@ def _bad_cell(header, row) -> str:
                 return f"column {column!r} cell {cell!r} is not finite"
         except ValueError:
             return f"column {column!r} cell {cell!r} is not a number"
-    return f"class cell {row[2]!r} is not an integer"
+    try:
+        int(row[2])
+    except ValueError:
+        return f"class cell {row[2]!r} is not an integer"
+    return f"class cell {row[2]!r} is not one of the class ids {CLASS_IDS}"
 
 
 def read_features_csv(path) -> Dataset:
@@ -138,8 +143,9 @@ def read_features_csv(path) -> Dataset:
 
     A header-only file (what ``extract`` writes when every scan fails) reads
     as a 0-row dataset with an empty class column.  A repeated column, a row
-    with the wrong cell count or a cell that does not parse or is not finite,
-    and a class column empty on some lines only, are rejected.
+    with the wrong cell count, a repeated lesion_id, a cell that does not parse
+    or is not finite, a class outside ``CLASS_IDS`` and a class column empty on
+    some lines only are rejected.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM, as Excel writes, is skipped
         reader = csv.reader(fh)
@@ -152,28 +158,32 @@ def read_features_csv(path) -> Dataset:
         feature_names = tuple(header[3:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
-        lesion_ids, scan_ids, classes, x, unlabelled = [], [], [], [], []
+        line_of, scan_ids, classes, x, unlabelled = {}, [], [], [], []
         for row in reader:
+            line = reader.line_num
             if len(row) != len(header):
                 raise ValueError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells but the header has {len(header)}"
+                    f"{path}: line {line} has {len(row)} cells but the header has {len(header)}"
                 )
+            if row[0] in line_of:  # one lesion in a training fold and in its held-out fold
+                raise ValueError(f"{path}: lesion_id {row[0]!r} on line {line} repeats line {line_of[row[0]]}")
             try:
                 classes.append(int(row[2]) if row[2] else None)
                 x.append([float(v) for v in row[3:]])
-                if not all(map(math.isfinite, x[-1])):  # named like a cell that does not parse
+                # named like a cell that does not parse
+                if not all(map(math.isfinite, x[-1])) or classes[-1] not in (None, *CLASS_IDS):
                     raise ValueError
             except ValueError:
-                raise ValueError(f"{path}: line {reader.line_num}: {_bad_cell(header, row)}") from None
+                raise ValueError(f"{path}: line {line}: {_bad_cell(header, row)}") from None
             if not row[2]:
-                unlabelled.append(reader.line_num)
-            lesion_ids.append(row[0])
+                unlabelled.append(line)
+            line_of[row[0]] = line
             scan_ids.append(row[1])
     if 0 < len(unlabelled) < len(classes):  # an empty class column is unlabelled data, a partly empty one an error
         raise ValueError(f"{path}: line {unlabelled[0]} has no class, but other lines do")
     y = None if unlabelled else np.array(classes, dtype=int)
     x = np.array(x, dtype=np.float64).reshape(len(x), len(feature_names))
-    return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=tuple(lesion_ids), scan_ids=tuple(scan_ids))
+    return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=tuple(line_of), scan_ids=tuple(scan_ids))
 
 
 @dataclass

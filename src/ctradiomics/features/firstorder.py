@@ -42,7 +42,8 @@ def first_order_features(region: LesionRegion, d: DiscretizedRegion) -> dict[str
     voxel_volume = float(np.prod(region.spacing))
     mean = float(x.mean())
     centered = x - mean
-    variance = float(np.mean(centered**2))
+    squared = centered * centered  # products, not pow: pow costs ~40x on a large region
+    variance = float(np.mean(squared))
     energy = float(np.sum(x**2))
 
     p10, p25, p50, p75, p90 = np.percentile(x, [10, 25, 50, 75, 90])
@@ -50,8 +51,8 @@ def first_order_features(region: LesionRegion, d: DiscretizedRegion) -> dict[str
     rmad = float(np.abs(robust - robust.mean()).mean()) if len(robust) else 0.0
 
     if variance > 0.0:
-        skewness = float(np.mean(centered**3) / variance**1.5)
-        kurtosis = float(np.mean(centered**4) / variance**2)
+        skewness = float(np.mean(squared * centered) / variance**1.5)
+        kurtosis = float(np.mean(squared * squared) / variance**2)
     else:
         skewness = 0.0
         kurtosis = 0.0

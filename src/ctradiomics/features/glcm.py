@@ -118,6 +118,7 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
     # features of i+j and of |i-j| alone, summed over p_sum and p_diff
     sum_k = np.arange(2, 2 * ng + 1, dtype=np.float64)
     centred = sum_k - 2.0 * mu[:, None]
+    squared = centred * centred  # products, not pow
     inv_sq = np.divide(1.0, diff_k**2, out=np.zeros(ng), where=diff_k > 0)
 
     def over_diff(w: np.ndarray) -> np.ndarray:
@@ -125,9 +126,9 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
 
     return {
         "Autocorrelation": autocorr,
-        "ClusterProminence": (centred**4 * p_sum).sum(axis=1),
-        "ClusterShade": (centred**3 * p_sum).sum(axis=1),
-        "ClusterTendency": (centred**2 * p_sum).sum(axis=1),
+        "ClusterProminence": (squared * squared * p_sum).sum(axis=1),
+        "ClusterShade": (squared * centred * p_sum).sum(axis=1),
+        "ClusterTendency": (squared * p_sum).sum(axis=1),
         "Contrast": over_diff(diff_k**2),
         "Correlation": correlation,
         "DifferenceAverage": diff_avg,

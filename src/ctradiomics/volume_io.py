@@ -90,6 +90,9 @@ class VoxelVolume:
         return self._payload.shape
 
 
+CLASS_IDS = (1, 2, 3)  # the lesion classes a mask label or a feature row may carry
+
+
 @dataclass
 class LesionMask:
     """Integer-labelled grid aligned to a volume; label 0 is background.
@@ -120,7 +123,7 @@ class LesionMask:
         self.spacing, self.origin = _geometry(self.spacing, self.origin)
         self.class_of_label = {int(k): int(v) for k, v in self.class_of_label.items()}
         for label, cls in self.class_of_label.items():
-            if cls not in (1, 2, 3):
+            if cls not in CLASS_IDS:
                 raise ValueError(f"class id for label {label} must be 1, 2 or 3, got {cls}")
         missing = [lbl for lbl in present if lbl not in self.class_of_label]
         if missing:
@@ -256,12 +259,15 @@ def _to_hu(payload: np.ndarray, scale: tuple[float, float]) -> np.ndarray:
 _SLAB_VOXELS = 1 << 20
 
 
-def _payload_chunks(path, hdr: dict, payload: np.ndarray):
-    """Each run of ``_SLAB_VOXELS`` on-disk values in file (F) order, with the flat
+def _payload_chunks(path, hdr: dict, payload: np.ndarray, scale: tuple[float, float]):
+    """Each run of ``_SLAB_VOXELS`` voxels in file (F) order as HU (an overflow is inf), with the flat
     index of its first; read from the file, not the map, so no page of the map stays resident."""
     for start in range(0, payload.size, _SLAB_VOXELS):
         offset = hdr["vox_offset"] + start * payload.itemsize
-        yield start, np.fromfile(path, payload.dtype, min(_SLAB_VOXELS, payload.size - start), offset=offset)
+        chunk = np.fromfile(path, payload.dtype, min(_SLAB_VOXELS, payload.size - start), offset=offset)
+        with np.errstate(over="ignore"):
+            chunk = _to_hu(chunk, scale)
+        yield start, chunk
 
 
 def read_volume(path) -> VoxelVolume:
@@ -277,10 +283,9 @@ def read_volume(path) -> VoxelVolume:
     # integers under a finite float32 rescale stay finite in float64; floats
     # are checked here, streamed one chunk at a time, so no whole-scan copy exists
     if not np.issubdtype(payload.dtype, np.integer):
-        with np.errstate(over="ignore"):  # a rescale that overflows is reported as non-finite
-            for _, chunk in _payload_chunks(path, hdr, payload):
-                if not np.isfinite(_to_hu(chunk, scale)).all():
-                    raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
+        for _, chunk in _payload_chunks(path, hdr, payload, scale):
+            if not np.isfinite(chunk).all():
+                raise NiftiFormatError(f"{path}: volume contains non-finite voxel values")
     return VoxelVolume._from_payload(payload, scale, hdr["spacing"], hdr["origin"])
 
 
@@ -296,15 +301,13 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
     cannot.
     """
     hdr, payload = _read_payload(path)
-    if np.issubdtype(payload.dtype, np.integer) and hdr["scl_slope"] in (0.0, 1.0) and hdr["scl_inter"] == 0.0:
+    scale = _scale(hdr, path)
+    if np.issubdtype(payload.dtype, np.integer) and scale == (1.0, 0.0):
         labels = payload.astype(payload.dtype.newbyteorder("="), copy=False)  # the map itself when native
     else:
-        scale = _scale(hdr, path)
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         labels = np.empty(payload.shape, dtype=np.uint8, order="F")
-        for start, chunk in _payload_chunks(path, hdr, payload):
-            with np.errstate(over="ignore"):  # a rescale that overflows fails the range check
-                data = _to_hu(chunk, scale)
+        for start, data in _payload_chunks(path, hdr, payload, scale):
             rounded = np.rint(data)
             if not np.array_equal(data, rounded):
                 raise MaskError(f"{path}: mask contains non-integer voxel values")
@@ -314,7 +317,7 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
             wider = np.result_type(labels.dtype, np.min_scalar_type(int(low)), np.min_scalar_type(int(high)))
             if wider != labels.dtype:
                 labels = labels.astype(wider, order="F")
-            labels.reshape(-1, order="F")[start : start + len(chunk)] = rounded  # a view, filled in file order
+            labels.reshape(-1, order="F")[start : start + len(data)] = rounded  # a view, filled in file order
     boxes = _label_boxes(labels)
     class_of_label = {lbl: class_map[lbl] for lbl in boxes if lbl in class_map}
     try:
@@ -417,12 +420,6 @@ def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
     return out
 
 
-def _check_target(target) -> float:
-    if not 0 < target < np.inf:
-        raise ValueError(f"target spacing must be positive and finite, got {target}")
-    return float(target)
-
-
 def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tuple[VoxelVolume, LesionMask]:
     """Resample a volume/mask pair to isotropic ``target`` mm spacing.
 
@@ -431,9 +428,8 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     samples beyond the last voxel centre clamp to the border voxel, so no
     lesion voxel is lost at the boundary.  Origins are preserved.
     """
-    target = _check_target(target)
+    new_spacing = _geometry((target,) * 3, ())[0]
     check_geometry(vol, mask)
-    new_spacing = (target,) * 3
     positions, nearest = _output_grid(vol.dims, vol.spacing, new_spacing)
     new_vol = VoxelVolume(data=_trilinear(vol, *positions), spacing=new_spacing, origin=vol.origin)
     new_mask = LesionMask(
@@ -477,7 +473,7 @@ def extract_lesions(vol: VoxelVolume, mask: LesionMask, target: float) -> list[t
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
     erased by nearest-neighbour resampling) is dropped with a warning.
     """
-    spacing = (_check_target(target),) * 3
+    spacing = _geometry((target,) * 3, ())[0]
     positions, nearest = _output_grid(vol.dims, vol.spacing, spacing)
     check_geometry(vol, mask)
     regions = []

@@ -705,6 +705,26 @@ def test_experiments_on_a_header_only_csv(workspace, tmp_path, capsys, empty):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cls", ["0", "4"])
+def test_class_outside_the_class_ids_exits_2_naming_the_line(workspace, tmp_path, capsys, cls):
+    # stats would report a group c0 and train fit a 4-class model
+    lines = (workspace / "train.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    lines[5] = ",".join(cells[:2] + [cls] + cells[3:])
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(lines) + "\n")
+    message = f"error: {features}: line 6: class cell {cls!r} is not one of the class ids (1, 2, 3)"
+    out = tmp_path / "out"
+    for argv in (
+        ["stats", "--features", features],
+        ["train", "--features", features],
+        ["experiments", "--train", features, "--test", workspace / "test.csv"],
+    ):
+        assert main([str(a) for a in argv] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+
 def test_experiments_record_each_failed_experiment(workspace, tmp_path, capsys):
     # no VIP reaches 50, so experiments 2-5 select nothing and fail
     out = tmp_path / "experiments.json"

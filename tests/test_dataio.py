@@ -94,6 +94,23 @@ class TestFeatureCsv:
             dataio.read_features_csv(path)
         assert str(caught.value) == f"{path}: line 3: class cell 'x' is not an integer"
 
+    @pytest.mark.parametrize("cell", ["0", "4", "-1"])
+    def test_class_outside_the_class_ids_names_path_line_and_cell(self, tmp_path, cell):
+        # extract writes only classes 1-3; stats would report a group c0 and train fit a class 4
+        path = tmp_path / "features.csv"
+        path.write_text(f"lesion_id,scan_id,class,shape_MeshVolume\na,s,1,1.0\nb,s,{cell},2.0\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: line 3: class cell {cell!r} is not one of the class ids (1, 2, 3)"
+
+    def test_repeated_lesion_id_names_both_lines(self, tmp_path):
+        # the two copies could land in a training fold and in its held-out fold
+        path = tmp_path / "features.csv"
+        path.write_text("lesion_id,scan_id,class,shape_MeshVolume\na,s,1,1.0\nb,s,2,2.0\na,s,1,1.0\n")
+        with pytest.raises(ValueError) as caught:
+            dataio.read_features_csv(path)
+        assert str(caught.value) == f"{path}: lesion_id 'a' on line 4 repeats line 2"
+
     def test_feature_cell_not_a_number_names_path_line_and_column(self, tmp_path):
         path = tmp_path / "features.csv"
         path.write_text("lesion_id,scan_id,class,shape_MeshVolume,shape_SurfaceArea\na,s,1,1.0,abc\n")
