@@ -26,10 +26,13 @@ UNIQUE_DIRECTIONS: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
+BUDGET_CELLS = 1 << 18  # 2 MiB of int64: the most cells one temporary may hold
+
+
 def batch_rows(n: int) -> int:
-    """Rows of n voxels each that fit 2 MiB of int64: a lesion-sized step
+    """Rows of n voxels each that fit ``BUDGET_CELLS``: a lesion-sized step
     works on this many directions at once."""
-    return max(1, (1 << 18) // n)
+    return max(1, BUDGET_CELLS // n)
 
 
 class Neighbours(NamedTuple):

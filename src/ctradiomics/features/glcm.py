@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import UNIQUE_DIRECTIONS, DiscretizedRegion, batch_rows
+from .context import BUDGET_CELLS, UNIQUE_DIRECTIONS, DiscretizedRegion
 
 GLCM_NAMES = (
     "Autocorrelation",
@@ -33,22 +33,35 @@ GLCM_NAMES = (
 )
 
 
-def _matrix_stack(d: DiscretizedRegion) -> tuple[tuple, np.ndarray]:
-    """The directions with pairs and their (D, ng, ng) stack of normalized
-    symmetric co-occurrence matrices."""
-    ng = d.n_levels
+def _stack_levels(d: DiscretizedRegion) -> np.ndarray:
+    """The gray levels the GLCM stack indexes, ascending: all of 1..n_levels
+    while 13 padded matrices fit ``BUDGET_CELLS``, past that only the levels
+    the lesion has, so that one outlying voxel does not size the stack.  The
+    last is n_levels either way, as the region's maximum is present."""
+    if 13 * (d.n_levels + 1) ** 2 <= BUDGET_CELLS:
+        return np.arange(1, d.n_levels + 1)
+    return np.flatnonzero(d.histogram) + 1
+
+
+def _matrix_stack(d: DiscretizedRegion, levels: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The directions with pairs and their (D, k, k) stack of normalized
+    symmetric co-occurrence matrices over the k ascending ``levels``."""
+    k = len(levels)
     nb = d.neighbours
-    # pair code (direction, level(v), level(v + d)) over the padded levels
-    # 0..ng; level 0 (outside the region) is dropped with column 0
-    cells = (ng + 1) ** 2
-    pair_code = nb.level.astype(np.intp) * (ng + 1)
-    batch = batch_rows(len(pair_code))
-    counts = np.empty(13 * cells, dtype=np.intp)
-    for lo in range(0, 13, batch):
-        rows = nb.table[lo : min(lo + batch, 13)]  # forward directions only
-        codes = np.arange(len(rows))[:, None] * cells + pair_code + rows
-        counts[lo * cells : (lo + len(rows)) * cells] = np.bincount(codes.ravel(), minlength=len(rows) * cells)
-    counts = counts.reshape(13, ng + 1, ng + 1)[:, 1:, 1:]
+    # a level's index in the padded stack is its rank 1..k, 0 outside the
+    # region; it is the level itself when the stack holds every level
+    if k < d.n_levels:
+        rank = np.zeros(d.n_levels + 1, dtype=np.intp)
+        rank[levels] = np.arange(1, k + 1)
+        index = rank.__getitem__
+    else:
+        index = np.asarray
+    # one count per forward direction of pair code (index(v), index(v + d))
+    # over the padded stack; index 0 (outside the region) drops with column 0
+    cells = (k + 1) ** 2
+    pair_code = index(nb.level).astype(np.intp) * (k + 1)
+    counts = np.stack([np.bincount(pair_code + index(row), minlength=cells) for row in nb.table[:13]])
+    counts = counts.reshape(13, k + 1, k + 1)[:, 1:, 1:]
     present = counts.any(axis=(1, 2))
     counts = counts[present].astype(np.float64)
     counts = counts + counts.transpose(0, 2, 1)  # symmetric accumulation
@@ -57,7 +70,7 @@ def _matrix_stack(d: DiscretizedRegion) -> tuple[tuple, np.ndarray]:
 
 
 def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Maximal correlation coefficient of each matrix in a (D, ng, ng) stack
+    """Maximal correlation coefficient of each matrix in a (D, k, k) stack
     with row marginals ``px``.
 
     Q = Dx^-1 P Dx^-1 P (symmetric P, so py = px) is similar to S^2 with
@@ -86,16 +99,19 @@ def _bincount_rows(flat: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(offset_idx, weights=flat.ravel(), minlength=rows * n).reshape(rows, n)
 
 
-def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
-    """All 23 features of each matrix in a (D, ng, ng) stack, shape (D,) each.
+def _features_from_stack(p: np.ndarray, levels: np.ndarray) -> dict[str, np.ndarray]:
+    """All 23 features of each matrix in a (D, k, k) stack over the k ascending
+    ``levels``, shape (D,) each; p_sum, p_diff, Idmn and Idn span all of
+    1..ng, ng the last level.
 
     Each P is symmetric, so rows and columns share one marginal px, with one
     mean, variance and entropy HX, and HXY1 = HXY2 = 2 HX.
     """
-    n_dir, ng, _ = p.shape
-    i = np.arange(1, ng + 1, dtype=np.float64)
+    n_dir, k, _ = p.shape
+    ng = int(levels[-1])
+    i = levels.astype(np.float64)
     ii, jj = np.meshgrid(i, i, indexing="ij")
-    flat = p.reshape(n_dir, ng * ng)
+    flat = p.reshape(n_dir, k * k)
     px = p.sum(axis=2)
     mu = (i * px).sum(axis=1)
     var = ((i - mu[:, None]) ** 2 * px).sum(axis=1)
@@ -154,14 +170,16 @@ def _features_from_stack(p: np.ndarray) -> dict[str, np.ndarray]:
 def glcm_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 23 co-occurrence features, averaged over directions with pairs.
 
-    All directions are computed together from one (D, ng, ng) stack.  When no
-    direction yields a pair at all (isolated voxels), the level histogram
-    placed on the diagonal serves as the degenerate matrix so that every
-    feature stays finite and deterministic.
+    All directions are computed together from one (D, k, k) stack over the
+    levels of ``_stack_levels``.  When no direction yields a pair at all
+    (isolated voxels), the histogram of those levels placed on the diagonal
+    serves as the degenerate matrix so that every feature stays finite and
+    deterministic.
     """
-    p = _matrix_stack(d)[1]
+    levels = _stack_levels(d)
+    p = _matrix_stack(d, levels)[1]
     if not len(p):
-        p = np.diag(d.histogram / len(d))[None]
-    per_direction = _features_from_stack(p)
+        p = np.diag(d.histogram[levels - 1] / len(d))[None]
+    per_direction = _features_from_stack(p, levels)
     means = np.array([per_direction[name] for name in GLCM_NAMES]).mean(axis=1)
     return dict(zip(GLCM_NAMES, means.tolist()))

@@ -52,25 +52,18 @@ def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:
     ps = float((p_i * s_i).sum())
     coarseness = 1.0 / ps if ps > 0 else COARSENESS_CAP
 
-    if ngp > 1:
-        ip, pp, sp = levels[present], p_i[present], s_i[present]
-        di = ip[:, None] - ip[None, :]
-        contrast = float(
-            (pp[:, None] * pp[None, :] * di**2).sum() / (ngp * (ngp - 1)) * (s_i.sum() / n_total)
-        )
-        busy_den = float(np.abs(ip[:, None] * pp[:, None] - ip[None, :] * pp[None, :]).sum())
-        busyness = ps / busy_den if busy_den > 0 else 0.0
-        complexity = float(
-            (np.abs(di) * (pp[:, None] * sp[:, None] + pp[None, :] * sp[None, :]) / (pp[:, None] + pp[None, :])).sum()
-            / n_total
-        )
-        s_sum = float(s_i.sum())
-        strength = float(((pp[:, None] + pp[None, :]) * di**2).sum() / s_sum) if s_sum > 0 else 0.0
-    else:
-        contrast = 0.0
-        busyness = 0.0
-        complexity = 0.0
-        strength = 0.0
+    ip, pp, sp = levels[present], p_i[present], s_i[present]
+    di = ip[:, None] - ip[None, :]
+    # with one present level every pair term is 0; only Contrast divides by ngp - 1
+    pair_contrast = (pp[:, None] * pp[None, :] * di**2).sum() / (ngp * (ngp - 1)) if ngp > 1 else 0.0
+    contrast = pair_contrast * (s_i.sum() / n_total)
+    busy_den = float(np.abs(ip[:, None] * pp[:, None] - ip[None, :] * pp[None, :]).sum())
+    busyness = ps / busy_den if busy_den > 0 else 0.0
+    complexity = (
+        np.abs(di) * (pp[:, None] * sp[:, None] + pp[None, :] * sp[None, :]) / (pp[:, None] + pp[None, :])
+    ).sum() / n_total
+    s_sum = float(s_i.sum())
+    strength = ((pp[:, None] + pp[None, :]) * di**2).sum() / s_sum if s_sum > 0 else 0.0
 
     return {
         "Coarseness": float(coarseness),

@@ -159,6 +159,8 @@ class LesionRegion:
 
 
 def _parse_header(raw: bytes, path) -> dict:
+    if raw[:2] == b"\x1f\x8b":  # the gzip magic
+        raise NiftiFormatError(f"{path}: gzip-compressed NIfTI (.nii.gz) is not supported; decompress it to .nii")
     if len(raw) < HEADER_SIZE:
         raise NiftiFormatError(f"{path}: file too short for a NIfTI-1 header")
     for order in ("<", ">"):
@@ -334,7 +336,7 @@ def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None
     The array dtype must be one of the supported on-disk types; no rescaling
     is applied (scl_slope=1, scl_inter=0).
     """
-    data = np.ascontiguousarray(data)
+    data = np.asarray(data)
     if data.ndim != 3:
         raise ValueError("only 3D arrays can be written")
     if data.dtype not in _DTYPE_CODES:

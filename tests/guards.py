@@ -12,7 +12,9 @@ temporary directory, and exits 1 if any check fails:
 - extract peak RSS: ``extract`` on one 512 x 512 x 100 scan with three balls
   peaks under ``EXTRACT_LIMIT_MB`` in each of ``CT_VARIANTS``: an int16
   image, the image as float64 (NaN is checked one streamed chunk at a time)
-  and the mask as float32 (streamed into uint8 labels);
+  and the mask as float32 (streamed into uint8 labels); and at bin width 1
+  with a block of ``BONE_HU`` at ``BONE_BLOCK`` in the largest ball, which
+  spreads its levels over thousands but leaves few of them present;
 - phantom growth: ``phantom`` writes each scan before it makes the next, so
   its peak RSS at the larger of ``PHANTOM_N_PER_CLASS`` is at most
   ``PHANTOM_GROWTH_LIMIT_MB`` above the smaller;
@@ -44,6 +46,7 @@ CT_VARIANTS = {  # variant: (image dtype, mask dtype)
     "-float64": ("float64", "uint8"),
     "-float32-mask": ("int16", "float32"),
 }
+BONE_HU, BONE_BLOCK = 2000, (slice(385, 388), slice(255, 258), slice(50, 52))  # 3 x 3 x 2 voxels
 PHANTOM_N_PER_CLASS, PHANTOM_SEED = (2, 40), 1
 PHANTOM_GROWTH_LIMIT_MB = 10
 SAME_BYTES = (
@@ -108,7 +111,8 @@ def tiny_pipeline(work: Path):
 
 def write_ct_scan(work: Path) -> None:
     """The CT scan's image and mask in each dtype ``CT_VARIANTS`` names, with
-    one manifest per variant."""
+    one manifest per variant, and the int16 image with its bone block, whose
+    manifest is ``manifest-bone.csv``."""
     rng = np.random.default_rng(CT_SEED)
     image = rng.integers(20, 60, size=CT_DIMS, dtype=np.int16)
     labels = np.zeros(CT_DIMS, dtype=np.uint8)
@@ -122,7 +126,10 @@ def write_ct_scan(work: Path) -> None:
     files = {(name, dtype) for dtypes in CT_VARIANTS.values() for name, dtype in zip(arrays, dtypes)}
     for name, dtype in sorted(files):
         write_nifti(work / f"{name}-{dtype}.nii", arrays[name].astype(dtype, copy=False), CT_SPACING)
-    for variant, (image_dtype, mask_dtype) in CT_VARIANTS.items():
+    assert (labels[BONE_BLOCK] == len(CT_BALLS)).all()  # in the largest ball
+    image[BONE_BLOCK] = BONE_HU
+    write_nifti(work / "image-bone.nii", image, CT_SPACING)
+    for variant, (image_dtype, mask_dtype) in {**CT_VARIANTS, "-bone": ("bone", "uint8")}.items():
         entry = f"ct,image-{image_dtype}.nii,mask-{mask_dtype}.nii,1=1;2=2;3=3"
         (work / f"manifest{variant}.csv").write_text(f"scan_id,image_path,mask_path,class_map\n{entry}\n")
 
@@ -134,6 +141,9 @@ def extract_peaks(work: Path):
         peak = peak_mb(ctradiomics("extract", "--manifest", manifest, "--out", out))
         name = f"extract{variant or ' (int16)'}"
         yield peak <= EXTRACT_LIMIT_MB, f"{name} peak RSS {peak:.1f} MB (limit {EXTRACT_LIMIT_MB} MB)"
+    manifest, out = work / "manifest-bone.csv", work / "ct-bone.csv"
+    peak = peak_mb(ctradiomics("extract", "--manifest", manifest, "--out", out, "--bin-width", 1))
+    yield peak <= EXTRACT_LIMIT_MB, f"extract-bone --bin-width 1 peak RSS {peak:.1f} MB (limit {EXTRACT_LIMIT_MB} MB)"
 
 
 def phantom_growth(work: Path):

@@ -1,5 +1,6 @@
 """The command-line pipeline end to end on a small phantom cohort."""
 
+import gzip
 import json
 import multiprocessing
 import os
@@ -295,6 +296,20 @@ def test_extract_records_per_scan_errors(workspace, tmp_path, capsys):
     assert code == 1
     assert "broken" in capsys.readouterr().err
     assert len(out.read_text().splitlines()) == 2  # header + the good scan
+
+
+def test_extract_names_a_gzip_image_and_runs_the_other_scan(workspace, tmp_path, capsys):
+    image = workspace / "train" / "images" / "phantom_0000.nii"
+    mask = workspace / "train" / "masks" / "phantom_0000.nii"
+    gz_image = tmp_path / "phantom_0000.nii.gz"
+    gz_image.write_bytes(gzip.compress(image.read_bytes()))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"scan_id,image_path,mask_path,class_map\nok,{image},{mask},1=1\ngz,{gz_image},{mask},1=1\n")
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: scan gz: {gz_image}: gzip-compressed NIfTI (.nii.gz) is not supported" in err
+    assert len(out.read_text().splitlines()) == 2  # header + the uncompressed scan
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

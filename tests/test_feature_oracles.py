@@ -16,6 +16,7 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import Cells, table_features
+from ctradiomics.features.glcm import _features_from_stack, _matrix_stack, _stack_levels
 from ctradiomics.features.glrlm import GLRLM_NAMES
 
 import oracles
@@ -196,15 +197,41 @@ def test_glcm_matches_oracle_with_gray_level_gaps():
     assert len(np.unique(d.levels)) == 4
 
 
+def test_glcm_matches_oracle_past_the_stack_budget():
+    # one slab, four directions with pairs: five levels spread over 1..150, past
+    # the 141 a dense stack holds, so the stack has only the present levels
+    from conftest import region_from_mask
+
+    rng = np.random.default_rng(6)
+    values = rng.choice([0.0, 1.0, 30.0, 60.0], size=(4, 4, 1))
+    values[1, 2, 0] = 149.0
+    d = _assert_glcm_matches_oracle(region_from_mask(np.ones(values.shape), values), 1.0, "compact")
+    assert d.n_levels == 150 and len(_stack_levels(d)) == 5
+
+
+def test_glcm_compact_stack_equals_the_dense_stack():
+    # a 74-voxel blob with 62 of its 314 levels present: the stack over the
+    # present levels gives the dense stack's features
+    from conftest import random_blob_region
+
+    d = discretize(random_blob_region(seed=4, shape=(5, 5, 5), fill=0.6, sigma=60.0), 1.0)
+    compact, dense = _stack_levels(d), np.arange(1, d.n_levels + 1)
+    assert len(compact) < d.n_levels
+    got, want = (_features_from_stack(_matrix_stack(d, levels)[1], levels) for levels in (compact, dense))
+    for name in want:
+        assert got[name] == pytest.approx(want[name], rel=1e-12, abs=1e-15), name
+
+
 def test_glcm_matches_oracle_isolated_voxels_many_levels():
     # no co-occurring pair: the diagonal histogram fallback at ng >= 40
     from ctradiomics.volume_io import LesionRegion
 
     coords = [[2 * i, 2 * (i % 3), 2 * (i % 2)] for i in range(8)]
     region = LesionRegion(coordinates=coords, intensities=np.arange(8) * 13.0, spacing=(1, 1, 1))
-    d = _assert_glcm_matches_oracle(region, 2.0, "isolated")
-    assert d.n_levels >= 40
-    assert glcm_features(d)["MCC"] == pytest.approx(1.0)
+    for bin_width in (2.0, 0.5):  # 46 levels, then 183 on the compact stack
+        d = _assert_glcm_matches_oracle(region, bin_width, "isolated")
+        assert d.n_levels >= 40
+        assert glcm_features(d)["MCC"] == pytest.approx(1.0)
 
 
 def test_glcm_matches_oracle_flat_marginal():

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import checkerboard_region, constant_cube_region, random_blob_region, region_from_mask, rod_region
 from ctradiomics.features import (
@@ -25,14 +28,14 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import UNIQUE_DIRECTIONS
-from ctradiomics.features.glcm import _matrix_stack
+from ctradiomics.features.glcm import _matrix_stack, _stack_levels
 from ctradiomics.volume_io import LesionRegion
 
 
 def glcm_matrices(d) -> dict:
     """Normalized symmetric co-occurrence matrices keyed by direction; a
     direction without any pair is omitted."""
-    return dict(zip(*_matrix_stack(d)))
+    return dict(zip(*_matrix_stack(d, _stack_levels(d))))
 
 
 class TestDiscretize:
@@ -369,24 +372,81 @@ class TestExtractAll:
     def test_memory_follows_the_lesion_on_a_large_sphere(self):
         # a 179,579-voxel ball (radius 35) of noisy HU, the size of a large CT
         # lesion at 1 mm: a few levels, short runs and zones up to 82,007 voxels
-        import tracemalloc
-
         axis = np.arange(-35, 36)
         gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
         mask = gx**2 + gy**2 + gz**2 <= 35**2
         rng = np.random.default_rng(0)
         region = region_from_mask(mask, rng.normal(80.0, 20.0, mask.shape))
         assert len(region) == 179_579
-        extract_all(random_blob_region(seed=1))  # imports and per-spacing caches
-        tracemalloc.start()
-        try:
-            extract_all(region)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = extract_all_peak(region)
         # measured 14.4 MiB with numpy 2.4, most of it the context; a dense
         # 8 x 82,007 zone matrix made it 17.9 MiB
         assert peak <= 22 * 2**20, f"extract_all peaked at {peak / 2**20:.1f} MiB"
+
+
+def extract_all_peak(region, bin_width=25.0) -> int:
+    """``extract_all``'s tracemalloc peak in bytes, after one warm-up call for
+    the imports and per-spacing caches."""
+    extract_all(random_blob_region(seed=1))
+    tracemalloc.start()
+    try:
+        extract_all(region, bin_width)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# extract_all's peak over a region whose gray levels span any CT range:
+# PEAK_PER_VOXEL * voxels + PEAK_BASE.  The base covers the dense GLCM stack
+# at its largest, 141 levels (6.4 MiB measured with numpy 2.4); past that the
+# stack holds only the present levels (at most 4.6 MiB measured over 300
+# voxels of a 50-level band with outliers up to 4,096 levels away).
+PEAK_PER_VOXEL, PEAK_BASE = 1024, 8 * 2**20
+
+
+@hs.composite
+def _band_with_outliers(draw):
+    """Up to 300 voxels in a 7^3 box, their HU in a 50-level band at bin width
+    1, with 1 to 3 of them moved anywhere in the CT range -1024..3071 HU."""
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    n = draw(hs.integers(2, 300))
+    coords = np.argwhere(np.ones((7, 7, 7), dtype=bool))[rng.choice(343, n, replace=False)]
+    hu = draw(hs.integers(-1024, 3071 - 49)) + rng.integers(0, 50, n).astype(np.float64)
+    outliers = draw(hs.lists(hs.integers(-1024, 3071), min_size=1, max_size=min(3, n)))
+    hu[: len(outliers)] = outliers
+    return LesionRegion(coordinates=coords, intensities=hu, spacing=(1, 1, 1))
+
+
+class TestGlcmStackLevels:
+    def test_the_stack_holds_only_present_levels_past_the_budget(self):
+        # 13 (n_levels + 1)^2 cells fit BUDGET_CELLS up to 141 levels
+        for n_levels, dense in ((141, True), (142, False)):
+            coords, hu = [[0, 0, 0], [1, 0, 0], [3, 0, 0]], [0.0, 0.0, n_levels - 1.0]
+            d = discretize(LesionRegion(coordinates=coords, intensities=hu, spacing=(1, 1, 1)), 1.0)
+            assert d.n_levels == n_levels
+            want = np.arange(1, n_levels + 1) if dense else [1, n_levels]
+            assert np.array_equal(_stack_levels(d), want)
+
+    def test_a_bright_voxel_in_a_ball_costs_no_more_than_the_ball(self):
+        # a 4,169-voxel ball of 40-90 HU with one voxel at 1000 HU: 961 levels
+        # at bin width 1, of which 51 are present; the dense stack over all of
+        # them peaked at 290 MiB, the stack over the present ones at 2.0 MiB
+        axis = np.arange(-10, 11)
+        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+        mask = gx**2 + gy**2 + gz**2 <= 10**2
+        hu = np.random.default_rng(0).integers(40, 90, mask.shape).astype(np.float64)
+        hu[10, 10, 10] = 1000.0
+        region = region_from_mask(mask, hu)
+        assert len(region) == 4_169 and discretize(region, 1.0).n_levels == 961
+        peak = extract_all_peak(region, 1.0)
+        assert peak <= PEAK_BASE, f"extract_all peaked at {peak / 2**20:.1f} MiB"
+
+    @settings(max_examples=30, deadline=None)
+    @given(_band_with_outliers())
+    def test_memory_follows_the_voxels_whatever_the_range(self, region):
+        peak = extract_all_peak(region, 1.0)
+        limit = PEAK_PER_VOXEL * len(region) + PEAK_BASE
+        assert peak <= limit, f"extract_all peaked at {peak / 2**20:.1f} MiB over {len(region)} voxels"
 
 
 TEXTURE_PREFIXES = ("glcm", "gldm", "glrlm", "glszm", "ngtdm")

@@ -21,7 +21,7 @@ import oracles
 from conftest import region_from_mask
 from ctradiomics.features import gldm_cells, glrlm_cells, glszm_cells, ngtdm_table
 from ctradiomics.features.context import UNIQUE_DIRECTIONS, Cells, DiscretizedRegion, discretize, table_features
-from ctradiomics.features.glcm import _matrix_stack
+from ctradiomics.features.glcm import _matrix_stack, _stack_levels
 
 
 def _region(coords, levels) -> DiscretizedRegion:
@@ -42,7 +42,9 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
     pos = {tuple(int(x) for x in c): int(l) for c, l in zip(d.coordinates, d.levels)}
     ng = d.n_levels
 
-    glcm = dict(zip(*_matrix_stack(d)))
+    # stack index i holds level levels[i]: i + 1 unless the stack is compact
+    levels = _stack_levels(d)
+    glcm = dict(zip(*_matrix_stack(d, levels)))
     expected_glcm = {}
     for direction in UNIQUE_DIRECTIONS:
         counts, n_pairs = oracles.glcm_pair_counts(pos, direction)
@@ -51,7 +53,7 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
     assert glcm.keys() == expected_glcm.keys()
     for direction, p in expected_glcm.items():
         i, j = glcm[direction].nonzero()
-        got = dict(zip(zip((i + 1).tolist(), (j + 1).tolist()), glcm[direction][i, j].tolist()))
+        got = dict(zip(zip(levels[i].tolist(), levels[j].tolist()), glcm[direction][i, j].tolist()))
         assert got == p, f"GLCM {direction}"
 
     assert _table(gldm_cells(d)) == oracles.gldm_table(pos)

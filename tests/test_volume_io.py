@@ -1,5 +1,6 @@
 """NIfTI reading/writing, isotropic resampling, and lesion splitting."""
 
+import gzip
 import struct
 import tempfile
 import tracemalloc
@@ -170,6 +171,16 @@ class TestReadVolume:
         struct.pack_into("<h", blob, 72, 24)
         with pytest.raises(UnsupportedDataTypeError, match="128"):
             read_volume(write_blob(tmp_path, bytes(blob)))
+
+    def test_gzip_file_is_format_error_naming_the_cause(self, tmp_path):
+        path = tmp_path / "v.nii"
+        write_nifti(path, np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0))
+        gz = tmp_path / "v.nii.gz"
+        gz.write_bytes(gzip.compress(path.read_bytes()))
+        assert gz.stat().st_size < 348  # once read as "too short for a NIfTI-1 header"
+        for reader in (read_volume, lambda p: read_mask(p, {})):
+            with pytest.raises(NiftiFormatError, match=r"v\.nii\.gz: gzip-compressed NIfTI .* decompress it"):
+                reader(gz)
 
     def test_short_file_is_format_error(self, tmp_path):
         with pytest.raises(NiftiFormatError, match="too short"):
@@ -514,6 +525,17 @@ class TestWriteNifti:
         write_nifti(path, labels, spacing=(1, 1, 1))
         mask = read_mask(path, {1: 1})
         assert np.array_equal(mask.labels, labels)
+
+    def test_memory_order_does_not_change_the_bytes(self, tmp_path):
+        # read_volume's payload is F-ordered; a C-ordered copy and a strided
+        # view of the same values write the same file
+        data = np.arange(60, dtype=np.int16).reshape(3, 4, 5)
+        every_other = np.zeros((6, 4, 5), dtype=np.int16)
+        every_other[::2] = data
+        for name, array in {"c": data, "f": np.asfortranarray(data), "strided": every_other[::2]}.items():
+            write_nifti(tmp_path / f"{name}.nii", array, (1.0, 1.0, 1.0))
+        written = {path.read_bytes() for path in tmp_path.glob("*.nii")}
+        assert len(written) == 1 and np.array_equal(read_volume(tmp_path / "f.nii").payload, data)
 
     @pytest.mark.parametrize(
         "spacing, origin, message",

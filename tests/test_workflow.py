@@ -75,6 +75,8 @@ def test_guards_keep_their_limits_cohorts_and_variants():
         "-float64": ("float64", "uint8"),
         "-float32-mask": ("int16", "float32"),
     }
+    # a 3 x 3 x 2 block of bone in the largest ball, extracted at bin width 1
+    assert (guards.BONE_HU, guards.BONE_BLOCK) == (2000, (slice(385, 388), slice(255, 258), slice(50, 52)))
     # phantom holds one scan at a time: 40 scans a class peak at most 10 MB above 2
     assert (guards.PHANTOM_N_PER_CLASS, guards.PHANTOM_SEED, guards.PHANTOM_GROWTH_LIMIT_MB) == ((2, 40), 1, 10)
     assert guards.SAME_BYTES == (
