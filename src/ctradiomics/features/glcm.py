@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import BUDGET_CELLS, UNIQUE_DIRECTIONS, DiscretizedRegion
+from .context import UNIQUE_DIRECTIONS, DiscretizedRegion
 
 GLCM_NAMES = (
     "Autocorrelation",
@@ -34,12 +34,8 @@ GLCM_NAMES = (
 
 
 def _stack_levels(d: DiscretizedRegion) -> np.ndarray:
-    """The gray levels the GLCM stack indexes, ascending: all of 1..n_levels
-    while 13 padded matrices fit ``BUDGET_CELLS``, past that only the levels
-    the lesion has, so that one outlying voxel does not size the stack.  The
-    last is n_levels either way, as the region's maximum is present."""
-    if 13 * (d.n_levels + 1) ** 2 <= BUDGET_CELLS:
-        return np.arange(1, d.n_levels + 1)
+    """The gray levels the GLCM stack indexes: the ones the lesion has,
+    ascending, so that one outlying voxel does not size the stack."""
     return np.flatnonzero(d.histogram) + 1
 
 
@@ -48,19 +44,14 @@ def _matrix_stack(d: DiscretizedRegion, levels: np.ndarray) -> tuple[tuple, np.n
     symmetric co-occurrence matrices over the k ascending ``levels``."""
     k = len(levels)
     nb = d.neighbours
-    # a level's index in the padded stack is its rank 1..k, 0 outside the
-    # region; it is the level itself when the stack holds every level
-    if k < d.n_levels:
-        rank = np.zeros(d.n_levels + 1, dtype=np.intp)
-        rank[levels] = np.arange(1, k + 1)
-        index = rank.__getitem__
-    else:
-        index = np.asarray
-    # one count per forward direction of pair code (index(v), index(v + d))
-    # over the padded stack; index 0 (outside the region) drops with column 0
+    # a level's index in the padded stack is its rank 1..k, 0 outside the region
+    rank = np.zeros(d.n_levels + 1, dtype=np.intp)
+    rank[levels] = np.arange(1, k + 1)
+    # one count per forward direction of pair code (rank(v), rank(v + d))
+    # over the padded stack; rank 0 (outside the region) drops with column 0
     cells = (k + 1) ** 2
-    pair_code = index(nb.level).astype(np.intp) * (k + 1)
-    counts = np.stack([np.bincount(pair_code + index(row), minlength=cells) for row in nb.table[:13]])
+    pair_code = rank.take(nb.level) * (k + 1)  # take: far cheaper than [] on uint8 indices
+    counts = np.stack([np.bincount(pair_code + rank.take(row), minlength=cells) for row in nb.table[:13]])
     counts = counts.reshape(13, k + 1, k + 1)[:, 1:, 1:]
     present = counts.any(axis=(1, 2))
     counts = counts[present].astype(np.float64)
@@ -101,8 +92,8 @@ def _bincount_rows(flat: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 
 def _features_from_stack(p: np.ndarray, levels: np.ndarray) -> dict[str, np.ndarray]:
     """All 23 features of each matrix in a (D, k, k) stack over the k ascending
-    ``levels``, shape (D,) each; p_sum, p_diff, Idmn and Idn span all of
-    1..ng, ng the last level.
+    ``levels``, shape (D,) each; p_sum and p_diff span the distinct i + j and
+    |i - j| of the stack's cells, and only Idmn and Idn read ng, the last level.
 
     Each P is symmetric, so rows and columns share one marginal px, with one
     mean, variance and entropy HX, and HXY1 = HXY2 = 2 HX.
@@ -114,28 +105,29 @@ def _features_from_stack(p: np.ndarray, levels: np.ndarray) -> dict[str, np.ndar
     flat = p.reshape(n_dir, k * k)
     px = p.sum(axis=2)
     mu = (i * px).sum(axis=1)
-    var = ((i - mu[:, None]) ** 2 * px).sum(axis=1)
+    c = i - mu[:, None]  # the levels centred on each direction's mean
+    var = (c**2 * px).sum(axis=1)
 
-    # p_diff over |i-j| = 0..ng-1 and p_sum over i+j-2 = 0..2ng-2
-    p_diff = _bincount_rows(flat, np.abs(ii - jj).astype(np.intp).ravel(), ng)
-    p_sum = _bincount_rows(flat, (ii + jj - 2).astype(np.intp).ravel(), 2 * ng - 1)
+    sum_k, sum_index = np.unique((ii + jj).ravel(), return_inverse=True)
+    diff_k, diff_index = np.unique(np.abs(ii - jj).ravel(), return_inverse=True)
+    p_sum = _bincount_rows(flat, sum_index, len(sum_k))
+    p_diff = _bincount_rows(flat, diff_index, len(diff_k))
 
-    diff_k = np.arange(0, ng, dtype=np.float64)
     diff_avg = (diff_k * p_diff).sum(axis=1)
     h_xy = _entropy2(flat)
     h_x = _entropy2(px)
     h_xy1 = 2.0 * h_x  # = HXY2
 
     autocorr = (flat * (ii * jj).ravel()).sum(axis=1)
-    correlation = np.divide(autocorr - mu**2, var, out=np.ones(n_dir), where=var > 0)  # 1 if flat
+    covariance = ((p @ c[..., None])[..., 0] * c).sum(axis=1)  # sum of p (i - mu)(j - mu)
+    correlation = np.divide(covariance, var, out=np.ones(n_dir), where=var > 0)  # 1 if flat
     imc1 = np.divide(h_xy - h_xy1, h_x, out=np.zeros(n_dir), where=h_x > 0)
     imc2 = np.sqrt(np.maximum(1.0 - np.exp(-2.0 * (h_xy1 - h_xy)), 0.0))
 
     # features of i+j and of |i-j| alone, summed over p_sum and p_diff
-    sum_k = np.arange(2, 2 * ng + 1, dtype=np.float64)
     centred = sum_k - 2.0 * mu[:, None]
     squared = centred * centred  # products, not pow
-    inv_sq = np.divide(1.0, diff_k**2, out=np.zeros(ng), where=diff_k > 0)
+    inv_sq = np.divide(1.0, diff_k**2, out=np.zeros(len(diff_k)), where=diff_k > 0)
 
     def over_diff(w: np.ndarray) -> np.ndarray:
         return (p_diff * w).sum(axis=1)

@@ -356,9 +356,14 @@ def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None
     struct.pack_into("<h", hdr, 252, 1)  # qform_code
     struct.pack_into("<3f", hdr, 268, origin[0], origin[1], origin[2])
     hdr[344:348] = b"n+1\x00"
+    # F order of (x, y, z) is C order of (z, y, x); filling that array 16
+    # y-rows at a time keeps the transpose in cache
+    zyx = np.empty(data.shape[::-1], dtype=data.dtype)
+    for y in range(0, data.shape[1], 16):
+        zyx[:, y : y + 16] = data[:, y : y + 16].T
     with open(path, "wb") as fh:
         fh.write(bytes(hdr))
-        fh.write(data.tobytes(order="F"))
+        fh.write(zyx)
 
 
 def check_geometry(vol: VoxelVolume, mask: LesionMask) -> None:

@@ -14,7 +14,8 @@ temporary directory, and exits 1 if any check fails:
   image, the image as float64 (NaN is checked one streamed chunk at a time)
   and the mask as float32 (streamed into uint8 labels); and at bin width 1
   with a block of ``BONE_HU`` at ``BONE_BLOCK`` in the largest ball, which
-  spreads its levels over thousands but leaves few of them present;
+  spreads its levels over thousands but leaves few of them present, and with
+  a block of ``FLOAT_BONE_HU`` there in the image as float32, past any int16;
 - phantom growth: ``phantom`` writes each scan before it makes the next, so
   its peak RSS at the larger of ``PHANTOM_N_PER_CLASS`` is at most
   ``PHANTOM_GROWTH_LIMIT_MB`` above the smaller;
@@ -47,6 +48,8 @@ CT_VARIANTS = {  # variant: (image dtype, mask dtype)
     "-float32-mask": ("int16", "float32"),
 }
 BONE_HU, BONE_BLOCK = 2000, (slice(385, 388), slice(255, 258), slice(50, 52))  # 3 x 3 x 2 voxels
+FLOAT_BONE_HU = 2e5  # 200,000 levels at bin width 1
+BONE_VARIANTS = ("-bone", "-float32-bone")
 PHANTOM_N_PER_CLASS, PHANTOM_SEED = (2, 40), 1
 PHANTOM_GROWTH_LIMIT_MB = 10
 SAME_BYTES = (
@@ -111,8 +114,9 @@ def tiny_pipeline(work: Path):
 
 def write_ct_scan(work: Path) -> None:
     """The CT scan's image and mask in each dtype ``CT_VARIANTS`` names, with
-    one manifest per variant, and the int16 image with its bone block, whose
-    manifest is ``manifest-bone.csv``."""
+    one manifest per variant, and the int16 and float32 images with their
+    bone blocks, whose manifests are ``manifest-bone.csv`` and
+    ``manifest-float32-bone.csv``."""
     rng = np.random.default_rng(CT_SEED)
     image = rng.integers(20, 60, size=CT_DIMS, dtype=np.int16)
     labels = np.zeros(CT_DIMS, dtype=np.uint8)
@@ -129,7 +133,11 @@ def write_ct_scan(work: Path) -> None:
     assert (labels[BONE_BLOCK] == len(CT_BALLS)).all()  # in the largest ball
     image[BONE_BLOCK] = BONE_HU
     write_nifti(work / "image-bone.nii", image, CT_SPACING)
-    for variant, (image_dtype, mask_dtype) in {**CT_VARIANTS, "-bone": ("bone", "uint8")}.items():
+    image = image.astype(np.float32)
+    image[BONE_BLOCK] = FLOAT_BONE_HU
+    write_nifti(work / "image-float32-bone.nii", image, CT_SPACING)
+    bones = {variant: (variant[1:], "uint8") for variant in BONE_VARIANTS}
+    for variant, (image_dtype, mask_dtype) in {**CT_VARIANTS, **bones}.items():
         entry = f"ct,image-{image_dtype}.nii,mask-{mask_dtype}.nii,1=1;2=2;3=3"
         (work / f"manifest{variant}.csv").write_text(f"scan_id,image_path,mask_path,class_map\n{entry}\n")
 
@@ -141,9 +149,10 @@ def extract_peaks(work: Path):
         peak = peak_mb(ctradiomics("extract", "--manifest", manifest, "--out", out))
         name = f"extract{variant or ' (int16)'}"
         yield peak <= EXTRACT_LIMIT_MB, f"{name} peak RSS {peak:.1f} MB (limit {EXTRACT_LIMIT_MB} MB)"
-    manifest, out = work / "manifest-bone.csv", work / "ct-bone.csv"
-    peak = peak_mb(ctradiomics("extract", "--manifest", manifest, "--out", out, "--bin-width", 1))
-    yield peak <= EXTRACT_LIMIT_MB, f"extract-bone --bin-width 1 peak RSS {peak:.1f} MB (limit {EXTRACT_LIMIT_MB} MB)"
+    for variant in BONE_VARIANTS:
+        manifest, out = work / f"manifest{variant}.csv", work / f"ct{variant}.csv"
+        peak = peak_mb(ctradiomics("extract", "--manifest", manifest, "--out", out, "--bin-width", 1))
+        yield peak <= EXTRACT_LIMIT_MB, f"extract{variant} --bin-width 1 peak RSS {peak:.1f} MB (limit {EXTRACT_LIMIT_MB} MB)"
 
 
 def phantom_growth(work: Path):

@@ -1,5 +1,7 @@
 """Every feature family against its brute-force oracle on the standard regions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -198,8 +200,8 @@ def test_glcm_matches_oracle_with_gray_level_gaps():
 
 
 def test_glcm_matches_oracle_past_the_stack_budget():
-    # one slab, four directions with pairs: five levels spread over 1..150, past
-    # the 141 a dense stack holds, so the stack has only the present levels
+    # one slab, four directions with pairs: five levels spread over 1..150, of
+    # which the stack holds only the present ones
     from conftest import region_from_mask
 
     rng = np.random.default_rng(6)
@@ -222,13 +224,35 @@ def test_glcm_compact_stack_equals_the_dense_stack():
         assert got[name] == pytest.approx(want[name], rel=1e-12, abs=1e-15), name
 
 
+def test_glcm_correlation_matches_exact_rationals():
+    # a 12^3 cube at 399 HU with one voxel at 0 HU: 400 levels at bin width
+    # 1, 2 present, so sigma^2 is small and autocorrelation - mu^2 cancels;
+    # the mean over directions of the exact sum p (i - mu)(j - mu) / sigma^2
+    from conftest import region_from_mask
+
+    values = np.full((12, 12, 12), 399.0)
+    values[5, 6, 7] = 0.0
+    d = discretize(region_from_mask(np.ones(values.shape), values), 1.0)
+    assert d.n_levels == 400 and len(np.unique(d.levels)) == 2
+    pos = oracles._pos_map(d.coordinates, d.levels)
+    exact = []
+    for direction in oracles.DIRECTIONS:
+        counts, n_pairs = oracles.glcm_pair_counts(pos, direction)
+        p = {cell: Fraction(count, 2 * n_pairs) for cell, count in counts.items()}
+        mu = sum(i * q for (i, _), q in p.items())
+        var = sum((i - mu) ** 2 * q for (i, _), q in p.items())
+        exact.append(sum((i - mu) * (j - mu) * q for (i, j), q in p.items()) / var)
+    want = float(sum(exact) / len(exact))
+    assert glcm_features(d)["Correlation"] == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_glcm_matches_oracle_isolated_voxels_many_levels():
     # no co-occurring pair: the diagonal histogram fallback at ng >= 40
     from ctradiomics.volume_io import LesionRegion
 
     coords = [[2 * i, 2 * (i % 3), 2 * (i % 2)] for i in range(8)]
     region = LesionRegion(coordinates=coords, intensities=np.arange(8) * 13.0, spacing=(1, 1, 1))
-    for bin_width in (2.0, 0.5):  # 46 levels, then 183 on the compact stack
+    for bin_width in (2.0, 0.5):  # 46 levels, then 183
         d = _assert_glcm_matches_oracle(region, bin_width, "isolated")
         assert d.n_levels >= 40
         assert glcm_features(d)["MCC"] == pytest.approx(1.0)

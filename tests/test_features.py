@@ -397,10 +397,10 @@ def extract_all_peak(region, bin_width=25.0) -> int:
 
 
 # extract_all's peak over a region whose gray levels span any CT range:
-# PEAK_PER_VOXEL * voxels + PEAK_BASE.  The base covers the dense GLCM stack
-# at its largest, 141 levels (6.4 MiB measured with numpy 2.4); past that the
-# stack holds only the present levels (at most 4.6 MiB measured over 300
-# voxels of a 50-level band with outliers up to 4,096 levels away).
+# PEAK_PER_VOXEL * voxels + PEAK_BASE.  The base once covered a dense GLCM
+# stack of up to 141 levels (6.4 MiB measured with numpy 2.4); with GLCM over
+# the present levels only, 150 random cases of up to 300 voxels in a 50-level
+# band with outliers up to 4,096 levels away peaked at 1.1 MiB.
 PEAK_PER_VOXEL, PEAK_BASE = 1024, 8 * 2**20
 
 
@@ -419,13 +419,13 @@ def _band_with_outliers(draw):
 
 class TestGlcmStackLevels:
     def test_the_stack_holds_only_present_levels_past_the_budget(self):
-        # 13 (n_levels + 1)^2 cells fit BUDGET_CELLS up to 141 levels
-        for n_levels, dense in ((141, True), (142, False)):
+        # on either side of the 141 levels a dense 2 MiB stack once held, the
+        # stack holds only the two levels the region has
+        for n_levels in (141, 142):
             coords, hu = [[0, 0, 0], [1, 0, 0], [3, 0, 0]], [0.0, 0.0, n_levels - 1.0]
             d = discretize(LesionRegion(coordinates=coords, intensities=hu, spacing=(1, 1, 1)), 1.0)
             assert d.n_levels == n_levels
-            want = np.arange(1, n_levels + 1) if dense else [1, n_levels]
-            assert np.array_equal(_stack_levels(d), want)
+            assert np.array_equal(_stack_levels(d), [1, n_levels])
 
     def test_a_bright_voxel_in_a_ball_costs_no_more_than_the_ball(self):
         # a 4,169-voxel ball of 40-90 HU with one voxel at 1000 HU: 961 levels
@@ -440,6 +440,18 @@ class TestGlcmStackLevels:
         assert len(region) == 4_169 and discretize(region, 1.0).n_levels == 961
         peak = extract_all_peak(region, 1.0)
         assert peak <= PEAK_BASE, f"extract_all peaked at {peak / 2**20:.1f} MiB"
+        # at 1e5 HU (a float image can hold it) p_sum and p_diff over all of
+        # 1..n_levels peaked at 113 MiB; over the stack's cells GLCM takes 2.9 MiB
+        hu[10, 10, 10] = 1e5
+        d = discretize(region_from_mask(mask, hu), 1.0)
+        assert d.n_levels == 99_961
+        tracemalloc.start()
+        try:
+            glcm_features(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PEAK_BASE, f"glcm_features peaked at {peak / 2**20:.1f} MiB"
 
     @settings(max_examples=30, deadline=None)
     @given(_band_with_outliers())

@@ -42,7 +42,7 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
     pos = {tuple(int(x) for x in c): int(l) for c, l in zip(d.coordinates, d.levels)}
     ng = d.n_levels
 
-    # stack index i holds level levels[i]: i + 1 unless the stack is compact
+    # stack index i holds level levels[i], the i-th present level
     levels = _stack_levels(d)
     glcm = dict(zip(*_matrix_stack(d, levels)))
     expected_glcm = {}

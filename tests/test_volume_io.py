@@ -528,14 +528,17 @@ class TestWriteNifti:
 
     def test_memory_order_does_not_change_the_bytes(self, tmp_path):
         # read_volume's payload is F-ordered; a C-ordered copy and a strided
-        # view of the same values write the same file
-        data = np.arange(60, dtype=np.int16).reshape(3, 4, 5)
-        every_other = np.zeros((6, 4, 5), dtype=np.int16)
-        every_other[::2] = data
-        for name, array in {"c": data, "f": np.asfortranarray(data), "strided": every_other[::2]}.items():
-            write_nifti(tmp_path / f"{name}.nii", array, (1.0, 1.0, 1.0))
-        written = {path.read_bytes() for path in tmp_path.glob("*.nii")}
-        assert len(written) == 1 and np.array_equal(read_volume(tmp_path / "f.nii").payload, data)
+        # view of the same values write the same file, also where y spans
+        # several 16-row slabs and ends in a partial one
+        for shape in ((3, 4, 5), (5, 37, 21)):
+            data = np.arange(np.prod(shape), dtype=np.int16).reshape(shape)
+            every_other = np.zeros((2 * shape[0], *shape[1:]), dtype=np.int16)
+            every_other[::2] = data
+            layouts = {"c": data, "f": np.asfortranarray(data), "strided": every_other[::2]}
+            for name, array in layouts.items():
+                write_nifti(tmp_path / f"{name}.nii", array, (1.0, 1.0, 1.0))
+            written = {path.read_bytes() for path in tmp_path.glob("*.nii")}
+            assert len(written) == 1 and np.array_equal(read_volume(tmp_path / "f.nii").payload, data)
 
     @pytest.mark.parametrize(
         "spacing, origin, message",
