@@ -1,11 +1,13 @@
 """The one per-lesion context that all seven feature families read: the
-fixed-bin-width gray levels, their histogram, the padded level grid with its
-occupancy, the table of every voxel's 26 neighbour levels, and the statistics
-that GLDM, GLRLM and GLSZM share over their count tables."""
+fixed-bin-width gray levels, the k levels present with their histogram and
+rank, the padded level grid with its occupancy, the table of every voxel's 26
+neighbour levels, and the statistics that GLDM, GLRLM and GLSZM share over
+their count tables.  Texture tables are indexed by rank 1..k, not by level
+1..n_levels, so one outlying voxel does not size them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -50,14 +52,14 @@ class Cells(NamedTuple):
     """The nonzero cells of one (gray level x size) count table in order of size,
     then level: GLDM's, GLRLM's and GLSZM's tables as ``table_features`` reads them."""
 
-    level: np.ndarray  # (k,) gray level, 1-based
-    size: np.ndarray  # (k,) dependence size, run length or zone size, 1-based
-    count: np.ndarray  # (k,) > 0
+    level: np.ndarray  # gray level rank 1..k: the level is gray[rank - 1]
+    size: np.ndarray  # dependence size, run length or zone size, 1-based
+    count: np.ndarray  # > 0
 
     @classmethod
-    def of_codes(cls, code: np.ndarray, count: np.ndarray, n_levels: int) -> Cells:
-        """The cells of codes (size - 1) * n_levels + level - 1, ascending."""
-        size, level = np.divmod(code, n_levels)
+    def of_codes(cls, code: np.ndarray, count: np.ndarray, k: int) -> Cells:
+        """The cells of codes (size - 1) * k + rank - 1, ascending."""
+        size, level = np.divmod(code, k)
         return cls(level + 1, size + 1, count)
 
 
@@ -69,6 +71,9 @@ class DiscretizedRegion:
     so the binning is anchored at the region minimum and shifting all
     intensities by a constant leaves the levels unchanged.
 
+    The grid and the neighbour table hold the levels; the texture families
+    code their cells by ``rank`` and read the k level values from ``gray``.
+
     ``extract_all`` builds one per lesion.  The cached properties are built
     on first use and then shared by every family that reads them.
     """
@@ -77,6 +82,11 @@ class DiscretizedRegion:
     n_levels: int
     coordinates: np.ndarray  # (n, 3) voxel indices
     spacing: tuple[float, float, float]
+    gray: np.ndarray = field(init=False)  # (k,) the levels present, ascending
+    histogram: np.ndarray = field(init=False)  # (k,) voxel count of each
+
+    def __post_init__(self):
+        self.gray, self.histogram = np.unique(self.levels, return_counts=True)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -93,9 +103,12 @@ class DiscretizedRegion:
         return grid
 
     @cached_property
-    def histogram(self) -> np.ndarray:
-        """Voxel count of each gray level 1..n_levels."""
-        return np.bincount(self.levels, minlength=self.n_levels + 1)[1:]
+    def rank(self) -> np.ndarray:
+        """Each level's place 1..k in ``gray`` (0 for level 0, outside the
+        region), in the smallest unsigned type holding k."""
+        rank = np.zeros(self.n_levels + 1, dtype=np.min_scalar_type(len(self.gray)))
+        rank[self.gray] = np.arange(1, len(self.gray) + 1)
+        return rank
 
     @cached_property
     def inside(self) -> np.ndarray:
@@ -131,7 +144,7 @@ class DiscretizedRegion:
         from . import gldm, glrlm, glszm  # the table builders import this module
 
         tables = [gldm.gldm_cells(self), *glrlm.glrlm_cells(self), glszm.glszm_cells(self)]
-        stats = table_features(tables, len(self))
+        stats = table_features(tables, len(self), self.gray)
         return {"gldm": stats[:, :1], "glrlm": stats[:, 1:14], "glszm": stats[:, 14:]}
 
 
@@ -149,18 +162,18 @@ def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
     )
 
 
-def table_features(tables: list[Cells], n_voxels: int) -> np.ndarray:
-    """The 16 statistics of each (gray level x size) count table, shape (16, T)
-    for T tables, in the order of ``GLRLM_NAMES`` and ``GLSZM_NAMES``.
+def table_features(tables: list[Cells], n_voxels: int, gray: np.ndarray) -> np.ndarray:
+    """The 16 statistics of each (level rank x size) count table over ``gray``,
+    shape (16, T) for T tables, in the order of GLRLM_NAMES and GLSZM_NAMES.
 
     Run, zone and dependence tables share these IBSI definitions.  Each table
-    comes as its nonzero cells, so the cost follows the cells, not n_levels x
-    the largest size; every table must hold a count.
+    comes as its nonzero cells, so the cost follows the cells, not k x the
+    largest size; every table must hold a count.
     """
     level, size, count = (np.concatenate(column) for column in zip(*tables))
     table = np.repeat(np.arange(len(tables)), [len(t.count) for t in tables])
     start = np.flatnonzero(np.diff(table, prepend=-1))  # each table's first cell
-    i, j = level.astype(np.float64), size.astype(np.float64)
+    i, j = gray[level - 1].astype(np.float64), size.astype(np.float64)
     i2, j2 = i * i, j * j
     sums = np.add.reduceat(
         (count, count / j2, count * j2, count / i2, count * i2, count / (i2 * j2),
@@ -174,7 +187,7 @@ def table_features(tables: list[Cells], n_voxels: int) -> np.ndarray:
         p * np.array(((i - mu_i[table]) ** 2, (j - mu_j[table]) ** 2, np.log2(p))), start, axis=-1
     )
     # per (table, level) and per (table, size) totals, exact: they sum integers
-    ng = int(level.max())
+    ng = len(gray)
     gln = (np.bincount(table * ng + level - 1, count, len(tables) * ng).reshape(-1, ng) ** 2).sum(axis=1)
     # the first cell of each (table, size): cells come in order of table, then size
     first = np.flatnonzero(np.diff(table * (int(size.max()) + 1) + size, prepend=-1))

@@ -57,8 +57,7 @@ def first_order_features(region: LesionRegion, d: DiscretizedRegion) -> dict[str
         skewness = 0.0
         kurtosis = 0.0
 
-    p = d.histogram / n
-    p = p[p > 0]
+    p = d.histogram / n  # the present levels only, so every p > 0
     entropy = float(-(p * np.log2(p)).sum()) + 0.0
     uniformity = float((p**2).sum())
 

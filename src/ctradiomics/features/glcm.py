@@ -33,25 +33,16 @@ GLCM_NAMES = (
 )
 
 
-def _stack_levels(d: DiscretizedRegion) -> np.ndarray:
-    """The gray levels the GLCM stack indexes: the ones the lesion has,
-    ascending, so that one outlying voxel does not size the stack."""
-    return np.flatnonzero(d.histogram) + 1
-
-
-def _matrix_stack(d: DiscretizedRegion, levels: np.ndarray) -> tuple[tuple, np.ndarray]:
+def _matrix_stack(d: DiscretizedRegion) -> tuple[tuple, np.ndarray]:
     """The directions with pairs and their (D, k, k) stack of normalized
-    symmetric co-occurrence matrices over the k ascending ``levels``."""
-    k = len(levels)
+    symmetric co-occurrence matrices over the k present levels ``d.gray``."""
+    k = len(d.gray)
     nb = d.neighbours
-    # a level's index in the padded stack is its rank 1..k, 0 outside the region
-    rank = np.zeros(d.n_levels + 1, dtype=np.intp)
-    rank[levels] = np.arange(1, k + 1)
     # one count per forward direction of pair code (rank(v), rank(v + d))
     # over the padded stack; rank 0 (outside the region) drops with column 0
     cells = (k + 1) ** 2
-    pair_code = rank.take(nb.level) * (k + 1)  # take: far cheaper than [] on uint8 indices
-    counts = np.stack([np.bincount(pair_code + rank.take(row), minlength=cells) for row in nb.table[:13]])
+    pair_code = d.rank.take(nb.level).astype(np.intp) * (k + 1)  # take: far cheaper than [] on uint8 indices
+    counts = np.stack([np.bincount(pair_code + d.rank.take(row), minlength=cells) for row in nb.table[:13]])
     counts = counts.reshape(13, k + 1, k + 1)[:, 1:, 1:]
     present = counts.any(axis=(1, 2))
     counts = counts[present].astype(np.float64)
@@ -163,15 +154,13 @@ def glcm_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 23 co-occurrence features, averaged over directions with pairs.
 
     All directions are computed together from one (D, k, k) stack over the
-    levels of ``_stack_levels``.  When no direction yields a pair at all
-    (isolated voxels), the histogram of those levels placed on the diagonal
-    serves as the degenerate matrix so that every feature stays finite and
-    deterministic.
+    k present levels.  When no direction yields a pair at all (isolated
+    voxels), the histogram placed on the diagonal serves as the degenerate
+    matrix so that every feature stays finite and deterministic.
     """
-    levels = _stack_levels(d)
-    p = _matrix_stack(d, levels)[1]
+    p = _matrix_stack(d)[1]
     if not len(p):
-        p = np.diag(d.histogram[levels - 1] / len(d))[None]
-    per_direction = _features_from_stack(p, levels)
+        p = np.diag(d.histogram / len(d))[None]
+    per_direction = _features_from_stack(p, d.gray)
     means = np.array([per_direction[name] for name in GLCM_NAMES]).mean(axis=1)
     return dict(zip(GLCM_NAMES, means.tolist()))

@@ -31,12 +31,13 @@ GLDM_NAMES = (
 
 
 def gldm_cells(d: DiscretizedRegion) -> Cells:
-    """Dependence counts by gray level and dependence size 1..27."""
+    """Dependence counts by gray level rank and dependence size 1..27."""
     nb = d.neighbours
+    k = len(d.gray)
     dependents = (nb.table == nb.level).sum(axis=0)  # the size less the voxel itself
-    counts = np.bincount(dependents * d.n_levels + nb.level - 1)
+    counts = np.bincount(dependents * k + d.rank.take(nb.level) - 1)
     code = np.flatnonzero(counts)
-    return Cells.of_codes(code, counts[code], d.n_levels)
+    return Cells.of_codes(code, counts[code], k)
 
 
 def gldm_features(d: DiscretizedRegion) -> dict[str, float]:

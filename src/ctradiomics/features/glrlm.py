@@ -27,7 +27,7 @@ GLRLM_NAMES = (
 
 
 def glrlm_cells(d: DiscretizedRegion) -> list[Cells]:
-    """Run counts by gray level and run length, one table per UNIQUE_DIRECTIONS entry.
+    """Run counts by gray level rank and run length, one table per UNIQUE_DIRECTIONS entry.
 
     Runs are maximal same-level segments of in-region voxels along a
     direction.  On the flat padded grid a step along a direction is a step
@@ -37,15 +37,16 @@ def glrlm_cells(d: DiscretizedRegion) -> list[Cells]:
     and a run is a stretch of one nonzero level in that walk.
     """
     flat = d.grid.ravel()
+    k = len(d.gray)
     tables = []
     for s in d.strides:
         walk = np.concatenate((flat, np.zeros(-flat.size % s, flat.dtype))).reshape(-1, s).T.ravel()
         edges = np.flatnonzero(walk[1:] != walk[:-1]) + 1  # where each stretch after the first starts
         level = walk[edges[:-1]]  # the last stretch is the walk's closing 0s
         run = level > 0
-        counts = np.bincount((np.diff(edges)[run] - 1) * d.n_levels + level[run] - 1)
+        counts = np.bincount((np.diff(edges)[run] - 1) * k + d.rank.take(level[run]) - 1)
         code = np.flatnonzero(counts)
-        tables.append(Cells.of_codes(code, counts[code], d.n_levels))
+        tables.append(Cells.of_codes(code, counts[code], k))
     return tables
 
 

@@ -27,7 +27,7 @@ GLSZM_NAMES = (
 
 
 def glszm_cells(d: DiscretizedRegion) -> Cells:
-    """Zone counts by gray level and zone size, from one code per zone.
+    """Zone counts by gray level rank and zone size, from one code per zone.
 
     All levels are labelled in one pass over the voxels in flat grid order.
     The same-level runs along the last axis are the first labels; the
@@ -51,9 +51,10 @@ def glszm_cells(d: DiscretizedRegion) -> Cells:
     zone = root[labels]
     sizes = np.bincount(zone)
     zone_level = np.zeros(len(sizes), dtype=np.intp)
-    zone_level[zone] = nb.level
-    code, count = np.unique(((sizes - 1) * d.n_levels + zone_level - 1)[sizes > 0], return_counts=True)
-    return Cells.of_codes(code, count, d.n_levels)
+    zone_level[zone] = d.rank.take(nb.level)
+    k = len(d.gray)
+    code, count = np.unique(((sizes - 1) * k + zone_level - 1)[sizes > 0], return_counts=True)
+    return Cells.of_codes(code, count, k)
 
 
 def _joined(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

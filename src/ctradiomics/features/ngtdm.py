@@ -17,27 +17,23 @@ COARSENESS_CAP = 1e6
 
 
 def ngtdm_table(d: DiscretizedRegion) -> tuple[np.ndarray, np.ndarray, int]:
-    """(n_i, s_i) per gray level 1..Ng plus the counted-voxel total.
+    """(n_i, s_i) per present gray level ``d.gray`` plus the counted-voxel total.
 
     s_i sums |level - mean of in-region neighbours| over counted voxels of
     level i; n_i counts them.
     """
     nb = d.neighbours
-    ng = d.n_levels
+    k = len(d.gray)
     # levels are 0 outside the region, so the 26-neighbour level sum needs no mask
-    neighbour_sum = nb.table.sum(axis=0, dtype=np.min_scalar_type(26 * ng))
+    neighbour_sum = nb.table.sum(axis=0, dtype=np.min_scalar_type(26 * d.n_levels))
     neighbour_cnt = (nb.table > 0).sum(axis=0, dtype=np.uint8)
     counted = neighbour_cnt > 0
-    n_total = int(counted.sum())
-    n_i = np.zeros(ng, dtype=np.float64)
-    s_i = np.zeros(ng, dtype=np.float64)
-    if n_total:
-        levels = nb.level[counted]
-        mean_nb = neighbour_sum[counted] / neighbour_cnt[counted]
-        diffs = np.abs(levels - mean_nb)
-        n_i = np.bincount(levels - 1, minlength=ng).astype(np.float64)
-        s_i = np.bincount(levels - 1, weights=diffs, minlength=ng)
-    return n_i, s_i, n_total
+    levels = nb.level[counted]
+    diffs = np.abs(levels - neighbour_sum[counted] / neighbour_cnt[counted])
+    index = d.rank.take(levels) - 1  # >= 0: every counted voxel is in the region
+    n_i = np.bincount(index, minlength=k).astype(np.float64)
+    s_i = np.bincount(index, weights=diffs, minlength=k)
+    return n_i, s_i, int(counted.sum())
 
 
 def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:
@@ -46,7 +42,7 @@ def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:
         return {"Coarseness": COARSENESS_CAP, "Busyness": 0.0, "Complexity": 0.0, "Strength": 0.0, "Contrast": 0.0}
     p_i = n_i / n_total
     present = p_i > 0
-    levels = np.arange(1, d.n_levels + 1, dtype=np.float64)
+    levels = d.gray.astype(np.float64)
     ngp = int(present.sum())
 
     ps = float((p_i * s_i).sum())

@@ -48,7 +48,7 @@ CT_VARIANTS = {  # variant: (image dtype, mask dtype)
     "-float32-mask": ("int16", "float32"),
 }
 BONE_HU, BONE_BLOCK = 2000, (slice(385, 388), slice(255, 258), slice(50, 52))  # 3 x 3 x 2 voxels
-FLOAT_BONE_HU = 2e5  # 200,000 levels at bin width 1
+FLOAT_BONE_HU = 1e6  # 1,000,000 levels at bin width 1
 BONE_VARIANTS = ("-bone", "-float32-bone")
 PHANTOM_N_PER_CLASS, PHANTOM_SEED = (2, 40), 1
 PHANTOM_GROWTH_LIMIT_MB = 10

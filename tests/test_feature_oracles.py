@@ -18,7 +18,7 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import Cells, table_features
-from ctradiomics.features.glcm import _features_from_stack, _matrix_stack, _stack_levels
+from ctradiomics.features.glcm import _features_from_stack, _matrix_stack
 from ctradiomics.features.glrlm import GLRLM_NAMES
 
 import oracles
@@ -161,7 +161,7 @@ def test_table_features_match_the_oracle(case, extra_voxels):
         level, size = np.array(keys).T
         cells.append(Cells(level, size, np.array([table[key] for key in keys])))
     n_voxels = max(sum(table.values()) for _, table in tables) + extra_voxels
-    stats = table_features(cells, n_voxels)
+    stats = table_features(cells, n_voxels, np.arange(1, ng + 1))
     assert stats.shape == (16, len(tables))
     for t, (_, table) in enumerate(tables):
         expected = oracles._run_table_features(table, n_voxels)
@@ -208,7 +208,29 @@ def test_glcm_matches_oracle_past_the_stack_budget():
     values = rng.choice([0.0, 1.0, 30.0, 60.0], size=(4, 4, 1))
     values[1, 2, 0] = 149.0
     d = _assert_glcm_matches_oracle(region_from_mask(np.ones(values.shape), values), 1.0, "compact")
-    assert d.n_levels == 150 and len(_stack_levels(d)) == 5
+    assert d.n_levels == 150 and len(d.gray) == 5
+
+
+def test_every_texture_family_matches_its_oracle_across_a_wide_level_gap():
+    # four parallel rods of 40-90 HU, two voxels apart so that only their
+    # axis has pairs (the GLCM oracle costs ng^2 per direction with pairs),
+    # and one rod voxel at 1000 HU: 959 levels at bin width 1, 27 present
+    from ctradiomics.volume_io import LesionRegion
+
+    coords = np.array([[x, y, z] for x in (0, 2) for y in (0, 2) for z in range(10)])
+    hu = np.random.default_rng(7).integers(40, 91, len(coords)).astype(np.float64)
+    hu[13] = 1000.0
+    d = discretize(LesionRegion(coordinates=coords, intensities=hu, spacing=(1, 1, 1)), 1.0)
+    assert (d.n_levels, len(d.gray)) == (959, 27)
+    families = {
+        "glcm": (glcm_features, oracles.glcm_oracle),
+        "gldm": (gldm_features, oracles.gldm_oracle),
+        "glrlm": (glrlm_features, oracles.glrlm_oracle),
+        "glszm": (glszm_features, oracles.glszm_oracle),
+        "ngtdm": (ngtdm_features, oracles.ngtdm_oracle),
+    }
+    for family, (features, oracle) in families.items():
+        _assert_close(features(d), oracle(d.coordinates, d.levels, d.n_levels), f"gap:{family}")
 
 
 def test_glcm_compact_stack_equals_the_dense_stack():
@@ -217,9 +239,13 @@ def test_glcm_compact_stack_equals_the_dense_stack():
     from conftest import random_blob_region
 
     d = discretize(random_blob_region(seed=4, shape=(5, 5, 5), fill=0.6, sigma=60.0), 1.0)
-    compact, dense = _stack_levels(d), np.arange(1, d.n_levels + 1)
-    assert len(compact) < d.n_levels
-    got, want = (_features_from_stack(_matrix_stack(d, levels)[1], levels) for levels in (compact, dense))
+    assert len(d.gray) < d.n_levels
+    compact = _matrix_stack(d)[1]
+    # the dense stack: the compact one's rows and columns placed at their levels
+    dense = np.zeros((len(compact), d.n_levels, d.n_levels))
+    dense[:, d.gray[:, None] - 1, d.gray - 1] = compact
+    got = _features_from_stack(compact, d.gray)
+    want = _features_from_stack(dense, np.arange(1, d.n_levels + 1))
     for name in want:
         assert got[name] == pytest.approx(want[name], rel=1e-12, abs=1e-15), name
 

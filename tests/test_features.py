@@ -28,14 +28,14 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import UNIQUE_DIRECTIONS
-from ctradiomics.features.glcm import _matrix_stack, _stack_levels
+from ctradiomics.features.glcm import _matrix_stack
 from ctradiomics.volume_io import LesionRegion
 
 
 def glcm_matrices(d) -> dict:
     """Normalized symmetric co-occurrence matrices keyed by direction; a
     direction without any pair is omitted."""
-    return dict(zip(*_matrix_stack(d, _stack_levels(d))))
+    return dict(zip(*_matrix_stack(d)))
 
 
 class TestDiscretize:
@@ -425,7 +425,7 @@ class TestGlcmStackLevels:
             coords, hu = [[0, 0, 0], [1, 0, 0], [3, 0, 0]], [0.0, 0.0, n_levels - 1.0]
             d = discretize(LesionRegion(coordinates=coords, intensities=hu, spacing=(1, 1, 1)), 1.0)
             assert d.n_levels == n_levels
-            assert np.array_equal(_stack_levels(d), [1, n_levels])
+            assert np.array_equal(d.gray, [1, n_levels])
 
     def test_a_bright_voxel_in_a_ball_costs_no_more_than_the_ball(self):
         # a 4,169-voxel ball of 40-90 HU with one voxel at 1000 HU: 961 levels
@@ -452,6 +452,13 @@ class TestGlcmStackLevels:
         finally:
             tracemalloc.stop()
         assert peak <= PEAK_BASE, f"glcm_features peaked at {peak / 2**20:.1f} MiB"
+        # at 1e6 HU tables sized by n_levels made extract_all peak at 237 MiB;
+        # over the 51 present levels it takes 2.5 MiB
+        hu[10, 10, 10] = 1e6
+        region = region_from_mask(mask, hu)
+        assert discretize(region, 1.0).n_levels == 999_961
+        peak = extract_all_peak(region, 1.0)
+        assert peak <= PEAK_BASE, f"extract_all at 1e6 HU peaked at {peak / 2**20:.1f} MiB"
 
     @settings(max_examples=30, deadline=None)
     @given(_band_with_outliers())

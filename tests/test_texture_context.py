@@ -21,7 +21,7 @@ import oracles
 from conftest import region_from_mask
 from ctradiomics.features import gldm_cells, glrlm_cells, glszm_cells, ngtdm_table
 from ctradiomics.features.context import UNIQUE_DIRECTIONS, Cells, DiscretizedRegion, discretize, table_features
-from ctradiomics.features.glcm import _matrix_stack, _stack_levels
+from ctradiomics.features.glcm import _matrix_stack
 
 
 def _region(coords, levels) -> DiscretizedRegion:
@@ -30,21 +30,21 @@ def _region(coords, levels) -> DiscretizedRegion:
     return DiscretizedRegion(levels=levels, n_levels=int(levels.max()), coordinates=coords, spacing=(1.0, 1.0, 1.0))
 
 
-def _table(cells: Cells) -> dict:
-    """The cells as a (level, size) -> count dict, once they are checked to
-    come in order of size, then level, each once, with a positive count."""
-    code = cells.size * (int(cells.level.max()) + 1) + cells.level
+def _table(cells: Cells, gray: np.ndarray) -> dict:
+    """The cells as a (level, size) -> count dict, their level ranks read
+    through ``gray``, once they are checked to come in order of size, then
+    rank, each once, with a positive count."""
+    code = cells.size * (len(gray) + 1) + cells.level
     assert (np.diff(code) > 0).all() and (cells.count > 0).all()
-    return dict(zip(zip(cells.level.tolist(), cells.size.tolist()), cells.count.tolist()))
+    return dict(zip(zip(gray[cells.level - 1].tolist(), cells.size.tolist()), cells.count.tolist()))
 
 
 def assert_matches_oracle_tables(d: DiscretizedRegion):
     pos = {tuple(int(x) for x in c): int(l) for c, l in zip(d.coordinates, d.levels)}
-    ng = d.n_levels
 
-    # stack index i holds level levels[i], the i-th present level
-    levels = _stack_levels(d)
-    glcm = dict(zip(*_matrix_stack(d, levels)))
+    # stack index i holds level gray[i], the i-th present level
+    levels = d.gray
+    glcm = dict(zip(*_matrix_stack(d)))
     expected_glcm = {}
     for direction in UNIQUE_DIRECTIONS:
         counts, n_pairs = oracles.glcm_pair_counts(pos, direction)
@@ -56,22 +56,22 @@ def assert_matches_oracle_tables(d: DiscretizedRegion):
         got = dict(zip(zip(levels[i].tolist(), levels[j].tolist()), glcm[direction][i, j].tolist()))
         assert got == p, f"GLCM {direction}"
 
-    assert _table(gldm_cells(d)) == oracles.gldm_table(pos)
+    assert _table(gldm_cells(d), d.gray) == oracles.gldm_table(pos)
 
     assert_glrlm_equals_packed_keys(d)
     for direction, cells in zip(UNIQUE_DIRECTIONS, glrlm_cells(d), strict=True):
-        assert _table(cells) == oracles.glrlm_run_table(pos, direction), f"GLRLM {direction}"
+        assert _table(cells, d.gray) == oracles.glrlm_run_table(pos, direction), f"GLRLM {direction}"
 
     zones = {}
     for zone in oracles.glszm_zones(pos):
         zones[zone] = zones.get(zone, 0) + 1
-    assert _table(glszm_cells(d)) == zones
+    assert _table(glszm_cells(d), d.gray) == zones
 
     n_i, s_i, n_total = ngtdm_table(d)
     want_n, want_s, want_total = oracles.ngtdm_sums(pos)
     assert n_total == want_total
-    assert np.array_equal(n_i, [want_n.get(level, 0) for level in range(1, ng + 1)])
-    assert np.array_equal(s_i, [want_s.get(level, 0.0) for level in range(1, ng + 1)])
+    assert np.array_equal(n_i, [want_n.get(level, 0) for level in d.gray.tolist()])
+    assert np.array_equal(s_i, [want_s.get(level, 0.0) for level in d.gray.tolist()])
 
 
 def assert_glrlm_equals_packed_keys(d: DiscretizedRegion):
@@ -81,7 +81,7 @@ def assert_glrlm_equals_packed_keys(d: DiscretizedRegion):
     assert tuple(reference) == UNIQUE_DIRECTIONS
     for (direction, m), cells in zip(reference.items(), glrlm_cells(d), strict=True):
         size, level = m.T.nonzero()  # in order of size, then level
-        assert np.array_equal(cells.level, level + 1), f"GLRLM {direction}"
+        assert np.array_equal(d.gray[cells.level - 1], level + 1), f"GLRLM {direction}"
         assert np.array_equal(cells.size, size + 1), f"GLRLM {direction}"
         assert np.array_equal(cells.count, m.T[size, level]), f"GLRLM {direction}"
 
@@ -236,7 +236,8 @@ def test_context_module_is_not_shadowed_by_discretize():
 
 def test_context_histogram_and_occupancy():
     d = _region([(0, 0, 0), (2, 0, 0), (0, 2, 1), (1, 1, 1)], [3, 1, 3, 3])
-    assert d.histogram.tolist() == [1, 0, 3]
+    assert d.histogram.tolist() == [1, 3]
+    assert d.gray.tolist() == [1, 3]
     assert np.array_equal(d.inside, d.grid > 0)
     assert d.inside.sum() == len(d)
     start = np.flatnonzero(d.inside)[0]

@@ -77,7 +77,7 @@ def test_guards_keep_their_limits_cohorts_and_variants():
     }
     # a 3 x 3 x 2 block of bone in the largest ball, extracted at bin width 1
     assert (guards.BONE_HU, guards.BONE_BLOCK) == (2000, (slice(385, 388), slice(255, 258), slice(50, 52)))
-    assert (guards.FLOAT_BONE_HU, guards.BONE_VARIANTS) == (2e5, ("-bone", "-float32-bone"))
+    assert (guards.FLOAT_BONE_HU, guards.BONE_VARIANTS) == (1e6, ("-bone", "-float32-bone"))
     # phantom holds one scan at a time: 40 scans a class peak at most 10 MB above 2
     assert (guards.PHANTOM_N_PER_CLASS, guards.PHANTOM_SEED, guards.PHANTOM_GROWTH_LIMIT_MB) == ((2, 40), 1, 10)
     assert guards.SAME_BYTES == (
