@@ -1,9 +1,9 @@
 """The one per-lesion context that all seven feature families read: the
-fixed-bin-width gray levels, the k levels present with their histogram and
-rank, the padded level grid with its occupancy, the table of every voxel's 26
-neighbour levels, and the statistics that GLDM, GLRLM and GLSZM share over
-their count tables.  Texture tables are indexed by rank 1..k, not by level
-1..n_levels, so one outlying voxel does not size them."""
+fixed-bin-width gray levels, the k levels present with their histogram, each
+voxel's rank 1..k among them, the padded grid of ranks with its occupancy,
+the table of every voxel's 26 neighbour ranks, and the statistics that GLDM,
+GLRLM and GLSZM share over their count tables.  Grids and texture tables are
+indexed by rank, not by level, so one outlying voxel sizes none of them."""
 
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ class Neighbours(NamedTuple):
     voxels in flat (C) order of the grid."""
 
     index: np.ndarray  # (n,) flat index of each voxel on the padded grid
-    level: np.ndarray  # (n,) its gray level
-    # (26, n) the level at index + s for each UNIQUE_DIRECTIONS stride s, then
+    level: np.ndarray  # (n,) its gray level rank 1..k
+    # (26, n) the rank at index + s for each UNIQUE_DIRECTIONS stride s, then
     # at index - s in the same order; 0 outside the region
     table: np.ndarray
 
@@ -65,50 +65,49 @@ class Cells(NamedTuple):
 
 @dataclass
 class DiscretizedRegion:
-    """A lesion region with intensities quantized to gray levels 1..n_levels.
+    """A lesion region with intensities quantized to gray levels 1, 2, ...
 
     ``discretize`` sets level(v) = floor((I(v) - min I) / bin_width) + 1,
     so the binning is anchored at the region minimum and shifting all
     intensities by a constant leaves the levels unchanged.
 
-    The grid and the neighbour table hold the levels; the texture families
-    code their cells by ``rank`` and read the k level values from ``gray``.
+    Each voxel also has its rank 1..k among the k levels present, ``gray``.
+    The grid and the neighbour table hold ranks, in the smallest unsigned
+    type holding k; the texture families read the level values from ``gray``.
 
     ``extract_all`` builds one per lesion.  The cached properties are built
     on first use and then shared by every family that reads them.
     """
 
     levels: np.ndarray  # (n,) integer gray levels, 1-based
-    n_levels: int
     coordinates: np.ndarray  # (n, 3) voxel indices
     spacing: tuple[float, float, float]
     gray: np.ndarray = field(init=False)  # (k,) the levels present, ascending
     histogram: np.ndarray = field(init=False)  # (k,) voxel count of each
+    rank: np.ndarray = field(init=False)  # (n,) each voxel's place 1..k in gray
 
     def __post_init__(self):
         self.gray, self.histogram = np.unique(self.levels, return_counts=True)
+        self.rank = (np.searchsorted(self.gray, self.levels) + 1).astype(np.min_scalar_type(len(self.gray)))
 
     def __len__(self) -> int:
         return len(self.levels)
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """Bounding-box grid of gray levels padded by one voxel on every side,
-        0 outside the region, in the smallest unsigned type holding n_levels."""
-        lo = self.coordinates.min(axis=0) - 1
-        shape = self.coordinates.max(axis=0) - lo + 2
-        grid = np.zeros(tuple(shape), dtype=np.min_scalar_type(self.n_levels))
-        idx = self.coordinates - lo
-        grid[idx[:, 0], idx[:, 1], idx[:, 2]] = self.levels
-        return grid
+    @property
+    def n_levels(self) -> int:
+        """The highest level: the bins 1..n_levels span the intensities."""
+        return int(self.gray[-1])
 
     @cached_property
-    def rank(self) -> np.ndarray:
-        """Each level's place 1..k in ``gray`` (0 for level 0, outside the
-        region), in the smallest unsigned type holding k."""
-        rank = np.zeros(self.n_levels + 1, dtype=np.min_scalar_type(len(self.gray)))
-        rank[self.gray] = np.arange(1, len(self.gray) + 1)
-        return rank
+    def grid(self) -> np.ndarray:
+        """Bounding-box grid of gray level ranks padded by one voxel on every
+        side, 0 outside the region."""
+        lo = self.coordinates.min(axis=0) - 1
+        shape = self.coordinates.max(axis=0) - lo + 2
+        grid = np.zeros(tuple(shape), dtype=self.rank.dtype)
+        idx = self.coordinates - lo
+        grid[idx[:, 0], idx[:, 1], idx[:, 2]] = self.rank
+        return grid
 
     @cached_property
     def inside(self) -> np.ndarray:
@@ -124,7 +123,7 @@ class DiscretizedRegion:
 
     @cached_property
     def neighbours(self) -> Neighbours:
-        """The 26 neighbour levels of every voxel, read once from the grid;
+        """The 26 neighbour ranks of every voxel, read once from the grid;
         GLCM, GLDM, GLSZM and NGTDM count their pairs, dependences, zones and
         neighbourhood sums from this table alone."""
         flat = self.grid.ravel()
@@ -153,13 +152,12 @@ def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
     if not 0 < bin_width < np.inf:  # an infinite width would give one gray level
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     shifted_intensities = region.intensities - region.intensities.min()
+    span = shifted_intensities.max()
+    # past 2**53 levels float64 holds no level exactly; span / 2**53 is exact and cannot overflow
+    if span / 2**53 >= bin_width:
+        raise ValueError(f"bin width {bin_width} splits the {span} HU span into 2**53 or more gray levels")
     levels = np.floor(shifted_intensities / bin_width).astype(np.int64) + 1
-    return DiscretizedRegion(
-        levels=levels,
-        n_levels=int(levels.max()),
-        coordinates=region.coordinates,
-        spacing=region.spacing,
-    )
+    return DiscretizedRegion(levels=levels, coordinates=region.coordinates, spacing=region.spacing)
 
 
 def table_features(tables: list[Cells], n_voxels: int, gray: np.ndarray) -> np.ndarray:

@@ -41,8 +41,8 @@ def _matrix_stack(d: DiscretizedRegion) -> tuple[tuple, np.ndarray]:
     # one count per forward direction of pair code (rank(v), rank(v + d))
     # over the padded stack; rank 0 (outside the region) drops with column 0
     cells = (k + 1) ** 2
-    pair_code = d.rank.take(nb.level).astype(np.intp) * (k + 1)  # take: far cheaper than [] on uint8 indices
-    counts = np.stack([np.bincount(pair_code + d.rank.take(row), minlength=cells) for row in nb.table[:13]])
+    pair_code = nb.level.astype(np.intp) * (k + 1)
+    counts = np.stack([np.bincount(pair_code + row, minlength=cells) for row in nb.table[:13]])
     counts = counts.reshape(13, k + 1, k + 1)[:, 1:, 1:]
     present = counts.any(axis=(1, 2))
     counts = counts[present].astype(np.float64)

@@ -35,7 +35,7 @@ def gldm_cells(d: DiscretizedRegion) -> Cells:
     nb = d.neighbours
     k = len(d.gray)
     dependents = (nb.table == nb.level).sum(axis=0)  # the size less the voxel itself
-    counts = np.bincount(dependents * k + d.rank.take(nb.level) - 1)
+    counts = np.bincount(dependents * k + nb.level - 1)
     code = np.flatnonzero(counts)
     return Cells.of_codes(code, counts[code], k)
 

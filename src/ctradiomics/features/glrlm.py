@@ -42,9 +42,9 @@ def glrlm_cells(d: DiscretizedRegion) -> list[Cells]:
     for s in d.strides:
         walk = np.concatenate((flat, np.zeros(-flat.size % s, flat.dtype))).reshape(-1, s).T.ravel()
         edges = np.flatnonzero(walk[1:] != walk[:-1]) + 1  # where each stretch after the first starts
-        level = walk[edges[:-1]]  # the last stretch is the walk's closing 0s
-        run = level > 0
-        counts = np.bincount((np.diff(edges)[run] - 1) * k + d.rank.take(level[run]) - 1)
+        rank = walk[edges[:-1]]  # the last stretch is the walk's closing 0s
+        run = rank > 0
+        counts = np.bincount((np.diff(edges)[run] - 1) * k + rank[run] - 1)
         code = np.flatnonzero(counts)
         tables.append(Cells.of_codes(code, counts[code], k))
     return tables

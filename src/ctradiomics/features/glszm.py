@@ -51,7 +51,7 @@ def glszm_cells(d: DiscretizedRegion) -> Cells:
     zone = root[labels]
     sizes = np.bincount(zone)
     zone_level = np.zeros(len(sizes), dtype=np.intp)
-    zone_level[zone] = d.rank.take(nb.level)
+    zone_level[zone] = nb.level
     k = len(d.gray)
     code, count = np.unique(((sizes - 1) * k + zone_level - 1)[sizes > 0], return_counts=True)
     return Cells.of_codes(code, count, k)

@@ -24,13 +24,14 @@ def ngtdm_table(d: DiscretizedRegion) -> tuple[np.ndarray, np.ndarray, int]:
     """
     nb = d.neighbours
     k = len(d.gray)
-    # levels are 0 outside the region, so the 26-neighbour level sum needs no mask
-    neighbour_sum = nb.table.sum(axis=0, dtype=np.min_scalar_type(26 * d.n_levels))
+    level_of = np.append(0, d.gray)  # level 0 outside the region, so the sum needs no mask
+    neighbour_sum = np.zeros(len(nb.index), dtype=np.int64)  # exact: discretize keeps levels below 2**53
+    for row in nb.table:
+        neighbour_sum += level_of.take(row)  # take: far cheaper than [] on uint8 indices
     neighbour_cnt = (nb.table > 0).sum(axis=0, dtype=np.uint8)
     counted = neighbour_cnt > 0
-    levels = nb.level[counted]
-    diffs = np.abs(levels - neighbour_sum[counted] / neighbour_cnt[counted])
-    index = d.rank.take(levels) - 1  # >= 0: every counted voxel is in the region
+    index = nb.level[counted] - 1  # >= 0: every counted voxel is in the region
+    diffs = np.abs(d.gray[index] - neighbour_sum[counted] / neighbour_cnt[counted])
     n_i = np.bincount(index, minlength=k).astype(np.float64)
     s_i = np.bincount(index, weights=diffs, minlength=k)
     return n_i, s_i, int(counted.sum())

@@ -152,6 +152,8 @@ class LesionRegion:
             raise ValueError("a lesion region cannot be empty")
         if len(self.intensities) != len(self.coordinates):
             raise ValueError("coordinates and intensities length mismatch")
+        if not np.isfinite(self.intensities).all():
+            raise ValueError("lesion region contains non-finite intensities")
         self.spacing = _geometry(self.spacing, ())[0]  # a region has no origin
 
     def __len__(self) -> int:

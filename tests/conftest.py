@@ -21,6 +21,11 @@ def constant_cube_region(side=3, value=5.0, spacing=(1.0, 1.0, 1.0)) -> LesionRe
     return region_from_mask(mask, np.full(mask.shape, value), spacing)
 
 
+def spanning_cube_region() -> LesionRegion:
+    """A 3^3 cube whose 27 intensities span 0..100 HU evenly."""
+    return region_from_mask(np.ones((3, 3, 3), dtype=bool), np.linspace(0.0, 100.0, 27).reshape(3, 3, 3))
+
+
 def rod_region(length=8, value=10.0, spacing=(1.0, 1.0, 1.0)) -> LesionRegion:
     mask = np.zeros((1, 1, length), dtype=bool)
     mask[0, 0, :] = True

@@ -333,18 +333,18 @@ def glrlm_run_table(pos, direction):
 
 
 def glrlm_matrices_packed_keys(d):
-    """The run tables of a ``DiscretizedRegion``, dense (level x run length)
+    """The run tables of a ``DiscretizedRegion``, dense (level rank x run length)
     float64 keyed by direction, by the packed-key sort that the run-length
     pass of ``glrlm_cells`` replaced: each run start and end on the neighbour
     table gets an int64 key (direction, position mod stride, position //
-    stride), starts carry their level in the low bits, and after sorting both
+    stride), starts carry their rank in the low bits, and after sorting both
     lists the i-th start and the i-th end bound the same run."""
     nb = d.neighbours
-    ng = d.n_levels
+    ng = len(d.gray)
     strides = np.array(d.strides)[:, None]
     lines = -(-d.grid.size // strides)
     shift = int((lines * strides).max()).bit_length()  # a direction's keys lie below 1 << shift
-    bits = ng.bit_length()  # a start's level rides in the low bits of its key
+    bits = ng.bit_length()  # a start's rank rides in the low bits of its key
     batch = batch_rows(len(nb.index))
     matrices = {}
     for lo in range(0, 13, batch):

@@ -335,6 +335,23 @@ def test_extract_names_every_dropped_label(tmp_path, capsys, jobs):
     assert len(out.read_text().splitlines()) == 4  # header + label 1 of each scan
 
 
+def test_extract_fails_each_scan_whose_bin_width_gives_too_many_levels(workspace, tmp_path, capsys):
+    scans = ("phantom_0000", "phantom_0001")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "scan_id,image_path,mask_path,class_map\n"
+        + "".join(f"{s},{workspace}/train/images/{s}.nii,{workspace}/train/masks/{s}.nii,1=1\n" for s in scans)
+    )
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--bin-width", "1e-300"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line, scan in zip(err, scans):
+        assert line.startswith(f"error: scan {scan}: bin width 1e-300 splits the ")
+        assert line.endswith(" HU span into 2**53 or more gray levels")
+    assert len(out.read_text().splitlines()) == 1  # the header alone
+
+
 def _batch_manifest(tmp_path, n_good=3):
     """``n_good`` small scans whose one-voxel label 2 is dropped at 3 mm,
     then one scan whose mask disagrees with its image."""

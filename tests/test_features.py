@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import checkerboard_region, constant_cube_region, random_blob_region, region_from_mask, rod_region
+from conftest import (
+    checkerboard_region,
+    constant_cube_region,
+    random_blob_region,
+    region_from_mask,
+    rod_region,
+    spanning_cube_region,
+)
 from ctradiomics.features import (
     FAMILY_NAMES,
     FEATURE_COLUMNS,
@@ -66,6 +73,13 @@ class TestDiscretize:
         for width in (0.0, -25.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="bin width"):
                 discretize(constant_cube_region(), width)
+
+    @pytest.mark.parametrize("width", [1e-16, 1e-300])
+    def test_2_to_the_53_levels_rejected(self, width):
+        # 100 HU at 1e-16 HU is 1e18 levels, past the integers float64 holds
+        # exactly; at 1e-300 the levels overflowed int64 in their cast
+        with pytest.raises(ValueError, match=f"bin width {width} splits the 100.0 HU span"):
+            discretize(spanning_cube_region(), width)
 
     def test_neighbour_table_reads_each_direction_forward_then_backward(self):
         region = random_blob_region(seed=8)
@@ -466,6 +480,40 @@ class TestGlcmStackLevels:
         peak = extract_all_peak(region, 1.0)
         limit = PEAK_PER_VOXEL * len(region) + PEAK_BASE
         assert peak <= limit, f"extract_all peaked at {peak / 2**20:.1f} MiB over {len(region)} voxels"
+
+
+class TestRankGrid:
+    """The grid and the neighbour table hold each voxel's rank among the k
+    levels present, in the smallest type holding k, whatever the range."""
+
+    def test_a_bright_voxel_leaves_the_grid_narrow(self):
+        # the 33,401-voxel radius-20 ball at bin width 1 with one voxel at 1e6
+        # HU: grids of level values went uint32 and extract_all peaked at
+        # 13.0 MiB against 9.0 MiB for the ball alone
+        axis = np.arange(-20, 21)
+        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+        mask = gx**2 + gy**2 + gz**2 <= 20**2
+        hu = np.random.default_rng(20).normal(80.0, 20.0, mask.shape)
+        plain = region_from_mask(mask, hu)
+        hu[20, 20, 20] = 1e6
+        bright = region_from_mask(mask, hu)
+        d = discretize(bright, 1.0)
+        assert len(d) == 33_401 and d.n_levels > 999_000 and len(d.gray) < 256
+        assert d.grid.dtype == d.neighbours.table.dtype == np.uint8
+        assert np.array_equal(d.gray[d.rank - 1], d.levels)
+        extra = extract_all_peak(bright, 1.0) - extract_all_peak(plain, 1.0)
+        assert extra <= 2**20, f"one bright voxel added {extra / 2**20:.1f} MiB to extract_all's peak"
+
+    def test_1e15_levels_extract_in_the_base_memory(self):
+        # 100 HU at 1e-13 HU: the 27 present levels reach 1e15, for which a
+        # table indexed by level asked for 909 TiB
+        region = spanning_cube_region()
+        d = discretize(region, 1e-13)
+        assert len(d.gray) == 27 and d.n_levels > 10**15 - 10
+        assert d.grid.dtype == np.uint8
+        assert all(math.isfinite(v) for v in extract_all(region, 1e-13).values.values())
+        peak = extract_all_peak(region, 1e-13)
+        assert peak <= PEAK_BASE, f"extract_all peaked at {peak / 2**20:.1f} MiB"
 
 
 TEXTURE_PREFIXES = ("glcm", "gldm", "glrlm", "glszm", "ngtdm")

@@ -59,8 +59,14 @@ class TestStratifiedKfold:
         assert len(folds) == 2  # smallest class has two members
 
     def test_n_smaller_than_k_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two members"):
             ms.stratified_kfold(np.array([1, 2, 3]), 5, seed=0)
+
+    def test_fewer_samples_than_folds_reduce_the_fold_count(self):
+        y = np.repeat([1, 2, 3], 3)  # 9 samples asked for 10 folds
+        folds = ms.stratified_kfold(y, 10, seed=0)
+        assert len(folds) == 3
+        assert all(sorted(y[fold].tolist()) == [1, 2, 3] for fold in folds)
 
     def test_seed_changes_assignment(self):
         rng = np.random.default_rng(4)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import oracles
-from conftest import region_from_mask
+from conftest import region_from_mask, spanning_cube_region
 from ctradiomics.features import gldm_cells, glrlm_cells, glszm_cells, ngtdm_table
 from ctradiomics.features.context import UNIQUE_DIRECTIONS, Cells, DiscretizedRegion, discretize, table_features
 from ctradiomics.features.glcm import _matrix_stack
@@ -27,7 +27,7 @@ from ctradiomics.features.glcm import _matrix_stack
 def _region(coords, levels) -> DiscretizedRegion:
     coords = np.asarray(coords, dtype=np.intp).reshape(-1, 3)
     levels = np.asarray(levels, dtype=np.int64)
-    return DiscretizedRegion(levels=levels, n_levels=int(levels.max()), coordinates=coords, spacing=(1.0, 1.0, 1.0))
+    return DiscretizedRegion(levels=levels, coordinates=coords, spacing=(1.0, 1.0, 1.0))
 
 
 def _table(cells: Cells, gray: np.ndarray) -> dict:
@@ -81,7 +81,7 @@ def assert_glrlm_equals_packed_keys(d: DiscretizedRegion):
     assert tuple(reference) == UNIQUE_DIRECTIONS
     for (direction, m), cells in zip(reference.items(), glrlm_cells(d), strict=True):
         size, level = m.T.nonzero()  # in order of size, then level
-        assert np.array_equal(d.gray[cells.level - 1], level + 1), f"GLRLM {direction}"
+        assert np.array_equal(cells.level, level + 1), f"GLRLM {direction}"
         assert np.array_equal(cells.size, size + 1), f"GLRLM {direction}"
         assert np.array_equal(cells.count, m.T[size, level]), f"GLRLM {direction}"
 
@@ -89,10 +89,10 @@ def assert_glrlm_equals_packed_keys(d: DiscretizedRegion):
 @hs.composite
 def _level_regions(draw):
     """A random region in a box of up to 6^3 voxels with 1 to 300 gray levels
-    (past 255 the grid needs a wider type), gaps between levels allowed; or
-    in a long, thin box of up to 2 x 3 x 40 voxels, in any axis order, with 1
-    to 3 levels and mostly filled, so runs grow past 6 voxels and lines leave
-    through every face."""
+    (past 255 present levels the grid needs a wider type), gaps between
+    levels allowed; or in a long, thin box of up to 2 x 3 x 40 voxels, in
+    any axis order, with 1 to 3 levels and mostly filled, so runs grow past
+    6 voxels and lines leave through every face."""
     if draw(hs.booleans()):
         shape = draw(hs.tuples(*[hs.integers(1, 6)] * 3))
         top = draw(hs.sampled_from([1, 2, 3, 6, 40, 61, 300]))
@@ -147,7 +147,7 @@ def _noisy_ball(radius, bin_width) -> DiscretizedRegion:
 )
 def test_glrlm_equals_packed_keys_on_spheres(radius, voxels, bin_width, grid_type):
     # the three lesion sizes of the ct512 benchmark scan at 1 mm, and a ball
-    # of 418 levels, which need a uint16 grid
+    # of 418 levels, 367 of them present, whose ranks need a uint16 grid
     d = _noisy_ball(radius, bin_width)
     assert len(d) == voxels and d.grid.dtype == grid_type
     assert_glrlm_equals_packed_keys(d)
@@ -177,6 +177,14 @@ def test_table_statistics_memory_follows_the_cells():
     # measured 8.7 MiB with numpy 2.4, the neighbour table included; dense
     # tables peaked at 411 MiB
     assert peak <= 32 * 2**20, f"table_statistics peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_a_trillion_levels_in_a_cube():
+    # 27 levels spread over 0..1e12: every table still equals its oracle's
+    # exactly, the NGTDM sums of 26 such levels included
+    d = discretize(spanning_cube_region(), 1e-10)
+    assert len(d.gray) == 27 and d.n_levels > 10**12 - 10
+    assert_matches_oracle_tables(d)
 
 
 def test_many_levels_in_a_blob():

@@ -709,6 +709,13 @@ class TestResample:
 
 
 class TestExtractLesions:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_region_rejects_non_finite_intensities(self, bad):
+        intensities = np.zeros(27)
+        intensities[13] = bad
+        with pytest.raises(ValueError, match="non-finite intensities"):
+            LesionRegion(coordinates=np.argwhere(np.ones((3, 3, 3))), intensities=intensities, spacing=(1, 1, 1))
+
     def test_single_label(self):
         labels = np.zeros((4, 4, 4), dtype=np.int32)
         labels[1:3, 1:3, 1] = 1  # 4 voxels
