@@ -365,31 +365,10 @@ def cmd_stats(args) -> int:
     features = None
     if args.features_list is not None:
         features = [f.strip() for f in args.features_list.split(",") if f.strip()]
-    rows = st.feature_group_report(
+    header, rows = st.feature_group_report(
         dataset, features=features, alpha=args.alpha, q=args.q, global_family=args.global_family
     )
-    classes = sorted(set(dataset.y.tolist()))
-    pairs = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1 :]]
-    header = ["feature", "degenerate", "H", "p_value"]
-    for a, b in pairs:
-        header += [f"z_{a}v{b}", f"p_{a}v{b}", f"p_adj_{a}v{b}", f"rejected_{a}v{b}"]
-    for c in classes:
-        header += [f"median_c{c}", f"iqr_c{c}"]
-    table = []
-    for row in rows:
-        cells = [row.feature, row.degenerate]
-        result = row.result
-        if result is None:
-            cells += [None] * (2 + 4 * len(pairs))
-        else:
-            cells += [result.statistic, result.p_value]
-            by_pair = {(p.group_i, p.group_j): [p.z, p.p_value, p.p_adjusted, p.rejected] for p in result.pairwise}
-            for pair in pairs:
-                cells += by_pair.get(pair, [None] * 4)
-        for c in classes:
-            cells += [row.per_class_median[c], row.per_class_iqr[c]]
-        table.append(cells)
-    dataio.write_csv(args.out, header, table)
+    dataio.write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return 0
 

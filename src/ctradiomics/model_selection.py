@@ -77,6 +77,8 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     reduced to that size (two at minimum).
     """
     y = np.asarray(y, dtype=int)
+    if y.size == 0:
+        raise ValueError("cross-validation needs at least one label")
     classes, counts = np.unique(y, return_counts=True)
     k_eff = min(k, int(counts.min()))
     if k_eff < 2:

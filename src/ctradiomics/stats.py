@@ -4,14 +4,16 @@ Per feature: Kruskal-Wallis omnibus (chi-square approximation with tie
 correction), Dunn's pairwise z tests when the omnibus is significant, and
 Benjamini-Hochberg adjustment of the pairwise p values.  The adjustment
 family defaults to each feature's own pairwise set; a flag widens it to all
-features jointly.
+features jointly.  ``feature_group_report`` decides the layout of the
+``stats`` table, header and cells, which the CLI writes as it is returned.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -25,24 +27,13 @@ class PairwiseResult:
     group_j: int
     z: float
     p_value: float
-    p_adjusted: float | None = None
-    rejected: bool | None = None
 
 
 @dataclass
 class TestResult:
     statistic: float
     p_value: float
-    pairwise: list[PairwiseResult] = field(default_factory=list)
-
-
-@dataclass
-class FeatureTestRow:
-    feature: str
-    degenerate: bool
-    result: TestResult | None
-    per_class_median: dict[int, float]
-    per_class_iqr: dict[int, float]
+    pairwise: list[PairwiseResult]
 
 
 def _ranks_and_ties(groups) -> tuple[list[np.ndarray], float, int]:
@@ -93,9 +84,12 @@ def chi_square_tail(x: float, df: int) -> float:
 
 
 def kruskal_wallis(groups) -> TestResult:
-    """Kruskal-Wallis H with tie correction; p from the chi-square tail.
+    """Kruskal-Wallis H with tie correction, p from the chi-square tail, and
+    Dunn's pairwise z on the same pooled mid-ranks (two-tailed p), for every
+    pair of groups i < j in that order.
 
-    H = [12/(N(N+1)) sum R_i^2/n_i - 3(N+1)] / (1 - sum(t^3-t)/(N^3-N)).
+    H = [12/(N(N+1)) sum R_i^2/n_i - 3(N+1)] / (1 - sum(t^3-t)/(N^3-N));
+    z_ij = (mean R_i - mean R_j) / sqrt((N(N+1)/12 - sum(t^3-t)/(12(N-1))) (1/n_i + 1/n_j)).
     """
     groups = _check_groups(groups)
     group_ranks, tie_sum, n = _ranks_and_ties(groups)
@@ -103,24 +97,14 @@ def kruskal_wallis(groups) -> TestResult:
     h /= 1.0 - tie_sum / (n**3 - n)
     df = len(groups) - 1
     p = chi_square_tail(max(h, 0.0), df)
-    return TestResult(statistic=float(h), p_value=p)
-
-
-def dunn_test(groups) -> list[PairwiseResult]:
-    """Dunn's pairwise z statistics on the pooled mid-ranks, two-tailed p."""
-    groups = _check_groups(groups)
-    group_ranks, tie_sum, n = _ranks_and_ties(groups)
     variance = n * (n + 1) / 12.0 - tie_sum / (12.0 * (n - 1))
     means = [r.mean() for r in group_ranks]
-    sizes = [len(r) for r in group_ranks]
-    out = []
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            se = math.sqrt(variance * (1.0 / sizes[i] + 1.0 / sizes[j]))
-            z = (means[i] - means[j]) / se
-            p = math.erfc(abs(z) / math.sqrt(2.0))  # two-tailed standard normal
-            out.append(PairwiseResult(group_i=i, group_j=j, z=float(z), p_value=float(p)))
-    return out
+    pairwise = []
+    for i, j in combinations(range(len(groups)), 2):
+        z = (means[i] - means[j]) / math.sqrt(variance * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
+        p_ij = math.erfc(abs(z) / math.sqrt(2.0))  # two-tailed standard normal
+        pairwise.append(PairwiseResult(group_i=i, group_j=j, z=float(z), p_value=p_ij))
+    return TestResult(statistic=float(h), p_value=p, pairwise=pairwise)
 
 
 def benjamini_hochberg(p_values, q: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
@@ -155,14 +139,17 @@ def feature_group_report(
     alpha: float = 0.05,
     q: float = 0.05,
     global_family: bool = False,
-) -> list[FeatureTestRow]:
-    """Per-feature omnibus + post-hoc table with per-class summary stats.
+) -> tuple[list[str], list[list]]:
+    """The ``stats`` table as (header, rows): per feature, the omnibus, the
+    post-hoc pairs and each class's median and IQR.
 
-    Dunn tests run only where the omnibus p <= alpha.  BH adjustment spans
-    each feature's own pairwise family unless ``global_family`` pools every
-    pairwise p value across features.  Constant features are marked
-    degenerate and excluded from the adjustment family.  A repeated feature
-    (which would enter a family twice) or an empty list raises ValueError.
+    Columns: feature, degenerate, H, p_value; z_, p_, p_adj_ and rejected_
+    {a}v{b} for each class pair a < b; median_c{c} and iqr_c{c} per class.
+    Dunn tests run only where the omnibus p <= alpha; a constant feature is
+    degenerate, and every test cell it has is None.  BH adjustment spans each
+    feature's own pairwise family unless ``global_family`` pools every
+    pairwise p value across features.  A repeated feature (which would enter
+    a family twice), an unknown one or an empty list raises ValueError.
     """
     if dataset.y is None:
         raise ValueError("group statistics need class labels")
@@ -176,42 +163,37 @@ def feature_group_report(
     if len(classes) < 2:
         raise ValueError("need at least two classes")
     col = {c: i for i, c in enumerate(dataset.feature_names)}
-    rows: list[FeatureTestRow] = []
-    families: list[list[PairwiseResult]] = []  # each feature's Dunn results, awaiting adjustment
-    for feature in features:
-        if feature not in col:
-            raise ValueError(f"unknown feature {feature!r}")
-        values = dataset.x[:, col[feature]]
-        groups = [values[dataset.y == c] for c in classes]
-        per_median = {c: float(np.median(g)) for c, g in zip(classes, groups)}
-        per_iqr = {
-            c: float(np.percentile(g, 75) - np.percentile(g, 25)) for c, g in zip(classes, groups)
-        }
+    unknown = [feature for feature in features if feature not in col]
+    if unknown:
+        raise ValueError(f"unknown feature {unknown[0]!r}")
+    pairs = list(combinations(classes, 2))  # the order of kruskal_wallis' Dunn pairs
+    header = ["feature", "degenerate", "H", "p_value"]
+    header += [f"{cell}_{a}v{b}" for a, b in pairs for cell in ("z", "p", "p_adj", "rejected")]
+    header += [f"{cell}_c{c}" for c in classes for cell in ("median", "iqr")]
+    by_class = [dataset.x[dataset.y == c][:, [col[feature] for feature in features]] for c in classes]
+    summaries = []  # median then IQR of each class, one value per feature
+    for x_c in by_class:
+        p75, p25 = np.percentile(x_c, [75, 25], axis=0)
+        summaries += [np.median(x_c, axis=0).tolist(), (p75 - p25).tolist()]
+    rows: list[list] = []
+    families: list[list[tuple[list, int]]] = []  # (row, index of its z cell) per Dunn pair
+    for f, feature in enumerate(features):
         try:
-            omnibus = kruskal_wallis(groups)
+            omnibus = kruskal_wallis([x_c[:, f] for x_c in by_class])
         except DegenerateDataError:
             omnibus = None
-        if omnibus is not None and omnibus.p_value <= alpha:
-            pairwise = dunn_test(groups)
-            for pr in pairwise:
-                pr.group_i = classes[pr.group_i]
-                pr.group_j = classes[pr.group_j]
-            omnibus.pairwise = pairwise
-            families.append(pairwise)
-        rows.append(
-            FeatureTestRow(
-                feature=feature,
-                degenerate=omnibus is None,
-                result=omnibus,
-                per_class_median=per_median,
-                per_class_iqr=per_iqr,
-            )
-        )
+        row = [feature, omnibus is None] + [None] * (2 + 4 * len(pairs)) + [s[f] for s in summaries]
+        if omnibus is not None:
+            row[2:4] = omnibus.statistic, omnibus.p_value
+            if omnibus.p_value <= alpha:
+                for k, pr in enumerate(omnibus.pairwise):
+                    row[4 + 4 * k : 6 + 4 * k] = pr.z, pr.p_value
+                families.append([(row, 4 + 4 * k) for k in range(len(pairs))])
+        rows.append(row)
     if global_family:
-        families = [[pr for family in families for pr in family]]
+        families = [[cell for family in families for cell in family]]
     for family in families:
-        adjusted, rejected = benjamini_hochberg([pr.p_value for pr in family], q)
-        for pr, pa, rej in zip(family, adjusted, rejected):
-            pr.p_adjusted = float(pa)
-            pr.rejected = bool(rej)
-    return rows
+        adjusted, rejected = benjamini_hochberg([row[k + 1] for row, k in family], q)
+        for (row, k), p_adj, rej in zip(family, adjusted.tolist(), rejected.tolist()):
+            row[k + 2 : k + 4] = p_adj, rej
+    return header, rows

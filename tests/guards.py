@@ -6,9 +6,10 @@ runs every command as ``python -m ctradiomics`` with this interpreter, in a
 temporary directory, and exits 1 if any check fails:
 
 - tiny pipeline: ``phantom``, ``extract`` (once in process, once with
-  ``--jobs 2``), ``experiments`` and ``train`` twice each, ``stats``,
-  ``predict`` and ``evaluate`` all exit 0, and the rows ``cli.extract_scan``
-  gives for the phantom scans in memory are written;
+  ``--jobs 2``), ``experiments`` and ``train`` twice each, ``stats`` (once
+  per-feature, once with ``--global-family``), ``predict`` and ``evaluate``
+  all exit 0, and the rows ``cli.extract_scan`` gives for the phantom scans
+  in memory are written;
 - extract peak RSS: ``extract`` on one 512 x 512 x 100 scan with three balls
   peaks under ``EXTRACT_LIMIT_MB`` in each of ``CT_VARIANTS``: an int16
   image, the image as float64 (NaN is checked one streamed chunk at a time)
@@ -107,6 +108,7 @@ def tiny_pipeline(work: Path):
         run(ctradiomics("experiments", "--train", train, "--test", test, "--out", experiments, *RUN_OPTIONS))
         run(ctradiomics("train", "--features", train, "--out", work / f"model-{i}.json", *RUN_OPTIONS))
     run(ctradiomics("stats", "--features", train, "--out", work / "stats.csv"))
+    run(ctradiomics("stats", "--features", train, "--out", work / "stats-global.csv", "--global-family"))
     run(ctradiomics("predict", "--features", test, "--model", model, "--out", work / "predictions.csv"))
     run(ctradiomics("evaluate", "--features", test, "--model", model, "--out", work / "metrics.json"))
     yield True, "tiny pipeline: every command exits 0"

@@ -62,6 +62,10 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError, match="at least two members"):
             ms.stratified_kfold(np.array([1, 2, 3]), 5, seed=0)
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(ValueError, match="^cross-validation needs at least one label$"):
+            ms.stratified_kfold(np.array([], dtype=int), 5, seed=0)
+
     def test_fewer_samples_than_folds_reduce_the_fold_count(self):
         y = np.repeat([1, 2, 3], 3)  # 9 samples asked for 10 folds
         folds = ms.stratified_kfold(y, 10, seed=0)

@@ -62,10 +62,26 @@ class TestKruskalWallis:
             stats.kruskal_wallis([[2.0, 2.0], [2.0, 2.0]])
 
 
-@pytest.mark.parametrize("rank_test", [stats.kruskal_wallis, stats.dunn_test])
-def test_identical_groups_are_degenerate_in_both_tests(rank_test):
+def _kruskal_wallis_raises(groups):
     with pytest.raises(DegenerateDataError, match="identical"):
-        rank_test([[-3.5] * 4, [-3.5], [-3.5] * 2])
+        stats.kruskal_wallis(groups)
+
+
+def _report_marks_degenerate(groups):
+    # the report marks such a feature degenerate and leaves every test cell empty
+    y = np.repeat(np.arange(1, len(groups) + 1), [len(g) for g in groups])
+    ds = Dataset(x=np.concatenate(groups)[:, None], y=y, feature_names=("fos_const",))
+    header, rows = stats.feature_group_report(ds)
+    cells = dict(zip(header, rows[0]))
+    assert cells["degenerate"] is True
+    assert all(cells[name] is None for name in header[2 : header.index("median_c1")])
+
+
+@pytest.mark.parametrize(
+    "check", [_kruskal_wallis_raises, _report_marks_degenerate], ids=["kruskal_wallis", "feature_group_report"]
+)
+def test_identical_groups_are_degenerate_in_both_tests(check):
+    check([[-3.5] * 4, [-3.5], [-3.5] * 2])
 
 
 @settings(max_examples=300, deadline=None)
@@ -81,7 +97,7 @@ def test_tie_correction_and_rank_variance_positive_past_the_check(groups):
     assert 1.0 - tie_sum / (n**3 - n) > 0.0
     assert n * (n + 1) / 12.0 - tie_sum / (12.0 * (n - 1)) > 0.0
     assert np.isfinite(stats.kruskal_wallis(groups).statistic)
-    assert all(np.isfinite(pr.z) for pr in stats.dunn_test(groups))
+    assert all(np.isfinite(pr.z) for pr in stats.kruskal_wallis(groups).pairwise)
 
 
 class TestChiSquareTail:
@@ -106,24 +122,24 @@ class TestChiSquareTail:
 
 class TestDunn:
     def test_worked_example(self):
-        res = stats.dunn_test([[1, 2], [3, 4]])
+        res = stats.kruskal_wallis([[1, 2], [3, 4]]).pairwise
         assert len(res) == 1
         assert res[0].z == pytest.approx(-1.549193338482967, abs=1e-3)
         assert res[0].p_value == pytest.approx(0.1213, abs=2e-4)
 
     def test_identical_mean_ranks(self):
-        res = stats.dunn_test([[1.0, 4.0], [2.0, 3.0]])
+        res = stats.kruskal_wallis([[1.0, 4.0], [2.0, 3.0]]).pairwise
         assert res[0].z == pytest.approx(0.0, abs=1e-12)
         assert res[0].p_value == pytest.approx(1.0)
 
     def test_swapping_groups_negates_z(self):
-        a = stats.dunn_test([[1, 2, 5], [3, 4]])[0]
-        b = stats.dunn_test([[3, 4], [1, 2, 5]])[0]
+        a = stats.kruskal_wallis([[1, 2, 5], [3, 4]]).pairwise[0]
+        b = stats.kruskal_wallis([[3, 4], [1, 2, 5]]).pairwise[0]
         assert a.z == pytest.approx(-b.z, abs=1e-12)
         assert a.p_value == pytest.approx(b.p_value, abs=1e-12)
 
     def test_three_groups_yield_three_pairs(self):
-        res = stats.dunn_test([[1, 2], [3, 4], [5, 6]])
+        res = stats.kruskal_wallis([[1, 2], [3, 4], [5, 6]]).pairwise
         assert [(r.group_i, r.group_j) for r in res] == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -181,27 +197,29 @@ def _feature_dataset(seed=0, n_per_class=20):
     )
 
 
+def _report_cells(ds, **options) -> dict[str, dict]:
+    """feature -> {column: cell} of the report's table."""
+    header, rows = stats.feature_group_report(ds, **options)
+    return {row[0]: dict(zip(header, row)) for row in rows}
+
+
 class TestFeatureGroupReport:
     def test_planted_feature_flagged(self):
-        ds = _feature_dataset()
-        rows = stats.feature_group_report(ds)
-        by_name = {r.feature: r for r in rows}
-        sph = by_name["shape_Sphericity"]
-        assert not sph.degenerate
-        assert sph.result.p_value < 0.05
-        rejected_pairs = [p for p in sph.result.pairwise if p.rejected]
-        assert {(p.group_i, p.group_j) for p in rejected_pairs} >= {(1, 2), (1, 3)}
+        sph = _report_cells(_feature_dataset())["shape_Sphericity"]
+        assert sph["degenerate"] is False
+        assert sph["p_value"] < 0.05
+        assert sph["rejected_1v2"] is True
+        assert sph["rejected_1v3"] is True
 
     def test_constant_feature_marked_degenerate(self):
-        ds = _feature_dataset()
-        rows = stats.feature_group_report(ds)
-        by_name = {r.feature: r for r in rows}
-        assert by_name["fos_const"].degenerate
-        assert by_name["fos_const"].result is None
+        header, rows = stats.feature_group_report(_feature_dataset())
+        const = dict(zip(header, rows[2]))
+        assert const["feature"] == "fos_const"
+        assert const["degenerate"] is True
+        assert all(const[name] is None for name in header[2 : header.index("median_c1")])
 
     def test_row_count_matches_request(self):
-        ds = _feature_dataset()
-        rows = stats.feature_group_report(ds, features=["fos_noise"])
+        _, rows = stats.feature_group_report(_feature_dataset(), features=["fos_noise"])
         assert len(rows) == 1
 
     def test_repeated_feature_rejected(self):
@@ -214,10 +232,10 @@ class TestFeatureGroupReport:
             stats.feature_group_report(_feature_dataset(), features=[])
 
     def test_summary_stats_present(self):
-        ds = _feature_dataset()
-        row = stats.feature_group_report(ds, features=["shape_Sphericity"])[0]
-        assert set(row.per_class_median) == {1, 2, 3}
-        assert row.per_class_median[1] < row.per_class_median[2]
+        header, rows = stats.feature_group_report(_feature_dataset(), features=["shape_Sphericity"])
+        assert [name for name in header if name.startswith("median_")] == ["median_c1", "median_c2", "median_c3"]
+        row = dict(zip(header, rows[0]))
+        assert row["median_c1"] < row["median_c2"]
 
     def test_pure_noise_rarely_rejected(self):
         hits = 0
@@ -229,19 +247,77 @@ class TestFeatureGroupReport:
                 y=np.repeat([1, 2, 3], 10),
                 feature_names=("fos_noise",),
             )
-            rows = stats.feature_group_report(ds)
-            r = rows[0].result
-            if r is not None and r.pairwise and any(p.rejected for p in r.pairwise):
+            row = _report_cells(ds)["fos_noise"]
+            if any(row[f"rejected_{pair}"] for pair in ("1v2", "1v3", "2v3")):
                 hits += 1
         assert hits / runs < 0.10
 
     def test_global_family_flag(self):
-        ds = _feature_dataset(seed=1)
-        rows = stats.feature_group_report(ds, global_family=True)
-        adjusted = [
-            p.p_adjusted
-            for r in rows
-            if r.result is not None
-            for p in r.result.pairwise
+        table = _report_cells(_feature_dataset(seed=1), global_family=True)
+        pairs = ("1v2", "1v3", "2v3")
+        tested = [row[f"p_adj_{pair}"] for row in table.values() for pair in pairs if row[f"p_{pair}"] is not None]
+        assert all(a is not None for a in tested)
+
+
+def _tied_dataset(classes, seed=5) -> Dataset:
+    """Shuffled labels; planted, tied, noise and constant columns."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat(classes, 9))
+    planted = y + rng.normal(0.0, 0.6, len(y))
+    x = np.column_stack(
+        [
+            planted,
+            np.round(planted),  # heavy ties, still planted
+            rng.integers(0, 3, len(y)).astype(float),  # heavy ties, no signal
+            rng.normal(size=len(y)),
+            np.full(len(y), 2.5),
         ]
-        assert all(a is not None for a in adjusted)
+    )
+    return Dataset(x=x, y=y, feature_names=("planted", "planted_tied", "tied_noise", "noise", "const"))
+
+
+@pytest.mark.parametrize("global_family", [False, True], ids=["per-feature", "global"])
+@pytest.mark.parametrize("classes", [(1, 3), (1, 2, 3)], ids=["1-3", "1-2-3"])
+def test_report_cells_equal_the_per_feature_api(classes, global_family):
+    ds = _tied_dataset(classes)
+    pairs = [f"{a}v{b}" for a in classes for b in classes if a < b]
+    header, rows = stats.feature_group_report(ds, global_family=global_family)
+    assert header == (
+        ["feature", "degenerate", "H", "p_value"]
+        + [f"{cell}_{pair}" for pair in pairs for cell in ("z", "p", "p_adj", "rejected")]
+        + [f"{cell}_c{c}" for c in classes for cell in ("median", "iqr")]
+    )
+    families, outcomes = [], set()
+    for j, (feature, row) in enumerate(zip(ds.feature_names, rows)):
+        cells = dict(zip(header, row))
+        assert cells["feature"] == feature
+        groups = [ds.x[ds.y == c, j] for c in classes]
+        for c, g in zip(classes, groups):
+            assert cells[f"median_c{c}"] == float(np.median(g))
+            assert cells[f"iqr_c{c}"] == np.percentile(g, 75) - np.percentile(g, 25)
+        try:
+            omnibus = stats.kruskal_wallis(groups)
+        except DegenerateDataError:
+            outcomes.add("degenerate")
+            assert cells["degenerate"] is True
+            assert all(cells[name] is None for name in header[2 : 4 + 4 * len(pairs)])
+            continue
+        assert cells["degenerate"] is False
+        assert (cells["H"], cells["p_value"]) == (omnibus.statistic, omnibus.p_value)
+        assert len(omnibus.pairwise) == len(pairs)
+        if omnibus.p_value > 0.05:
+            outcomes.add("not significant")
+            assert all(cells[name] is None for name in header[4 : 4 + 4 * len(pairs)])
+            continue
+        outcomes.add("significant")
+        for pair, pr in zip(pairs, omnibus.pairwise):
+            assert (cells[f"z_{pair}"], cells[f"p_{pair}"]) == (pr.z, pr.p_value)
+        families.append([(cells, pair) for pair in pairs])
+    assert outcomes == {"degenerate", "not significant", "significant"}
+    assert len(families) >= 2  # pooling them changes the family
+    if global_family:
+        families = [[cell for family in families for cell in family]]
+    for family in families:
+        adjusted, rejected = stats.benjamini_hochberg([cells[f"p_{pair}"] for cells, pair in family])
+        assert [cells[f"p_adj_{pair}"] for cells, pair in family] == adjusted.tolist()
+        assert [cells[f"rejected_{pair}"] for cells, pair in family] == rejected.tolist()
