@@ -216,31 +216,6 @@ def cmd_extract(args) -> int:
     return 1 if failures else 0
 
 
-def _metrics_to_dict(m: ms.ClassificationMetrics) -> dict:
-    return {
-        "accuracy": m.accuracy,
-        "class_labels": list(m.class_labels),
-        "confusion": m.confusion.tolist(),
-        "sensitivity": {str(c): m.sensitivity[c] for c in m.class_labels},
-        "specificity": {str(c): m.specificity[c] for c in m.class_labels},
-    }
-
-
-def _report_to_dict(report: ms.ExperimentReport) -> dict:
-    doc = {
-        "experiment": report.experiment_id,
-        "error_rate": report.error_rate,
-        "chosen_lv": report.chosen_lv,
-        "considered_total": report.considered_total,
-        "considered_by_family": report.considered_by_family,
-        "selected_total": report.selected_total,
-        "selected_by_family": report.selected_by_family,
-    }
-    if report.metrics is not None:
-        doc["metrics"] = _metrics_to_dict(report.metrics)
-    return doc
-
-
 def _format_table(header, rows) -> str:
     rows = [header, *rows]
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
@@ -251,31 +226,31 @@ def _format_fitted_table(reports) -> str:
     header = ["Exp", "ER", "LV", "Considered", "Selected"] + [f.upper() for f in FAMILIES]
     rows = []
     for r in reports:
-        cells = [f"#{r.experiment_id}", f"{r.error_rate:.2f}", str(r.chosen_lv), str(r.considered_total)]
-        pct = 100.0 * r.selected_total / r.considered_total
-        cells.append(f"{r.selected_total} ({pct:.1f})")
+        cells = [f"#{r['experiment']}", f"{r['error_rate']:.2f}", str(r["chosen_lv"]), str(r["considered_total"])]
+        pct = 100.0 * r["selected_total"] / r["considered_total"]
+        cells.append(f"{r['selected_total']} ({pct:.1f})")
         for fam in FAMILIES:
-            considered = r.considered_by_family[fam]
+            considered = r["considered_by_family"][fam]
             if considered == 0:
                 cells.append("")
             else:
-                sel = r.selected_by_family[fam]
+                sel = r["selected_by_family"][fam]
                 cells.append(f"{sel} ({100.0 * sel / considered:.1f})")
         rows.append(cells)
     return _format_table(header, rows)
 
 
 def _format_performance_table(named_metrics) -> str:
-    """One row per (name, ClassificationMetrics) pair; all share one class set."""
+    """One row per (name, metrics) pair; all share one class set."""
     if not named_metrics:
         return ""
-    classes = named_metrics[0][1].class_labels
+    classes = named_metrics[0][1]["class_labels"]
     header = ["Exp", "Acc"] + [f"Se C{c}" for c in classes] + [f"Sp C{c}" for c in classes]
     rows = []
     for name, m in named_metrics:
-        cells = [name, f"{100.0 * m.accuracy:.1f}"]
-        cells += [f"{100.0 * m.sensitivity[c]:.1f}" for c in classes]
-        cells += [f"{100.0 * m.specificity[c]:.1f}" for c in classes]
+        cells = [name, f"{100.0 * m['accuracy']:.1f}"]
+        cells += [f"{100.0 * m['sensitivity'][c]:.1f}" for c in classes]
+        cells += [f"{100.0 * m['specificity'][c]:.1f}" for c in classes]
         rows.append(cells)
     return _format_table(header, rows)
 
@@ -301,7 +276,7 @@ def cmd_train(args) -> int:
     model, report = ms.fit_experiment(dataset, spec)
     pls.save_model(model, args.out)
     report_path = args.report or args.out.with_suffix(".report.json")
-    dataio.write_json(report_path, _report_to_dict(report))
+    dataio.write_json(report_path, report)
     print(_format_fitted_table([report]))
     print(f"wrote model to {args.out} and report to {report_path}")
     return 0
@@ -329,7 +304,7 @@ def cmd_evaluate(args) -> int:
         "chosen_lv": model.n_components,
         "selected_total": len(model.feature_names),
         "selected_by_family": family_counts(model.feature_names),
-        "metrics": _metrics_to_dict(metrics),
+        "metrics": metrics,
     }
     dataio.write_json(args.out, doc)
     print(_format_performance_table([(args.model.name, metrics)]))
@@ -347,13 +322,13 @@ def cmd_experiments(args) -> int:
     for experiment_id, exc in failures.items():
         print(f"error: experiment {experiment_id}: {exc}", file=sys.stderr)
     doc = {
-        "experiments": [_report_to_dict(r) for r in reports],
+        "experiments": reports,
         "failures": [{"experiment": i, "error": str(exc)} for i, exc in failures.items()],
     }
     dataio.write_json(args.out, doc)
     print(_format_fitted_table(reports))
     print()
-    print(_format_performance_table([(f"#{r.experiment_id}", r.metrics) for r in reports]))
+    print(_format_performance_table([(f"#{r['experiment']}", r["metrics"]) for r in reports]))
     print(f"wrote report to {args.out}")
     return 1 if failures else 0
 

@@ -21,6 +21,11 @@ class GeometryError(ValueError):
     """Raised when a volume/mask pair disagrees on dims, spacing or origin."""
 
 
+class LesionSizeError(ValueError):
+    """Raised when a lesion's box on the resampled grid would hold more voxels
+    than ``volume_io.MAX_BOX_VOXELS``."""
+
+
 class SelectionError(ValueError):
     """Raised when VIP pruning retains no features; review the threshold."""
 

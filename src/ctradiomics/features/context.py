@@ -2,8 +2,9 @@
 fixed-bin-width gray levels, the k levels present with their histogram, each
 voxel's rank 1..k among them, the padded grid of ranks with its occupancy,
 the table of every voxel's 26 neighbour ranks, and the statistics that GLDM,
-GLRLM and GLSZM share over their count tables.  Grids and texture tables are
-indexed by rank, not by level, so one outlying voxel sizes none of them."""
+GLRLM and GLSZM each compute over their own count tables.  Grids and texture
+tables are indexed by rank, not by level, so one outlying voxel sizes none of
+them."""
 
 from __future__ import annotations
 
@@ -134,17 +135,6 @@ class DiscretizedRegion:
         for lo in range(0, 26, batch):
             table[lo : lo + batch] = flat[steps[lo : lo + batch] + index]
         return Neighbours(index, flat[index], table)
-
-    @cached_property
-    def table_statistics(self) -> dict[str, np.ndarray]:
-        """``table_features`` of GLDM's dependence table, GLRLM's 13 run
-        tables and GLSZM's zone table from one call, keyed by family, shape
-        (16, tables) each."""
-        from . import gldm, glrlm, glszm  # the table builders import this module
-
-        tables = [gldm.gldm_cells(self), *glrlm.glrlm_cells(self), glszm.glszm_cells(self)]
-        stats = table_features(tables, len(self), self.gray)
-        return {"gldm": stats[:, :1], "glrlm": stats[:, 1:14], "glszm": stats[:, 14:]}
 
 
 def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import Cells, DiscretizedRegion
+from .context import Cells, DiscretizedRegion, table_features
 
 GLDM_NAMES = (
     "SmallDependenceEmphasis",
@@ -41,8 +41,8 @@ def gldm_cells(d: DiscretizedRegion) -> Cells:
 
 
 def gldm_features(d: DiscretizedRegion) -> dict[str, float]:
-    """The shared table statistics of the dependence table, less GLNN (row 3)
+    """The table statistics of the dependence table, less GLNN (row 3)
     and the percentage (row 6): the table total is the voxel count, so the
     percentage is always 1 and GLNN is the first-order Uniformity."""
     rows = [0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15]
-    return dict(zip(GLDM_NAMES, d.table_statistics["gldm"][rows, 0].tolist()))
+    return dict(zip(GLDM_NAMES, table_features([gldm_cells(d)], len(d), d.gray)[rows, 0].tolist()))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import Cells, DiscretizedRegion
+from .context import Cells, DiscretizedRegion, table_features
 
 GLRLM_NAMES = (
     "ShortRunEmphasis",
@@ -52,4 +52,4 @@ def glrlm_cells(d: DiscretizedRegion) -> list[Cells]:
 
 def glrlm_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 16 run-length features, averaged over all 13 directions."""
-    return dict(zip(GLRLM_NAMES, d.table_statistics["glrlm"].mean(axis=1).tolist()))
+    return dict(zip(GLRLM_NAMES, table_features(glrlm_cells(d), len(d), d.gray).mean(axis=1).tolist()))

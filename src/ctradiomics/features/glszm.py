@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import Cells, DiscretizedRegion, batch_rows
+from .context import Cells, DiscretizedRegion, batch_rows, table_features
 
 GLSZM_NAMES = (
     "SmallAreaEmphasis",
@@ -84,4 +84,4 @@ def _joined(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def glszm_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 16 size-zone features of the lesion's one zone table."""
-    return dict(zip(GLSZM_NAMES, d.table_statistics["glszm"][:, 0].tolist()))
+    return dict(zip(GLSZM_NAMES, table_features([glszm_cells(d)], len(d), d.gray)[:, 0].tolist()))

@@ -3,7 +3,8 @@ five feature-group experiments, and classification metrics.
 
 Folds are stratified with a seeded shuffle; autoscaling is refit inside each
 training split so no test information leaks into the scaling.  Reported CV
-error is pooled (total misclassified / N).
+error is pooled (total misclassified / N).  Reports and metrics are the JSON
+documents that the ``train``, ``evaluate`` and ``experiments`` commands write.
 """
 
 from __future__ import annotations
@@ -47,27 +48,6 @@ def experiment_specs(**overrides) -> tuple[ExperimentSpec, ...]:
         ExperimentSpec(i, GROUP_PRESETS[name], select, **overrides)
         for i, (name, select) in enumerate(presets, start=1)
     )
-
-
-@dataclass
-class ClassificationMetrics:
-    confusion: np.ndarray  # (m, m) counts, rows = true class, cols = predicted
-    class_labels: tuple[int, ...]
-    accuracy: float
-    sensitivity: dict[int, float]
-    specificity: dict[int, float]
-
-
-@dataclass
-class ExperimentReport:
-    experiment_id: int
-    error_rate: float
-    chosen_lv: int
-    considered_total: int
-    considered_by_family: dict[str, int]
-    selected_total: int
-    selected_by_family: dict[str, int]
-    metrics: ClassificationMetrics | None = None
 
 
 def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
@@ -132,10 +112,11 @@ def _sweep_components(dataset: Dataset, folds, max_lv: int) -> tuple[int, float]
     return best + 1, float(errors[best])
 
 
-def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, ExperimentReport]:
+def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, dict]:
     """Run one experiment: restrict to the spec's feature groups, pick the LV
     count by CV, optionally VIP-prune and re-run the sweep on the reduced
-    set, then refit the final model on all training rows."""
+    set, then refit the final model on all training rows.  The report is
+    the JSON document the ``train`` command writes."""
     if dataset.y is None:
         raise ValueError("training needs class labels")
     considered = columns_for_groups(dataset.feature_names, spec.feature_groups)
@@ -154,20 +135,22 @@ def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, Ex
         best_lv, best_err = _sweep_components(work, folds, spec.max_lv)
 
     model = fit_plsda(work.x, work.y, best_lv, n_classes, work.feature_names)
-    report = ExperimentReport(
-        experiment_id=spec.experiment_id,
-        error_rate=best_err,
-        chosen_lv=model.n_components,
-        considered_total=len(considered),
-        considered_by_family=family_counts(considered),
-        selected_total=len(work.feature_names),
-        selected_by_family=family_counts(work.feature_names),
-    )
-    return model, report
+    return model, {
+        "experiment": spec.experiment_id,
+        "error_rate": best_err,
+        "chosen_lv": model.n_components,
+        "considered_total": len(considered),
+        "considered_by_family": family_counts(considered),
+        "selected_total": len(work.feature_names),
+        "selected_by_family": family_counts(work.feature_names),
+    }
 
 
-def evaluate(model: PlsModel, dataset: Dataset) -> ClassificationMetrics:
-    """Confusion matrix, accuracy, and one-vs-rest sensitivity/specificity."""
+def evaluate(model: PlsModel, dataset: Dataset) -> dict:
+    """Accuracy, the confusion matrix (rows the true class, columns the
+    predicted one, both in ``class_labels`` order), and one-vs-rest
+    sensitivity and specificity keyed by class id: the ``metrics`` JSON
+    document."""
     if dataset.y is None:
         raise ValueError("evaluation needs true class labels")
     if len(dataset) == 0:
@@ -184,9 +167,7 @@ def evaluate(model: PlsModel, dataset: Dataset) -> ClassificationMetrics:
     for truth, guess in zip(dataset.y, pred):
         confusion[index[int(truth)], index[int(guess)]] += 1
     total = confusion.sum()
-    accuracy = float(np.trace(confusion) / total)
-    sensitivity = {}
-    specificity = {}
+    sensitivity, specificity = {}, {}
     for c, i in index.items():
         tp = confusion[i, i]
         fn = confusion[i].sum() - tp
@@ -194,16 +175,16 @@ def evaluate(model: PlsModel, dataset: Dataset) -> ClassificationMetrics:
         tn = total - tp - fn - fp
         sensitivity[c] = float(tp / (tp + fn)) if tp + fn else 0.0
         specificity[c] = float(tn / (tn + fp)) if tn + fp else 0.0
-    return ClassificationMetrics(
-        confusion=confusion,
-        class_labels=labels,
-        accuracy=accuracy,
-        sensitivity=sensitivity,
-        specificity=specificity,
-    )
+    return {
+        "accuracy": float(np.trace(confusion) / total),
+        "class_labels": list(labels),
+        "confusion": confusion.tolist(),
+        "sensitivity": sensitivity,
+        "specificity": specificity,
+    }
 
 
-def run_experiments(train: Dataset, test: Dataset, specs) -> tuple[list[ExperimentReport], dict[int, Exception]]:
+def run_experiments(train: Dataset, test: Dataset, specs) -> tuple[list[dict], dict[int, Exception]]:
     """Fit every experiment on the training set and attach its held-out
     metrics on the test set.  A spec that fails is recorded under its
     experiment id and the remaining specs still run."""
@@ -211,7 +192,7 @@ def run_experiments(train: Dataset, test: Dataset, specs) -> tuple[list[Experime
     for spec in specs:
         try:
             model, report = fit_experiment(train, spec)
-            report.metrics = evaluate(model, test)
+            report["metrics"] = evaluate(model, test)
         except Exception as exc:  # one failed experiment must not stop the others
             failures[spec.experiment_id] = exc
             continue

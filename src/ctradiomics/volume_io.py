@@ -10,6 +10,7 @@ vox_offset, qoffset); orientation matrices are ignored.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -17,9 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClassMapError, GeometryError, MaskError, NiftiFormatError, UnsupportedDataTypeError
+from .errors import ClassMapError, GeometryError, LesionSizeError, MaskError, NiftiFormatError
+from .errors import UnsupportedDataTypeError
 
 HEADER_SIZE = 348
+
+# The most voxels a lesion's box may hold on the resampled grid: 128 MiB as
+# float64, about 50 times the 1 mm box of a 35 mm radius lesion.  A box past
+# it fails its scan before anything of its size is allocated.
+MAX_BOX_VOXELS = 2**24
 
 # NIfTI-1 datatype code -> numpy dtype (unscaled on-disk type)
 _DTYPES = {
@@ -378,20 +385,49 @@ def check_geometry(vol: VoxelVolume, mask: LesionMask) -> None:
         raise GeometryError(f"origin mismatch: volume {vol.origin} vs mask {mask.origin}")
 
 
-def _output_grid(dims, spacing, targets):
-    """Per axis, the input-space sample positions of the output grid with
-    spacing ``targets`` (clamped to the border voxel) and the nearest input
-    index of each sample.  A target equal to the input spacing gives the
-    input grid: positions 0, 1, ... and frac 0."""
-    positions, nearest = [], []
-    for d, s, t in zip(dims, spacing, targets):
-        n_out = int(np.ceil(d * (s / t)))
-        # sample o maps to input index o * t / spacing; clamp to the border voxel
-        x = np.arange(n_out, dtype=np.float64) * (t / s)
-        np.clip(x, 0.0, d - 1, out=x)
-        positions.append(x)
-        nearest.append(np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1))
-    return positions, nearest
+def _axis_samples(d: int, s: float, t: float, start: int, stop: int):
+    """The input-space positions of output samples start..stop-1 on an axis
+    of d voxels at spacing s resampled to spacing t (clamped to the border
+    voxel), and the nearest input index of each.  A target equal to the
+    input spacing gives the input grid: positions 0, 1, ... and frac 0."""
+    # sample o maps to input index o * t / spacing; clamp to the border voxel
+    x = np.arange(start, stop, dtype=np.float64) * (t / s)
+    np.clip(x, 0.0, d - 1, out=x)
+    return x, np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1)
+
+
+def _axis_length(d: int, s: float, t: float) -> int:
+    """The output sample count of an axis of d voxels at spacing s resampled to t."""
+    return int(np.ceil(d * (s / t)))
+
+
+def _output_box(vol: VoxelVolume, target: float, label: int, lo, hi) -> list[tuple[int, int]]:
+    """Per axis, output samples a..b-1 that hold every sample whose nearest
+    input index lies in lo..hi, and at most about three more: the label's
+    box on the output grid, found with no array.
+
+    LesionSizeError if the box would hold more than MAX_BOX_VOXELS, checked
+    before any count is sized by dims x spacing / target.
+    """
+    lo, hi = lo.tolist(), hi.tolist()  # Python numbers: a product past the float range is inf, with no warning
+    extent = [(last - first + 1) * (s / target) for first, last, s in zip(lo, hi, vol.spacing)]
+    voxels = math.prod(max(e, 1.0) for e in extent)
+    if voxels > MAX_BOX_VOXELS:
+        shape = " x ".join(f"{e:.4g}" for e in extent)
+        raise LesionSizeError(
+            f"label {label}: its box on the {target:g} mm grid would hold about {voxels:.3g} voxels "
+            f"({shape}), over the cap of {MAX_BOX_VOXELS}"
+        )
+    box = []
+    for d, s, first, last in zip(vol.dims, vol.spacing, lo, hi):
+        # sample o is nearest to index floor(o * target / s + 0.5), and every
+        # sample past the last voxel centre to d - 1; one sample of margin on
+        # each side absorbs the rounding of these products
+        n_out = _axis_length(d, s, target)
+        a = max(0, math.floor((first - 0.5) * (s / target)) - 1)
+        b = n_out if last == d - 1 else min(n_out, math.ceil((last + 0.5) * (s / target)) + 1)
+        box.append((a, b))
+    return box
 
 
 def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
@@ -439,10 +475,11 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     """
     new_spacing = _geometry((target,) * 3, ())[0]
     check_geometry(vol, mask)
-    positions, nearest = _output_grid(vol.dims, vol.spacing, new_spacing)
-    new_vol = VoxelVolume(data=_trilinear(vol, *positions), spacing=new_spacing, origin=vol.origin)
+    t = new_spacing[0]
+    grid = [_axis_samples(d, s, t, 0, _axis_length(d, s, t)) for d, s in zip(vol.dims, vol.spacing)]
+    new_vol = VoxelVolume(data=_trilinear(vol, *(x for x, _ in grid)), spacing=new_spacing, origin=vol.origin)
     new_mask = LesionMask(
-        labels=mask.labels[np.ix_(*nearest)],
+        labels=mask.labels[np.ix_(*(n for _, n in grid))],
         spacing=new_spacing,
         class_of_label=dict(mask.class_of_label),
         origin=mask.origin,
@@ -480,25 +517,29 @@ def extract_lesions(vol: VoxelVolume, mask: LesionMask, target: float) -> list[t
     output grid is resampled, so the cost follows lesion size, not scan size.
 
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
-    erased by nearest-neighbour resampling) is dropped with a warning.
+    erased by nearest-neighbour resampling) is dropped with a warning.  A
+    label whose box on the output grid would hold more than MAX_BOX_VOXELS
+    raises LesionSizeError before any lesion is resampled.
     """
-    spacing = _geometry((target,) * 3, ())[0]
-    positions, nearest = _output_grid(vol.dims, vol.spacing, spacing)
+    target = _geometry((target,) * 3, ())[0][0]
     check_geometry(vol, mask)
+    boxes = {label: _output_box(vol, target, label, *box) for label, box in mask.boxes.items()}
     regions = []
     for label in sorted(mask.class_of_label):
         coords = np.empty((0, 3), dtype=np.intp)
-        if label in mask.boxes:
+        if label in boxes:
+            box = zip(vol.dims, vol.spacing, boxes[label])
+            positions, nearest = zip(*(_axis_samples(d, s, target, a, b) for d, s, (a, b) in box))
             # the output samples whose nearest input index falls in the label's input box
             lo, hi = mask.boxes[label]
             starts = [np.searchsorted(n, a, "left") for n, a in zip(nearest, lo)]
             axes = [slice(a, np.searchsorted(n, b, "right")) for n, a, b in zip(nearest, starts, hi)]
             local = np.argwhere(mask.labels[np.ix_(*(n[ax] for n, ax in zip(nearest, axes)))] == label)
-            coords = local + starts
+            coords = local + [a + start for (a, _), start in zip(boxes[label], starts)]
         if len(coords) == 0:
             warnings.warn(f"label {label} has no voxels and was dropped", stacklevel=2)
             continue
         intensities = _trilinear(vol, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
-        region = LesionRegion(coordinates=coords, intensities=intensities, spacing=spacing, label=label)
+        region = LesionRegion(coordinates=coords, intensities=intensities, spacing=(target,) * 3, label=label)
         regions.append((region, mask.class_of_label[label]))
     return regions

@@ -83,11 +83,12 @@ def run(argv) -> None:
     subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
 
 
-def peak_mb(argv) -> float:
-    """The peak RSS of ``argv`` alone, in MB; CalledProcessError if it fails."""
+def peak_mb(argv, expected_returncode=0) -> float:
+    """The peak RSS of ``argv`` alone, in MB; CalledProcessError unless it
+    exits with ``expected_returncode``."""
     launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], check=True, stdout=subprocess.PIPE, text=True)
     returncode, max_rss_kib = map(int, launched.stdout.split())
-    if returncode != 0:
+    if returncode != expected_returncode:
         raise subprocess.CalledProcessError(returncode, argv)
     return max_rss_kib / 1024
 

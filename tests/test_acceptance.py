@@ -161,9 +161,9 @@ def test_criterion_6_selection_sanity(phantom_pipeline):
     model, rep = ms.fit_experiment(train, spec)
     missing = [f for f in PLANTED_FEATURES if f not in model.feature_names]
     assert missing == []
-    reduction = 1.0 - rep.selected_total / rep.considered_total
+    reduction = 1.0 - rep["selected_total"] / rep["considered_total"]
     assert reduction >= 0.40
-    _report(6, f"planted features kept, selection kept {rep.selected_total}/105 (reduction {100 * reduction:.0f}% >= 40%)")
+    _report(6, f"planted features kept, selection kept {rep['selected_total']}/105 (reduction {100 * reduction:.0f}% >= 40%)")
 
 
 def test_criterion_7_determinism(phantom_pipeline, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from ctradiomics import cli, model_selection as ms, pls
 from ctradiomics.cli import main
-from ctradiomics.dataio import write_features_csv
+from ctradiomics.dataio import read_features_csv, write_features_csv
 from ctradiomics.volume_io import write_nifti
 
 
@@ -207,6 +207,34 @@ def test_experiments_and_determinism(workspace, tmp_path):
     assert doc["failures"] == []
 
 
+def _round_trip(doc):
+    """``doc`` as ``json.dump`` writes it and ``json.load`` reads it back."""
+    return json.loads(json.dumps(doc))
+
+
+def test_experiments_writes_what_run_experiments_returns(workspace, tmp_path):
+    out = tmp_path / "experiments.json"
+    argv = ["experiments", "--train", str(workspace / "train.csv"), "--test", str(workspace / "test.csv")]
+    assert main(argv + ["--out", str(out), "--kfold", "5", "--max-lv", "6"]) == 0
+    train, test = (read_features_csv(workspace / f"{name}.csv") for name in ("train", "test"))
+    reports, failures = ms.run_experiments(train, test, ms.experiment_specs(k=5, max_lv=6))
+    assert failures == {}
+    assert json.loads(out.read_text()) == _round_trip({"experiments": reports, "failures": []})
+
+
+def test_train_and_evaluate_write_what_fit_experiment_and_evaluate_return(workspace, tmp_path):
+    model_path, report_path, eval_path = tmp_path / "model.json", tmp_path / "report.json", tmp_path / "eval.json"
+    argv = ["train", "--features", str(workspace / "train.csv"), "--out", str(model_path)]
+    assert main(argv + ["--report", str(report_path), "--kfold", "5", "--max-lv", "8"]) == 0
+    argv = ["evaluate", "--features", str(workspace / "test.csv"), "--model", str(model_path)]
+    assert main(argv + ["--out", str(eval_path)]) == 0
+    spec = ms.ExperimentSpec(0, ms.GROUP_PRESETS["all"], True, k=5, max_lv=8)
+    model, report = ms.fit_experiment(read_features_csv(workspace / "train.csv"), spec)
+    assert json.loads(report_path.read_text()) == _round_trip(report)
+    metrics = ms.evaluate(model, read_features_csv(workspace / "test.csv"))
+    assert json.loads(eval_path.read_text())["metrics"] == _round_trip(metrics)
+
+
 def test_stats_command(workspace, tmp_path):
     out = tmp_path / "stats.csv"
     assert (
@@ -350,6 +378,45 @@ def test_extract_fails_each_scan_whose_bin_width_gives_too_many_levels(workspace
         assert line.startswith(f"error: scan {scan}: bin width 1e-300 splits the ")
         assert line.endswith(" HU span into 2**53 or more gray levels")
     assert len(out.read_text().splitlines()) == 1  # the header alone
+
+
+def test_extract_fails_each_scan_whose_lesion_box_is_over_the_cap(tmp_path, capsys):
+    # at 0.01 mm a phantom lesion's box would hold billions of float64
+    # samples; each scan fails before its box is allocated
+    import guards
+
+    assert main(["phantom", "--out", str(tmp_path), "--n-per-class", "1", "--seed", "42"]) == 0
+    capsys.readouterr()
+    argv = ["extract", "--manifest", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "f.csv"), "--spacing", "0.01"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for i, line in enumerate(err):
+        assert line.startswith(f"error: scan phantom_{i:04d}: label 1: its box on the 0.01 mm grid would hold about ")
+        assert line.endswith("), over the cap of 16777216")
+    assert len((tmp_path / "f.csv").read_text().splitlines()) == 1  # the header alone
+    assert guards.peak_mb(guards.ctradiomics(*argv), expected_returncode=1) < 100
+
+
+def test_extract_writes_the_scan_whose_lesion_box_is_under_the_cap(tmp_path, capsys):
+    # at 0.1 mm each input voxel is 1,000 samples: a 2-voxel cube's box holds
+    # 8,000 of them, a 30-voxel cube's 27 million, over the 2**24 cap
+    rows = ["scan_id,image_path,mask_path,class_map"]
+    for name, side in (("small", 2), ("large", 30)):
+        mask = np.zeros((32, 32, 32), dtype=np.uint8)
+        mask[1 : 1 + side, 1 : 1 + side, 1 : 1 + side] = 1
+        image = 40.0 + np.arange(mask.size).reshape(mask.shape) % 5
+        write_nifti(tmp_path / f"image-{name}.nii", image, (1.0, 1.0, 1.0))
+        write_nifti(tmp_path / f"mask-{name}.nii", mask, (1.0, 1.0, 1.0))
+        rows.append(f"{name},image-{name}.nii,mask-{name}.nii,1=2")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out), "--spacing", "0.1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scan large: label 1: its box on the 0.1 mm grid")
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [["small/1", "small", "2"]]
 
 
 def _batch_manifest(tmp_path, n_good=3):

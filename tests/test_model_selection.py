@@ -175,20 +175,20 @@ class TestFitExperiment:
         expected = {1: 105, 2: 105, 3: 13, 4: 31, 5: 74}
         for spec in ms.experiment_specs(k=5, max_lv=4):
             _, report = ms.fit_experiment(ds, spec)
-            assert report.considered_total == expected[spec.experiment_id]
+            assert report["considered_total"] == expected[spec.experiment_id]
 
     def test_no_selection_keeps_everything(self):
         ds = _phantom_like_dataset(seed=1)
         spec = ms.ExperimentSpec(1, ("shape", "fos"), False, k=5, max_lv=3)
         model, report = ms.fit_experiment(ds, spec)
-        assert report.selected_total == report.considered_total == 31
+        assert report["selected_total"] == report["considered_total"] == 31
         assert len(model.feature_names) == 31
 
     def test_selection_reduces_and_keeps_planted(self):
         ds = _phantom_like_dataset(seed=2, n_per_class=15)
         spec = ms.ExperimentSpec(2, ("shape", "fos", "glcm", "gldm", "glrlm", "glszm", "ngtdm"), True, k=5, max_lv=4)
         model, report = ms.fit_experiment(ds, spec)
-        assert report.selected_total < report.considered_total
+        assert report["selected_total"] < report["considered_total"]
         assert {"shape_Sphericity", "glcm_Contrast", "fos_Variance"} <= set(model.feature_names)
 
     def test_selection_error_not_worse_than_no_selection(self):
@@ -196,8 +196,8 @@ class TestFitExperiment:
         specs = ms.experiment_specs(k=5, max_lv=4)
         _, full = ms.fit_experiment(ds, specs[0])
         _, pruned = ms.fit_experiment(ds, specs[1])
-        assert pruned.selected_total < pruned.considered_total
-        assert pruned.error_rate <= full.error_rate + 0.05
+        assert pruned["selected_total"] < pruned["considered_total"]
+        assert pruned["error_rate"] <= full["error_rate"] + 0.05
 
     def test_selected_features_subset_of_considered(self):
         ds = _phantom_like_dataset(seed=3)
@@ -207,7 +207,7 @@ class TestFitExperiment:
 
         considered = set(columns_for_groups(FEATURE_COLUMNS, spec.feature_groups))
         assert set(model.feature_names) <= considered
-        assert report.selected_total <= report.considered_total
+        assert report["selected_total"] <= report["considered_total"]
 
     def test_deterministic_for_fixed_seed(self):
         ds = _phantom_like_dataset(seed=4)
@@ -233,10 +233,10 @@ class TestEvaluate:
         spec = ms.ExperimentSpec(1, ("shape", "fos"), False, k=4, max_lv=4)
         model, report = ms.fit_experiment(ds, spec)
         metrics = ms.evaluate(model, ds)
-        assert metrics.accuracy == 1.0
-        assert all(v == 1.0 for v in metrics.sensitivity.values())
-        assert all(v == 1.0 for v in metrics.specificity.values())
-        assert np.trace(metrics.confusion) == len(ds)
+        assert metrics["accuracy"] == 1.0
+        assert all(v == 1.0 for v in metrics["sensitivity"].values())
+        assert all(v == 1.0 for v in metrics["specificity"].values())
+        assert np.trace(metrics["confusion"]) == len(ds)
 
     def test_hand_confusion_metrics(self):
         confusion = np.array([[2, 0, 0], [0, 0, 2], [0, 0, 2]])
@@ -263,7 +263,7 @@ class TestEvaluate:
         model, _ = ms.fit_experiment(ds, spec)
         wrong = Dataset(x=ds.x, y=np.roll(ds.y, 1), feature_names=ds.feature_names)
         metrics = ms.evaluate(model, wrong)
-        assert metrics.confusion.sum(axis=1).tolist() == [
+        assert np.sum(metrics["confusion"], axis=1).tolist() == [
             int((wrong.y == c).sum()) for c in (1, 2, 3)
         ]
 
@@ -295,7 +295,7 @@ class TestEvaluate:
 
         _, pred = predict(model, ds.subset_columns(model.feature_names).x)
         err = float((pred != ds.y).mean())
-        assert metrics.accuracy == pytest.approx(1.0 - err)
+        assert metrics["accuracy"] == pytest.approx(1.0 - err)
 
     def test_empty_dataset_rejected(self):
         ds = _gaussian_dataset(seed=12)
@@ -310,7 +310,7 @@ class TestRunExperiments:
         # no VIP reaches 50, so every experiment that selects fails
         ds = _phantom_like_dataset(seed=4)
         reports, failures = ms.run_experiments(ds, ds, ms.experiment_specs(k=5, max_lv=3, vip_threshold=50.0))
-        assert [r.experiment_id for r in reports] == [1]
-        assert reports[0].metrics is not None
+        assert [r["experiment"] for r in reports] == [1]
+        assert reports[0]["metrics"] is not None
         assert sorted(failures) == [2, 3, 4, 5]
         assert all(isinstance(exc, SelectionError) for exc in failures.values())

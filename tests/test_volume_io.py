@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from ctradiomics import errors
-from ctradiomics.errors import ClassMapError, GeometryError, MaskError, NiftiFormatError, UnsupportedDataTypeError
+from ctradiomics import errors, volume_io
+from ctradiomics.errors import ClassMapError, GeometryError, LesionSizeError, MaskError, NiftiFormatError
+from ctradiomics.errors import UnsupportedDataTypeError
 from ctradiomics.volume_io import (
     LesionMask,
     LesionRegion,
@@ -740,6 +741,37 @@ class TestExtractLesions:
         regions = extract_lesions(vol, mask, 1.0)
         assert [r.label for r, _ in regions] == [1, 2]
         assert [cls for _, cls in regions] == [1, 3]
+
+    @pytest.mark.parametrize("target, shape", [(0.01, "2000 x 2000 x 2000"), (1e-300, r"2e\+301 x 2e\+301 x 2e\+301")])
+    def test_a_box_over_the_cap_fails_before_anything_of_its_size(self, target, shape):
+        # a 20-voxel cube at 1 mm holds 8e9 samples at 0.01 mm, and a sample
+        # count past the float range at 1e-300 mm
+        labels = np.zeros((24, 24, 24), dtype=np.uint8)
+        labels[2:22, 2:22, 2:22] = 1
+        vol, mask = _pair(np.zeros(labels.shape), labels, (1, 1, 1), {1: 1})
+        message = rf"^label 1: its box on the {target:g} mm grid would hold about \S+ voxels \({shape}\), "
+        tracemalloc.start()
+        try:
+            with pytest.raises(LesionSizeError, match=message + r"over the cap of 16777216$"):
+                extract_lesions(vol, mask, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert volume_io.MAX_BOX_VOXELS == 2**24
+        assert peak < 2**20
+
+    def test_the_cap_holds_a_box_of_its_size(self, monkeypatch):
+        # a 4 x 4 x 4 box at 1 mm is 64 samples on the 1 mm grid, 4 x 4 x 5 is 80
+        monkeypatch.setattr(volume_io, "MAX_BOX_VOXELS", 64)
+        labels = np.zeros((8, 8, 8), dtype=np.uint8)
+        labels[1:5, 1:5, 1:5] = 1
+        labels[1:5, 1:5, 6] = 2
+        vol, mask = _pair(np.zeros(labels.shape), labels, (1, 1, 1), {1: 1, 2: 2})
+        assert [len(r) for r, _ in extract_lesions(vol, mask, 1.0)] == [64, 16]
+        labels[1:5, 1:5, 5] = 1
+        vol, mask = _pair(np.zeros(labels.shape), labels, (1, 1, 1), {1: 1, 2: 2})
+        with pytest.raises(LesionSizeError, match=r"^label 1: .* about 80 voxels \(4 x 4 x 5\), over the cap of 64$"):
+            extract_lesions(vol, mask, 1.0)
 
     def test_vanished_label_warns_and_drops(self):
         # a 1-voxel label at 2 mm disappears when resampled to 5 mm

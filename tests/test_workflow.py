@@ -54,6 +54,16 @@ def test_tier1_lists_its_slowest_tests():
     assert len(runs) == 1 and "--durations=10" in runs[0].split()
 
 
+def test_blas_margin_runs_the_golden_tests_under_the_prescott_kernel():
+    # the golden outputs move under another OpenBLAS kernel; this job fails
+    # when a move reaches test_golden.py's REL
+    steps = jobs(WORKFLOW.read_text())["blas-margin"]["steps"]
+    runs = [step["run"].split() for step in steps if "pytest" in step.get("run", "")]
+    assert len(runs) == 1
+    assert runs[0][0].startswith("OPENBLAS_CORETYPE=Prescott")
+    assert runs[0][-3:] == ["pytest", "-q", "tests/test_golden.py"]
+
+
 def test_runtime_only_runs_the_entry_point_and_the_guards():
     # numpy alone installed: the console script must start, and every guard run
     steps = jobs(WORKFLOW.read_text())["runtime-only"]["steps"]
