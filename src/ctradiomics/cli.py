@@ -106,12 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _counts(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) == 1:
-        return _positive(int)(parts[0])
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected one count or three comma-separated counts")
-    return tuple(int(p) for p in parts)
+    """One int, or a tuple of the comma-separated ints; generate_phantom checks them."""
+    parts = text.split(",")
+    return int(parts[0]) if len(parts) == 1 else tuple(int(p) for p in parts)
 
 
 def extract_scan(scan_id: str, vol, mask, bin_width: float, spacing: float) -> list:

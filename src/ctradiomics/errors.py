@@ -26,6 +26,11 @@ class LesionSizeError(ValueError):
     than ``volume_io.MAX_BOX_VOXELS``."""
 
 
+class FeatureRangeError(ValueError):
+    """Raised when a lesion's feature arithmetic leaves the float64 range: an
+    overflow, an invalid operation or a division by zero."""
+
+
 class SelectionError(ValueError):
     """Raised when VIP pruning retains no features; review the threshold."""
 

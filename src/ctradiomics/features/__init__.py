@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..errors import FeatureRangeError
 from ..volume_io import LesionRegion
 from .context import DEFAULT_BIN_WIDTH, DiscretizedRegion, discretize
 from .firstorder import FOS_NAMES, first_order_features
@@ -77,19 +80,25 @@ def extract_all(
 
     Deterministic for identical inputs and independent of the voxel list
     order; degenerate regions produce the documented fallback values, never
-    non-finite entries.
+    non-finite entries.  Arithmetic that leaves the float64 range raises
+    FeatureRangeError naming the lesion and the cause.
     """
-    d = discretize(region, bin_width)
-    # called by name, not from a table: perfbench/tracing.py wraps these attributes
-    computed = (
-        shape_features(d),
-        first_order_features(region, d),
-        glcm_features(d),
-        gldm_features(d),
-        glrlm_features(d),
-        glszm_features(d),
-        ngtdm_features(d),
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            d = discretize(region, bin_width)
+            # called by name, not from a table: perfbench/tracing.py wraps these attributes
+            computed = (
+                shape_features(d),
+                first_order_features(region, d),
+                glcm_features(d),
+                gldm_features(d),
+                glrlm_features(d),
+                glszm_features(d),
+                ngtdm_features(d),
+            )
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        lesion = lesion_id or f"label {region.label}"
+        raise FeatureRangeError(f"lesion {lesion}: arithmetic leaves the float64 range: {exc}") from exc
     values = {
         f"{family}_{name}": float(result[name])
         for (family, names), result in zip(FAMILY_NAMES.items(), computed)

@@ -1,10 +1,10 @@
 """Cross-validated component selection, the select-then-refit procedure, the
 five feature-group experiments, and classification metrics.
 
-Folds are stratified with a seeded shuffle; autoscaling is refit inside each
-training split so no test information leaks into the scaling.  Reported CV
-error is pooled (total misclassified / N).  Reports and metrics are the JSON
-documents that the ``train``, ``evaluate`` and ``experiments`` commands write.
+Folds are stratified with a seeded shuffle; ``fit_pls`` autoscales each
+training split's own rows, so no test information leaks into the scaling.
+CV error is pooled (total misclassified / N).  Reports and metrics are the
+JSON documents the ``train``, ``evaluate`` and ``experiments`` commands write.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import GROUP_PRESETS, Dataset, columns_for_groups
 from .features import family_counts
-from .pls import PlsModel, autoscale, encode_dummy, fit_pls, predict, predict_each_component_count
+from .pls import PlsModel, fit_pls, predict, predict_each_component_count
 from .pls import select_features_vip, vip_scores
 
 
@@ -73,12 +73,6 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def fit_plsda(x, y, n_components: int, n_classes: int, feature_names=None) -> PlsModel:
-    """PLS-DA: autoscale X, dummy-code y against classes 1..n_classes, and fit."""
-    xs, mean, scale = autoscale(x)
-    return fit_pls(xs, encode_dummy(y, n_classes), n_components, mean=mean, scale=scale, feature_names=feature_names)
-
-
 def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
     """Pooled cross-validated misclassification rate at every LV count
     1..max_components.  Each fold is fit once at the cap and its held-out
@@ -89,12 +83,11 @@ def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:
     if dataset.y is None:
         raise ValueError("cross-validation needs class labels")
     x, y = dataset.x, dataset.y
-    n_classes = int(y.max())
     errors = np.zeros(max_components, dtype=int)
     for fold in folds:
         test = np.zeros(len(dataset), dtype=bool)
         test[fold] = True
-        model = fit_plsda(x[~test], y[~test], max_components, n_classes, dataset.feature_names)
+        model = fit_pls(x[~test], y[~test], max_components, dataset.feature_names)
         pred = predict_each_component_count(model, x[test])
         lv = np.minimum(np.arange(max_components), model.n_components - 1)
         errors += (pred[:, lv] != y[test][:, None]).sum(axis=0)
@@ -123,18 +116,17 @@ def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, di
     if not considered:
         raise ValueError(f"dataset has no columns for groups {spec.feature_groups}")
     work = dataset.subset_columns(considered)
-    n_classes = int(dataset.y.max())
     folds = stratified_kfold(work.y, spec.k, spec.seed)
 
     best_lv, best_err = _sweep_components(work, folds, spec.max_lv)
     if spec.do_vip_selection:
-        full_model = fit_plsda(work.x, work.y, best_lv, n_classes, work.feature_names)
+        full_model = fit_pls(work.x, work.y, best_lv, work.feature_names)
         vip = vip_scores(full_model)
         keep = select_features_vip(vip, spec.vip_threshold)
         work = work.subset_columns([work.feature_names[i] for i in keep])
         best_lv, best_err = _sweep_components(work, folds, spec.max_lv)
 
-    model = fit_plsda(work.x, work.y, best_lv, n_classes, work.feature_names)
+    model = fit_pls(work.x, work.y, best_lv, work.feature_names)
     return model, {
         "experiment": spec.experiment_id,
         "error_rate": best_err,

@@ -1,6 +1,7 @@
-"""Multiclass PLS-DA: dummy response coding, autoscaling, PLS2
-decomposition, class prediction by maximal predicted response, and VIP
-feature scoring.
+"""Multiclass PLS-DA.  ``fit_pls`` takes raw feature rows and class ids
+1..max(y), autoscales the rows and dummy-codes the ids itself, and fits PLS2,
+so a model carries its own input scaling; ``predict`` classifies raw rows by
+maximal predicted response, and VIP scores rank the features.
 
 Each weight vector is the dominant left singular vector of X'Y for the
 deflated X, the fixed point of PLS2 NIPALS (Hoskuldsson 1988), so there is
@@ -71,34 +72,22 @@ def autoscale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (x - mean) / scale, mean, scale
 
 
-def apply_scaling(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=np.float64) - mean) / scale
-
-
 def _fix_sign(w: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(w)))
     return -w if w[k] < 0 else w
 
 
-def fit_pls(
-    xs: np.ndarray,
-    y_dummy: np.ndarray,
-    n_components: int,
-    *,
-    mean: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
-    feature_names=None,
-) -> PlsModel:
-    """PLS2 on centred/scaled X against the dummy response matrix, whose
-    columns are the classes 1..m.
+def fit_pls(x, y, n_components: int, feature_names=None) -> PlsModel:
+    """PLS2 of the autoscaled raw rows x against the dummy coding of the class
+    ids y, whose columns are the classes 1..max(y); the model keeps x's scaling.
 
     Per component: w is the top left singular vector of X'Y, t = Xw, and X is
     deflated by t p'.  Y is centred internally; its means are stored for
     prediction.  If X deflates to zero early, or keeps no covariance with Y,
     the model simply keeps the components found so far.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    yd = np.asarray(y_dummy, dtype=np.float64)
+    xs, mean, scale = autoscale(x)
+    yd = encode_dummy(y, int(np.max(y)))
     n, p = xs.shape
     m = yd.shape[1]
     if n_components < 1:
@@ -140,8 +129,8 @@ def fit_pls(
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(p))
     return PlsModel(
-        mean=np.zeros(p) if mean is None else np.asarray(mean, dtype=np.float64),
-        scale=np.ones(p) if scale is None else np.asarray(scale, dtype=np.float64),
+        mean=mean,
+        scale=scale,
         weights=weights,
         x_loadings=x_loadings,
         y_loadings=y_loadings,
@@ -159,7 +148,7 @@ def _scaled_rows(model: PlsModel, x_new) -> np.ndarray:
     x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
     if x_new.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} feature columns, got {x_new.shape[1]}")
-    return apply_scaling(x_new, model.mean, model.scale)
+    return (x_new - model.mean) / model.scale
 
 
 def predict(model: PlsModel, x_new) -> tuple[np.ndarray, np.ndarray]:

@@ -81,9 +81,9 @@ def test_criterion_3_pls_correctness():
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(20, 5))
         y = rng.integers(1, 4, 20)
-        xs, mean, scale = pls.autoscale(x)
+        xs, _, _ = pls.autoscale(x)
         yd = pls.encode_dummy(y, 3)
-        model = pls.fit_pls(xs, yd, 5, mean=mean, scale=scale)
+        model = pls.fit_pls(x, y, 5)
         tt = model.scores.T @ model.scores
         off = np.abs(tt - np.diag(np.diag(tt))).max() / np.abs(np.diag(tt)).max()
         worst_orth = max(worst_orth, off)
@@ -92,7 +92,7 @@ def test_criterion_3_pls_correctness():
         vip = pls.vip_scores(model)
         worst_vip = max(worst_vip, abs(np.mean(vip**2) - 1.0))
         # a second model shape for the VIP identity
-        model2 = ms.fit_plsda(rng.normal(size=(30, 12)), rng.integers(1, 4, 30), 4, 3)
+        model2 = pls.fit_pls(rng.normal(size=(30, 12)), rng.integers(1, 4, 30), 4)
         vip2 = pls.vip_scores(model2)
         worst_vip = max(worst_vip, abs(np.mean(vip2**2) - 1.0))
     assert worst_orth <= 1e-8
@@ -247,9 +247,9 @@ def test_criterion_8_invariance_suite():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 6))
     y = rng.integers(1, 4, 30)
-    model_a = ms.fit_plsda(x, y, 3, 3)
+    model_a = pls.fit_pls(x, y, 3)
     order = rng.permutation(30)
-    model_b = ms.fit_plsda(x[order], y[order], 3, 3)
+    model_b = pls.fit_pls(x[order], y[order], 3)
     assert np.abs(model_a.coef - model_b.coef).max() < 1e-9
     pred_a, _ = pls.predict(model_a, x)
     pred_b, _ = pls.predict(model_b, x)

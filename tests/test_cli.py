@@ -419,6 +419,29 @@ def test_extract_writes_the_scan_whose_lesion_box_is_under_the_cap(tmp_path, cap
     assert [line.split(",")[:3] for line in lines[1:]] == [["small/1", "small", "2"]]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_extract_fails_the_scan_whose_arithmetic_leaves_the_float_range(tmp_path, capsys, jobs):
+    # at 1e200 HU the first-order powers overflow float64: that scan fails on
+    # one line naming the cause, and the other scan's row is still written
+    mask = np.zeros((8, 8, 8), dtype=np.uint8)
+    mask[2:6, 2:6, 2:6] = 1
+    write_nifti(tmp_path / "mask.nii", mask, (1.0, 1.0, 1.0))
+    rows = ["scan_id,image_path,mask_path,class_map"]
+    for name, hu in (("ct", 40.0), ("huge", 1e200)):
+        write_nifti(tmp_path / f"image-{name}.nii", np.full(mask.shape, hu), (1.0, 1.0, 1.0))
+        rows.append(f"{name},image-{name}.nii,mask.nii,1=2")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "features.csv"
+    argv = ["extract", "--manifest", str(manifest), "--out", str(out), "--bin-width", "1e199", "--jobs", jobs]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scan huge: lesion huge/1: arithmetic leaves the float64 range: overflow encountered in multiply"
+    ]
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [["ct/1", "ct", "2"]]
+
+
 def _batch_manifest(tmp_path, n_good=3):
     """``n_good`` small scans whose one-voxel label 2 is dropped at 3 mm,
     then one scan whose mask disagrees with its image."""
@@ -760,7 +783,7 @@ def test_malformed_model_file_exits_2_naming_it(workspace, tmp_path, capsys, cas
     names = ["shape_Sphericity", "fos_Mean", "glcm_Contrast", "ngtdm_Busyness"]
     x = np.random.default_rng(3).normal(size=(12, 4))
     good = tmp_path / "good.json"
-    pls.save_model(ms.fit_plsda(x, np.tile([1, 2, 3], 4), 2, 3, feature_names=names), good)
+    pls.save_model(pls.fit_pls(x, np.tile([1, 2, 3], 4), 2, feature_names=names), good)
     model = tmp_path / "model.json"
     model.write_text(_malformed(json.loads(good.read_text()), case))
     for command in ("predict", "evaluate"):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     rod_region,
     spanning_cube_region,
 )
+from ctradiomics.errors import FeatureRangeError
 from ctradiomics.features import (
     FAMILY_NAMES,
     FEATURE_COLUMNS,
@@ -331,6 +333,27 @@ class TestExtractAll:
         monkeypatch.setattr(features, "ngtdm_features", busyness_nan)
         with pytest.raises(RuntimeError, match=r"non-finite feature values for \['ngtdm_Busyness'\]"):
             extract_all(random_blob_region(seed=1))
+
+    @pytest.mark.parametrize(
+        "hu, bin_width, spacing, cause_type, cause",
+        [
+            (1e200, 1e199, (1.0, 1.0, 1.0), FloatingPointError, "overflow"),  # first-order powers
+            (50.0, 25.0, (1e120, 1e120, 1e120), FloatingPointError, "overflow"),  # mesh products
+            (50.0, 25.0, (1e200, 1.0, 1.0), FloatingPointError, "overflow"),
+            (50.0, 25.0, (1e-120, 1e-120, 1e-120), ZeroDivisionError, "division by zero"),  # the volume underflows
+        ],
+        ids=["1e200-HU", "1e120-mm", "1e200-mm-one-axis", "1e-120-mm"],
+    )
+    def test_arithmetic_outside_the_float_range_is_a_typed_error(self, hu, bin_width, spacing, cause_type, cause):
+        cube = LesionRegion(np.argwhere(np.ones((4, 4, 4), dtype=bool)), np.full(64, hu), spacing, label=3)
+        for lesion_id, named in (("scan/3", "scan/3"), ("", "label 3")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning leaks ahead of the error
+                with pytest.raises(FeatureRangeError) as info:
+                    extract_all(cube, bin_width, lesion_id=lesion_id)
+            assert isinstance(info.value.__cause__, cause_type)
+            assert str(info.value) == f"lesion {named}: arithmetic leaves the float64 range: {info.value.__cause__}"
+            assert cause in str(info.value)
 
     def test_family_cardinalities(self):
         sizes = {fam: len(names) for fam, names in FAMILY_NAMES.items()}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ctradiomics.dataio import Dataset
 from ctradiomics.errors import SelectionError
@@ -52,6 +54,24 @@ class TestStratifiedKfold:
         for cls in (1, 2, 3):
             counts = [int((y[f] == cls).sum()) for f in folds]
             assert max(counts) - min(counts) <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=hs.dictionaries(hs.sampled_from([1, 2, 3]), hs.integers(2, 15), min_size=1),
+        k=hs.integers(2, 10),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_every_training_split_holds_every_class(self, counts, k, seed):
+        # so fit_pls, which dummy-codes a split's ids against max(ids), codes
+        # each split of cv_error_curve against the classes 1..max(y) of the
+        # whole label vector: the class count it was once handed
+        y = np.random.default_rng(seed).permutation(np.repeat(list(counts), list(counts.values())))
+        for fold in ms.stratified_kfold(y, k, seed):
+            train = np.ones(len(y), dtype=bool)
+            train[fold] = False
+            assert set(y[train].tolist()) == set(counts)
+            coded = pls.encode_dummy(y[train], int(y[train].max()))  # what fit_pls builds
+            assert np.array_equal(coded, pls.encode_dummy(y[train], int(y.max())))
 
     def test_fold_count_reduced_for_small_classes(self):
         y = np.array([1, 1, 2, 2, 2, 3, 3, 3, 3, 3])
@@ -127,15 +147,13 @@ def _phantom_like_dataset(seed=0, n_per_class=10):
 
 def _refit_error_curve(ds, cap, folds):
     """Per-LV pooled CV error from a fresh fit_pls at every LV count."""
-    n_classes = int(ds.y.max())
     curve = []
     for a in range(1, cap + 1):
         errors = 0
         for fold in folds:
             test = np.zeros(len(ds), dtype=bool)
             test[fold] = True
-            xs, mean, scale = pls.autoscale(ds.x[~test])
-            model = pls.fit_pls(xs, pls.encode_dummy(ds.y[~test], n_classes), a, mean=mean, scale=scale)
+            model = pls.fit_pls(ds.x[~test], ds.y[~test], a)
             _, pred = pls.predict(model, ds.x[test])
             errors += int((pred != ds.y[test]).sum())
         curve.append(errors / len(ds))
@@ -164,8 +182,8 @@ class TestCvErrorCurve:
         x = np.hstack([base, 2.0 * base, base[:, :2] - base[:, 2:]])  # rank 3, 8 columns
         ds = Dataset(x=x, y=y, feature_names=tuple(f"fos_f{i}" for i in range(8)))
         folds = ms.stratified_kfold(ds.y, 4, seed=2)
-        xs, _, _ = pls.autoscale(x[np.concatenate(folds[1:])])
-        assert pls.fit_pls(xs, pls.encode_dummy(y[np.concatenate(folds[1:])], 3), 6).n_components == 3
+        train = np.concatenate(folds[1:])
+        assert pls.fit_pls(x[train], y[train], 6).n_components == 3
         assert ms.cv_error_curve(ds, 6, folds).tolist() == _refit_error_curve(ds, 6, folds)
 
 

@@ -48,6 +48,15 @@ def test_cli_bad_counts_exit_2_and_write_no_manifest(tmp_path, capsys):
     assert "n_per_class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "0,0,0", "1,-1,1", "1,2"])
+def test_cli_counts_are_checked_by_generate_phantom_alone(tmp_path, capsys, value):
+    # the option only parses; every rule on the counts is generate_phantom's, with its one message
+    assert main(["phantom", "--out", str(tmp_path / "cohort"), "--n-per-class", value]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: n_per_class must be one count or three per-class counts")
+    assert not (tmp_path / "cohort" / "manifest.csv").exists()
+
+
 def _phantom_peak_mib(out, n_per_class):
     tracemalloc.start()
     try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctradiomics.errors import SelectionError, UndefinedModelError
-from ctradiomics import model_selection as ms, pls
+from ctradiomics import pls
 
 import oracles
 from test_model_selection import _phantom_like_dataset
@@ -44,10 +44,9 @@ class TestAutoscale:
 
     def test_reapplication_is_affine_and_order_preserving(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(10, 3))
-        _, mean, scale = pls.autoscale(x)
+        model = pls.fit_pls(rng.normal(size=(10, 3)), np.tile([1, 2], 5), 1)
         new = rng.normal(size=(5, 3))
-        scaled = pls.apply_scaling(new, mean, scale)
+        scaled = pls._scaled_rows(model, new)
         for col in range(3):
             order_a = np.argsort(new[:, col])
             order_b = np.argsort(scaled[:, col])
@@ -83,32 +82,31 @@ def _manual_nipals_first_component(x, y):
 class TestFitPls:
     def test_hand_worked_first_component(self):
         x = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5], [-2.0, -1.5]])
-        x = x - x.mean(axis=0)
-        y = np.array([[1.0], [0.0], [1.0], [0.0]])
-        yc = y - y.mean(axis=0)
+        y = np.array([1, 2, 1, 2])
         model = pls.fit_pls(x, y, 1)
-        w, t, q = _manual_nipals_first_component(x, yc)
+        xs, _, _ = pls.autoscale(x)
+        yd = pls.encode_dummy(y, 2)
+        w, t, q = _manual_nipals_first_component(xs, yd - yd.mean(axis=0))
         assert model.weights[:, 0] == pytest.approx(w, abs=1e-10)
         assert model.scores[:, 0] == pytest.approx(t, abs=1e-10)
         assert model.y_loadings[:, 0] == pytest.approx(q, abs=1e-10)
 
     def test_perfect_single_factor(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(12, 1))
-        y = x.copy()
-        xs, mean, scale = pls.autoscale(x)
-        model = pls.fit_pls(xs, y, 1, mean=mean, scale=scale)
+        y = rng.permutation(np.repeat([1, 2], 6))
+        x = pls.encode_dummy(y, 2)  # the columns hold the dummy coding: Y is exactly linear in X
+        model = pls.fit_pls(x, y, 1)
         y_hat, _ = pls.predict(model, x)
-        assert np.abs(y_hat - y).max() < 1e-10
+        assert np.abs(y_hat - pls.encode_dummy(y, 2)).max() < 1e-10
 
     def test_full_rank_equals_least_squares(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(20, 5))
             y = rng.integers(1, 4, 20)
-            xs, mean, scale = pls.autoscale(x)
+            xs, _, _ = pls.autoscale(x)
             yd = pls.encode_dummy(y, 3)
-            model = pls.fit_pls(xs, yd, 5, mean=mean, scale=scale)
+            model = pls.fit_pls(x, y, 5)
             b_ls = np.linalg.lstsq(xs, yd - yd.mean(axis=0), rcond=None)[0]
             assert np.abs(model.coef - b_ls).max() < 1e-8, f"seed {seed}"
 
@@ -116,14 +114,14 @@ class TestFitPls:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 8))
         y = rng.integers(1, 4, 30)
-        model = ms.fit_plsda(x, y, 5, 3)
+        model = pls.fit_pls(x, y, 5)
         tt = model.scores.T @ model.scores
         off = tt - np.diag(np.diag(tt))
         assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(tt)).max()
 
     def test_weight_sign_convention(self):
         rng = np.random.default_rng(20)
-        model = ms.fit_plsda(rng.normal(size=(25, 7)), rng.integers(1, 4, 25), 4, 3)
+        model = pls.fit_pls(rng.normal(size=(25, 7)), rng.integers(1, 4, 25), 4)
         for a in range(model.n_components):
             w = model.weights[:, a]
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +129,7 @@ class TestFitPls:
 
     def test_coef_identity(self):
         rng = np.random.default_rng(4)
-        model = ms.fit_plsda(rng.normal(size=(25, 6)), rng.integers(1, 4, 25), 4, 3)
+        model = pls.fit_pls(rng.normal(size=(25, 6)), rng.integers(1, 4, 25), 4)
         recomposed = model.weights @ np.linalg.solve(
             model.x_loadings.T @ model.weights, model.y_loadings.T
         )
@@ -142,22 +140,20 @@ class TestFitPls:
         rng = np.random.default_rng(5)
         col = rng.normal(size=(10, 1))
         x = np.hstack([col, 2.0 * col])
-        y = pls.encode_dummy(rng.integers(1, 3, 10), 2)
-        xs = x - x.mean(axis=0)
-        model = pls.fit_pls(xs, y, 2)
+        model = pls.fit_pls(x, rng.integers(1, 3, 10), 2)
         assert model.n_components == 1
 
     def test_excessive_components_rejected(self):
         with pytest.raises(ValueError):
-            pls.fit_pls(np.zeros((4, 2)), np.zeros((4, 2)), 4)
+            pls.fit_pls(np.zeros((4, 2)), [1, 2, 1, 2], 4)
 
     def test_row_permutation_leaves_model_invariant(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(25, 6))
         y = rng.integers(1, 4, 25)
-        model_a = ms.fit_plsda(x, y, 3, 3)
+        model_a = pls.fit_pls(x, y, 3)
         perm = rng.permutation(25)
-        model_b = ms.fit_plsda(x[perm], y[perm], 3, 3)
+        model_b = pls.fit_pls(x[perm], y[perm], 3)
         assert np.abs(model_a.coef - model_b.coef).max() < 1e-9
         assert np.abs(np.abs(model_a.weights) - np.abs(model_b.weights)).max() < 1e-9
         ya, _ = pls.predict(model_a, x)
@@ -172,7 +168,7 @@ class TestNipalsOracle:
     def _assert_matches(x, y, n_components):
         xs, _, _ = pls.autoscale(x)
         yd = pls.encode_dummy(y, 3)
-        model = pls.fit_pls(xs, yd, n_components)
+        model = pls.fit_pls(x, y, n_components)
         w, t, p, q = oracles.nipals_pls2(xs, yd, n_components)
         assert model.n_components == n_components
         assert np.abs(model.weights - w).max() <= 1e-10
@@ -193,11 +189,10 @@ class TestNipalsOracle:
 class TestNestedComponents:
     def test_a_fresh_fit_is_a_prefix_of_the_larger_fit_bit_for_bit(self):
         rng = np.random.default_rng(21)
-        xs, mean, scale = pls.autoscale(rng.normal(size=(30, 10)))
-        yd = pls.encode_dummy(rng.integers(1, 4, 30), 3)
-        full = pls.fit_pls(xs, yd, 8, mean=mean, scale=scale)
+        x, y = rng.normal(size=(30, 10)), rng.integers(1, 4, 30)
+        full = pls.fit_pls(x, y, 8)
         for a in range(1, 9):
-            fresh = pls.fit_pls(xs, yd, a, mean=mean, scale=scale)
+            fresh = pls.fit_pls(x, y, a)
             assert fresh.n_components == a
             for field in ("weights", "x_loadings", "y_loadings", "scores"):
                 assert np.array_equal(getattr(full, field)[:, :a], getattr(fresh, field)), (a, field)
@@ -209,13 +204,13 @@ class TestPredict:
         centers = np.array([[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
         y = np.repeat([1, 2, 3], 20)
         x = centers[y - 1] + rng.normal(scale=0.3, size=(60, 3))
-        model = ms.fit_plsda(x, y, 2, 3)
+        model = pls.fit_pls(x, y, 2)
         _, pred = pls.predict(model, x)
         assert np.array_equal(pred, y)
 
     def test_duplicated_rows_identical_predictions(self):
         rng = np.random.default_rng(8)
-        model = ms.fit_plsda(rng.normal(size=(20, 4)), rng.integers(1, 4, 20), 2, 3)
+        model = pls.fit_pls(rng.normal(size=(20, 4)), rng.integers(1, 4, 20), 2)
         row = rng.normal(size=(1, 4))
         y_hat, cls = pls.predict(model, np.vstack([row, row]))
         assert np.array_equal(y_hat[0], y_hat[1])
@@ -225,10 +220,10 @@ class TestPredict:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 5))
         y = rng.integers(1, 4, 30)
-        model_a = ms.fit_plsda(x, y, 3, 3)
+        model_a = pls.fit_pls(x, y, 3)
         x_scaled = x.copy()
         x_scaled[:, 1] *= 12.5
-        model_b = ms.fit_plsda(x_scaled, y, 3, 3)
+        model_b = pls.fit_pls(x_scaled, y, 3)
         ya, ca = pls.predict(model_a, x)
         yb, cb = pls.predict(model_b, x_scaled)
         assert np.abs(ya - yb).max() < 1e-10
@@ -236,12 +231,12 @@ class TestPredict:
 
     def test_column_count_mismatch_rejected(self):
         rng = np.random.default_rng(10)
-        model = ms.fit_plsda(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1, 2)
+        model = pls.fit_pls(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1)
         with pytest.raises(ValueError, match="3 feature columns"):
             pls.predict(model, np.zeros((2, 4)))
 
     def test_tie_breaks_to_lowest_class(self):
-        model = ms.fit_plsda(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 2, 2]), 1, 2)
+        model = pls.fit_pls(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1, 1, 2, 2]), 1)
         # the midpoint scores both classes equally; argmax picks class 1
         y_hat, cls = pls.predict(model, np.array([[1.5]]))
         assert y_hat[0, 0] == pytest.approx(y_hat[0, 1])
@@ -253,17 +248,17 @@ class TestPredictEachComponentCount:
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=(40, 6)), np.repeat([1, 2, 3], [14, 13, 13])
         x[:, 0] += 1.5 * y
-        full = ms.fit_plsda(x, y, 5, 3)
+        full = pls.fit_pls(x, y, 5)
         x_new = rng.normal(size=(25, 6))
         got = pls.predict_each_component_count(full, x_new)
         assert got.shape == (25, 5)
         for a in range(1, 6):
-            _, want = pls.predict(ms.fit_plsda(x, y, a, 3), x_new)
+            _, want = pls.predict(pls.fit_pls(x, y, a), x_new)
             assert np.array_equal(got[:, a - 1], want), a
 
     def test_column_count_mismatch_rejected(self):
         rng = np.random.default_rng(10)
-        model = ms.fit_plsda(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1, 2)
+        model = pls.fit_pls(rng.normal(size=(10, 3)), rng.integers(1, 3, 10), 1)
         with pytest.raises(ValueError, match="3 feature columns"):
             pls.predict_each_component_count(model, np.zeros((2, 4)))
 
@@ -272,21 +267,19 @@ class TestVip:
     def test_single_feature_vip_is_one(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(15, 1))
-        model = ms.fit_plsda(x, (x[:, 0] > 0).astype(int) + 1, 1, 2)
+        model = pls.fit_pls(x, (x[:, 0] > 0).astype(int) + 1, 1)
         assert pls.vip_scores(model) == pytest.approx([1.0])
 
     def test_zero_weight_feature(self):
         rng = np.random.default_rng(12)
         x = np.column_stack([rng.normal(size=30), np.zeros(30)])
-        xs, mean, scale = pls.autoscale(x)
-        y = xs[:, :1].copy()
-        model = pls.fit_pls(xs, y, 1, mean=mean, scale=scale)
+        model = pls.fit_pls(x, (x[:, 0] > 0).astype(int) + 1, 1)
         assert pls.vip_scores(model) == pytest.approx([np.sqrt(2.0), 0.0], abs=1e-12)
 
     def test_mean_square_identity(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            model = ms.fit_plsda(rng.normal(size=(40, 9)), rng.integers(1, 4, 40), 4, 3)
+            model = pls.fit_pls(rng.normal(size=(40, 9)), rng.integers(1, 4, 40), 4)
             vip = pls.vip_scores(model)
             assert np.mean(vip**2) == pytest.approx(1.0, abs=1e-10)
 
@@ -300,7 +293,7 @@ class TestVip:
 
     def test_undefined_model_error(self):
         rng = np.random.default_rng(13)
-        model = ms.fit_plsda(rng.normal(size=(10, 2)), rng.integers(1, 3, 10), 1, 2)
+        model = pls.fit_pls(rng.normal(size=(10, 2)), rng.integers(1, 3, 10), 1)
         model.scores = np.zeros_like(model.scores)
         with pytest.raises(UndefinedModelError):
             pls.vip_scores(model)
@@ -310,7 +303,7 @@ class TestSerialization:
     def test_round_trip_predictions_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(30, 6))
-        model = ms.fit_plsda(x, rng.integers(1, 4, 30), 3, 3, feature_names=[f"f{i}" for i in range(6)])
+        model = pls.fit_pls(x, rng.integers(1, 4, 30), 3, feature_names=[f"f{i}" for i in range(6)])
         path = tmp_path / "model.json"
         pls.save_model(model, path)
         loaded = pls.load_model(path)
@@ -322,7 +315,7 @@ class TestSerialization:
 
     def test_vip_of_a_loaded_model_names_the_missing_scores(self, tmp_path):
         rng = np.random.default_rng(16)
-        model = ms.fit_plsda(rng.normal(size=(30, 6)), rng.integers(1, 4, 30), 3, 3)
+        model = pls.fit_pls(rng.normal(size=(30, 6)), rng.integers(1, 4, 30), 3)
         assert np.isfinite(pls.vip_scores(model)).all()
         pls.save_model(model, tmp_path / "model.json")
         with pytest.raises(ValueError, match="a loaded model holds no training scores"):
@@ -330,7 +323,7 @@ class TestSerialization:
 
     def test_saved_document_is_stable(self, tmp_path):
         rng = np.random.default_rng(15)
-        model = ms.fit_plsda(rng.normal(size=(12, 3)), rng.integers(1, 3, 12), 2, 2)
+        model = pls.fit_pls(rng.normal(size=(12, 3)), rng.integers(1, 3, 12), 2)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         pls.save_model(model, p1)

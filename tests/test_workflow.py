@@ -1,9 +1,11 @@
-"""The CI workflow is valid YAML and defines the jobs it exists to run, and
+"""The CI workflow is valid YAML and defines the jobs it exists to run,
 ``tests/guards.py``, the checks its numpy-only job runs, keeps its limits and
-measures what it says.
+measures what it says, and the README's Python API imports what it names.
 
 A workflow that does not parse runs no job at all, and nothing else fails."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import guards
 import numpy as np
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 LINE_COUNT_STEP = """\
         run: |
           echo "src/ line count: $(git ls-files 'src/*.py' | xargs cat | wc -l)" >> "$GITHUB_STEP_SUMMARY"
@@ -134,3 +137,16 @@ def test_guards_print_one_line_per_check_and_fail_on_any(monkeypatch, capsys):
     monkeypatch.setattr(guards, "SAME_BYTES", (("a", "b"),))
     monkeypatch.setattr(guards, "GUARDS", (writes, guards.same_bytes))
     assert guards.main() == 0
+
+
+def test_readme_python_api_imports_what_the_package_exports():
+    # a name the README imports after the package dropped it is doc rot that no other test sees
+    [block] = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    imports = [node for node in ast.parse(block).body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+    import ctradiomics
+    import ctradiomics.features
+
+    for module in (ctradiomics, ctradiomics.features):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
