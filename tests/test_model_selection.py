@@ -64,7 +64,7 @@ class TestStratifiedKfold:
     def test_every_training_split_holds_every_class(self, counts, k, seed):
         # so fit_pls, which dummy-codes a split's ids against max(ids), codes
         # each split of cv_error_curve against the classes 1..max(y) of the
-        # whole label vector: the class count it was once handed
+        # whole label vector
         y = np.random.default_rng(seed).permutation(np.repeat(list(counts), list(counts.values())))
         for fold in ms.stratified_kfold(y, k, seed):
             train = np.ones(len(y), dtype=bool)
