@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, model_selection as ms, phantom as ph, pls, stats as st
+from .errors import failure_message
 from .features import DEFAULT_BIN_WIDTH, FAMILIES, extract_all, family_counts
 from .volume_io import extract_lesions, read_mask, read_volume, write_nifti
 from .volume_io import resample_isotropic  # noqa: F401  perfbench/tracing.py wraps it by name
@@ -141,13 +142,13 @@ def _extract_scan(entry, bin_width: float, spacing: float):
 
 
 def _outcome(run, *args):
-    """``run(*args)``, or the message of the exception it raised: the
-    exception itself would keep its scan's memory maps open through its
+    """``run(*args)``, or the ``failure_message`` of the exception it raised:
+    the exception itself would keep its scan's memory maps open through its
     traceback."""
     try:
         return run(*args)
     except Exception as exc:
-        return str(exc)
+        return failure_message(exc)
 
 
 def _run_scans(tasks, jobs: int) -> list:
@@ -317,10 +318,10 @@ def cmd_experiments(args) -> int:
     specs = ms.experiment_specs(**_run_settings(args))
     reports, failures = ms.run_experiments(train, test, specs)
     for experiment_id, exc in failures.items():
-        print(f"error: experiment {experiment_id}: {exc}", file=sys.stderr)
+        print(f"error: experiment {experiment_id}: {failure_message(exc)}", file=sys.stderr)
     doc = {
         "experiments": reports,
-        "failures": [{"experiment": i, "error": str(exc)} for i, exc in failures.items()],
+        "failures": [{"experiment": i, "error": failure_message(exc)} for i, exc in failures.items()],
     }
     dataio.write_json(args.out, doc)
     print(_format_fitted_table(reports))

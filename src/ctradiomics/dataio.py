@@ -29,6 +29,16 @@ GROUP_PRESETS: dict[str, tuple[str, ...]] = {
 }
 
 
+def class_ids(y) -> np.ndarray:
+    """``y`` as an int array of class ids.  An id that is not a whole number
+    raises ValueError naming it; a whole float such as 2.0 passes."""
+    values = np.asarray(y, dtype=np.float64)
+    whole = np.isfinite(values) & (values == np.trunc(values))
+    if not whole.all():
+        raise ValueError(f"class id {values[~whole][0]} is not a whole number")
+    return np.asarray(y, dtype=int)
+
+
 @dataclass
 class Dataset:
     """Feature rows with optional class labels."""
@@ -48,7 +58,7 @@ class Dataset:
         if not np.isfinite(self.x).all():
             raise ValueError("X contains non-finite values")
         if self.y is not None:
-            self.y = np.asarray(self.y, dtype=int)
+            self.y = class_ids(self.y)
             if len(self.y) != len(self.x):
                 raise ValueError("y length does not match X")
         self.feature_names = tuple(self.feature_names)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how a failure reads in an
+error line."""
 
 
 class NiftiFormatError(ValueError):
@@ -28,7 +29,8 @@ class LesionSizeError(ValueError):
 
 class FeatureRangeError(ValueError):
     """Raised when a lesion's feature arithmetic leaves the float64 range: an
-    overflow, an invalid operation or a division by zero."""
+    overflow, an invalid operation, a division by zero or a non-finite
+    feature value."""
 
 
 class SelectionError(ValueError):
@@ -41,3 +43,10 @@ class UndefinedModelError(ValueError):
 
 class DegenerateDataError(ValueError):
     """Raised by rank statistics when every observation is identical."""
+
+
+def failure_message(exc: BaseException) -> str:
+    """A failed scan's or experiment's message as its error line and report
+    show it: a ValueError's or OSError's own message, which names its cause,
+    and any other exception's prefixed by its type name."""
+    return str(exc) if isinstance(exc, (ValueError, OSError)) else f"{type(exc).__name__}: {exc}"

@@ -83,6 +83,7 @@ def extract_all(
     non-finite entries.  Arithmetic that leaves the float64 range raises
     FeatureRangeError naming the lesion and the cause.
     """
+    lesion = lesion_id or f"label {region.label}"
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             d = discretize(region, bin_width)
@@ -97,7 +98,6 @@ def extract_all(
                 ngtdm_features(d),
             )
     except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-        lesion = lesion_id or f"label {region.label}"
         raise FeatureRangeError(f"lesion {lesion}: arithmetic leaves the float64 range: {exc}") from exc
     values = {
         f"{family}_{name}": float(result[name])
@@ -105,8 +105,8 @@ def extract_all(
         for name in names
     }
     bad = [k for k, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise RuntimeError(f"non-finite feature values for {bad}")
+    if bad:  # a Python float product overflows to inf without raising
+        raise FeatureRangeError(f"lesion {lesion}: non-finite feature values for {bad}")
     return FeatureVector(values=values, lesion_id=lesion_id)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import GROUP_PRESETS, Dataset, columns_for_groups
+from .dataio import GROUP_PRESETS, Dataset, class_ids, columns_for_groups
 from .features import family_counts
 from .pls import PlsModel, fit_pls, predict, predict_each_component_count
 from .pls import select_features_vip, vip_scores
@@ -56,7 +56,7 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     If the smallest class has fewer than ``k`` members the fold count is
     reduced to that size (two at minimum).
     """
-    y = np.asarray(y, dtype=int)
+    y = class_ids(y)
     if y.size == 0:
         raise ValueError("cross-validation needs at least one label")
     classes, counts = np.unique(y, return_counts=True)

@@ -40,7 +40,6 @@ LENS_RATIO = (0.40, 0.55)
 BLOB_AXIS = (6.5, 9.0)
 BLOB_RATIO = (0.72, 1.0)
 NOISE_SIGMA = {1: 2.0, 2: 11.0, 3: 26.0}  # per class: shell, lens, blob
-MIN_VOXELS = 40
 
 
 @dataclass
@@ -110,8 +109,6 @@ def _lesion_mask(class_id: int, rng: np.random.Generator) -> tuple[np.ndarray, t
 
 def _make_scan(scan_id: str, class_id: int, rng: np.random.Generator) -> PhantomScan:
     lesion, box, side = _lesion_mask(class_id, rng)
-    while lesion.sum() < MIN_VOXELS:
-        lesion, box, side = _lesion_mask(class_id, rng)
     data = rng.normal(BACKGROUND_MEAN, BACKGROUND_SIGMA, size=(side,) * 3).astype(IMAGE_DTYPE)
     base = rng.uniform(*BASE_HU)
     # the box is a view in the cube's C order: the draws land on the voxels of the whole-cube mask

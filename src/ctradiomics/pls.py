@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_json
+from .dataio import class_ids, write_json
 from .errors import SelectionError, UndefinedModelError
 
 
@@ -48,7 +48,7 @@ class PlsModel:
 
 def encode_dummy(y, n_classes: int) -> np.ndarray:
     """One-hot class membership matrix: Y[i, k] = 1 iff y[i] == k+1."""
-    y = np.asarray(y, dtype=int)
+    y = class_ids(y)
     if y.ndim != 1:
         raise ValueError("class ids must be a 1D sequence")
     if y.min() < 1 or y.max() > n_classes:
@@ -86,6 +86,8 @@ def fit_pls(x, y, n_components: int, feature_names=None) -> PlsModel:
     prediction.  If X deflates to zero early, or keeps no covariance with Y,
     the model simply keeps the components found so far.
     """
+    if len(y) != len(x):
+        raise ValueError(f"{len(y)} class ids for {len(x)} feature rows")
     xs, mean, scale = autoscale(x)
     yd = encode_dummy(y, int(np.max(y)))
     n, p = xs.shape

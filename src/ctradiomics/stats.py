@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -21,24 +20,9 @@ from .dataio import Dataset
 from .errors import DegenerateDataError
 
 
-@dataclass
-class PairwiseResult:
-    group_i: int
-    group_j: int
-    z: float
-    p_value: float
-
-
-@dataclass
-class TestResult:
-    statistic: float
-    p_value: float
-    pairwise: list[PairwiseResult]
-
-
-def _ranks_and_ties(groups) -> tuple[list[np.ndarray], float, int]:
-    """Mid-ranks per group plus the tie-correction sum and total N."""
-    pooled = np.concatenate(groups)
+def _ranks_and_ties(groups, pooled) -> tuple[list[np.ndarray], float, int]:
+    """Mid-ranks per group plus the tie-correction sum and total N, ranking
+    ``pooled``, the groups concatenated."""
     # asking for first indices makes the sort stable: NaNs rank in input order
     _, _, tie_of, counts = np.unique(pooled, return_index=True, return_inverse=True, return_counts=True, equal_nan=False)
     # the t tied values at sorted 1-based ranks end - t + 1 .. end share their mean
@@ -47,10 +31,11 @@ def _ranks_and_ties(groups) -> tuple[list[np.ndarray], float, int]:
     return np.split(ranks, np.cumsum([len(g) for g in groups[:-1]])), tie_sum, len(pooled)
 
 
-def _check_groups(groups) -> list[np.ndarray]:
-    """The groups as float arrays.  The one degenerate-data check: past it the
-    values form two or more tie groups, so sum(t^3 - t) < N^3 - N and both the
-    KW tie correction and Dunn's rank variance are positive."""
+def _check_groups(groups) -> tuple[list[np.ndarray], np.ndarray]:
+    """The groups as float arrays, and those arrays pooled in order.  The one
+    degenerate-data check: past it the values form two or more tie groups, so
+    sum(t^3 - t) < N^3 - N and both the KW tie correction and Dunn's rank
+    variance are positive."""
     groups = [np.asarray(g, dtype=np.float64).ravel() for g in groups]
     if len(groups) < 2:
         raise ValueError("need at least two groups")
@@ -62,7 +47,7 @@ def _check_groups(groups) -> list[np.ndarray]:
     pooled = np.concatenate(groups)
     if np.all(pooled == pooled[0]):
         raise DegenerateDataError("all observations are identical")
-    return groups
+    return groups, pooled
 
 
 def chi_square_tail(x: float, df: int) -> float:
@@ -83,28 +68,28 @@ def chi_square_tail(x: float, df: int) -> float:
     return q
 
 
-def kruskal_wallis(groups) -> TestResult:
-    """Kruskal-Wallis H with tie correction, p from the chi-square tail, and
-    Dunn's pairwise z on the same pooled mid-ranks (two-tailed p), for every
-    pair of groups i < j in that order.
+def kruskal_wallis(groups) -> tuple[float, float, list[tuple[float, float]]]:
+    """(H, p, pairs): Kruskal-Wallis H with tie correction, p from the
+    chi-square tail, and the (z, p) of Dunn's test on the same pooled
+    mid-ranks (two-tailed p) for every pair of groups i < j, in
+    ``itertools.combinations`` order.
 
     H = [12/(N(N+1)) sum R_i^2/n_i - 3(N+1)] / (1 - sum(t^3-t)/(N^3-N));
     z_ij = (mean R_i - mean R_j) / sqrt((N(N+1)/12 - sum(t^3-t)/(12(N-1))) (1/n_i + 1/n_j)).
     """
-    groups = _check_groups(groups)
-    group_ranks, tie_sum, n = _ranks_and_ties(groups)
+    groups, pooled = _check_groups(groups)
+    group_ranks, tie_sum, n = _ranks_and_ties(groups, pooled)
     h = 12.0 / (n * (n + 1)) * sum(r.sum() ** 2 / len(r) for r in group_ranks) - 3.0 * (n + 1)
     h /= 1.0 - tie_sum / (n**3 - n)
     df = len(groups) - 1
     p = chi_square_tail(max(h, 0.0), df)
     variance = n * (n + 1) / 12.0 - tie_sum / (12.0 * (n - 1))
     means = [r.mean() for r in group_ranks]
-    pairwise = []
+    pairs = []
     for i, j in combinations(range(len(groups)), 2):
-        z = (means[i] - means[j]) / math.sqrt(variance * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
-        p_ij = math.erfc(abs(z) / math.sqrt(2.0))  # two-tailed standard normal
-        pairwise.append(PairwiseResult(group_i=i, group_j=j, z=float(z), p_value=p_ij))
-    return TestResult(statistic=float(h), p_value=p, pairwise=pairwise)
+        z = float((means[i] - means[j]) / math.sqrt(variance * (1.0 / len(groups[i]) + 1.0 / len(groups[j]))))
+        pairs.append((z, math.erfc(abs(z) / math.sqrt(2.0))))  # two-tailed standard normal
+    return float(h), p, pairs
 
 
 def benjamini_hochberg(p_values, q: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
@@ -178,18 +163,18 @@ def feature_group_report(
     rows: list[list] = []
     families: list[list[tuple[list, int]]] = []  # (row, index of its z cell) per Dunn pair
     for f, feature in enumerate(features):
-        try:
-            omnibus = kruskal_wallis([x_c[:, f] for x_c in by_class])
-        except DegenerateDataError:
-            omnibus = None
-        row = [feature, omnibus is None] + [None] * (2 + 4 * len(pairs)) + [s[f] for s in summaries]
-        if omnibus is not None:
-            row[2:4] = omnibus.statistic, omnibus.p_value
-            if omnibus.p_value <= alpha:
-                for k, pr in enumerate(omnibus.pairwise):
-                    row[4 + 4 * k : 6 + 4 * k] = pr.z, pr.p_value
-                families.append([(row, 4 + 4 * k) for k in range(len(pairs))])
+        row = [feature, False] + [None] * (2 + 4 * len(pairs)) + [s[f] for s in summaries]
         rows.append(row)
+        try:
+            h, p, dunn = kruskal_wallis([x_c[:, f] for x_c in by_class])
+        except DegenerateDataError:
+            row[1] = True
+            continue
+        row[2:4] = h, p
+        if p <= alpha:
+            for k, z_p in enumerate(dunn):
+                row[4 + 4 * k : 6 + 4 * k] = z_p
+            families.append([(row, 4 + 4 * k) for k in range(len(pairs))])
     if global_family:
         families = [[cell for family in families for cell in family]]
     for family in families:

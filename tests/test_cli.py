@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctradiomics import cli, model_selection as ms, pls
+from ctradiomics import cli, dataio, model_selection as ms, pls
 from ctradiomics.cli import main
 from ctradiomics.dataio import read_features_csv, write_features_csv
 from ctradiomics.volume_io import write_nifti
@@ -254,6 +254,21 @@ def test_stats_command(workspace, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("feature,degenerate,H,p_value")
+
+
+def test_stats_global_family_with_no_feature_past_alpha(workspace, tmp_path):
+    # the global BH family is empty: every Dunn cell stays empty
+    out = tmp_path / "stats.csv"
+    argv = ["stats", "--features", str(workspace / "train.csv"), "--out", str(out)]
+    assert main(argv + ["--global-family", "--alpha", "1e-300"]) == 0
+    lines = out.read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert len(rows) == 105
+    dunn = range(4, header.index("median_c1"))  # z, p, p_adj and rejected of each class pair
+    assert len(dunn) == 12
+    assert all(row[k] == "" for row in rows for k in dunn)
+    tested = [row for row in rows if row[1] == "false"]
+    assert tested and all(float(row[3]) > 1e-300 for row in tested)
 
 
 @pytest.mark.parametrize(
@@ -543,6 +558,38 @@ def test_extract_reruns_only_the_scan_whose_worker_died(tmp_path, capsys, monkey
     assert [line.split(":")[1] for line in errors] == [" scan scan3", " scan broken"]
     counts = {marker.name: len(marker.read_text().splitlines()) for marker in runs.iterdir()}
     assert counts == {"mask3.nii": 2, "small_mask.nii": 1, **{f"mask{i}.nii": 1 for i in (0, 1, 2, 4, 5)}}
+
+
+@pytest.mark.parametrize(
+    "jobs",
+    [
+        "1",
+        pytest.param(
+            "2",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork", reason="the patched reader reaches workers by fork"
+            ),
+        ),
+    ],
+)
+def test_extract_names_the_type_of_an_unexpected_failure(tmp_path, capsys, monkeypatch, jobs):
+    # a ValueError names its cause and keeps its message; another exception
+    # would print only its argument, so its type name leads the line
+    manifest = _batch_manifest(tmp_path, n_good=2)
+    with pytest.raises(ValueError) as broken:
+        cli._extract_scan(dataio.read_manifest(manifest)[-1], 25.0, 3.0)
+    read_volume = cli.read_volume
+
+    def fails_on_scan1(path):
+        if path.name == "image1.nii":
+            raise KeyError("boom")
+        return read_volume(path)
+
+    monkeypatch.setattr(cli, "read_volume", fails_on_scan1)
+    argv = ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv"), "--spacing", "3"]
+    assert main(argv + ["--jobs", jobs]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: scan scan1: KeyError: 'boom'", f"error: scan broken: {broken.value}"]
 
 
 def test_extract_replaces_a_worker_killed_while_idle(tmp_path, capsys, monkeypatch):
@@ -858,6 +905,19 @@ def test_experiments_record_each_failed_experiment(workspace, tmp_path, capsys):
     assert all("no feature has VIP > 50" in f["error"] for f in doc["failures"])
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": ")[1] for line in err] == [f"experiment {k}" for k in (2, 3, 4, 5)]
+
+
+def test_experiments_name_the_type_of_an_unexpected_failure(workspace, tmp_path, capsys, monkeypatch):
+    def fails(train, spec):
+        raise KeyError(f"boom {spec.experiment_id}")
+
+    monkeypatch.setattr(ms, "fit_experiment", fails)
+    out = tmp_path / "experiments.json"
+    argv = ["experiments", "--train", str(workspace / "train.csv"), "--test", str(workspace / "test.csv")]
+    assert main(argv + ["--out", str(out)]) == 1
+    messages = [f"KeyError: 'boom {k}'" for k in range(1, 6)]
+    assert json.loads(out.read_text())["failures"] == [{"experiment": k, "error": m} for k, m in enumerate(messages, 1)]
+    assert capsys.readouterr().err.splitlines() == [f"error: experiment {k}: {m}" for k, m in enumerate(messages, 1)]
 
 
 def test_evaluate_reports_the_loaded_model(workspace, tmp_path):

@@ -283,3 +283,12 @@ class TestManifest:
         path.write_text("scan_id,image_path,mask_path,class_map\n")
         with pytest.raises(ValueError, match="no scans"):
             dataio.read_manifest(path)
+
+
+def test_dataset_class_ids_are_whole_numbers():
+    x = np.zeros((6, 1))
+    with pytest.raises(ValueError, match="^class id 1.5 is not a whole number$"):
+        dataio.Dataset(x=x, y=[1.5, 2.5, 1, 2, 1, 2], feature_names=("f",))
+    ds = dataio.Dataset(x=x, y=[1.0, 2.0, 1, 2, 1, 2], feature_names=("f",))
+    assert ds.y.dtype.kind == "i"
+    assert ds.y.tolist() == [1, 2, 1, 2, 1, 2]

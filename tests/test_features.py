@@ -331,8 +331,25 @@ class TestExtractAll:
             return {**ngtdm(d), "Busyness": float("nan")}
 
         monkeypatch.setattr(features, "ngtdm_features", busyness_nan)
-        with pytest.raises(RuntimeError, match=r"non-finite feature values for \['ngtdm_Busyness'\]"):
+        with pytest.raises(FeatureRangeError, match=r"non-finite feature values for \['ngtdm_Busyness'\]"):
             extract_all(random_blob_region(seed=1))
+
+    def test_a_python_float_overflow_is_a_typed_error(self):
+        # TotalEnergy's Python float product overflows to inf without raising
+        cube = LesionRegion(np.argwhere(np.ones((4, 4, 4), dtype=bool)), np.full(64, 1e153), (3.0, 1.0, 1.0), label=3)
+        for lesion_id, named in (("scan/3", "scan/3"), ("", "label 3")):
+            with pytest.raises(FeatureRangeError) as info:
+                extract_all(cube, lesion_id=lesion_id)
+            assert str(info.value) == f"lesion {named}: non-finite feature values for ['fos_TotalEnergy']"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_line_too_thin_for_its_covariance_gets_the_compact_axes(self, n):
+        # along z at 1e-162 mm the covariance underflows to zero, so the
+        # axis lengths take the zero-covariance fallback
+        line = LesionRegion([[0, 0, k] for k in range(n)], np.full(n, 50.0), (1.0, 1.0, 1e-162))
+        values = extract_all(line).values
+        assert values["shape_MajorAxisLength"] == 0.0
+        assert values["shape_Elongation"] == values["shape_Flatness"] == 1.0
 
     @pytest.mark.parametrize(
         "hu, bin_width, spacing, cause_type, cause",

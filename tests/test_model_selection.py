@@ -82,6 +82,13 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError, match="at least two members"):
             ms.stratified_kfold(np.array([1, 2, 3]), 5, seed=0)
 
+    def test_fractional_class_id_rejected(self):
+        with pytest.raises(ValueError, match="^class id 1.5 is not a whole number$"):
+            ms.stratified_kfold([1.5, 1.2, 2.7, 2.1], 2, seed=0)
+        assert [f.tolist() for f in ms.stratified_kfold([1.0, 1.0, 2.0, 2.0], 2, seed=0)] == [
+            f.tolist() for f in ms.stratified_kfold([1, 1, 2, 2], 2, seed=0)
+        ]
+
     def test_no_labels_rejected(self):
         with pytest.raises(ValueError, match="^cross-validation needs at least one label$"):
             ms.stratified_kfold(np.array([], dtype=int), 5, seed=0)

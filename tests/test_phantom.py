@@ -218,3 +218,12 @@ def test_planted_features_separate_classes(small_dataset):
         spread = max(g.mean() for g in groups) - min(g.mean() for g in groups)
         pooled_sd = np.concatenate(groups).std()
         assert spread > 0.5 * pooled_sd, name
+
+
+@pytest.mark.parametrize("class_id", [1, 2, 3])
+def test_every_draw_holds_a_lesion_of_some_size(class_id):
+    # the shape constants leave no room for a small lesion (the smallest of
+    # 5,000 draws per class held 328, 577 and 633 voxels), so no draw is retried
+    rng = np.random.default_rng(class_id)
+    sizes = [int(phantom._lesion_mask(class_id, rng)[0].sum()) for _ in range(300)]
+    assert min(sizes) >= 40

@@ -29,6 +29,36 @@ class TestEncodeDummy:
         with pytest.raises(ValueError):
             pls.encode_dummy([1, 4], 3)
 
+    def test_fractional_id_rejected_and_whole_float_kept(self):
+        with pytest.raises(ValueError, match="^class id 2.5 is not a whole number$"):
+            pls.encode_dummy([1, 2.5], 3)
+        assert np.array_equal(pls.encode_dummy([1.0, 2.0], 2), np.eye(2))
+
+
+class TestFitPlsInputs:
+    def test_fractional_class_id_rejected(self):
+        x = np.random.default_rng(0).normal(size=(6, 3))
+        with pytest.raises(ValueError, match="^class id 1.5 is not a whole number$"):
+            pls.fit_pls(x, [1.5, 2.5, 1, 2, 1, 2], 1)
+
+    @pytest.mark.parametrize("n_ids", [5, 7])
+    def test_one_class_id_per_row(self, n_ids):
+        x = np.random.default_rng(0).normal(size=(6, 3))
+        with pytest.raises(ValueError, match=f"^{n_ids} class ids for 6 feature rows$"):
+            pls.fit_pls(x, ([1, 2] * 4)[:n_ids], 1)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.random.default_rng(1).normal(size=(6, 3)), [1] * 6),  # Y is constant once centred
+            (np.ones((6, 3)), [1, 2, 1, 2, 1, 2]),  # X is zero once centred
+        ],
+        ids=["one-class", "constant-x"],
+    )
+    def test_no_component_is_undefined(self, x, y):
+        with pytest.raises(UndefinedModelError, match="^no PLS component could be extracted$"):
+            pls.fit_pls(x, y, 1)
+
 
 class TestAutoscale:
     def test_two_point_column(self):

@@ -14,28 +14,28 @@ from ctradiomics import stats
 
 class TestKruskalWallis:
     def test_worked_example(self):
-        r = stats.kruskal_wallis([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert r.statistic == pytest.approx(7.2, abs=1e-12)
-        assert 0.0 < r.p_value < 0.05
+        h, p, _ = stats.kruskal_wallis([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert h == pytest.approx(7.2, abs=1e-12)
+        assert 0.0 < p < 0.05
 
     def test_equal_rank_sums_give_zero(self):
-        r = stats.kruskal_wallis([[1, 4], [2, 3]])
-        assert r.statistic == pytest.approx(0.0, abs=1e-12)
-        assert r.p_value == pytest.approx(1.0)
+        h, p, _ = stats.kruskal_wallis([[1, 4], [2, 3]])
+        assert h == pytest.approx(0.0, abs=1e-12)
+        assert p == pytest.approx(1.0)
 
     def test_shift_invariance(self):
         groups = [[1.0, 5.0, 2.2], [4.0, 0.5], [9.0, 3.3, 8.1]]
-        a = stats.kruskal_wallis(groups).statistic
-        b = stats.kruskal_wallis([[v + 137.0 for v in g] for g in groups]).statistic
+        a, _, _ = stats.kruskal_wallis(groups)
+        b, _, _ = stats.kruskal_wallis([[v + 137.0 for v in g] for g in groups])
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         groups = [rng.normal(size=7) for _ in range(3)]
-        a = stats.kruskal_wallis(groups)
-        b = stats.kruskal_wallis([np.exp(g) for g in groups])
-        assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
-        assert a.p_value == pytest.approx(b.p_value, abs=1e-12)
+        h_a, p_a, _ = stats.kruskal_wallis(groups)
+        h_b, p_b, _ = stats.kruskal_wallis([np.exp(g) for g in groups])
+        assert h_a == pytest.approx(h_b, abs=1e-12)
+        assert p_a == pytest.approx(p_b, abs=1e-12)
 
     def test_matches_scipy_with_ties(self):
         rng = np.random.default_rng(1)
@@ -43,17 +43,17 @@ class TestKruskalWallis:
             groups = [np.round(rng.normal(size=rng.integers(3, 9)), 1) for _ in range(3)]
             if np.all(np.concatenate(groups) == np.concatenate(groups)[0]):
                 continue
-            mine = stats.kruskal_wallis(groups)
+            h, p, _ = stats.kruskal_wallis(groups)
             ref = scipy.stats.kruskal(*groups)
-            assert mine.statistic == pytest.approx(ref.statistic, rel=1e-12)
-            assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+            assert h == pytest.approx(ref.statistic, rel=1e-12)
+            assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
     def test_h_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             groups = [rng.integers(0, 4, size=5).astype(float) for _ in range(3)]
             try:
-                assert stats.kruskal_wallis(groups).statistic >= -1e-12
+                assert stats.kruskal_wallis(groups)[0] >= -1e-12
             except DegenerateDataError:
                 pass
 
@@ -90,14 +90,15 @@ def test_tie_correction_and_rank_variance_positive_past_the_check(groups):
     # few distinct values, so heavy ties: once _check_groups passes, the
     # pooled values form two or more tie groups, and both denominators stay > 0
     try:
-        checked = stats._check_groups(groups)
+        checked, pooled = stats._check_groups(groups)
     except ValueError:  # DegenerateDataError among them
         return
-    _, tie_sum, n = stats._ranks_and_ties(checked)
+    _, tie_sum, n = stats._ranks_and_ties(checked, pooled)
     assert 1.0 - tie_sum / (n**3 - n) > 0.0
     assert n * (n + 1) / 12.0 - tie_sum / (12.0 * (n - 1)) > 0.0
-    assert np.isfinite(stats.kruskal_wallis(groups).statistic)
-    assert all(np.isfinite(pr.z) for pr in stats.kruskal_wallis(groups).pairwise)
+    h, _, dunn = stats.kruskal_wallis(groups)
+    assert np.isfinite(h)
+    assert all(np.isfinite(z) for z, _ in dunn)
 
 
 class TestChiSquareTail:
@@ -122,25 +123,29 @@ class TestChiSquareTail:
 
 class TestDunn:
     def test_worked_example(self):
-        res = stats.kruskal_wallis([[1, 2], [3, 4]]).pairwise
+        res = stats.kruskal_wallis([[1, 2], [3, 4]])[2]
         assert len(res) == 1
-        assert res[0].z == pytest.approx(-1.549193338482967, abs=1e-3)
-        assert res[0].p_value == pytest.approx(0.1213, abs=2e-4)
+        z, p = res[0]
+        assert z == pytest.approx(-1.549193338482967, abs=1e-3)
+        assert p == pytest.approx(0.1213, abs=2e-4)
 
     def test_identical_mean_ranks(self):
-        res = stats.kruskal_wallis([[1.0, 4.0], [2.0, 3.0]]).pairwise
-        assert res[0].z == pytest.approx(0.0, abs=1e-12)
-        assert res[0].p_value == pytest.approx(1.0)
+        [(z, p)] = stats.kruskal_wallis([[1.0, 4.0], [2.0, 3.0]])[2]
+        assert z == pytest.approx(0.0, abs=1e-12)
+        assert p == pytest.approx(1.0)
 
     def test_swapping_groups_negates_z(self):
-        a = stats.kruskal_wallis([[1, 2, 5], [3, 4]]).pairwise[0]
-        b = stats.kruskal_wallis([[3, 4], [1, 2, 5]]).pairwise[0]
-        assert a.z == pytest.approx(-b.z, abs=1e-12)
-        assert a.p_value == pytest.approx(b.p_value, abs=1e-12)
+        z_a, p_a = stats.kruskal_wallis([[1, 2, 5], [3, 4]])[2][0]
+        z_b, p_b = stats.kruskal_wallis([[3, 4], [1, 2, 5]])[2][0]
+        assert z_a == pytest.approx(-z_b, abs=1e-12)
+        assert p_a == pytest.approx(p_b, abs=1e-12)
 
     def test_three_groups_yield_three_pairs(self):
-        res = stats.kruskal_wallis([[1, 2], [3, 4], [5, 6]]).pairwise
-        assert [(r.group_i, r.group_j) for r in res] == [(0, 1), (0, 2), (1, 2)]
+        # pairs (0, 1), (0, 2), (1, 2): mean ranks 1.5, 3.5, 5.5 are a step of 2 apart
+        zs = [z for z, _ in stats.kruskal_wallis([[1, 2], [3, 4], [5, 6]])[2]]
+        a = -zs[0]
+        assert a > 0.0
+        assert zs == pytest.approx([-a, -2 * a, -a], rel=1e-12)
 
 
 class TestBenjaminiHochberg:
@@ -296,22 +301,22 @@ def test_report_cells_equal_the_per_feature_api(classes, global_family):
             assert cells[f"median_c{c}"] == float(np.median(g))
             assert cells[f"iqr_c{c}"] == np.percentile(g, 75) - np.percentile(g, 25)
         try:
-            omnibus = stats.kruskal_wallis(groups)
+            h, p, dunn = stats.kruskal_wallis(groups)
         except DegenerateDataError:
             outcomes.add("degenerate")
             assert cells["degenerate"] is True
             assert all(cells[name] is None for name in header[2 : 4 + 4 * len(pairs)])
             continue
         assert cells["degenerate"] is False
-        assert (cells["H"], cells["p_value"]) == (omnibus.statistic, omnibus.p_value)
-        assert len(omnibus.pairwise) == len(pairs)
-        if omnibus.p_value > 0.05:
+        assert (cells["H"], cells["p_value"]) == (h, p)
+        assert len(dunn) == len(pairs)
+        if p > 0.05:
             outcomes.add("not significant")
             assert all(cells[name] is None for name in header[4 : 4 + 4 * len(pairs)])
             continue
         outcomes.add("significant")
-        for pair, pr in zip(pairs, omnibus.pairwise):
-            assert (cells[f"z_{pair}"], cells[f"p_{pair}"]) == (pr.z, pr.p_value)
+        for pair, z_p in zip(pairs, dunn):
+            assert (cells[f"z_{pair}"], cells[f"p_{pair}"]) == z_p
         families.append([(cells, pair) for pair in pairs])
     assert outcomes == {"degenerate", "not significant", "significant"}
     assert len(families) >= 2  # pooling them changes the family

@@ -581,6 +581,14 @@ class TestGeometry:
         with pytest.raises(ValueError, match="origin must be finite"):
             LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=(1, 1, 1), origin=(0.0, 0.0, bad))
 
+    def test_int64_data_is_held_as_float64(self):
+        # NIfTI-1 stores no int64, so the payload is the same values widened
+        data = np.arange(-4, 4, dtype=np.int64).reshape(2, 2, 2) * 10**6
+        vol = VoxelVolume(data=data, spacing=(1, 1, 1))
+        assert vol.payload.dtype == np.float64
+        assert np.array_equal(vol.payload, data)
+        assert np.array_equal(vol.data, data)
+
     def test_geometry_is_held_as_floats(self):
         vol = VoxelVolume(data=np.zeros((2, 2, 2)), spacing=(1, 2, 3), origin=np.array([4, 5, 6]))
         mask = LesionMask(labels=np.zeros((2, 2, 2), dtype=np.int32), spacing=[1, 2, 3], origin=(4, 5, 6))

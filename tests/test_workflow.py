@@ -57,6 +57,13 @@ def test_tier1_lists_its_slowest_tests():
     assert len(runs) == 1 and "--durations=10" in runs[0].split()
 
 
+def test_dev_mode_runs_tier1_with_resource_warnings_as_errors():
+    steps = jobs(WORKFLOW.read_text())["dev-mode"]["steps"]
+    runs = [step["run"].split() for step in steps if "pytest" in step.get("run", "")]
+    assert len(runs) == 1
+    assert runs[0][1:] == ["python", "-X", "dev", "-m", "pytest", "-q", "-W", "error::ResourceWarning"]
+
+
 def test_blas_margin_runs_the_golden_tests_under_the_prescott_kernel():
     # the golden outputs move under another OpenBLAS kernel; this job fails
     # when a move reaches test_golden.py's REL
