@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path, help="output CSV")
     p.add_argument("--features-list", help="comma-separated feature subset (default: all)")
-    p.add_argument("--alpha", type=_positive(float, most=1.0), default=0.05)
-    p.add_argument("--q", type=_positive(float, most=1.0), default=0.05)
+    p.add_argument("--alpha", type=_positive(float, most=1.0), default=argparse.SUPPRESS)
+    p.add_argument("--q", type=_positive(float, most=1.0), default=argparse.SUPPRESS)
     p.add_argument("--global-family", action="store_true", help="one FDR family across all features")
 
     p = sub.add_parser("phantom", help="write synthetic image/mask pairs plus a manifest")
@@ -338,9 +338,8 @@ def cmd_stats(args) -> int:
     features = None
     if args.features_list is not None:
         features = [f.strip() for f in args.features_list.split(",") if f.strip()]
-    header, rows = st.feature_group_report(
-        dataset, features=features, alpha=args.alpha, q=args.q, global_family=args.global_family
-    )
+    levels = {k: v for k, v in vars(args).items() if k in ("alpha", "q")}  # left out: the report's defaults
+    header, rows = st.feature_group_report(dataset, features=features, global_family=args.global_family, **levels)
     dataio.write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,10 +122,37 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _check_header(path, header) -> None:
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise ValueError(f"{path}: the header names {', '.join(repeated)} more than once")
+@contextmanager
+def _csv_rows(path, key: str):
+    """The header and an iterator of (line, cells) rows of a CSV input, whose
+    caller checks the columns before any row is read.  The file is read as
+    UTF-8 with a BOM (as Excel writes) skipped.  An empty file, a header that
+    names a column twice, a row whose cell count is not the header's and an
+    empty or repeated ``key`` cell raise ValueError naming the path."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ValueError(f"{path}: the header names {', '.join(repeated)} more than once")
+
+        def rows():
+            column, line_of = header.index(key), {}
+            for cells in reader:
+                line = reader.line_num
+                if len(cells) != len(header):
+                    raise ValueError(f"{path}: line {line} has {len(cells)} cells but the header has {len(header)}")
+                value = cells[column]
+                if not value:
+                    raise ValueError(f"{path}: line {line} has an empty {key}")
+                if value in line_of:  # e.g. one lesion in a training fold and in its held-out fold
+                    raise ValueError(f"{path}: {key} {value!r} on line {line} repeats line {line_of[value]}")
+                line_of[value] = line
+                yield line, cells
+
+        yield header, rows()
 
 
 def write_features_csv(path, records) -> None:
@@ -149,34 +177,20 @@ def _bad_cell(header, row) -> str:
 
 
 def read_features_csv(path) -> Dataset:
-    """Load a feature CSV; the class column may be empty (unlabeled data).
-
-    A header-only file (what ``extract`` writes when every scan fails) reads
-    as a 0-row dataset with an empty class column.  A repeated column, a row
-    with the wrong cell count, a repeated lesion_id, a cell that does not parse
-    or is not finite, a class outside ``CLASS_IDS`` and a class column empty on
-    some lines only are rejected.
-    """
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM, as Excel writes, is skipped
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty feature file")
+    """Load a feature CSV, its rows keyed by lesion_id.  The class column may
+    be empty (unlabeled data), and a header-only file (what ``extract`` writes
+    when every scan fails) reads as a 0-row dataset with an empty class column.
+    Past ``_csv_rows``' rules, a header without the id columns or a feature
+    column, a cell that does not parse or is not finite, a class outside
+    ``CLASS_IDS`` and a class column empty on some lines only are rejected."""
+    with _csv_rows(path, "lesion_id") as (header, rows):
         if tuple(header[:3]) != ID_COLUMNS:
             raise ValueError(f"{path}: expected id columns {ID_COLUMNS}, got {tuple(header[:3])}")
-        _check_header(path, header)
         feature_names = tuple(header[3:])
         if not feature_names:
             raise ValueError(f"{path}: no feature columns")
-        line_of, scan_ids, classes, x, unlabelled = {}, [], [], [], []
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line} has {len(row)} cells but the header has {len(header)}"
-                )
-            if row[0] in line_of:  # one lesion in a training fold and in its held-out fold
-                raise ValueError(f"{path}: lesion_id {row[0]!r} on line {line} repeats line {line_of[row[0]]}")
+        lesion_ids, scan_ids, classes, x, unlabelled = [], [], [], [], []
+        for line, row in rows:
             try:
                 classes.append(int(row[2]) if row[2] else None)
                 x.append([float(v) for v in row[3:]])
@@ -187,13 +201,13 @@ def read_features_csv(path) -> Dataset:
                 raise ValueError(f"{path}: line {line}: {_bad_cell(header, row)}") from None
             if not row[2]:
                 unlabelled.append(line)
-            line_of[row[0]] = line
+            lesion_ids.append(row[0])
             scan_ids.append(row[1])
     if 0 < len(unlabelled) < len(classes):  # an empty class column is unlabelled data, a partly empty one an error
         raise ValueError(f"{path}: line {unlabelled[0]} has no class, but other lines do")
     y = None if unlabelled else np.array(classes, dtype=int)
     x = np.array(x, dtype=np.float64).reshape(len(x), len(feature_names))
-    return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=tuple(line_of), scan_ids=tuple(scan_ids))
+    return Dataset(x=x, y=y, feature_names=feature_names, lesion_ids=tuple(lesion_ids), scan_ids=tuple(scan_ids))
 
 
 @dataclass
@@ -224,47 +238,24 @@ def _parse_class_map(cell: str) -> dict[int, int]:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    """Read a batch manifest CSV: scan_id, image_path, mask_path, class_map.
-
-    The class_map cell holds semicolon-separated ``label=class`` pairs,
-    e.g. ``1=2;2=3``.  Relative paths resolve against the manifest location,
-    and a scan_id must be non-empty and appear on one line only.  A bad row,
-    including one with more or fewer cells than the header, is rejected with
-    its line number.
-    """
+    """Read a batch manifest CSV, its rows keyed by scan_id: scan_id,
+    image_path, mask_path, class_map.  The class_map cell holds
+    semicolon-separated ``label=class`` pairs, e.g. ``1=2;2=3``.  A relative
+    path is joined to the manifest's directory; an absolute one replaces it.
+    Past ``_csv_rows``' rules, a missing column, a bad class map (named with
+    its line) and a manifest with no rows are rejected."""
     base = Path(path).parent
     entries = []
-    line_of: dict[str, int] = {}
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:  # -sig: a BOM, as Excel writes, is skipped
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(MANIFEST_COLUMNS).issubset(reader.fieldnames):
+    with _csv_rows(path, "scan_id") as (header, rows):
+        if not set(MANIFEST_COLUMNS).issubset(header):
             raise ValueError(f"{path}: manifest needs columns {sorted(MANIFEST_COLUMNS)}")
-        _check_header(path, reader.fieldnames)
-        for row in reader:
-            line, scan_id = reader.line_num, row["scan_id"]
-            if None in row.values():
-                raise ValueError(f"{path}: line {line} has fewer cells than the header")
-            if None in row:  # DictReader files the surplus cells under the key None
-                raise ValueError(f"{path}: line {line} has more cells than the header")
-            if not scan_id:
-                raise ValueError(f"{path}: line {line} has an empty scan_id")
-            if scan_id in line_of:
-                raise ValueError(f"{path}: scan_id {scan_id!r} on line {line} repeats line {line_of[scan_id]}")
-            line_of[scan_id] = line
+        for line, cells in rows:
+            row = dict(zip(header, cells))
             try:
                 class_map = _parse_class_map(row["class_map"])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line}: {exc}") from None
-            image = Path(row["image_path"])
-            mask = Path(row["mask_path"])
-            entries.append(
-                ManifestEntry(
-                    scan_id=scan_id,
-                    image_path=image if image.is_absolute() else base / image,
-                    mask_path=mask if mask.is_absolute() else base / mask,
-                    class_map=class_map,
-                )
-            )
+            entries.append(ManifestEntry(row["scan_id"], base / row["image_path"], base / row["mask_path"], class_map))
     if not entries:
         raise ValueError(f"{path}: manifest lists no scans")
     return entries

@@ -51,6 +51,8 @@ def encode_dummy(y, n_classes: int) -> np.ndarray:
     y = class_ids(y)
     if y.ndim != 1:
         raise ValueError("class ids must be a 1D sequence")
+    if not len(y):
+        raise ValueError("there are no class ids to encode")
     if y.min() < 1 or y.max() > n_classes:
         raise ValueError(f"class ids must lie in 1..{n_classes}, got range {y.min()}..{y.max()}")
     out = np.zeros((len(y), n_classes), dtype=np.float64)

@@ -122,7 +122,7 @@ def feature_group_report(
     dataset: Dataset,
     features=None,
     alpha: float = 0.05,
-    q: float = 0.05,
+    q: float = benjamini_hochberg.__defaults__[0],  # its own default FDR level
     global_family: bool = False,
 ) -> tuple[list[str], list[list]]:
     """The ``stats`` table as (header, rows): per feature, the omnibus, the

@@ -396,9 +396,10 @@ def _axis_samples(d: int, s: float, t: float, start: int, stop: int):
     return x, np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1)
 
 
-def _axis_length(d: int, s: float, t: float) -> int:
-    """The output sample count of an axis of d voxels at spacing s resampled to t."""
-    return int(np.ceil(d * (s / t)))
+def _axis_length(d: int, s: float, t: float) -> float:
+    """The output sample count of an axis of d voxels at spacing s resampled
+    to t, as a Python float: inf past the float range, where int() raises."""
+    return float(np.ceil(d * (s / t)))
 
 
 def _output_box(vol: VoxelVolume, target: float, label: int, lo, hi) -> list[tuple[int, int]]:
@@ -423,7 +424,7 @@ def _output_box(vol: VoxelVolume, target: float, label: int, lo, hi) -> list[tup
         # sample o is nearest to index floor(o * target / s + 0.5), and every
         # sample past the last voxel centre to d - 1; one sample of margin on
         # each side absorbs the rounding of these products
-        n_out = _axis_length(d, s, target)
+        n_out = int(_axis_length(d, s, target))  # finite: the box is under the cap
         a = max(0, math.floor((first - 0.5) * (s / target)) - 1)
         b = n_out if last == d - 1 else min(n_out, math.ceil((last + 0.5) * (s / target)) + 1)
         box.append((a, b))
@@ -471,12 +472,17 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     Intensities are trilinearly interpolated; labels use nearest-neighbour
     so they stay crisp.  Output dims are ceil(dims * spacing / target) and
     samples beyond the last voxel centre clamp to the border voxel, so no
-    lesion voxel is lost at the boundary.  Origins are preserved.
+    lesion voxel is lost at the boundary.  Origins are preserved.  Output
+    dims whose float64 grid no array can hold raise GeometryError first.
     """
     new_spacing = _geometry((target,) * 3, ())[0]
     check_geometry(vol, mask)
     t = new_spacing[0]
-    grid = [_axis_samples(d, s, t, 0, _axis_length(d, s, t)) for d, s in zip(vol.dims, vol.spacing)]
+    dims = [_axis_length(d, s, t) for d, s in zip(vol.dims, vol.spacing)]
+    if 8.0 * math.prod(dims) > np.iinfo(np.intp).max:
+        shape = " x ".join(f"{n:.4g}" for n in dims)
+        raise GeometryError(f"resampling to {t:g} mm gives dims {shape}: over {np.iinfo(np.intp).max} bytes as float64")
+    grid = [_axis_samples(d, s, t, 0, int(n)) for d, s, n in zip(vol.dims, vol.spacing, dims)]
     new_vol = VoxelVolume(data=_trilinear(vol, *(x for x, _ in grid)), spacing=new_spacing, origin=vol.origin)
     new_mask = LesionMask(
         labels=mask.labels[np.ix_(*(n for _, n in grid))],

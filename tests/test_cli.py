@@ -1,6 +1,7 @@
 """The command-line pipeline end to end on a small phantom cohort."""
 
 import gzip
+import inspect
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctradiomics import cli, dataio, model_selection as ms, pls
+from ctradiomics import cli, dataio, model_selection as ms, pls, stats
 from ctradiomics.cli import main
 from ctradiomics.dataio import read_features_csv, write_features_csv
 from ctradiomics.volume_io import write_nifti
@@ -792,6 +793,19 @@ def test_non_finite_numbers_exit_2_at_parse_time(tmp_path, capsys, monkeypatch, 
     assert not any(tmp_path.iterdir())
 
 
+def test_stats_options_left_out_take_the_report_defaults(workspace, tmp_path):
+    # the defaults are feature_group_report's, and its q is benjamini_hochberg's
+    args = cli.build_parser().parse_args(["stats", "--features", "f.csv", "--out", "s.csv"])
+    assert "alpha" not in vars(args) and "q" not in vars(args)
+    report = inspect.signature(stats.feature_group_report).parameters
+    assert report["alpha"].default == report["q"].default == 0.05
+    assert inspect.signature(stats.benjamini_hochberg).parameters["q"].default == 0.05
+    argv = ["stats", "--features", str(workspace / "train.csv"), "--out"]
+    assert main(argv + [str(tmp_path / "left-out.csv")]) == 0
+    assert main(argv + [str(tmp_path / "given.csv"), "--alpha", "0.05", "--q", "0.05"]) == 0
+    assert (tmp_path / "left-out.csv").read_bytes() == (tmp_path / "given.csv").read_bytes()
+
+
 @pytest.mark.parametrize("option", ["--alpha", "--q"])
 @pytest.mark.parametrize("value", ["5", "1.5"])
 def test_probabilities_above_1_exit_2_at_parse_time(tmp_path, capsys, monkeypatch, option, value):
@@ -860,6 +874,38 @@ def test_header_only_csv_reports_no_lesion_rows(tmp_path, capsys, monkeypatch, a
     err = capsys.readouterr().err
     assert f"{features} has no lesion rows" in err
     assert "class column" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--features", "{unlabelled}", "--out", "model.json"], "training data has no class column"),
+        (
+            ["evaluate", "--features", "{unlabelled}", "--model", "model.json", "--out", "metrics.json"],
+            "evaluation data has no class column",
+        ),
+        (["stats", "--features", "{unlabelled}", "--out", "stats.csv"], "stats needs a class column"),
+        (
+            ["experiments", "--train", "{unlabelled}", "--test", "{labelled}", "--out", "report.json"],
+            "training data has no class column",
+        ),
+        (
+            ["experiments", "--train", "{labelled}", "--test", "{unlabelled}", "--out", "report.json"],
+            "test data has no class column",
+        ),
+    ],
+    ids=["train", "evaluate", "stats", "experiments-train", "experiments-test"],
+)
+def test_unlabelled_csv_exits_1_naming_the_missing_class(workspace, tmp_path, capsys, monkeypatch, argv, message):
+    labelled = workspace / "test.csv"
+    header, *rows = labelled.read_text().splitlines()
+    cells = [row.split(",", 3) for row in rows]
+    unlabelled = tmp_path / "unlabelled.csv"
+    unlabelled.write_text("".join(f"{line}\n" for line in [header, *(f"{a},{b},,{rest}" for a, b, _, rest in cells)]))
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(unlabelled=unlabelled, labelled=labelled) for arg in argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["unlabelled.csv"]
 
 
 @pytest.mark.parametrize("empty", ["train", "test"])

@@ -262,14 +262,14 @@ class TestManifest:
         path.write_text("scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=1\ns2,b.nii,m.nii\n")
         with pytest.raises(ValueError) as caught:
             dataio.read_manifest(path)
-        assert str(caught.value) == f"{path}: line 3 has fewer cells than the header"
+        assert str(caught.value) == f"{path}: line 3 has 3 cells but the header has 4"
 
     def test_long_row_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text("scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=1\ns2,b.nii,m.nii,1=1,extra\n")
         with pytest.raises(ValueError) as caught:
             dataio.read_manifest(path)
-        assert str(caught.value) == f"{path}: line 3 has more cells than the header"
+        assert str(caught.value) == f"{path}: line 3 has 5 cells but the header has 4"
 
     def test_empty_scan_id_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "manifest.csv"
@@ -285,6 +285,45 @@ class TestManifest:
             dataio.read_manifest(path)
 
 
+# each reader's header and one good row; both read through the same row reader
+_READERS = {
+    "features": (dataio.read_features_csv, "lesion_id", "lesion_id,scan_id,class,shape_MeshVolume", "a,s,1,1.0"),
+    "manifest": (dataio.read_manifest, "scan_id", "scan_id,image_path,mask_path,class_map", "a,a.nii,m.nii,1=1"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("empty", "empty file"),
+        ("repeated column", "the header names {key} more than once"),
+        ("short row", "line 3 has 3 cells but the header has 4"),
+        ("long row", "line 3 has 5 cells but the header has 4"),
+        ("blank line", "line 3 has 0 cells but the header has 4"),
+        ("empty key", "line 3 has an empty {key}"),
+        ("repeated key", "{key} 'a' on line 4 repeats line 2"),
+    ],
+)
+def test_both_readers_share_the_row_rules(tmp_path, reader, fault, message):
+    read, key, header, row = _READERS[reader]
+    other = row.replace("a", "b", 1)  # the good row under another key
+    text = {
+        "empty": "",
+        "repeated column": f"{header},{key}\n{row},x\n",
+        "short row": f"{header}\n{row}\n{other.rsplit(',', 1)[0]}\n",
+        "long row": f"{header}\n{row}\n{other},extra\n",
+        "blank line": f"{header}\n{row}\n\n{other}\n",
+        "empty key": f"{header}\n{row}\n{row[1:]}\n",
+        "repeated key": f"{header}\n{row}\n{other}\n{row}\n",
+    }[fault]
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
+        read(path)
+    assert str(caught.value) == f"{path}: " + message.format(key=key)
+
+
 def test_dataset_class_ids_are_whole_numbers():
     x = np.zeros((6, 1))
     with pytest.raises(ValueError, match="^class id 1.5 is not a whole number$"):
@@ -292,3 +331,44 @@ def test_dataset_class_ids_are_whole_numbers():
     ds = dataio.Dataset(x=x, y=[1.0, 2.0, 1, 2, 1, 2], feature_names=("f",))
     assert ds.y.dtype.kind == "i"
     assert ds.y.tolist() == [1, 2, 1, 2, 1, 2]
+
+
+def _written(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: dataio.Dataset(x=np.zeros(3), y=None, feature_names=("f",)), "^X must be 2D$"),
+        (
+            lambda tmp: dataio.Dataset(x=np.zeros((2, 2)), y=None, feature_names=("f",)),
+            "^column count does not match feature names$",
+        ),
+        (lambda tmp: dataio.Dataset(x=[[np.inf]], y=None, feature_names=("f",)), "^X contains non-finite values$"),
+        (lambda tmp: dataio.Dataset(x=np.zeros((2, 1)), y=[1], feature_names=("f",)), "^y length does not match X$"),
+        (
+            lambda tmp: dataio.read_features_csv(_written(tmp, "features.csv", "lesion_id,scan_id,class\na,s,1\n")),
+            r"features\.csv: no feature columns$",
+        ),
+        # both pairs of the cell are empty, and an empty pair is skipped
+        (
+            lambda tmp: dataio.read_manifest(
+                _written(tmp, "manifest.csv", "scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii, ; \n")
+            ),
+            r"manifest\.csv: line 2: empty label=class map cell: ' ; '$",
+        ),
+    ],
+    ids=["1D X", "column count", "non-finite X", "y length", "no feature columns", "empty class map"],
+)
+def test_each_rejected_input_names_its_fault(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
+def test_an_empty_class_map_pair_is_skipped(tmp_path):
+    path = _written(tmp_path, "manifest.csv", "scan_id,image_path,mask_path,class_map\ns1,a.nii,m.nii,1=2;;2=3;\n")
+    (entry,) = dataio.read_manifest(path)
+    assert entry.class_map == {1: 2, 2: 3}

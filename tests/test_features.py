@@ -22,8 +22,10 @@ from ctradiomics.errors import FeatureRangeError
 from ctradiomics.features import (
     FAMILY_NAMES,
     FEATURE_COLUMNS,
+    FeatureVector,
     discretize,
     extract_all,
+    family_of_column,
     first_order_features,
     glcm_features,
     gldm_cells,
@@ -620,3 +622,23 @@ class TestInvariances:
         assert glszm_cells(d).count.sum() > 0
         n_i, _, n_total = ngtdm_table(d)
         assert abs(n_i.sum() / n_total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: family_of_column("wavelet_Energy"), "unknown feature family in column 'wavelet_Energy'"),
+        (
+            lambda: FeatureVector(values={"fos_Mean": 0.0}),
+            "feature vector keys must be the canonical 105 columns in order",
+        ),
+        (
+            lambda: FeatureVector(values=dict.fromkeys(reversed(FEATURE_COLUMNS), 0.0)),
+            "feature vector keys must be the canonical 105 columns in order",
+        ),
+    ],
+    ids=["unknown family", "too few keys", "keys out of order"],
+)
+def test_each_rejected_input_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

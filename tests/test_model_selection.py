@@ -339,3 +339,40 @@ class TestRunExperiments:
         assert reports[0]["metrics"] is not None
         assert sorted(failures) == [2, 3, 4, 5]
         assert all(isinstance(exc, SelectionError) for exc in failures.values())
+
+
+def _unlabelled(ds):
+    return Dataset(x=ds.x, y=None, feature_names=ds.feature_names)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ds: ms.ExperimentSpec(1, ("shape",), False, k=1), "k must be at least 2"),
+        (lambda ds: ms.ExperimentSpec(1, ("shape",), False, max_lv=0), "max_lv must be at least 1"),
+        (lambda ds: ms.cv_error_curve(_unlabelled(ds), 1, [np.arange(4)]), "cross-validation needs class labels"),
+        # one row left to train on: no component fits
+        (
+            lambda ds: ms._sweep_components(ds, [np.arange(1, len(ds))], 5),
+            "not enough samples to fit even one component",
+        ),
+        (
+            lambda ds: ms.fit_experiment(_unlabelled(ds), ms.ExperimentSpec(1, ("fos",), False)),
+            "training needs class labels",
+        ),
+        (
+            lambda ds: ms.fit_experiment(ds, ms.ExperimentSpec(1, ("glcm",), False)),
+            r"dataset has no columns for groups \('glcm',\)",
+        ),
+        (
+            lambda ds: ms.evaluate(pls.fit_pls(ds.x, ds.y, 1, ds.feature_names), _unlabelled(ds)),
+            "evaluation needs true class labels",
+        ),
+    ],
+    ids=["k", "max_lv", "cv labels", "no component", "train labels", "no group columns", "evaluate labels"],
+)
+def test_each_rejected_input_names_its_fault(call, message):
+    rng = np.random.default_rng(0)
+    ds = Dataset(x=rng.normal(size=(6, 2)), y=[1, 2, 1, 2, 1, 2], feature_names=("fos_a", "fos_b"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(ds)

@@ -359,3 +359,19 @@ class TestSerialization:
         pls.save_model(model, p1)
         pls.save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pls.encode_dummy([[1, 2]], 2), "class ids must be a 1D sequence"),
+        # y.min() of no ids would fail inside numpy, naming a reduction
+        (lambda: pls.encode_dummy([], 3), "there are no class ids to encode"),
+        (lambda: pls.fit_pls(np.eye(4, 3), [1, 2, 1, 2], 0), "need at least one component"),
+        (lambda: pls.select_features_vip(np.ones(3), 0.0), "threshold must be positive"),
+    ],
+    ids=["2D ids", "no ids", "no component", "zero threshold"],
+)
+def test_each_rejected_input_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

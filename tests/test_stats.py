@@ -326,3 +326,27 @@ def test_report_cells_equal_the_per_feature_api(classes, global_family):
         adjusted, rejected = stats.benjamini_hochberg([cells[f"p_{pair}"] for cells, pair in family])
         assert [cells[f"p_adj_{pair}"] for cells, pair in family] == adjusted.tolist()
         assert [cells[f"rejected_{pair}"] for cells, pair in family] == rejected.tolist()
+
+
+def _relabelled(y):
+    ds = _feature_dataset()
+    return Dataset(x=ds.x, y=y, feature_names=ds.feature_names)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stats.kruskal_wallis([[1.0, 2.0, 3.0]]), "need at least two groups"),
+        (lambda: stats.kruskal_wallis([[1.0, 2.0, 3.0], []]), "every group must be non-empty"),
+        (lambda: stats.feature_group_report(_relabelled(None)), "group statistics need class labels"),
+        (lambda: stats.feature_group_report(_relabelled(np.ones(60, dtype=int))), "need at least two classes"),
+        (
+            lambda: stats.feature_group_report(_feature_dataset(), features=["glcm_Contrast"]),
+            "unknown feature 'glcm_Contrast'",
+        ),
+    ],
+    ids=["one group", "empty group", "no labels", "one class", "unknown feature"],
+)
+def test_each_rejected_input_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

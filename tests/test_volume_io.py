@@ -1,6 +1,7 @@
 """NIfTI reading/writing, isotropic resampling, and lesion splitting."""
 
 import gzip
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -716,6 +717,17 @@ class TestResample:
         with pytest.raises(GeometryError):
             resample_isotropic(vol, mask, 1.0)
 
+    @pytest.mark.parametrize("target, dims", [(1e-300, "4e+300 x 4e+300 x 4e+300"), (1e-320, "inf x inf x inf")])
+    def test_a_grid_no_array_can_hold_is_a_geometry_error(self, target, dims):
+        # numpy would refuse the 1e-300 mm grid as "Maximum allowed size
+        # exceeded", and int() the infinite sample count at 1e-320 mm
+        vol, mask = _pair(np.zeros((4, 4, 4)), np.ones((4, 4, 4), dtype=np.int32), (1, 1, 1), {1: 1})
+        message = f"resampling to {target:g} mm gives dims {dims}: over {np.iinfo(np.intp).max} bytes as float64"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            resample_isotropic(vol, mask, target)
+        with pytest.raises(LesionSizeError):  # the per-lesion path caps the box first
+            extract_lesions(vol, mask, target)
+
 
 class TestExtractLesions:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -975,3 +987,79 @@ class TestRoiExtraction:
             extract_lesions(vol, mask, 0.0)
         with pytest.raises(GeometryError):
             extract_lesions(vol, mask, 1.0)
+
+
+def _four_d_header(tmp_path):
+    blob = bytearray(make_nifti_bytes(payload=np.zeros(16)))
+    struct.pack_into("<8h", blob, 40, 4, 2, 2, 2, 2, 1, 1, 1)
+    return write_blob(tmp_path, bytes(blob))
+
+
+_ONE, _CUBE = (1, 1, 1), np.zeros((2, 2, 2))
+_LABELS = np.zeros((2, 2, 2), dtype=np.int32)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: VoxelVolume(np.zeros((2, 2)), _ONE), ValueError, r"volume data must be 3D, got shape \(2, 2\)"),
+        (lambda tmp: VoxelVolume(np.full((2, 2, 2), np.nan), _ONE), ValueError, "volume contains non-finite values"),
+        (lambda tmp: LesionMask(_CUBE, _ONE), MaskError, "mask labels must be integers, got dtype float64"),
+        (
+            lambda tmp: LesionMask(np.zeros((2, 2), dtype=np.int32), _ONE),
+            ValueError,
+            r"mask labels must be 3D, got shape \(2, 2\)",
+        ),
+        (lambda tmp: LesionMask(_LABELS, _ONE, {1: 4}), ValueError, "class id for label 1 must be 1, 2 or 3, got 4"),
+        (
+            lambda tmp: LesionRegion(np.zeros((2, 2)), np.zeros(2), _ONE),
+            ValueError,
+            r"coordinates must be an \(n, 3\) index array",
+        ),
+        (lambda tmp: LesionRegion(np.zeros((0, 3)), np.zeros(0), _ONE), ValueError, "a lesion region cannot be empty"),
+        (
+            lambda tmp: LesionRegion(np.zeros((2, 3)), np.zeros(3), _ONE),
+            ValueError,
+            "coordinates and intensities length mismatch",
+        ),
+        (
+            lambda tmp: read_volume(_four_d_header(tmp)),
+            NiftiFormatError,
+            r".+img\.nii: only 3D images are supported, got dim=\(4, 2, 2, 2, 2\)",
+        ),
+        (lambda tmp: write_nifti(tmp / "x.nii", np.zeros((2, 2)), _ONE), ValueError, "only 3D arrays can be written"),
+        (
+            lambda tmp: write_nifti(tmp / "x.nii", np.zeros((2, 2, 2), dtype=bool), _ONE),
+            ValueError,
+            "unsupported dtype bool; use one of ",
+        ),
+        (
+            lambda tmp: volume_io.check_geometry(VoxelVolume(_CUBE, _ONE), LesionMask(_LABELS, (1, 1, 2))),
+            GeometryError,
+            r"spacing mismatch: volume \(1\.0, 1\.0, 1\.0\) vs mask \(1\.0, 1\.0, 2\.0\)",
+        ),
+        (
+            lambda tmp: volume_io.check_geometry(VoxelVolume(_CUBE, _ONE), LesionMask(_LABELS, _ONE, origin=(0, 0, 1))),
+            GeometryError,
+            r"origin mismatch: volume \(0\.0, 0\.0, 0\.0\) vs mask \(0\.0, 0\.0, 1\.0\)",
+        ),
+    ],
+    ids=[
+        "2D volume",
+        "non-finite volume",
+        "float labels",
+        "2D labels",
+        "class outside the ids",
+        "2D coordinates",
+        "empty region",
+        "intensity count",
+        "4D NIfTI",
+        "write 2D",
+        "write bool",
+        "spacing mismatch",
+        "origin mismatch",
+    ],
+)
+def test_each_rejected_input_names_its_fault(tmp_path, call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call(tmp_path)
