@@ -386,6 +386,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a missing output directory fails before any work; phantom makes its own --out
+        for path in [] if args.command == "phantom" else [args.out, getattr(args, "report", None)]:
+            if path is not None and not path.parent.is_dir():
+                raise FileNotFoundError(f"output directory {path.parent} does not exist (for {path})")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

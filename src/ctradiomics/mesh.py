@@ -74,12 +74,11 @@ def loop_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _config_grid(padded: np.ndarray) -> np.ndarray:
-    padded = np.asarray(padded, dtype=bool).astype(np.uint16)
-    nx, ny, nz = padded.shape
-    cfg = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
-    for cid, (cx, cy, cz) in enumerate(_CORNERS):
-        cfg |= padded[cx : cx + nx - 1, cy : cy + ny - 1, cz : cz + nz - 1] << cid
-    return cfg
+    """Each cell's config, bit cx + 2*cy + 4*cz set where that corner is inside: a shifted OR per axis."""
+    c = np.asarray(padded, dtype=bool).astype(np.uint8)
+    c = c[:-1] | c[1:] << 1
+    c = c[:, :-1] | c[:, 1:] << 2
+    return c[:, :, :-1] | c[:, :, 1:] << 4
 
 
 @functools.lru_cache
@@ -88,10 +87,10 @@ def _spacing_constants(spacing: tuple[float, float, float]) -> np.ndarray:
     a read-only (256, 3) array.
 
     They depend only on the spacing, so each spacing is computed once per
-    process; the key is a tuple of Python floats.  The fan triangles take
-    ``np.cross``'s products and ``np.linalg.norm``'s dot product (a stacked
-    ``matmul``), and ``np.cumsum`` adds each config's terms one after another,
-    so the totals round as a loop over the triangles does.
+    process; the key is a tuple of Python floats.  A fan triangle's area
+    adds its ``np.cross`` normal's squares x, y, z with no BLAS call, so the
+    bytes hold under any BLAS kernel; ``np.cumsum`` adds each config's terms
+    one after another, so the totals round as a loop over the triangles does.
     """
     table = loop_table()
     loops = [loop for loops in table for loop in loops]
@@ -103,7 +102,7 @@ def _spacing_constants(spacing: tuple[float, float, float]) -> np.ndarray:
     live = (np.arange(width) < np.array([len(loop) for loop in loops])[:, None])[..., None]
     centre = np.where(live, b, 0.0).sum(axis=1, keepdims=True) / live.sum(axis=1, keepdims=True)
     n = np.cross(b - centre, c - centre)
-    area = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0, 0] / 2.0
+    area = np.sqrt((n * n).sum(-1)) / 2.0
     az = n[..., 2] / 2.0
     terms = np.where(live, np.stack((area, az, az * (centre[..., 2] + b[..., 2] + c[..., 2]) / 3.0), -1), 0.0)
     # one row per config: its loops' fans end to end, each after a 0.0 (a loop's starting total)

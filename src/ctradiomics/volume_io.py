@@ -37,6 +37,7 @@ _DTYPES = {
     64: np.float64,
 }
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
+_MAX_DIM = np.iinfo(np.int16).max  # the header stores each axis length as an int16
 
 
 def _geometry(spacing, origin) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -350,6 +351,9 @@ def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None
         raise ValueError("only 3D arrays can be written")
     if data.dtype not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {data.dtype}; use one of {sorted(_DTYPES.values(), key=str)}")
+    for axis, n in zip("xyz", data.shape):
+        if n > _MAX_DIM:
+            raise ValueError(f"axis {axis} has {n} voxels; NIfTI-1 stores at most {_MAX_DIM} per axis")
     spacing, origin = _geometry(spacing, origin)  # what read_volume would refuse
     code = _DTYPE_CODES[data.dtype]
     bitpix = data.dtype.itemsize * 8
@@ -434,46 +438,36 @@ def _output_box(vol: VoxelVolume, target: float, label: int, lo, hi) -> list[tup
 def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
     """Trilinear samples of ``vol`` on the grid xs × ys × zs of in-range input positions.
 
-    Each output voxel is the same 8-corner weighted sum, in the same order,
-    whatever part of the grid is asked for, so a crop of the grid gives the
-    bytes the whole grid has there.  Only the input box that the corners
-    span is converted to HU, and a resample to the input spacing gathers one
-    corner, not eight.
+    Values are interpolated one axis at a time, x then y then z: the lower
+    neighbour, blended as (1 - f)·lower + f·upper only on an axis where some
+    fraction f is nonzero.  A sample depends on its own positions alone, so a
+    crop of the grid gives the bytes the whole grid has there, and a resample
+    to the input spacing is one gather per axis.
     """
-    i0 = [np.floor(x).astype(np.intp) for x in (xs, ys, zs)]
-    frac = [x - f for x, f in zip((xs, ys, zs), i0)]
-    i1 = [np.minimum(f + 1, d - 1) for f, d in zip(i0, vol.dims)]
-    # shift the indices, not the positions, into the box: frac stays as it is
-    lo = [int(f.min()) for f in i0]
-    data = vol.values(tuple(slice(a, int(f.max()) + 1) for a, f in zip(lo, i1)))
-    i0 = [f - a for f, a in zip(i0, lo)]
-    i1 = [f - a for f, a in zip(i1, lo)]
-    out = np.zeros((len(xs), len(ys), len(zs)), dtype=np.float64)
-    # an upper corner whose weight is 0 along a whole axis adds only ±0.0
-    # (finite HU times 0.0), and the sum, which starts at +0.0 and so is never
-    # -0.0, does not change when ±0.0 is added: skipping it changes no bit
-    sides = [(0, 1) if f.any() else (0,) for f in frac]
-    for bx in sides[0]:
-        wx = (frac[0] if bx else 1.0 - frac[0])[:, None, None]
-        ix = i1[0] if bx else i0[0]
-        for by in sides[1]:
-            wy = (frac[1] if by else 1.0 - frac[1])[None, :, None]
-            iy = i1[1] if by else i0[1]
-            for bz in sides[2]:
-                wz = (frac[2] if bz else 1.0 - frac[2])[None, None, :]
-                iz = i1[2] if bz else i0[2]
-                out += (wx * wy * wz) * data[np.ix_(ix, iy, iz)]
-    return out
+    lower = [np.floor(x).astype(np.intp) for x in (xs, ys, zs)]
+    box = tuple(slice(int(i.min()), min(int(i.max()) + 2, d)) for i, d in zip(lower, vol.dims))
+    data = vol.values(box)  # only the box the neighbours span is converted to HU
+    for axis, (x, i, b) in enumerate(zip((xs, ys, zs), lower, box)):
+        f = (x - i).reshape([-1 if a == axis else 1 for a in range(3)])
+        i = i - b.start  # shift the indices, not the positions, into the box
+        samples = np.take(data, i, axis=axis)
+        if f.any():
+            upper = np.take(data, np.minimum(i + 1, b.stop - b.start - 1), axis=axis)
+            samples = (1.0 - f) * samples + f * upper
+        data = samples
+    data += 0.0  # no -0.0 sample; skipping an f = 0 blend changes no other bit
+    return data
 
 
 def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tuple[VoxelVolume, LesionMask]:
     """Resample a volume/mask pair to isotropic ``target`` mm spacing.
 
-    Intensities are trilinearly interpolated; labels use nearest-neighbour
-    so they stay crisp.  Output dims are ceil(dims * spacing / target) and
-    samples beyond the last voxel centre clamp to the border voxel, so no
-    lesion voxel is lost at the boundary.  Origins are preserved.  Output
-    dims whose float64 grid no array can hold raise GeometryError first.
+    Intensities are interpolated one axis at a time (``_trilinear``); labels
+    use nearest-neighbour so they stay crisp.  Output dims are
+    ceil(dims * spacing / target) and samples beyond the last voxel centre
+    clamp to the border voxel, so no lesion voxel is lost at the boundary.
+    Origins are preserved.  Output dims whose float64 grid no array can hold
+    raise GeometryError first.
     """
     new_spacing = _geometry((target,) * 3, ())[0]
     check_geometry(vol, mask)
@@ -520,7 +514,8 @@ def extract_lesions(vol: VoxelVolume, mask: LesionMask, target: float) -> list[t
     The regions are those of the pair resampled by
     ``resample_isotropic(vol, mask, target)``, bit for bit and in global
     output-grid coordinates, but only each lesion's bounding box on the
-    output grid is resampled, so the cost follows lesion size, not scan size.
+    output grid is resampled (one axis at a time, ``_trilinear``), so the
+    cost follows lesion size, not scan size.
 
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
     erased by nearest-neighbour resampling) is dropped with a warning.  A

@@ -7,13 +7,13 @@ algebra (eigenvalues, matrix products) and array plumbing.  The helpers
 that are not independent are ``triangle_mesh``, which assembles the
 package's own mesher table so structural tests can inspect the surface it
 describes; ``spacing_constants_oracle``, the plain numpy loop over that
-table that ``mesh._spacing_constants`` must match bit for bit; and the two
-loops the package's vectorized mesh sum and hull scan replaced,
-``mesh_sums_loop`` and ``hull_candidates_loop``, and the packed-key run
-finder the GLRLM run-length pass replaced, ``glrlm_matrices_packed_keys``,
-which they must match bit for bit; and the phantom generator's
-whole-cube lesion mask, ``lesion_mask_whole_cube``, which the mask it builds
-on the lesion's box must match bit for bit.
+table that ``mesh._spacing_constants`` must match bit for bit; and the three
+loops the package's cell configs, mesh sum and hull scan replaced,
+``config_grid_corners``, ``mesh_sums_loop`` and ``hull_candidates_loop``,
+and the packed-key run finder the GLRLM run-length pass replaced,
+``glrlm_matrices_packed_keys``, which they must match bit for bit; and the
+phantom generator's whole-cube lesion mask, ``lesion_mask_whole_cube``,
+which the mask it builds on the lesion's box must match bit for bit.
 """
 
 from __future__ import annotations
@@ -603,6 +603,17 @@ def naive_mesh(mask, spacing):
     return triangles
 
 
+def config_grid_corners(padded):
+    """``mesh._config_grid`` as one shifted OR per cell corner: corner
+    (cx, cy, cz) sets bit cx + 2*cy + 4*cz of every cell it lies in."""
+    padded = np.asarray(padded, dtype=bool).astype(np.uint16)
+    nx, ny, nz = padded.shape
+    cfg = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
+    for cid, (cx, cy, cz) in enumerate(mesh._CORNERS):
+        cfg |= padded[cx : cx + nx - 1, cy : cy + ny - 1, cz : cz + nz - 1] << cid
+    return cfg
+
+
 def triangle_mesh(mask, spacing):
     """Explicit (n, 3, 3) triangle array of the package mesher's iso-surface.
 
@@ -610,7 +621,7 @@ def triangle_mesh(mask, spacing):
     (watertightness, winding) exercise the table the package itself uses.
     """
     spacing = np.asarray(spacing, dtype=np.float64)
-    cfg = mesh._config_grid(np.pad(np.asarray(mask, dtype=bool), 1))
+    cfg = config_grid_corners(np.pad(np.asarray(mask, dtype=bool), 1))
     tris = []
     for i, j, k in np.argwhere((cfg != 0) & (cfg != 255)):
         origin = np.array([i, j, k], dtype=np.float64)
@@ -626,7 +637,8 @@ def triangle_mesh(mask, spacing):
 
 def spacing_constants_oracle(spacing):
     """(surface area, z-flux coefficient, z-flux offset) of every cell config,
-    one ``np.cross`` and ``np.linalg.norm`` per fan triangle."""
+    one ``np.cross`` and one square root of its squares, added x, y, z, per
+    fan triangle."""
     sx, sy, sz = spacing
     constants = []
     for loops in mesh.loop_table():
@@ -640,7 +652,7 @@ def spacing_constants_oracle(spacing):
                 b = pts[i]
                 c = pts[(i + 1) % len(pts)]
                 n = np.cross(b - centroid, c - centroid)
-                area += float(np.linalg.norm(n)) / 2.0
+                area += math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]) / 2.0
                 az = float(n[2]) / 2.0
                 k1 += az
                 k2 += az * (centroid[2] + b[2] + c[2]) / 3.0
@@ -673,7 +685,7 @@ def mesh_sums_loop(mask, spacing):
     """Area and volume of ``mesh.mesh_surface_and_volume``, accumulated by a
     Python loop over the cell configs present, in config order."""
     constants = mesh._spacing_constants(tuple(float(s) for s in spacing))
-    cfg = mesh._config_grid(np.pad(np.asarray(mask, dtype=bool), 1))
+    cfg = config_grid_corners(np.pad(np.asarray(mask, dtype=bool), 1))
     flat = cfg.ravel()
     counts = np.bincount(flat, minlength=256)
     nz_cell = np.broadcast_to(np.arange(cfg.shape[2], dtype=np.float64) * spacing[2], cfg.shape).ravel()

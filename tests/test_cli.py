@@ -758,6 +758,38 @@ def test_nonexistent_manifest_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_output_directory_exits_2_before_any_scan_is_read(workspace, tmp_path, capsys, monkeypatch):
+    def fails(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "read_volume", fails)
+    out = tmp_path / "missing" / "train.csv"
+    assert main(["extract", "--manifest", str(workspace / "train" / "manifest.csv"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output directory {out.parent} does not exist (for {out})"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--features", "f.csv", "--out", "model.json", "--report", "{missing}/report.json"],
+        ["experiments", "--train", "f.csv", "--test", "f.csv", "--out", "{missing}/report.json"],
+        ["stats", "--features", "f.csv", "--out", "{missing}/stats.csv"],
+    ],
+    ids=["train-report", "experiments", "stats"],
+)
+def test_each_command_checks_its_output_directory_first(tmp_path, capsys, monkeypatch, argv):
+    # no input exists either: the directory is named before any input is read
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(missing="missing") for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output directory missing does not exist (for {Path(argv[-1].format(missing='missing'))})"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
 def test_repeated_scan_id_exits_2_before_any_scan_is_read(tmp_path, capsys):
     # two rows for one scan_id would both be written as <scan_id>/<label>
     manifest = tmp_path / "manifest.csv"

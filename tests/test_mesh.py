@@ -130,8 +130,41 @@ def test_disjoint_components_add_up():
 @example((0.7, 0.7, 2.5))
 @example((0.3, 1.7, 11.0))
 def test_spacing_constants_match_the_numpy_loop_bitwise(spacing):
-    # Python-float cross products, and the norm through the same np.dot as np.linalg.norm
+    # np.cross per triangle, and its squares added x, y, z as the package's sum(-1) adds them
     assert np.array_equal(mesh._spacing_constants.__wrapped__(spacing), oracles.spacing_constants_oracle(spacing))
+
+
+def test_spacing_constants_hold_their_bytes_under_another_blas_kernel():
+    # no BLAS call: OpenBLAS's oldest x86-64 kernel gives the default kernel's bytes
+    import ctradiomics
+
+    spacings = [(1.0, 1.0, 1.0), (0.7, 0.7, 2.5), (0.3, 1.7, 11.0)]
+    src = str(Path(ctradiomics.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from ctradiomics import mesh\n"
+        f"for spacing in {spacings!r}:\n"
+        "    sys.stdout.write(mesh._spacing_constants(spacing).tobytes().hex() + '\\n')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [mesh._spacing_constants(s).tobytes().hex() for s in spacings]
+
+
+@settings(max_examples=30, deadline=None)
+@given(hs.tuples(*[hs.integers(1, 7)] * 3), hs.integers(0, 2**32 - 1), hs.floats(0.0, 1.0))
+@example((1, 1, 1), 0, 1.0)
+@example((3, 4, 5), 1, 1.0)
+def test_config_grid_equals_the_corner_loop_bitwise(shape, seed, fill):
+    # the pad is a border of inside voxels as often as one of background ones
+    mask = np.random.default_rng(seed).random(shape) < fill
+    for border in (False, True):
+        padded = np.pad(mask, 1, constant_values=border)
+        cfg = mesh._config_grid(padded)
+        assert cfg.dtype == np.uint8
+        assert np.array_equal(cfg, oracles.config_grid_corners(padded))
 
 
 @hs.composite

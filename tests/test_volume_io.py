@@ -556,6 +556,14 @@ class TestWriteNifti:
             write_nifti(path, np.zeros((2, 2, 2), dtype=np.int16), spacing, origin)
         assert not path.exists()
 
+    def test_an_axis_longer_than_the_int16_header_field_is_not_written(self, tmp_path):
+        path = tmp_path / "v.nii"
+        with pytest.raises(ValueError, match=r"^axis x has 40000 voxels; NIfTI-1 stores at most 32767 per axis$"):
+            write_nifti(path, np.zeros((40000, 1, 1), np.uint8), (1, 1, 1))
+        assert not path.exists()
+        write_nifti(path, np.zeros((1, 1, 32767), np.uint8), (1, 1, 1))
+        assert read_volume(path).dims == (1, 1, 32767)
+
 
 def _pair(data, labels, spacing, class_of_label):
     vol = VoxelVolume(data=data, spacing=spacing)
@@ -792,6 +800,16 @@ class TestExtractLesions:
         vol, mask = _pair(np.zeros(labels.shape), labels, (1, 1, 1), {1: 1, 2: 2})
         with pytest.raises(LesionSizeError, match=r"^label 1: .* about 80 voxels \(4 x 4 x 5\), over the cap of 64$"):
             extract_lesions(vol, mask, 1.0)
+
+    @pytest.mark.parametrize("target", [1.0, 0.7])
+    def test_negative_zero_hu_is_sampled_as_positive_zero(self, target):
+        # gathered at the input spacing or blended at 0.7 mm, no sample is -0.0
+        labels = np.zeros((5, 5, 5), dtype=np.uint8)
+        labels[1:4, 1:4, 1:4] = 1
+        vol, mask = _pair(np.full(labels.shape, -0.0, np.float32), labels, (1, 1, 1), {1: 1})
+        [(region, _)] = extract_lesions(vol, mask, target)
+        assert len(region) >= 27 and not np.signbit(region.intensities).any()
+        assert not np.signbit(resample_isotropic(vol, mask, target)[0].data).any()
 
     def test_vanished_label_warns_and_drops(self):
         # a 1-voxel label at 2 mm disappears when resampled to 5 mm
