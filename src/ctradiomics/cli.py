@@ -386,9 +386,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a missing output directory fails before any work; phantom makes its own --out
-        for path in [] if args.command == "phantom" else [args.out, getattr(args, "report", None)]:
-            if path is not None and not path.parent.is_dir():
+        # an output that cannot be written fails before any work; phantom's --out is a directory
+        for path in filter(None, [] if args.command == "phantom" else [args.out, getattr(args, "report", None)]):
+            if path.is_dir():
+                raise IsADirectoryError(f"output {path} is a directory")
+            if not path.parent.is_dir():
                 raise FileNotFoundError(f"output directory {path.parent} does not exist (for {path})")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -3,7 +3,7 @@
 
 Column names are ``family_FeatureName`` (e.g. ``shape_Sphericity``).  All
 seven families read one per-lesion context (``context.DiscretizedRegion``):
-the fixed-bin-width gray levels and the padded level grid built from them.
+the HU values, their fixed-bin-width gray levels and the padded level grid.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def extract_all(
             # called by name, not from a table: perfbench/tracing.py wraps these attributes
             computed = (
                 shape_features(d),
-                first_order_features(region, d),
+                first_order_features(d),
                 glcm_features(d),
                 gldm_features(d),
                 glrlm_features(d),

@@ -1,10 +1,10 @@
-"""The one per-lesion context that all seven feature families read: the
-fixed-bin-width gray levels, the k levels present with their histogram, each
-voxel's rank 1..k among them, the padded grid of ranks with its occupancy,
-the table of every voxel's 26 neighbour ranks, and the statistics that GLDM,
-GLRLM and GLSZM each compute over their own count tables.  Grids and texture
-tables are indexed by rank, not by level, so one outlying voxel sizes none of
-them."""
+"""The one per-lesion context that all seven feature families read: the HU
+values and their fixed-bin-width gray levels, the k levels present with
+their histogram, each voxel's rank 1..k among them, the padded grid of ranks
+with its occupancy, the table of every voxel's 26 neighbour ranks, and the
+statistics that GLDM, GLRLM and GLSZM each compute over their own tables.
+Grids and texture tables are indexed by rank, not by level, so one outlying
+voxel sizes none of them."""
 
 from __future__ import annotations
 
@@ -81,6 +81,7 @@ class DiscretizedRegion:
     """
 
     levels: np.ndarray  # (n,) integer gray levels, 1-based
+    intensities: np.ndarray  # (n,) the HU values binned into levels: the region's own array
     coordinates: np.ndarray  # (n, 3) voxel indices
     spacing: tuple[float, float, float]
     gray: np.ndarray = field(init=False)  # (k,) the levels present, ascending
@@ -147,7 +148,7 @@ def discretize(region: LesionRegion, bin_width: float) -> DiscretizedRegion:
     if span / 2**53 >= bin_width:
         raise ValueError(f"bin width {bin_width} splits the {span} HU span into 2**53 or more gray levels")
     levels = np.floor(shifted_intensities / bin_width).astype(np.int64) + 1
-    return DiscretizedRegion(levels=levels, coordinates=region.coordinates, spacing=region.spacing)
+    return DiscretizedRegion(levels, region.intensities, region.coordinates, region.spacing)
 
 
 def table_features(tables: list[Cells], n_voxels: int, gray: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..volume_io import LesionRegion
 from .context import DiscretizedRegion
 
 FOS_NAMES = (
@@ -29,17 +28,17 @@ FOS_NAMES = (
 )
 
 
-def first_order_features(region: LesionRegion, d: DiscretizedRegion) -> dict[str, float]:
-    """The 18 first-order statistics of the region's intensities.
+def first_order_features(d: DiscretizedRegion) -> dict[str, float]:
+    """The 18 first-order statistics of the region's HU values ``d.intensities``.
 
     Entropy and Uniformity are computed on the gray-level histogram of ``d``;
     Variance is the population (biased) variance and Kurtosis is not
     excess-corrected.  Skewness and Kurtosis fall back to 0 on constant
     regions.  Percentiles interpolate linearly between order statistics.
     """
-    x = region.intensities
+    x = d.intensities
     n = len(x)
-    voxel_volume = float(np.prod(region.spacing))
+    voxel_volume = float(np.prod(d.spacing))
     mean = float(x.mean())
     centered = x - mean
     squared = centered * centered  # products, not pow: pow costs ~40x on a large region

@@ -56,16 +56,14 @@ def _mcc(p: np.ndarray, px: np.ndarray) -> np.ndarray:
     with row marginals ``px``.
 
     Q = Dx^-1 P Dx^-1 P (symmetric P, so py = px) is similar to S^2 with
-    S = Dx^-1/2 P Dx^-1/2, so Q's eigenvalues are the squares of the
-    symmetric S's.  Levels absent from a direction get zero rows in S, which
-    only add zero eigenvalues; one present level leaves the second at 0.
+    S = Dx^-1/2 P Dx^-1/2, whose top eigenpair is (1, sqrt(px)).  With it
+    subtracted, MCC is the largest |eigenvalue| left (0 for one level, 1 for
+    two unlinked or bipartite level sets); absent levels add only zeros.
     """
-    if p.shape[-1] < 2:
-        return np.zeros(len(p))
-    inv_sqrt = np.divide(1.0, np.sqrt(px), out=np.zeros_like(px), where=px > 0)
-    s = inv_sqrt[:, :, None] * p * inv_sqrt[:, None, :]
-    second = np.sort(np.linalg.eigvalsh(s) ** 2, axis=1)[:, -2]
-    return np.sqrt(second)
+    root = np.sqrt(px)
+    inv_sqrt = np.divide(1.0, root, out=np.zeros_like(px), where=px > 0)
+    s = inv_sqrt[:, :, None] * p * inv_sqrt[:, None, :] - root[:, :, None] * root[:, None, :]
+    return np.abs(np.linalg.eigvalsh(s)).max(axis=1)
 
 
 def _entropy2(p: np.ndarray) -> np.ndarray:
@@ -110,7 +108,7 @@ def _features_from_stack(p: np.ndarray, levels: np.ndarray) -> dict[str, np.ndar
     h_xy1 = 2.0 * h_x  # = HXY2
 
     autocorr = (flat * (ii * jj).ravel()).sum(axis=1)
-    covariance = ((p @ c[..., None])[..., 0] * c).sum(axis=1)  # sum of p (i - mu)(j - mu)
+    covariance = (p * c[:, :, None] * c[:, None, :]).sum(axis=(1, 2))  # sum of p (i - mu)(j - mu), no BLAS
     correlation = np.divide(covariance, var, out=np.ones(n_dir), where=var > 0)  # 1 if flat
     imc1 = np.divide(h_xy - h_xy1, h_x, out=np.zeros(n_dir), where=h_x > 0)
     imc2 = np.sqrt(np.maximum(1.0 - np.exp(-2.0 * (h_xy1 - h_xy)), 0.0))

@@ -109,7 +109,11 @@ def fit_experiment(dataset: Dataset, spec: ExperimentSpec) -> tuple[PlsModel, di
     """Run one experiment: restrict to the spec's feature groups, pick the LV
     count by CV, optionally VIP-prune and re-run the sweep on the reduced
     set, then refit the final model on all training rows.  The report is
-    the JSON document the ``train`` command writes."""
+    the JSON document the ``train`` command writes.
+
+    ``error_rate`` is the minimum of the CV curve that picked the LV count,
+    and the features too when VIP selection is on, so it is optimistic
+    (Ambroise & McLachlan, PNAS 2002); held-out ``metrics`` are the estimate."""
     if dataset.y is None:
         raise ValueError("training needs class labels")
     considered = columns_for_groups(dataset.feature_names, spec.feature_groups)

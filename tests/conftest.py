@@ -1,11 +1,29 @@
-"""Shared builders for hand-constructed lesion regions."""
+"""Shared builders for hand-constructed lesion regions, and a child-process runner."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctradiomics.volume_io import LesionRegion
+
+
+def child_stdout(script: str, **env: str) -> str:
+    """The stdout of ``script`` run by a fresh Python with ``env`` added to its
+    environment and the package and these test helpers importable."""
+    import ctradiomics
+
+    paths = [str(Path(ctradiomics.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    paths.append(os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def region_from_mask(mask, intensities, spacing=(1.0, 1.0, 1.0)) -> LesionRegion:

@@ -44,7 +44,7 @@ def test_criterion_1_feature_oracle_suite():
         d = discretize(region, 25.0)
         pairs = [
             (shape_features(d), oracles.shape_oracle(region.coordinates, region.spacing)),
-            (first_order_features(region, d), oracles.fos_oracle(region.intensities, region.spacing)),
+            (first_order_features(d), oracles.fos_oracle(region.intensities, region.spacing)),
             (glcm_features(d), oracles.glcm_oracle(d.coordinates, d.levels, d.n_levels)),
             (gldm_features(d), oracles.gldm_oracle(d.coordinates, d.levels, d.n_levels)),
             (glrlm_features(d), oracles.glrlm_oracle(d.coordinates, d.levels, d.n_levels)),

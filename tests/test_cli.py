@@ -790,6 +790,27 @@ def test_each_command_checks_its_output_directory_first(tmp_path, capsys, monkey
     assert not any(tmp_path.iterdir())
 
 
+def test_output_that_is_a_directory_exits_2_before_any_scan_is_read(workspace, tmp_path, capsys, monkeypatch):
+    def fails(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "read_volume", fails)
+    assert main(["extract", "--manifest", str(workspace / "train" / "manifest.csv"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: output {tmp_path} is a directory"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_train_report_that_is_a_directory_exits_2_before_fitting(workspace, tmp_path, capsys, monkeypatch):
+    def fails(*args):
+        raise AssertionError("fit_experiment ran")
+
+    monkeypatch.setattr(ms, "fit_experiment", fails)
+    argv = ["train", "--features", str(workspace / "train.csv"), "--out", str(tmp_path / "model.json")]
+    assert main([*argv, "--report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: output {tmp_path} is a directory"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_repeated_scan_id_exits_2_before_any_scan_is_read(tmp_path, capsys):
     # two rows for one scan_id would both be written as <scan_id>/<label>
     manifest = tmp_path / "manifest.csv"

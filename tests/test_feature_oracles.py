@@ -41,7 +41,7 @@ def named_region(request, oracle_regions):
 def test_first_order_matches_oracle(named_region):
     label, region = named_region
     expected = oracles.fos_oracle(region.intensities, region.spacing)
-    _assert_close(first_order_features(region, discretize(region, 25.0)), expected, label)
+    _assert_close(first_order_features(discretize(region, 25.0)), expected, label)
 
 
 def test_glcm_matches_oracle(named_region):

@@ -1,5 +1,7 @@
 """Hand-worked feature examples, canonical ordering, and module invariants."""
 
+import contextlib
+import io
 import itertools
 import math
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import strategies as hs
 
 from conftest import (
     checkerboard_region,
+    child_stdout,
     constant_cube_region,
     random_blob_region,
     region_from_mask,
@@ -39,7 +42,7 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import UNIQUE_DIRECTIONS
-from ctradiomics.features.glcm import _matrix_stack
+from ctradiomics.features.glcm import _matrix_stack, _mcc
 from ctradiomics.volume_io import LesionRegion
 
 
@@ -99,9 +102,13 @@ class TestDiscretize:
 
 
 class TestFirstOrderExamples:
+    def test_reads_the_regions_own_intensities(self):
+        region = random_blob_region(seed=8)
+        assert discretize(region, 25.0).intensities is region.intensities
+
     def test_constant_region(self):
         region = constant_cube_region(side=2, value=5.0)  # 8 voxels
-        f = first_order_features(region, discretize(region, 25.0))
+        f = first_order_features(discretize(region, 25.0))
         assert f["Mean"] == 5.0
         assert f["Variance"] == 0.0
         assert f["Entropy"] == 0.0
@@ -116,17 +123,17 @@ class TestFirstOrderExamples:
             intensities=[0.0, 0.0, 4.0, 4.0],
             spacing=(1, 1, 1),
         )
-        f = first_order_features(region, discretize(region, 25.0))
+        f = first_order_features(discretize(region, 25.0))
         assert f["Mean"] == 2.0
         assert f["Variance"] == 4.0
         assert f["Range"] == 4.0
 
     def test_total_energy_scales_with_voxel_volume(self):
         region = constant_cube_region(side=2, value=3.0)
-        f1 = first_order_features(region, discretize(region, 25.0))
+        f1 = first_order_features(discretize(region, 25.0))
         assert f1["TotalEnergy"] == f1["Energy"]  # 1 mm isotropic
         region2 = constant_cube_region(side=2, value=3.0, spacing=(2.0, 1.0, 0.5))
-        f2 = first_order_features(region2, discretize(region2, 25.0))
+        f2 = first_order_features(discretize(region2, 25.0))
         assert f2["TotalEnergy"] == pytest.approx(f2["Energy"])
 
 
@@ -158,6 +165,28 @@ class TestGlcmExamples:
         for p in glcm_matrices(d).values():
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(p, p.T)
+
+    def test_mcc_needs_no_special_case(self):
+        # one level present, a bipartite pair, two unlinked levels, a 0.2 second eigenvalue
+        p = np.array(
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.5]], [[0.3, 0.2], [0.2, 0.3]]]
+        )
+        assert _mcc(p, p.sum(axis=2)) == pytest.approx([0.0, 1.0, 1.0, 0.2], abs=1e-15)
+        assert _mcc(np.ones((1, 1, 1)), np.ones((1, 1))).tolist() == [0.0]  # one level, k = 1
+
+    def test_correlation_holds_its_bytes_under_another_blas_kernel(self):
+        # no BLAS call: OpenBLAS's oldest x86-64 kernel gives this process's bytes
+        script = (
+            "from conftest import random_blob_region\n"
+            "from ctradiomics.features import discretize, glcm_features\n"
+            "for seed, width in [(s, w) for s in range(4) for w in (25.0, 2.0)]:\n"
+            "    region = random_blob_region(seed=seed, shape=(8, 8, 8), fill=0.6, sigma=40.0)\n"
+            "    print(glcm_features(discretize(region, width))['Correlation'].hex())\n"
+        )
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(script, {})
+        assert child_stdout(script, OPENBLAS_CORETYPE="Prescott") == here.getvalue()
 
 
 def _listed(cells) -> tuple[list, list, list]:
@@ -408,6 +437,29 @@ class TestExtractAll:
         a = extract_all(region).values
         b = extract_all(region).values
         assert a == b
+
+    def test_each_family_is_looked_up_at_each_call(self, monkeypatch):
+        # perfbench/tracing.py times a family by replacing its attribute of
+        # ctradiomics.features: extract_all must call what the attribute holds
+        from ctradiomics import features
+
+        region = random_blob_region(seed=2)
+        expected = extract_all(region).values
+        families = ("shape", "first_order", "glcm", "gldm", "glrlm", "glszm", "ngtdm")
+        names = [f"{family}_features" for family in families]
+        calls = []
+
+        def counting(name, family):
+            def counted(d):
+                calls.append(name)
+                return family(d)
+
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(features, name, counting(name, getattr(features, name)))
+        assert extract_all(region).values == expected
+        assert calls == names
 
     def test_one_context_per_lesion(self, monkeypatch):
         # all seven families read the one DiscretizedRegion extract_all builds

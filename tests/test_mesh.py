@@ -3,11 +3,7 @@
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,7 @@ from hypothesis import strategies as hs
 from ctradiomics import mesh
 
 import oracles
+from conftest import child_stdout
 
 
 def _random_masks(n, shape=(6, 7, 5), fill=0.42, seed=1):
@@ -136,21 +133,15 @@ def test_spacing_constants_match_the_numpy_loop_bitwise(spacing):
 
 def test_spacing_constants_hold_their_bytes_under_another_blas_kernel():
     # no BLAS call: OpenBLAS's oldest x86-64 kernel gives the default kernel's bytes
-    import ctradiomics
-
     spacings = [(1.0, 1.0, 1.0), (0.7, 0.7, 2.5), (0.3, 1.7, 11.0)]
-    src = str(Path(ctradiomics.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import sys\n"
         "from ctradiomics import mesh\n"
         f"for spacing in {spacings!r}:\n"
         "    sys.stdout.write(mesh._spacing_constants(spacing).tobytes().hex() + '\\n')\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [mesh._spacing_constants(s).tobytes().hex() for s in spacings]
+    stdout = child_stdout(script, OPENBLAS_CORETYPE="Prescott")
+    assert stdout.split() == [mesh._spacing_constants(s).tobytes().hex() for s in spacings]
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,10 +180,6 @@ def test_mesh_sums_equal_the_config_loop(case):
 
 def test_loop_table_is_built_on_first_use():
     # commands that never mesh (experiments, stats, train) skip its cost
-    import ctradiomics
-
-    src = str(Path(ctradiomics.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import numpy as np\n"
         "from ctradiomics import cli, mesh\n"
@@ -200,6 +187,4 @@ def test_loop_table_is_built_on_first_use():
         "mesh.mesh_surface_and_volume(np.pad(np.ones((1, 1, 1), bool), 1), (1.0, 1.0, 1.0))\n"
         "print(mesh.loop_table.cache_info().currsize)\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "1"]
+    assert child_stdout(script).split() == ["0", "1"]

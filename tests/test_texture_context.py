@@ -28,7 +28,8 @@ from ctradiomics.features.glcm import _matrix_stack
 def _region(coords, levels) -> DiscretizedRegion:
     coords = np.asarray(coords, dtype=np.intp).reshape(-1, 3)
     levels = np.asarray(levels, dtype=np.int64)
-    return DiscretizedRegion(levels=levels, coordinates=coords, spacing=(1.0, 1.0, 1.0))
+    # the levels serve as their own HU values: only first-order statistics read them
+    return DiscretizedRegion(levels, levels.astype(np.float64), coords, (1.0, 1.0, 1.0))
 
 
 def _table(cells: Cells, gray: np.ndarray) -> dict:

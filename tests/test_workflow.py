@@ -5,6 +5,7 @@ measures what it says, and the README's Python API imports what it names.
 A workflow that does not parse runs no job at all, and nothing else fails."""
 
 import ast
+import os
 import re
 import subprocess
 import sys
@@ -41,6 +42,19 @@ def test_an_unquoted_colon_in_a_plain_scalar_fails_the_parse():
     one_line = "        run: " + LINE_COUNT_STEP.splitlines()[1].strip() + "\n"
     with pytest.raises(pytest.importorskip("yaml").YAMLError):
         jobs(text.replace(LINE_COUNT_STEP, one_line))
+
+
+def test_tier1_summary_gives_the_cli_import_time(tmp_path):
+    # the step's own shell lines, run here, write one line with the time
+    steps = jobs(WORKFLOW.read_text())["tier1"]["steps"]
+    runs = [step["run"] for step in steps if "-X importtime" in step.get("run", "")]
+    assert len(runs) == 1
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, GITHUB_STEP_SUMMARY=str(summary))
+    env["PATH"] = os.pathsep.join([str(Path(sys.executable).parent), env.get("PATH", "")])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    subprocess.run(["bash", "-e", "-o", "pipefail", "-c", runs[0]], env=env, cwd=ROOT, check=True, timeout=120)
+    assert re.fullmatch(r"CLI import time: \d+\.\d ms\n", summary.read_text())
 
 
 def test_tier1_runs_the_benchmark_self_test():
