@@ -28,6 +28,30 @@ FOS_NAMES = (
 )
 
 
+def sorted_percentiles(s: np.ndarray, q) -> np.ndarray:
+    """np.percentile(s, q, axis=0) of ``s`` sorted along axis 0, bit for bit
+    where no column holds both 0.0 and -0.0 (numpy's sign of zero there follows
+    its partition's tie order): numpy's linear method, which interpolates down
+    from the upper neighbour at a fraction of 0.5 or more.  np.percentile
+    imports numpy.ma (about 12 ms) through np.unique; this imports nothing."""
+    n = len(s)
+    at = (n - 1) * (np.asarray(q) / 100)
+    top = at >= n - 1  # numpy takes the last value twice there, at fraction at + 1
+    below = np.where(top, -1, np.floor(at)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    t = (at - below).reshape(-1, *(1,) * (s.ndim - 1))
+    a, b = s[below], s[above]
+    out = a + (b - a) * t
+    np.subtract(b, (b - a) * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
+def sorted_median(s: np.ndarray) -> np.ndarray:
+    """np.median(s, axis=0) of ``s`` sorted along axis 0, bit for bit: the mean
+    of the middle value or two, a sum from 0.0, so -0.0 and -0.0 give 0.0."""
+    return s[(len(s) - 1) // 2 : len(s) // 2 + 1].mean(axis=0)
+
+
 def first_order_features(d: DiscretizedRegion) -> dict[str, float]:
     """The 18 first-order statistics of the region's HU values ``d.intensities``.
 
@@ -45,7 +69,8 @@ def first_order_features(d: DiscretizedRegion) -> dict[str, float]:
     variance = float(np.mean(squared))
     energy = float(np.sum(x**2))
 
-    p10, p25, p50, p75, p90 = np.percentile(x, [10, 25, 50, 75, 90])
+    s = np.sort(x)  # the percentiles, minimum and maximum, from one sorted copy
+    p10, p25, p50, p75, p90 = sorted_percentiles(s, [10, 25, 50, 75, 90])
     robust = x[(x >= p10) & (x <= p90)]
     rmad = float(np.abs(robust - robust.mean()).mean()) if len(robust) else 0.0
 
@@ -64,14 +89,14 @@ def first_order_features(d: DiscretizedRegion) -> dict[str, float]:
         "Energy": energy,
         "TotalEnergy": voxel_volume * energy,
         "Entropy": entropy,
-        "Minimum": float(x.min()),
+        "Minimum": float(s[0]),
         "10Percentile": float(p10),
         "90Percentile": float(p90),
-        "Maximum": float(x.max()),
+        "Maximum": float(s[-1]),
         "Mean": mean,
         "Median": float(p50),
         "InterquartileRange": float(p75 - p25),
-        "Range": float(x.max() - x.min()),
+        "Range": float(s[-1] - s[0]),
         "MeanAbsoluteDeviation": float(np.abs(centered).mean()),
         "RobustMeanAbsoluteDeviation": rmad,
         "RootMeanSquared": float(np.sqrt(energy / n)),

@@ -1,8 +1,8 @@
 """Neighbourhood gray-tone difference features (26-neighbourhood means).
 
-Only voxels with at least one in-region neighbour enter the table; regions
-where no voxel qualifies (e.g. a single voxel) fall back to the degenerate
-values: Coarseness at its 1e6 cap, everything else 0.
+Only voxels with at least one in-region neighbour enter the table; where none
+qualifies (a single voxel, isolated voxels) it is all zeros, and the general
+formulas give the degenerate values: Coarseness at its 1e6 cap, the rest 0.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ def ngtdm_table(d: DiscretizedRegion) -> tuple[np.ndarray, np.ndarray, int]:
 
 def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:
     n_i, s_i, n_total = ngtdm_table(d)
-    if n_total == 0:
-        return {"Coarseness": COARSENESS_CAP, "Busyness": 0.0, "Complexity": 0.0, "Strength": 0.0, "Contrast": 0.0}
+    n_total = max(n_total, 1)  # an empty table divides zeros: every sum below is 0
     p_i = n_i / n_total
     present = p_i > 0
     levels = d.gray.astype(np.float64)

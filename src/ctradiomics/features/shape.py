@@ -79,15 +79,16 @@ def _max_diameters(points: np.ndarray) -> tuple[float, float, float, float]:
 def _axis_lengths(d: DiscretizedRegion) -> tuple[float, float, float, float, float]:
     """Major/minor/least axis lengths plus elongation and flatness.
 
-    Lengths are 4*sqrt(eigenvalue) of the physical-coordinate covariance.
-    A region too small to span any direction gets zero lengths and the
-    compact fallback elongation = flatness = 1.
+    Lengths are 4*sqrt(eigenvalue) of the physical-coordinate covariance.  A
+    region spanning no direction (one voxel, or a covariance that underflows)
+    gets zero lengths and the compact fallback elongation = flatness = 1.
     """
     coords = d.coordinates * np.asarray(d.spacing)
-    if len(coords) < 2:
-        return 0.0, 0.0, 0.0, 1.0, 1.0
-    eigvals = np.linalg.eigvalsh(np.cov(coords, rowvar=False))
-    eigvals = np.clip(eigvals, 0.0, None)  # clamp numerical negatives
+    c = coords.T - coords.mean(axis=0)[:, None]
+    cov = np.zeros((3, 3))
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):  # six sums, not np.cov's BLAS product
+        cov[i, j] = cov[j, i] = (c[i] * c[j]).sum() / max(len(coords) - 1, 1)
+    eigvals = np.clip(np.linalg.eigvalsh(cov), 0.0, None)  # clamp numerical negatives
     least, minor, major = float(eigvals[0]), float(eigvals[1]), float(eigvals[2])
     if major <= 0.0:
         return 0.0, 0.0, 0.0, 1.0, 1.0

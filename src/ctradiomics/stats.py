@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import DegenerateDataError
+from .features.firstorder import sorted_median, sorted_percentiles
 
 
 def _ranks_and_ties(groups, pooled) -> tuple[list[np.ndarray], float, int]:
@@ -158,8 +159,9 @@ def feature_group_report(
     by_class = [dataset.x[dataset.y == c][:, [col[feature] for feature in features]] for c in classes]
     summaries = []  # median then IQR of each class, one value per feature
     for x_c in by_class:
-        p75, p25 = np.percentile(x_c, [75, 25], axis=0)
-        summaries += [np.median(x_c, axis=0).tolist(), (p75 - p25).tolist()]
+        s = np.sort(x_c, axis=0)
+        p75, p25 = sorted_percentiles(s, [75, 25])
+        summaries += [sorted_median(s).tolist(), (p75 - p25).tolist()]
     rows: list[list] = []
     families: list[list[tuple[list, int]]] = []  # (row, index of its z cell) per Dunn pair
     for f, feature in enumerate(features):

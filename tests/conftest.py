@@ -39,6 +39,20 @@ def constant_cube_region(side=3, value=5.0, spacing=(1.0, 1.0, 1.0)) -> LesionRe
     return region_from_mask(mask, np.full(mask.shape, value), spacing)
 
 
+def single_voxel_region(value=5.0) -> LesionRegion:
+    return LesionRegion(coordinates=[[0, 0, 0]], intensities=[value], spacing=(1.0, 1.0, 1.0))
+
+
+def isolated_voxels_region() -> LesionRegion:
+    """Four voxels farther than one step apart, at four 25 HU gray levels: no
+    co-occurring pair anywhere and no voxel with a neighbour."""
+    return LesionRegion(
+        coordinates=[[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]],
+        intensities=[0.0, 30.0, 60.0, 90.0],
+        spacing=(1.0, 1.0, 1.0),
+    )
+
+
 def spanning_cube_region() -> LesionRegion:
     """A 3^3 cube whose 27 intensities span 0..100 HU evenly."""
     return region_from_mask(np.ones((3, 3, 3), dtype=bool), np.linspace(0.0, 100.0, 27).reshape(3, 3, 3))

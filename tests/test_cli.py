@@ -647,7 +647,7 @@ def test_extract_starts_no_more_workers_than_scans(tmp_path, capsys, monkeypatch
     assert outputs[0] == outputs[1]
 
 
-_NO_SCIPY_PIPELINE = """
+_WHOLE_PIPELINE = """
 import sys
 from ctradiomics import cli
 from ctradiomics.cli import main
@@ -665,13 +665,14 @@ for command in ("predict", "evaluate"):
     assert main([command, "--features", f"{work}/test.csv", "--model", f"{work}/model.json",
                  "--out", f"{work}/{command}.out"]) == 0
 print("scipy:", *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("numpy.ma:", "numpy.ma" in sys.modules)
 """
 
 
-def test_pipeline_imports_no_scipy(tmp_path):
-    # scipy is a test dependency only; importing it costs every CLI process
-    # about half a second, so no command may pull it in, however lazily
-    import os
+@pytest.fixture(scope="module")
+def pipeline_modules(tmp_path_factory) -> list[str]:
+    """The last lines a fresh process prints after running every command: the
+    scipy modules it imported, and whether it imported numpy.ma."""
     import subprocess
     import sys
 
@@ -680,14 +681,27 @@ def test_pipeline_imports_no_scipy(tmp_path):
     src = str(Path(ctradiomics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PIPELINE, str(tmp_path)],
+        [sys.executable, "-c", _WHOLE_PIPELINE, str(tmp_path_factory.mktemp("pipeline"))],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "scipy:"
+    return done.stdout.splitlines()[-2:]
+
+
+def test_pipeline_imports_no_scipy(pipeline_modules):
+    # scipy is a test dependency only; importing it costs every CLI process
+    # about half a second, so no command may pull it in, however lazily
+    assert pipeline_modules[0] == "scipy:"
+
+
+def test_pipeline_imports_no_numpy_ma(pipeline_modules):
+    # np.percentile and np.median import numpy.ma (about 12 ms) through
+    # np.unique; extract's first-order statistics and stats' medians and IQRs
+    # take theirs from a sorted copy instead
+    assert pipeline_modules[1] == "numpy.ma: False"
 
 
 _ONE_JOB_EXTRACT = """

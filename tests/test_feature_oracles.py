@@ -114,25 +114,15 @@ def test_texture_oracles_more_random_blobs(oracle_regions):
 
 
 def test_isolated_voxels_use_the_same_fallbacks():
-    # voxels farther than one step apart: no co-occurring pair anywhere and
-    # no valid neighbourhood, exercising every degenerate code path
-    from ctradiomics.volume_io import LesionRegion
+    # no co-occurring pair anywhere and no valid neighbourhood, exercising
+    # every degenerate code path, on isolated voxels and on a single voxel
+    from conftest import isolated_voxels_region, single_voxel_region
 
-    region = LesionRegion(
-        coordinates=[[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 3]],
-        intensities=[0.0, 30.0, 60.0, 90.0],
-        spacing=(1.0, 1.0, 1.0),
-    )
-    d = discretize(region, 25.0)
-    _assert_close(
-        glcm_features(d), oracles.glcm_oracle(d.coordinates, d.levels, d.n_levels), "isolated"
-    )
-    _assert_close(
-        ngtdm_features(d), oracles.ngtdm_oracle(d.coordinates, d.levels, d.n_levels), "isolated"
-    )
-    _assert_close(
-        gldm_features(d), oracles.gldm_oracle(d.coordinates, d.levels, d.n_levels), "isolated"
-    )
+    for name, region in (("isolated", isolated_voxels_region()), ("single", single_voxel_region())):
+        d = discretize(region, 25.0)
+        _assert_close(glcm_features(d), oracles.glcm_oracle(d.coordinates, d.levels, d.n_levels), name)
+        _assert_close(ngtdm_features(d), oracles.ngtdm_oracle(d.coordinates, d.levels, d.n_levels), name)
+        _assert_close(gldm_features(d), oracles.gldm_oracle(d.coordinates, d.levels, d.n_levels), name)
 
 
 @hs.composite

@@ -9,16 +9,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     checkerboard_region,
     child_stdout,
     constant_cube_region,
+    isolated_voxels_region,
     random_blob_region,
     region_from_mask,
     rod_region,
+    single_voxel_region,
     spanning_cube_region,
 )
 from ctradiomics.errors import FeatureRangeError
@@ -42,6 +45,7 @@ from ctradiomics.features import (
     shape_features,
 )
 from ctradiomics.features.context import UNIQUE_DIRECTIONS
+from ctradiomics.features.firstorder import sorted_median, sorted_percentiles
 from ctradiomics.features.glcm import _matrix_stack, _mcc
 from ctradiomics.volume_io import LesionRegion
 
@@ -137,6 +141,37 @@ class TestFirstOrderExamples:
         assert f2["TotalEnergy"] == pytest.approx(f2["Energy"])
 
 
+def _one_signed_zero(x: np.ndarray) -> np.ndarray:
+    """``x`` with every zero made 0.0 in each column holding both 0.0 and -0.0:
+    there numpy's own sign of zero follows its partition's tie order."""
+    zero = x == 0
+    mixed = (zero & np.signbit(x)).any(axis=0) & (zero & ~np.signbit(x)).any(axis=0)
+    return np.where(zero & mixed, 0.0, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+        elements=hs.floats(-1e150, 1e150) | hs.sampled_from([-0.0, 0.0, 1.0, -2.5]),  # ties and signed zeros
+    )
+)
+@example(np.array([[-0.0, 5.0, 1e-300]]))  # n = 1
+@example(np.array([[-0.0, 1.0, 3.0], [-0.0, 1.0 + 2**-52, -3.0]]))  # n = 2: a -0.0 pair's median is 0.0
+@example(np.array([[2.0], [2.0], [-1.0], [2.0], [-1.0]]))  # ties
+def test_sorted_order_statistics_are_numpys_bit_for_bit(x):
+    # first-order statistics and the stats table's medians and IQRs take
+    # these from one sorted copy, without np.percentile's numpy.ma import
+    x = _one_signed_zero(x)
+    s = np.sort(x, axis=0)
+    q = [10, 25, 50, 75, 90]
+    assert sorted_percentiles(s, q).tobytes() == np.percentile(x, q, axis=0).tobytes()
+    assert sorted_median(s).tobytes() == np.median(x, axis=0).tobytes()
+    assert sorted_percentiles(s[:, 0], q).tobytes() == np.percentile(x[:, 0], q).tobytes()
+    assert sorted_median(s[:, 0]).tobytes() == np.median(x[:, 0]).tobytes()
+
+
 class TestGlcmExamples:
     def test_two_voxel_region(self):
         region = LesionRegion(
@@ -174,6 +209,20 @@ class TestGlcmExamples:
         assert _mcc(p, p.sum(axis=2)) == pytest.approx([0.0, 1.0, 1.0, 0.2], abs=1e-15)
         assert _mcc(np.ones((1, 1, 1)), np.ones((1, 1))).tolist() == [0.0]  # one level, k = 1
 
+    @pytest.mark.parametrize(
+        "region, k", [(single_voxel_region(), 1), (isolated_voxels_region(), 4)], ids=["one", "isolated"]
+    )
+    def test_no_pair_puts_the_histogram_on_the_diagonal(self, region, k):
+        # k levels of one voxel each, so each diagonal cell holds 1/k
+        f = glcm_features(discretize(region, 25.0))
+        assert (f["JointEnergy"], f["MaximumProbability"], f["JointEntropy"]) == (1 / k, 1 / k, math.log2(k))
+        assert (f["Contrast"], f["DifferenceAverage"], f["Id"], f["Idm"]) == (0.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("region", [single_voxel_region(), constant_cube_region()], ids=["one", "constant_cube"])
+    def test_a_flat_marginal_has_correlation_one(self, region):
+        f = glcm_features(discretize(region, 25.0))
+        assert (f["Correlation"], f["MCC"]) == (1.0, 0.0)
+
     def test_correlation_holds_its_bytes_under_another_blas_kernel(self):
         # no BLAS call: OpenBLAS's oldest x86-64 kernel gives this process's bytes
         script = (
@@ -187,6 +236,25 @@ class TestGlcmExamples:
         with contextlib.redirect_stdout(here):
             exec(script, {})
         assert child_stdout(script, OPENBLAS_CORETYPE="Prescott") == here.getvalue()
+        # nor is there one in shape's covariance: the matrix eigvalsh is handed
+        # has one set of bytes under Prescott and Haswell (its eigenvalues, and
+        # so the axis lengths, may still move with the kernel)
+        covariance = (
+            "import numpy as np\n"
+            "from conftest import random_blob_region\n"
+            "from ctradiomics.features import discretize\n"
+            "from ctradiomics.features.shape import _axis_lengths\n"
+            "from ctradiomics.volume_io import LesionRegion\n"
+            "eigvalsh = np.linalg.eigvalsh\n"
+            "np.linalg.eigvalsh = lambda a: print(a.tobytes().hex()) or eigvalsh(a)\n"
+            "for seed in range(8):\n"
+            "    blob = random_blob_region(seed=seed, shape=(8, 8, 8), fill=0.6)\n"
+            "    for spacing in ((1.0, 1.0, 1.0), (0.7, 0.9, 2.5)):\n"
+            "        _axis_lengths(discretize(LesionRegion(blob.coordinates, blob.intensities, spacing), 25.0))\n"
+        )
+        prescott = child_stdout(covariance, OPENBLAS_CORETYPE="Prescott")
+        assert len(prescott.split()) == 16
+        assert child_stdout(covariance, OPENBLAS_CORETYPE="Haswell") == prescott
 
 
 def _listed(cells) -> tuple[list, list, list]:
@@ -257,11 +325,10 @@ class TestGlszmExamples:
 
 class TestNgtdmExamples:
     def test_constant_region_fallbacks(self):
-        d = discretize(constant_cube_region(side=3), 25.0)
-        f = ngtdm_features(d)
-        assert f["Coarseness"] == 1e6
-        assert f["Busyness"] == 0.0
-        assert f["Contrast"] == 0.0
+        # and where no voxel has a neighbour, the table is empty: the same values
+        for region in (constant_cube_region(side=3), single_voxel_region(), isolated_voxels_region()):
+            f = ngtdm_features(discretize(region, 25.0))
+            assert list(f.values()) == [1e6, 0.0, 0.0, 0.0, 0.0]  # Coarseness at its cap
 
     def test_two_voxel_hand_computation(self):
         region = LesionRegion(
@@ -317,11 +384,13 @@ class TestShapeExamples:
             assert f["Sphericity"] <= 1.0 + 1e-9
 
     def test_single_voxel_is_finite(self):
-        region = LesionRegion(coordinates=[[0, 0, 0]], intensities=[5.0], spacing=(1, 1, 1))
-        f = shape_features(discretize(region, 25.0))
+        f = shape_features(discretize(single_voxel_region(), 25.0))
         assert all(np.isfinite(v) for v in f.values())
         assert f["MeshVolume"] == pytest.approx(1.0 / 6.0)
         assert f["SurfaceArea"] == pytest.approx(math.sqrt(3))
+        # a zero covariance: zero axis lengths and the compact elongation = flatness = 1
+        axes = ("MajorAxisLength", "MinorAxisLength", "LeastAxisLength", "Elongation", "Flatness")
+        assert [f[name] for name in axes] == [0.0, 0.0, 0.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "mask_shape, spacing",
