@@ -64,13 +64,12 @@ def stratified_kfold(y, k: int, seed: int) -> list[np.ndarray]:
     if k_eff < 2:
         raise ValueError("every class needs at least two members for cross-validation")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k_eff)]
+    fold = np.empty(len(y), dtype=int)
     for cls in classes:
-        idx = np.nonzero(y == cls)[0]
+        idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        for pos, sample in enumerate(idx):
-            folds[pos % k_eff].append(int(sample))
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+        fold[idx] = np.arange(len(idx)) % k_eff
+    return [np.flatnonzero(fold == f) for f in range(k_eff)]
 
 
 def cv_error_curve(dataset: Dataset, max_components: int, folds) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Multiclass PLS-DA.  ``fit_pls`` takes raw feature rows and class ids
 1..max(y), autoscales the rows and dummy-codes the ids itself, and fits PLS2,
-so a model carries its own input scaling; ``predict`` classifies raw rows by
-maximal predicted response, and VIP scores rank the features.
+so a model carries its own input scaling and holds only what the fit found:
+W, P, Q and the response means.  ``predict`` classifies raw rows by maximal
+predicted response, and VIP scores rank the features.
 
 Each weight vector is the dominant left singular vector of X'Y for the
 deflated X, the fixed point of PLS2 NIPALS (Hoskuldsson 1988), so there is
 no iteration to converge and components are nested.  So is the rotation
 R = W (P'W)^-1 that scores new rows, T = X R (de Jong 1993): P'W is upper
 triangular with a unit diagonal, so R's first a columns are the a-component
-model's and one score matrix serves every component count.  The
+model's and one score matrix serves every component count.  ``predict`` and
+``predict_each_component_count`` both score rows through R, so a model's
+prediction is its last component count's, bit for bit.  The
 decomposition is deterministic: weight vectors are unit-norm with their
 largest-magnitude entry positive, and ties in the class argmax break toward
 the lowest class id.
@@ -35,15 +38,20 @@ class PlsModel:
     x_loadings: np.ndarray  # P, (p, A)
     y_loadings: np.ndarray  # Q, (m, A)
     scores: np.ndarray  # T, (N, A) training scores
-    coef: np.ndarray  # B, (p, m), for centred X and Y
     y_means: np.ndarray  # (m,) response means
-    n_components: int
-    class_labels: tuple[int, ...]
     feature_names: tuple[str, ...]
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @property
+    def n_components(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def class_labels(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.y_means) + 1))
 
 
 def encode_dummy(y, n_classes: int) -> np.ndarray:
@@ -93,7 +101,6 @@ def fit_pls(x, y, n_components: int, feature_names=None) -> PlsModel:
     xs, mean, scale = autoscale(x)
     yd = encode_dummy(y, int(np.max(y)))
     n, p = xs.shape
-    m = yd.shape[1]
     if n_components < 1:
         raise ValueError("need at least one component")
     if n_components > min(n - 1, p):
@@ -139,39 +146,34 @@ def fit_pls(x, y, n_components: int, feature_names=None) -> PlsModel:
         x_loadings=x_loadings,
         y_loadings=y_loadings,
         scores=np.column_stack(t_cols),
-        coef=weights @ np.linalg.solve(x_loadings.T @ weights, y_loadings.T),  # B = W (P'W)^-1 Q'
         y_means=y_means,
-        n_components=weights.shape[1],
-        class_labels=tuple(range(1, m + 1)),
         feature_names=tuple(feature_names),
     )
 
 
-def _scaled_rows(model: PlsModel, x_new) -> np.ndarray:
-    """Raw (unscaled) feature rows under the model's input scaling."""
+def _responses(model: PlsModel, x_new) -> np.ndarray:
+    """Responses of raw (unscaled) feature rows after every prefix of the
+    model's components, shape (rows, classes, A): the rows are scaled, scored
+    once through the nested rotation R = W (P'W)^-1, and the response after a
+    components is the running sum of t_k q_k' over k <= a."""
     x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
     if x_new.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} feature columns, got {x_new.shape[1]}")
-    return (x_new - model.mean) / model.scale
+    w = model.weights
+    scores = (x_new - model.mean) / model.scale @ np.linalg.solve(w.T @ model.x_loadings, w.T).T
+    return np.cumsum(scores[:, None, :] * model.y_loadings, axis=2) + model.y_means[:, None]
 
 
 def predict(model: PlsModel, x_new) -> tuple[np.ndarray, np.ndarray]:
     """Predicted responses and class ids for raw (unscaled) feature rows."""
-    y_hat = _scaled_rows(model, x_new) @ model.coef + model.y_means
-    classes = np.asarray(model.class_labels)[np.argmax(y_hat, axis=1)]
-    return y_hat, classes
+    y_hat = _responses(model, x_new)[:, :, -1]
+    return y_hat, np.argmax(y_hat, axis=1) + 1
 
 
 def predict_each_component_count(model: PlsModel, x_new) -> np.ndarray:
     """Class ids of raw feature rows under every prefix of the model's
-    components: column a - 1 holds the a-component model's.  The rows are
-    scored once through the nested rotation R = W (P'W)^-1, and the response
-    after a components is the running sum of t_k q_k' over k <= a."""
-    w = model.weights
-    scores = _scaled_rows(model, x_new) @ np.linalg.solve(w.T @ model.x_loadings, w.T).T
-    # (rows, classes, components): the response after each prefix of components
-    y_hat = np.cumsum(scores[:, None, :] * model.y_loadings, axis=2) + model.y_means[:, None]
-    return np.asarray(model.class_labels)[np.argmax(y_hat, axis=1)]
+    components: column a - 1 holds the a-component model's."""
+    return np.argmax(_responses(model, x_new), axis=1) + 1
 
 
 def vip_scores(model: PlsModel) -> np.ndarray:
@@ -190,7 +192,6 @@ def vip_scores(model: PlsModel) -> np.ndarray:
     if total <= 0.0:
         raise UndefinedModelError("model explains no response variance; VIP undefined")
     w_norm2 = (w**2).sum(axis=0)
-    w_norm2[w_norm2 == 0.0] = 1.0
     p = w.shape[0]
     return np.sqrt(p * ((w**2 / w_norm2) @ ss) / total)
 
@@ -215,7 +216,6 @@ def save_model(model: PlsModel, path) -> None:
         "W": model.weights.tolist(),
         "P": model.x_loadings.tolist(),
         "Q": model.y_loadings.tolist(),
-        "B": model.coef.tolist(),
         "A": model.n_components,
         "class_labels": list(model.class_labels),
         "y_means": model.y_means.tolist(),
@@ -225,19 +225,24 @@ def save_model(model: PlsModel, path) -> None:
 
 def load_model(path) -> PlsModel:
     """The model a ``save_model`` file holds; ValueError naming the file if it
-    is no JSON object, lacks a key or holds arrays of disagreeing shapes."""
+    is no JSON object, lacks a key, holds no component, arrays of disagreeing
+    shapes or class labels other than 1..m.  A ``B`` or ``selected_features`` key that
+    older files carry is ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise TypeError(f"the JSON is a {type(doc).__name__}, not an object")
         p, m, a = len(doc["feature_names"]), len(doc["class_labels"]), int(doc["A"])
-        shapes = {"mean": (p,), "scale": (p,), "W": (p, a), "P": (p, a), "Q": (m, a), "B": (p, m), "y_means": (m,)}
+        if a < 1:
+            raise ValueError(f"A is {a}, but a model has at least one component")
+        shapes = {"mean": (p,), "scale": (p,), "W": (p, a), "P": (p, a), "Q": (m, a), "y_means": (m,)}
         arrays = {key: np.asarray(doc[key], dtype=np.float64) for key in shapes}
         wrong = [f"{key} is {v.shape}, not {shapes[key]}" for key, v in arrays.items() if v.shape != shapes[key]]
         if wrong:
             raise ValueError(f"with {p} features, {m} classes and {a} components, {'; '.join(wrong)}")
-        class_labels = tuple(int(c) for c in doc["class_labels"])
+        if doc["class_labels"] != list(range(1, m + 1)):
+            raise ValueError(f"class_labels are {doc['class_labels']}, not 1..{m}")
     except KeyError as exc:
         raise ValueError(f"{path}: not a model: no key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -249,9 +254,6 @@ def load_model(path) -> PlsModel:
         x_loadings=arrays["P"],
         y_loadings=arrays["Q"],
         scores=np.zeros((0, a)),  # training scores are not serialized
-        coef=arrays["B"],
         y_means=arrays["y_means"],
-        n_components=a,
-        class_labels=class_labels,
         feature_names=tuple(doc["feature_names"]),
     )

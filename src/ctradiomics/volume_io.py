@@ -272,12 +272,13 @@ _SLAB_VOXELS = 1 << 20
 
 
 def _payload_chunks(path, hdr: dict, payload: np.ndarray, scale: tuple[float, float]):
-    """Each run of ``_SLAB_VOXELS`` voxels in file (F) order as HU (an overflow is inf), with the flat
-    index of its first; read from the file, not the map, so no page of the map stays resident."""
+    """Each run of ``_SLAB_VOXELS`` voxels in file (F) order as HU (an overflow is inf, and a signalling
+    NaN converts without a warning), with the flat index of its first; read from the file, not the
+    map, so no page of the map stays resident."""
     for start in range(0, payload.size, _SLAB_VOXELS):
         offset = hdr["vox_offset"] + start * payload.itemsize
         chunk = np.fromfile(path, payload.dtype, min(_SLAB_VOXELS, payload.size - start), offset=offset)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             chunk = _to_hu(chunk, scale)
         yield start, chunk
 
@@ -320,7 +321,8 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
         lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
         labels = np.empty(payload.shape, dtype=np.uint8, order="F")
         for start, data in _payload_chunks(path, hdr, payload, scale):
-            rounded = np.rint(data)
+            with np.errstate(invalid="ignore"):  # a signalling NaN fails the integer test below
+                rounded = np.rint(data)
             if not np.array_equal(data, rounded):
                 raise MaskError(f"{path}: mask contains non-integer voxel values")
             low, high = data.min(), data.max()

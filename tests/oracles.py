@@ -13,7 +13,11 @@ loops the package's cell configs, mesh sum and hull scan replaced,
 and the packed-key run finder the GLRLM run-length pass replaced,
 ``glrlm_matrices_packed_keys``, which they must match bit for bit; and the
 phantom generator's whole-cube lesion mask, ``lesion_mask_whole_cube``,
-which the mask it builds on the lesion's box must match bit for bit.
+which the mask it builds on the lesion's box must match bit for bit; the
+per-sample fold loop ``stratified_kfold_loop``, which
+``model_selection.stratified_kfold`` must match exactly; and
+``coef_from_predict``, which reads the package's own ``pls.predict`` to
+recover the coefficient matrix a model applies.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ctradiomics import mesh, phantom
+from ctradiomics import mesh, phantom, pls
 from ctradiomics.features.context import batch_rows
 
 DIRECTIONS = [
@@ -945,3 +949,30 @@ def nipals_pls2(xs, y_dummy, n_components, tol=1e-12, max_iter=10_000):
         x = x - np.outer(t, p)
         columns.append((w, t, p, q))
     return tuple(np.column_stack(c) for c in zip(*columns))
+
+
+def coef_from_predict(model):
+    """B, (p, m): the coefficients ``pls.predict`` applies to autoscaled rows,
+    recovered from its responses at the probe rows ``mean`` and
+    ``mean + scale * e_j``, whose autoscaled forms are 0 and e_j.  Row j is
+    the response's move from the first probe to the (j+1)-th."""
+    probes = model.mean + np.vstack([np.zeros(model.n_features), np.diag(model.scale)])
+    y_hat, _ = pls.predict(model, probes)
+    return y_hat[1:] - y_hat[0]
+
+
+def stratified_kfold_loop(y, k, seed):
+    """Stratified folds as the per-sample loop built them: each class's
+    members, shuffled by one seeded generator in class order, are dealt to
+    the folds in turn, and each fold is sorted."""
+    y = np.asarray(y, dtype=int)
+    classes, counts = np.unique(y, return_counts=True)
+    k_eff = min(k, int(counts.min()))
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k_eff)]
+    for cls in classes:
+        idx = np.nonzero(y == cls)[0]
+        rng.shuffle(idx)
+        for pos, sample in enumerate(idx):
+            folds[pos % k_eff].append(int(sample))
+    return [np.sort(np.array(f, dtype=int)) for f in folds]

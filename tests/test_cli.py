@@ -886,6 +886,15 @@ def test_probabilities_above_1_exit_2_at_parse_time(tmp_path, capsys, monkeypatc
     assert getattr(args, option[2:]) == 1.0  # 1 is a probability
 
 
+def _model_doc(tmp_path) -> dict:
+    """The JSON document of a 4-feature, 3-class, 2-component model file."""
+    names = ["shape_Sphericity", "fos_Mean", "glcm_Contrast", "ngtdm_Busyness"]
+    x = np.random.default_rng(3).normal(size=(12, 4))
+    good = tmp_path / "good.json"
+    pls.save_model(pls.fit_pls(x, np.tile([1, 2, 3], 4), 2, feature_names=names), good)
+    return json.loads(good.read_text())
+
+
 def _malformed(doc: dict, case: str) -> str:
     """The text of a model file, ``doc`` spoilt as ``case`` says."""
     if case == "not JSON":
@@ -894,7 +903,11 @@ def _malformed(doc: dict, case: str) -> str:
         return "[1, 2]"
     if case == "missing key":
         return json.dumps({key: value for key, value in doc.items() if key != "mean"})
-    return json.dumps({**doc, "B": doc["B"][:-1]})  # one feature row short
+    if case == "no components":
+        return json.dumps({**doc, "A": 0, **{key: [[] for _ in doc[key]] for key in ("W", "P", "Q")}})
+    if case == "class labels not 1..m":
+        return json.dumps({**doc, "class_labels": [2, 3, 4]})
+    return json.dumps({**doc, "Q": doc["Q"][:-1]})  # one class row short
 
 
 @pytest.mark.parametrize(
@@ -903,23 +916,34 @@ def _malformed(doc: dict, case: str) -> str:
         ("not JSON", "Expecting ',' delimiter"),
         ("not an object", "the JSON is a list, not an object"),
         ("missing key", "no key 'mean'"),
-        ("wrong B shape", "with 4 features, 3 classes and 2 components, B is (3, 3), not (4, 3)"),
+        ("no components", "A is 0, but a model has at least one component"),
+        ("class labels not 1..m", "class_labels are [2, 3, 4], not 1..3"),
+        ("wrong Q shape", "with 4 features, 3 classes and 2 components, Q is (2, 2), not (3, 2)"),
     ],
-    ids=["not-JSON", "not-an-object", "missing-key", "wrong-B-shape"],
+    ids=["not-JSON", "not-an-object", "missing-key", "no-components", "class-labels-not-1-to-m", "wrong-Q-shape"],
 )
 def test_malformed_model_file_exits_2_naming_it(workspace, tmp_path, capsys, case, message):
-    names = ["shape_Sphericity", "fos_Mean", "glcm_Contrast", "ngtdm_Busyness"]
-    x = np.random.default_rng(3).normal(size=(12, 4))
-    good = tmp_path / "good.json"
-    pls.save_model(pls.fit_pls(x, np.tile([1, 2, 3], 4), 2, feature_names=names), good)
     model = tmp_path / "model.json"
-    model.write_text(_malformed(json.loads(good.read_text()), case))
+    model.write_text(_malformed(_model_doc(tmp_path), case))
     for command in ("predict", "evaluate"):
         out = tmp_path / f"{command}.out"
         assert main([command, "--features", str(workspace / "test.csv"), "--model", str(model), "--out", str(out)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {model}: not a model: {message}")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("b_shape", [(4, 3), (3, 3)], ids=["well-shaped", "wrong-shaped"])
+def test_a_B_left_in_an_older_model_file_is_ignored(workspace, tmp_path, b_shape):
+    doc = _model_doc(tmp_path)
+    plain, with_b = tmp_path / "plain.json", tmp_path / "with-B.json"
+    plain.write_text(json.dumps(doc))
+    with_b.write_text(json.dumps({**doc, "B": np.random.default_rng(4).normal(size=b_shape).tolist()}))
+    for command in ("predict", "evaluate"):
+        outs = [tmp_path / f"{command}-{model.stem}.out" for model in (plain, with_b)]
+        for model, out in zip((plain, with_b), outs):
+            assert main([command, "--features", str(workspace / "test.csv"), "--model", str(model), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -73,14 +73,18 @@ class TestAutoscale:
         assert scale[0] == 1.0
 
     def test_reapplication_is_affine_and_order_preserving(self):
+        # predict scales new rows by the training rows' own mean and a
+        # positive scale, so its responses are affine in the raw row
         rng = np.random.default_rng(1)
-        model = pls.fit_pls(rng.normal(size=(10, 3)), np.tile([1, 2], 5), 1)
+        x = rng.normal(size=(10, 3))
+        model = pls.fit_pls(x, np.tile([1, 2], 5), 1)
+        _, mean, scale = pls.autoscale(x)
+        assert np.array_equal(model.mean, mean) and np.array_equal(model.scale, scale)
+        assert (model.scale > 0).all()
         new = rng.normal(size=(5, 3))
-        scaled = pls._scaled_rows(model, new)
-        for col in range(3):
-            order_a = np.argsort(new[:, col])
-            order_b = np.argsort(scaled[:, col])
-            assert np.array_equal(order_a, order_b)
+        y_hat, _ = pls.predict(model, new)
+        want = model.y_means + (new - mean) / scale @ oracles.coef_from_predict(model)
+        assert np.abs(y_hat - want).max() < 1e-12
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
@@ -138,7 +142,7 @@ class TestFitPls:
             yd = pls.encode_dummy(y, 3)
             model = pls.fit_pls(x, y, 5)
             b_ls = np.linalg.lstsq(xs, yd - yd.mean(axis=0), rcond=None)[0]
-            assert np.abs(model.coef - b_ls).max() < 1e-8, f"seed {seed}"
+            assert np.abs(oracles.coef_from_predict(model) - b_ls).max() < 1e-8, f"seed {seed}"
 
     def test_score_orthogonality(self):
         rng = np.random.default_rng(3)
@@ -157,13 +161,13 @@ class TestFitPls:
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
             assert w[np.argmax(np.abs(w))] > 0  # largest-magnitude entry positive
 
-    def test_coef_identity(self):
+    def test_predict_is_the_last_per_count_column(self):
         rng = np.random.default_rng(4)
         model = pls.fit_pls(rng.normal(size=(25, 6)), rng.integers(1, 4, 25), 4)
-        recomposed = model.weights @ np.linalg.solve(
-            model.x_loadings.T @ model.weights, model.y_loadings.T
-        )
-        assert np.abs(recomposed - model.coef).max() < 1e-10
+        x_new = rng.normal(size=(15, 6))
+        y_hat, classes = pls.predict(model, x_new)
+        assert np.array_equal(y_hat, pls._responses(model, x_new)[:, :, -1])
+        assert np.array_equal(classes, pls.predict_each_component_count(model, x_new)[:, -1])
 
     def test_early_stop_on_deflated_x(self):
         # rank-1 X cannot support two components
@@ -184,7 +188,7 @@ class TestFitPls:
         model_a = pls.fit_pls(x, y, 3)
         perm = rng.permutation(25)
         model_b = pls.fit_pls(x[perm], y[perm], 3)
-        assert np.abs(model_a.coef - model_b.coef).max() < 1e-9
+        assert np.abs(oracles.coef_from_predict(model_a) - oracles.coef_from_predict(model_b)).max() < 1e-9
         assert np.abs(np.abs(model_a.weights) - np.abs(model_b.weights)).max() < 1e-9
         ya, _ = pls.predict(model_a, x)
         yb, _ = pls.predict(model_b, x)

@@ -481,10 +481,21 @@ def _nifti_files(draw):
     return _mostly(draw, hs.just(blob), hs.integers(0, len(blob)).map(lambda cut: blob[:cut]))
 
 
+def _signalling_nan_payload(dtype):
+    """Seven zeros and a signalling NaN, on which a cast, a product or rint
+    raises numpy's 'invalid' flag."""
+    bits = np.zeros(8, dtype=f"u{np.dtype(dtype).itemsize}")
+    bits[-1] = 0x7FF4 << 48 if np.dtype(dtype).itemsize == 8 else 0x7FA00000
+    return bits.view(dtype)
+
+
 class TestFuzzedFiles:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=300, deadline=None)
     @given(_nifti_files())
+    @example(make_nifti_bytes(datatype=64, payload=_signalling_nan_payload(np.float64)))
+    @example(make_nifti_bytes(datatype=64, payload=_signalling_nan_payload(np.float64), scl_slope=3.0))
+    @example(make_nifti_bytes(datatype=16, payload=_signalling_nan_payload(np.float32)))
     @example(make_nifti_bytes(datatype=64, payload=[0.0] * 7 + [np.inf], byteorder=">"))
     @example(make_nifti_bytes(datatype=16, payload=[1, 2, 3, 0, 0, 0, 0, np.nan], scl_slope=3.0))
     @example(make_nifti_bytes(datatype=64, payload=[1e308] * 8, scl_slope=-10.0, scl_inter=5.0))
