@@ -267,10 +267,10 @@ def _read_labelled(path: Path, no_class_message: str) -> dataio.Dataset | None:
 
 
 def cmd_train(args) -> int:
+    spec = ms.ExperimentSpec(0, dataio.parse_groups(args.groups), args.select, **_run_settings(args))
     dataset = _read_labelled(args.features, "training data has no class column")
     if dataset is None:
         return 1
-    spec = ms.ExperimentSpec(0, dataio.parse_groups(args.groups), args.select, **_run_settings(args))
     model, report = ms.fit_experiment(dataset, spec)
     pls.save_model(model, args.out)
     report_path = args.report or args.out.with_suffix(".report.json")
@@ -311,11 +311,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiments(args) -> int:
+    specs = ms.experiment_specs(**_run_settings(args))
     train = _read_labelled(args.train_csv, "training data has no class column")
     test = _read_labelled(args.test_csv, "test data has no class column")
     if train is None or test is None:
         return 1
-    specs = ms.experiment_specs(**_run_settings(args))
     reports, failures = ms.run_experiments(train, test, specs)
     for experiment_id, exc in failures.items():
         print(f"error: experiment {experiment_id}: {failure_message(exc)}", file=sys.stderr)
@@ -346,7 +346,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_phantom(args) -> int:
-    scans = ph.generate_phantom(args.n_per_class, args.seed)  # checks the counts; makes no scan yet
+    scans = ph.generate_phantom(args.n_per_class, args.seed)  # checks the counts and seed; makes no scan yet
     out = Path(args.out)
     images = out / "images"
     masks = out / "masks"
@@ -387,7 +387,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # an output that cannot be written fails before any work; phantom's --out is a directory
-        for path in filter(None, [] if args.command == "phantom" else [args.out, getattr(args, "report", None)]):
+        outputs = list(filter(None, [] if args.command == "phantom" else [args.out, getattr(args, "report", None)]))
+        if len({path.resolve() for path in outputs}) < len(outputs):
+            raise ValueError(f"--out and --report are the same file: {args.out}")
+        for path in outputs:
             if path.is_dir():
                 raise IsADirectoryError(f"output {path} is a directory")
             if not path.parent.is_dir():

@@ -36,6 +36,8 @@ class ExperimentSpec:
             raise ValueError("k must be at least 2")
         if self.max_lv < 1:
             raise ValueError("max_lv must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def experiment_specs(**overrides) -> tuple[ExperimentSpec, ...]:

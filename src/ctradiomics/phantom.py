@@ -130,12 +130,14 @@ def generate_phantom(n_per_class, seed: int) -> Iterator[PhantomScan]:
     """Phantom scans, classes interleaved 1,2,3,1,2,3,..., each made only when
     the returned iterator is advanced.
 
-    ``n_per_class`` is a single count or three per-class counts; it is checked
-    here, before the first scan is asked for.
+    ``n_per_class`` is a single count or three per-class counts; it and the
+    seed are checked here, before the first scan is asked for.
     """
     counts = [n_per_class] * 3 if isinstance(n_per_class, int) else [int(c) for c in n_per_class]
     if len(counts) != 3 or min(counts) < 0 or sum(counts) == 0:
         raise ValueError("n_per_class must be one count or three per-class counts, non-negative and not all zero")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     classes = [c for k in range(max(counts)) for c in (1, 2, 3) if k < counts[c - 1]]
     return (_make_scan(f"phantom_{i:04d}", c, rng) for i, c in enumerate(classes))

@@ -391,17 +391,6 @@ def check_geometry(vol: VoxelVolume, mask: LesionMask) -> None:
         raise GeometryError(f"origin mismatch: volume {vol.origin} vs mask {mask.origin}")
 
 
-def _axis_samples(d: int, s: float, t: float, start: int, stop: int):
-    """The input-space positions of output samples start..stop-1 on an axis
-    of d voxels at spacing s resampled to spacing t (clamped to the border
-    voxel), and the nearest input index of each.  A target equal to the
-    input spacing gives the input grid: positions 0, 1, ... and frac 0."""
-    # sample o maps to input index o * t / spacing; clamp to the border voxel
-    x = np.arange(start, stop, dtype=np.float64) * (t / s)
-    np.clip(x, 0.0, d - 1, out=x)
-    return x, np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1)
-
-
 def _axis_length(d: int, s: float, t: float) -> float:
     """The output sample count of an axis of d voxels at spacing s resampled
     to t, as a Python float: inf past the float range, where int() raises."""
@@ -411,7 +400,9 @@ def _axis_length(d: int, s: float, t: float) -> float:
 def _output_box(vol: VoxelVolume, target: float, label: int, lo, hi) -> list[tuple[int, int]]:
     """Per axis, output samples a..b-1 that hold every sample whose nearest
     input index lies in lo..hi, and at most about three more: the label's
-    box on the output grid, found with no array.
+    box on the output grid, found with no array.  A margin sample's nearest
+    index lies outside lo..hi, so it holds other labels only and the box
+    needs no trim.
 
     LesionSizeError if the box would hold more than MAX_BOX_VOXELS, checked
     before any count is sized by dims x spacing / target.
@@ -461,6 +452,20 @@ def _trilinear(vol: VoxelVolume, xs, ys, zs) -> np.ndarray:
     return data
 
 
+def _resample(vol: VoxelVolume, mask: LesionMask, t: float, box) -> tuple[np.ndarray, np.ndarray]:
+    """The trilinear HU values and nearest-neighbour labels of the t mm grid's
+    samples a..b-1 for each axis's (a, b) in ``box``.  Sample o lies at input
+    position o * t / spacing, clamped to the border voxel, so it depends on
+    o alone and a box gives the bytes the whole grid has there."""
+    positions, nearest = [], []
+    for d, s, (a, b) in zip(vol.dims, vol.spacing, box):
+        x = np.arange(a, b, dtype=np.float64) * (t / s)
+        np.clip(x, 0.0, d - 1, out=x)
+        positions.append(x)
+        nearest.append(np.clip(np.floor(x + 0.5).astype(np.intp), 0, d - 1))
+    return _trilinear(vol, *positions), mask.labels[np.ix_(*nearest)]
+
+
 def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tuple[VoxelVolume, LesionMask]:
     """Resample a volume/mask pair to isotropic ``target`` mm spacing.
 
@@ -478,14 +483,9 @@ def resample_isotropic(vol: VoxelVolume, mask: LesionMask, target: float) -> tup
     if 8.0 * math.prod(dims) > np.iinfo(np.intp).max:
         shape = " x ".join(f"{n:.4g}" for n in dims)
         raise GeometryError(f"resampling to {t:g} mm gives dims {shape}: over {np.iinfo(np.intp).max} bytes as float64")
-    grid = [_axis_samples(d, s, t, 0, int(n)) for d, s, n in zip(vol.dims, vol.spacing, dims)]
-    new_vol = VoxelVolume(data=_trilinear(vol, *(x for x, _ in grid)), spacing=new_spacing, origin=vol.origin)
-    new_mask = LesionMask(
-        labels=mask.labels[np.ix_(*(n for _, n in grid))],
-        spacing=new_spacing,
-        class_of_label=dict(mask.class_of_label),
-        origin=mask.origin,
-    )
+    values, labels = _resample(vol, mask, t, [(0, int(n)) for n in dims])
+    new_vol = VoxelVolume(data=values, spacing=new_spacing, origin=vol.origin)
+    new_mask = LesionMask(labels, new_spacing, class_of_label=dict(mask.class_of_label), origin=mask.origin)
     return new_vol, new_mask
 
 
@@ -515,9 +515,10 @@ def extract_lesions(vol: VoxelVolume, mask: LesionMask, target: float) -> list[t
 
     The regions are those of the pair resampled by
     ``resample_isotropic(vol, mask, target)``, bit for bit and in global
-    output-grid coordinates, but only each lesion's bounding box on the
-    output grid is resampled (one axis at a time, ``_trilinear``), so the
-    cost follows lesion size, not scan size.
+    output-grid coordinates: the one sampler (``_resample``) runs on each
+    lesion's box (``_output_box``), not the whole grid, so the cost follows
+    lesion size, not scan size.  The box's margin holds other labels only,
+    so a lesion is its box's samples of its label, with no trim.
 
     A label that carries a class mapping but no voxels (e.g. a tiny lesion
     erased by nearest-neighbour resampling) is dropped with a warning.  A
@@ -531,18 +532,13 @@ def extract_lesions(vol: VoxelVolume, mask: LesionMask, target: float) -> list[t
     for label in sorted(mask.class_of_label):
         coords = np.empty((0, 3), dtype=np.intp)
         if label in boxes:
-            box = zip(vol.dims, vol.spacing, boxes[label])
-            positions, nearest = zip(*(_axis_samples(d, s, target, a, b) for d, s, (a, b) in box))
-            # the output samples whose nearest input index falls in the label's input box
-            lo, hi = mask.boxes[label]
-            starts = [np.searchsorted(n, a, "left") for n, a in zip(nearest, lo)]
-            axes = [slice(a, np.searchsorted(n, b, "right")) for n, a, b in zip(nearest, starts, hi)]
-            local = np.argwhere(mask.labels[np.ix_(*(n[ax] for n, ax in zip(nearest, axes)))] == label)
-            coords = local + [a + start for (a, _), start in zip(boxes[label], starts)]
+            values, labels = _resample(vol, mask, target, boxes[label])
+            local = np.argwhere(labels == label)
+            coords = local + [a for a, _ in boxes[label]]
         if len(coords) == 0:
             warnings.warn(f"label {label} has no voxels and was dropped", stacklevel=2)
             continue
-        intensities = _trilinear(vol, *(x[ax] for x, ax in zip(positions, axes)))[tuple(local.T)]
+        intensities = values[tuple(local.T)]
         region = LesionRegion(coordinates=coords, intensities=intensities, spacing=(target,) * 3, label=label)
         regions.append((region, mask.class_of_label[label]))
     return regions

@@ -825,6 +825,36 @@ def test_train_report_that_is_a_directory_exits_2_before_fitting(workspace, tmp_
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("report", ["model.json", "./model.json", "sub/../model.json"])
+def test_train_report_at_the_model_path_exits_2_before_fitting(workspace, tmp_path, capsys, monkeypatch, report):
+    # the report written second would replace the model
+    def fails(*args):
+        raise AssertionError("fit_experiment ran")
+
+    monkeypatch.setattr(ms, "fit_experiment", fails)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv = ["train", "--features", str(workspace / "train.csv"), "--out", "model.json", "--report", report]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --out and --report are the same file: model.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "command, seed",
+    [
+        (["train", "--features", "{w}/train.csv", "--out", "{t}/model.json"], "-3"),
+        (["experiments", "--train", "{w}/train.csv", "--test", "{w}/test.csv", "--out", "{t}/report.json"], "-3"),
+        (["phantom", "--out", "{t}/phantom", "--n-per-class", "1"], "-1"),
+    ],
+)
+def test_a_negative_seed_exits_2_naming_it_before_any_output(workspace, tmp_path, capsys, command, seed):
+    argv = [arg.format(w=workspace, t=tmp_path) for arg in command]
+    assert main([*argv, "--seed", seed]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: seed must be non-negative, got {seed}"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_repeated_scan_id_exits_2_before_any_scan_is_read(tmp_path, capsys):
     # two rows for one scan_id would both be written as <scan_id>/<label>
     manifest = tmp_path / "manifest.csv"

@@ -365,6 +365,7 @@ def _unlabelled(ds):
     [
         (lambda ds: ms.ExperimentSpec(1, ("shape",), False, k=1), "k must be at least 2"),
         (lambda ds: ms.ExperimentSpec(1, ("shape",), False, max_lv=0), "max_lv must be at least 1"),
+        (lambda ds: ms.ExperimentSpec(1, ("shape",), False, seed=-3), "seed must be non-negative, got -3"),
         (lambda ds: ms.cv_error_curve(_unlabelled(ds), 1, [np.arange(4)]), "cross-validation needs class labels"),
         # one row left to train on: no component fits
         (
@@ -384,7 +385,7 @@ def _unlabelled(ds):
             "evaluation needs true class labels",
         ),
     ],
-    ids=["k", "max_lv", "cv labels", "no component", "train labels", "no group columns", "evaluate labels"],
+    ids=["k", "max_lv", "seed", "cv labels", "no component", "train labels", "no group columns", "evaluate labels"],
 )
 def test_each_rejected_input_names_its_fault(call, message):
     rng = np.random.default_rng(0)

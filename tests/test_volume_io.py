@@ -915,6 +915,87 @@ def _erased_scan():
     return data, labels, (2.0, 2.0, 2.0), {1: 1, 3: 2, 5: 3}, 5.0
 
 
+@hs.composite
+def _sampler_scans(draw):
+    """(vol, mask, t): an int16 or float64 payload at random spacings with up
+    to two box-shaped labels, and a random target or one that is an axis's
+    spacing, twice it or half it, where a crop's fractions on an axis can all
+    be 0 while the whole grid's are not."""
+    dims = tuple(draw(hs.integers(1, 8)) for _ in range(3))
+    spacing = tuple(draw(hs.floats(0.3, 2.5)) for _ in range(3))
+    s = draw(hs.sampled_from(spacing))
+    t = draw(hs.one_of(hs.floats(0.5, 4.0), hs.sampled_from((s, 2 * s, s / 2))))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    if draw(hs.booleans()):
+        data = rng.integers(-1024, 3072, size=dims, dtype=np.int16)
+    else:
+        data = rng.normal(40.0, 300.0, size=dims)
+    labels = np.zeros(dims, dtype=np.int32)
+    for label in range(1, draw(hs.integers(1, 2)) + 1):
+        lo = [draw(hs.integers(0, d - 1)) for d in dims]
+        labels[tuple(slice(a, draw(hs.integers(a + 1, d))) for a, d in zip(lo, dims))] = label
+    return (*_pair(data, labels, spacing, {1: 1, 2: 2}), t)
+
+
+def _whole_grid(vol, t):
+    return [(0, int(volume_io._axis_length(d, s, t))) for d, s in zip(vol.dims, vol.spacing)]
+
+
+def _assert_box_is_the_whole_grid_cropped(vol, mask, t, box):
+    whole_values, whole_labels = volume_io._resample(vol, mask, t, _whole_grid(vol, t))
+    values, labels = volume_io._resample(vol, mask, t, box)
+    crop = tuple(slice(a, b) for a, b in box)
+    assert values.dtype == whole_values.dtype and values.tobytes() == whole_values[crop].tobytes()
+    assert labels.dtype == whole_labels.dtype and labels.tobytes() == whole_labels[crop].tobytes()
+
+
+class TestSampler:
+    """volume_io._resample on a box of the output grid against the whole grid's
+    samples there, and _output_box's box against the label's samples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sampler_scans(), hs.data())
+    def test_a_box_is_the_whole_grid_cropped_bitwise(self, scan, data):
+        vol, mask, t = scan
+        box = []
+        for _, n in _whole_grid(vol, t):
+            a = data.draw(hs.integers(0, n - 1))
+            box.append((a, data.draw(hs.integers(a + 1, n))))
+        _assert_box_is_the_whole_grid_cropped(vol, mask, t, box)
+
+    def test_a_crop_with_no_fraction_matches_the_blended_grid(self):
+        # at half the spacing the whole grid blends on every axis, but the
+        # one sample of this crop lies on an input voxel: no blend runs there
+        vol, mask = _pair(np.random.default_rng(3).normal(size=(5, 5, 5)), np.zeros((5, 5, 5), np.int32), (1, 1, 1), {})
+        _assert_box_is_the_whole_grid_cropped(vol, mask, 0.5, [(2, 3), (4, 5), (0, 1)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sampler_scans())
+    def test_the_output_box_holds_its_label_and_at_most_three_more_samples_a_side(self, scan):
+        vol, mask, t = scan
+        whole = _whole_grid(vol, t)
+        _, whole_labels = volume_io._resample(vol, mask, t, whole)
+        # the nearest input index of each output sample on an axis, read from
+        # the sampler itself through a mask that labels each voxel by its index
+        index = np.indices(vol.dims)
+        nearest = [
+            volume_io._resample(vol, LesionMask(index[axis], vol.spacing, {i: 1 for i in range(1, d)}), t, whole)[1]
+            for axis, d in enumerate(vol.dims)
+        ]
+        for label, (lo, hi) in mask.boxes.items():
+            box = volume_io._output_box(vol, t, label, lo, hi)
+            inside = np.zeros(whole_labels.shape, dtype=bool)
+            inside[tuple(slice(a, b) for a, b in box)] = True
+            assert not (whole_labels[~inside] == label).any()
+            for axis, ((a, b), first, last) in enumerate(zip(box, lo, hi)):
+                line = np.moveaxis(nearest[axis], axis, 0)[:, 0, 0]
+                # every sample nearest to the label's input box is in the box,
+                # and on each side at most three samples nearest to outside it
+                held = line[a:b]
+                assert ((held >= first) & (held <= last)).sum() == ((line >= first) & (line <= last)).sum()
+                assert (held < first).sum() <= 3 and (held > last).sum() <= 3
+
+
 class TestRoiExtraction:
     """extract_lesions(vol, mask, t) against extract_lesions(rvol, rmask, t) on the
     pair (rvol, rmask) that resample_isotropic(vol, mask, t) makes."""
