@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path, help="output metrics JSON")
 
     p = sub.add_parser("experiments", help="run the five feature-group experiments")
-    p.add_argument("--train", required=True, type=Path, dest="train_csv")
-    p.add_argument("--test", required=True, type=Path, dest="test_csv")
+    p.add_argument("--train", required=True, type=Path)
+    p.add_argument("--test", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path, help="output report JSON")
     _add_run_options(p)
 
@@ -273,10 +273,9 @@ def cmd_train(args) -> int:
         return 1
     model, report = ms.fit_experiment(dataset, spec)
     pls.save_model(model, args.out)
-    report_path = args.report or args.out.with_suffix(".report.json")
-    dataio.write_json(report_path, report)
+    dataio.write_json(args.report, report)
     print(_format_fitted_table([report]))
-    print(f"wrote model to {args.out} and report to {report_path}")
+    print(f"wrote model to {args.out} and report to {args.report}")
     return 0
 
 
@@ -312,8 +311,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiments(args) -> int:
     specs = ms.experiment_specs(**_run_settings(args))
-    train = _read_labelled(args.train_csv, "training data has no class column")
-    test = _read_labelled(args.test_csv, "test data has no class column")
+    train = _read_labelled(args.train, "training data has no class column")
+    test = _read_labelled(args.test, "test data has no class column")
     if train is None or test is None:
         return 1
     reports, failures = ms.run_experiments(train, test, specs)
@@ -386,11 +385,20 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # an output that cannot be written fails before any work; phantom's --out is a directory
-        outputs = list(filter(None, [] if args.command == "phantom" else [args.out, getattr(args, "report", None)]))
-        if len({path.resolve() for path in outputs}) < len(outputs):
-            raise ValueError(f"--out and --report are the same file: {args.out}")
-        for path in outputs:
+        # train's default report is checked as a given one is; an --out with no
+        # name (/ or .) has none, and is named below as a directory
+        if args.command == "train" and args.report is None and args.out.name:
+            args.report = args.out.with_suffix(".report.json")
+        # an output that cannot be written, or would replace another output or an
+        # input file, fails before any work; phantom's --out is a directory
+        outputs = [("--out", args.out), ("--report", getattr(args, "report", None))]
+        outputs = [(option, path) for option, path in outputs if path and args.command != "phantom"]
+        inputs = [(f"--{n}", getattr(args, n)) for n in ("manifest", "features", "model", "train", "test") if n in args]
+        for i, (option, path) in enumerate(outputs):
+            for other, other_path in outputs[i + 1 :] + inputs:
+                if path.resolve() == other_path.resolve():
+                    raise ValueError(f"{option} and {other} are the same file: {path}")
+        for _, path in outputs:
             if path.is_dir():
                 raise IsADirectoryError(f"output {path} is a directory")
             if not path.parent.is_dir():

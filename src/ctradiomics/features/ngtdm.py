@@ -50,8 +50,8 @@ def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:
 
     ip, pp, sp = levels[present], p_i[present], s_i[present]
     di = ip[:, None] - ip[None, :]
-    # with one present level every pair term is 0; only Contrast divides by ngp - 1
-    pair_contrast = (pp[:, None] * pp[None, :] * di**2).sum() / (ngp * (ngp - 1)) if ngp > 1 else 0.0
+    # with fewer than two present levels every pair term is 0, and so is the quotient
+    pair_contrast = (pp[:, None] * pp[None, :] * di**2).sum() / max(ngp * (ngp - 1), 1)
     contrast = pair_contrast * (s_i.sum() / n_total)
     busy_den = float(np.abs(ip[:, None] * pp[:, None] - ip[None, :] * pp[None, :]).sum())
     busyness = ps / busy_den if busy_den > 0 else 0.0

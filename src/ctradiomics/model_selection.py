@@ -158,26 +158,20 @@ def evaluate(model: PlsModel, dataset: Dataset) -> dict:
         raise ValueError(f"test labels {unknown} unknown to the model")
     aligned = dataset.subset_columns(model.feature_names)
     _, pred = predict(model, aligned.x)
-    m = len(labels)
-    index = {c: i for i, c in enumerate(labels)}
-    confusion = np.zeros((m, m), dtype=int)
-    for truth, guess in zip(dataset.y, pred):
-        confusion[index[int(truth)], index[int(guess)]] += 1
-    total = confusion.sum()
-    sensitivity, specificity = {}, {}
-    for c, i in index.items():
-        tp = confusion[i, i]
-        fn = confusion[i].sum() - tp
-        fp = confusion[:, i].sum() - tp
-        tn = total - tp - fn - fp
-        sensitivity[c] = float(tp / (tp + fn)) if tp + fn else 0.0
-        specificity[c] = float(tn / (tn + fp)) if tn + fp else 0.0
+    m = len(labels)  # the labels are 1..m, so class c is row and column c - 1
+    confusion = np.bincount((dataset.y - 1) * m + pred - 1, minlength=m * m).reshape(m, m)
+    tp, truths, total = np.diag(confusion), confusion.sum(axis=1), confusion.sum()
+    negatives = total - truths  # tn + fp
+    tn = negatives - confusion.sum(axis=0) + tp
+    # a rate with no case to count is 0: a class no row has, or one every row has
+    sensitivity = np.divide(tp, truths, out=np.zeros(m), where=truths > 0)
+    specificity = np.divide(tn, negatives, out=np.zeros(m), where=negatives > 0)
     return {
         "accuracy": float(np.trace(confusion) / total),
         "class_labels": list(labels),
         "confusion": confusion.tolist(),
-        "sensitivity": sensitivity,
-        "specificity": specificity,
+        "sensitivity": dict(zip(labels, sensitivity.tolist())),
+        "specificity": dict(zip(labels, specificity.tolist())),
     }
 
 

@@ -93,8 +93,9 @@ def fit_pls(x, y, n_components: int, feature_names=None) -> PlsModel:
 
     Per component: w is the top left singular vector of X'Y, t = Xw, and X is
     deflated by t p'.  Y is centred internally; its means are stored for
-    prediction.  If X deflates to zero early, or keeps no covariance with Y,
-    the model simply keeps the components found so far.
+    prediction.  The model keeps the components found so far once X deflates
+    to zero or keeps no covariance with Y: once |X|, or X'Y's top singular
+    value, is at most 1e-10 of its value at the first component.
     """
     if len(y) != len(x):
         raise ValueError(f"{len(y)} class ids for {len(x)} feature rows")
@@ -112,17 +113,17 @@ def fit_pls(x, y, n_components: int, feature_names=None) -> PlsModel:
     x_norm0 = np.linalg.norm(xs)
 
     w_cols, p_cols, q_cols, t_cols = [], [], [], []
+    s_first = 0.0
     for _ in range(n_components):
         if np.linalg.norm(x_work) <= 1e-10 * max(x_norm0, np.finfo(float).tiny):
             break  # X fully deflated: keep the components found so far
         u, s, _ = np.linalg.svd(x_work.T @ yc, full_matrices=False)
-        if s[0] == 0.0:
-            break  # no covariance with Y left: keep the components found so far
+        s_first = s_first or s[0]
+        if s[0] <= 1e-10 * s_first:
+            break  # no covariance with Y left (none for one class): keep the components found so far
         w = _fix_sign(u[:, 0])
         t = x_work @ w
         tt = t @ t
-        if tt <= 0.0:
-            break
         p_vec = x_work.T @ t / tt
         q_vec = yc.T @ t / tt
         x_work = x_work - np.outer(t, p_vec)

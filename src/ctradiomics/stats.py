@@ -100,8 +100,6 @@ def benjamini_hochberg(p_values, q: float = 0.05) -> tuple[np.ndarray, np.ndarra
     rejected are 1..i* for the largest i* with p_(i*) <= (i*/m) q.
     """
     p = np.asarray(p_values, dtype=np.float64)
-    if p.size == 0:
-        return np.array([]), np.array([], dtype=bool)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("p values must lie in [0, 1]")
     m = len(p)

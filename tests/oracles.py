@@ -976,3 +976,30 @@ def stratified_kfold_loop(y, k, seed):
         for pos, sample in enumerate(idx):
             folds[pos % k_eff].append(int(sample))
     return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
+def evaluate_loop(labels, y, pred) -> dict:
+    """``evaluate``'s metrics as the per-row and per-class loops built them:
+    the confusion matrix one row at a time, then each class's one-vs-rest
+    rates, 0.0 where a rate has nothing to count."""
+    m = len(labels)
+    index = {c: i for i, c in enumerate(labels)}
+    confusion = np.zeros((m, m), dtype=int)
+    for truth, guess in zip(y, pred):
+        confusion[index[int(truth)], index[int(guess)]] += 1
+    total = confusion.sum()
+    sensitivity, specificity = {}, {}
+    for c, i in index.items():
+        tp = confusion[i, i]
+        fn = confusion[i].sum() - tp
+        fp = confusion[:, i].sum() - tp
+        tn = total - tp - fn - fp
+        sensitivity[c] = float(tp / (tp + fn)) if tp + fn else 0.0
+        specificity[c] = float(tn / (tn + fp)) if tn + fp else 0.0
+    return {
+        "accuracy": float(np.trace(confusion) / total),
+        "class_labels": list(labels),
+        "confusion": confusion.tolist(),
+        "sensitivity": sensitivity,
+        "specificity": specificity,
+    }

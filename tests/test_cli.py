@@ -825,6 +825,15 @@ def test_train_report_that_is_a_directory_exits_2_before_fitting(workspace, tmp_
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out", [".", "/"])
+def test_train_out_with_no_file_name_is_named_as_a_directory(workspace, tmp_path, capsys, monkeypatch, out):
+    # it has no <out>.report.json default either
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--features", str(workspace / "train.csv"), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: output {out} is a directory"]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("report", ["model.json", "./model.json", "sub/../model.json"])
 def test_train_report_at_the_model_path_exits_2_before_fitting(workspace, tmp_path, capsys, monkeypatch, report):
     # the report written second would replace the model
@@ -838,6 +847,59 @@ def test_train_report_at_the_model_path_exits_2_before_fitting(workspace, tmp_pa
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == ["error: --out and --report are the same file: model.json"]
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["extract", "--manifest", "manifest.csv", "--out", "./manifest.csv"],
+            "--out and --manifest are the same file: manifest.csv",
+        ),
+        (
+            ["train", "--features", "train.csv", "--out", "m.json", "--report", "sub/../train.csv"],
+            "--report and --features are the same file: sub/../train.csv",
+        ),
+        (
+            ["train", "--features", "model.report.json", "--out", "model.json"],
+            "--report and --features are the same file: model.report.json",
+        ),
+        (
+            ["predict", "--features", "test.csv", "--model", "model.json", "--out", "test.csv"],
+            "--out and --features are the same file: test.csv",
+        ),
+        (
+            ["evaluate", "--features", "test.csv", "--model", "model.json", "--out", "model.json"],
+            "--out and --model are the same file: model.json",
+        ),
+        (
+            ["experiments", "--train", "train.csv", "--test", "test.csv", "--out", "test.csv"],
+            "--out and --test are the same file: test.csv",
+        ),
+        (
+            ["stats", "--features", "train.csv", "--out", "train.csv"],
+            "--out and --features are the same file: train.csv",
+        ),
+    ],
+    ids=["extract", "train", "train-default-report", "predict", "evaluate", "experiments", "stats"],
+)
+def test_an_output_at_an_input_path_exits_2_before_reading_it(tmp_path, capsys, monkeypatch, argv, message):
+    # the output, written last, would replace its own input; train's default
+    # report, <out>.report.json, is checked as a given --report is
+    def fails(path):
+        raise AssertionError(f"read {path}")
+
+    for module, name in ((dataio, "read_manifest"), (dataio, "read_features_csv"), (pls, "load_model")):
+        monkeypatch.setattr(module, name, fails)
+    monkeypatch.chdir(tmp_path)
+    golden = Path(__file__).resolve().parent / "golden"
+    names = ("manifest.csv", "train.csv", "test.csv", "model.json", "model.report.json")
+    inputs = {name: (golden / name).read_bytes() for name in names}
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == inputs
 
 
 @pytest.mark.parametrize(

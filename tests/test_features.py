@@ -118,8 +118,14 @@ class TestFirstOrderExamples:
         assert f["Entropy"] == 0.0
         assert f["Uniformity"] == 1.0
         assert f["Energy"] == 200.0
-        assert f["Skewness"] == 0.0
+        assert f["Skewness"] == 0.0  # the variance-0 fallback
         assert f["Kurtosis"] == 0.0
+
+    def test_no_value_between_p10_and_p90_has_rmad_zero(self):
+        # two voxels at 0 and 10 HU: P10 = 1 and P90 = 9, so the robust set is empty
+        region = LesionRegion(coordinates=[[0, 0, 0], [1, 0, 0]], intensities=[0.0, 10.0], spacing=(1, 1, 1))
+        f = first_order_features(discretize(region, 25.0))
+        assert (f["10Percentile"], f["90Percentile"], f["RobustMeanAbsoluteDeviation"]) == (1.0, 9.0, 0.0)
 
     def test_two_value_region(self):
         region = LesionRegion(
@@ -222,6 +228,8 @@ class TestGlcmExamples:
     def test_a_flat_marginal_has_correlation_one(self, region):
         f = glcm_features(discretize(region, 25.0))
         assert (f["Correlation"], f["MCC"]) == (1.0, 0.0)
+        # its entropy HX is 0 too, which Imc1 divides by: Imc1's fallback
+        assert (f["Imc1"], f["Imc2"]) == (0.0, 0.0)
 
     def test_correlation_holds_its_bytes_under_another_blas_kernel(self):
         # no BLAS call: OpenBLAS's oldest x86-64 kernel gives this process's bytes
@@ -325,10 +333,29 @@ class TestGlszmExamples:
 
 class TestNgtdmExamples:
     def test_constant_region_fallbacks(self):
-        # and where no voxel has a neighbour, the table is empty: the same values
-        for region in (constant_cube_region(side=3), single_voxel_region(), isolated_voxels_region()):
+        # and where no voxel has a neighbour, the table is empty: the same values;
+        # and in two separated blobs at two levels no voxel differs from its
+        # neighbours, so every s_i is 0: Strength's fallback
+        mask = np.zeros((1, 1, 6), dtype=bool)
+        mask[0, 0, [0, 1, 4, 5]] = True
+        two_blobs = region_from_mask(mask, np.array([0.0, 0.0, 0.0, 0.0, 30.0, 30.0]).reshape(1, 1, 6))
+        n_i, s_i, _ = ngtdm_table(discretize(two_blobs, 25.0))
+        assert (n_i.tolist(), s_i.tolist()) == ([2.0, 2.0], [0.0, 0.0])
+        for region in (constant_cube_region(side=3), single_voxel_region(), isolated_voxels_region(), two_blobs):
             f = ngtdm_features(discretize(region, 25.0))
             assert list(f.values()) == [1e6, 0.0, 0.0, 0.0, 0.0]  # Coarseness at its cap
+            # below two present levels Contrast's pair sum is +0.0, divided by 1
+            assert math.copysign(1.0, f["Contrast"]) == 1.0
+
+    def test_balanced_levels_have_busyness_zero(self):
+        # a rod at 0, 0 and 30 HU: levels 1, 1, 2, so 1 * 2/3 = 2 * 1/3 and
+        # Busyness's denominator is 0, while sum p_i s_i = 2/3 * 1/2 + 1/3 * 1 > 0
+        region = region_from_mask(np.ones((1, 1, 3), dtype=bool), np.array([0.0, 0.0, 30.0]).reshape(1, 1, 3))
+        d = discretize(region, 25.0)
+        n_i, s_i, n_total = ngtdm_table(d)
+        assert (n_i.tolist(), s_i.tolist(), n_total) == ([2.0, 1.0], [0.5, 1.0], 3)
+        f = ngtdm_features(d)
+        assert (f["Busyness"], f["Coarseness"]) == (0.0, 1.5)
 
     def test_two_voxel_hand_computation(self):
         region = LesionRegion(

@@ -1,5 +1,7 @@
 """Stratified folds, CV component selection, experiments, and metrics."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,29 @@ class TestFitExperiment:
             ms.fit_experiment(ds, spec)
 
 
+@pytest.fixture(scope="module")
+def perfect():
+    """A model and a separable set whose every row it predicts as the row's class."""
+    ds = _gaussian_dataset(seed=8)
+    model, _ = ms.fit_experiment(ds, ms.ExperimentSpec(1, ("shape", "fos"), False, k=4, max_lv=4))
+    assert np.array_equal(pls.predict(model, ds.subset_columns(model.feature_names).x)[1], ds.y)
+    return model, ds
+
+
+def _with_confusion(perfect, confusion) -> Dataset:
+    """Rows that ``perfect``'s model predicts as class j + 1, labelled i + 1,
+    confusion[i][j] of them for each cell, in row-major cell order."""
+    _, ds = perfect
+    rows, truth = [], []
+    for i, counts in enumerate(confusion):
+        for j, count in enumerate(counts):
+            members = np.flatnonzero(ds.y == j + 1)
+            assert count <= len(members)
+            rows.extend(members[:count])
+            truth.extend([i + 1] * count)
+    return Dataset(x=ds.x[rows], y=truth, feature_names=ds.feature_names)
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         ds = _gaussian_dataset(seed=8)
@@ -278,22 +303,40 @@ class TestEvaluate:
         assert all(v == 1.0 for v in metrics["specificity"].values())
         assert np.trace(metrics["confusion"]) == len(ds)
 
-    def test_hand_confusion_metrics(self):
-        confusion = np.array([[2, 0, 0], [0, 0, 2], [0, 0, 2]])
-        # rebuild metrics from a synthetic prediction set matching the matrix
-        labels = (1, 2, 3)
-        total = confusion.sum()
-        accuracy = np.trace(confusion) / total
-        assert accuracy == pytest.approx(4 / 6)
-        i = 1  # class 2
-        tp = confusion[i, i]
-        fn = confusion[i].sum() - tp
-        assert tp / (tp + fn) == 0.0
-        j = 2  # class 3 specificity
-        tp3 = confusion[j, j]
-        fp3 = confusion[:, j].sum() - tp3
-        tn3 = total - confusion[j].sum() - fp3
-        assert tn3 / (tn3 + fp3) == pytest.approx(2 / 4)
+    def test_hand_confusion_metrics(self, perfect):
+        confusion = [[2, 0, 0], [0, 0, 2], [0, 0, 2]]
+        metrics = ms.evaluate(perfect[0], _with_confusion(perfect, confusion))
+        assert metrics["confusion"] == confusion
+        assert metrics["accuracy"] == pytest.approx(4 / 6)
+        assert metrics["sensitivity"][2] == 0.0
+        assert metrics["specificity"][3] == pytest.approx(2 / 4)
+
+    def test_a_rate_with_nothing_to_count_is_zero(self, perfect):
+        # one class only: class 2 and 3 have no row (no sensitivity to count),
+        # and every row has class 1 (no negative to count its specificity on)
+        confusion = [[3, 1, 0], [0, 0, 0], [0, 0, 0]]
+        metrics = ms.evaluate(perfect[0], _with_confusion(perfect, confusion))
+        want = {
+            "accuracy": 0.75,
+            "class_labels": [1, 2, 3],
+            "confusion": confusion,
+            "sensitivity": {1: 0.75, 2: 0.0, 3: 0.0},
+            "specificity": {1: 0.0, 2: 0.75, 3: 1.0},
+        }
+        assert json.dumps(metrics) == json.dumps(want)  # the same values, in the same key order
+
+    def test_matches_the_per_class_loop(self, perfect):
+        # the same dict, bit for bit and key for key, as the loops built it
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            confusion = (rng.integers(0, 5, size=(3, 3)) * (rng.random((3, 3)) < 0.6)).tolist()
+            if not np.any(confusion):
+                continue
+            data = _with_confusion(perfect, confusion)
+            pred = np.repeat(np.tile([1, 2, 3], 3), np.ravel(confusion))
+            assert json.dumps(ms.evaluate(perfect[0], data)) == json.dumps(
+                oracles.evaluate_loop((1, 2, 3), data.y, pred)
+            ), confusion
 
     def test_evaluate_matches_hand_example_end_to_end(self):
         # craft a model-free check through the public API: train on separable
@@ -315,16 +358,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\[7\]"):
             ms.evaluate(model, bad)
 
-    def test_sensitivity_depends_only_on_its_row(self):
+    def test_sensitivity_depends_only_on_its_row(self, perfect):
         # metamorphic: perturbing other rows' predictions leaves Se_k intact
-        labels = (1, 2, 3)
-        base = np.array([[5, 1, 0], [1, 4, 1], [0, 2, 4]])
-        perturbed = base.copy()
-        perturbed[0] = [4, 1, 1]  # change row 1 only
-        for conf in (base, perturbed):
-            tp = conf[1, 1]
-            fn = conf[1].sum() - tp
-            assert tp / (tp + fn) == pytest.approx(4 / 6)
+        base = [[5, 1, 0], [1, 4, 1], [0, 2, 4]]
+        perturbed = [[4, 1, 1], *base[1:]]  # change row 1 only
+        for confusion in (base, perturbed):
+            metrics = ms.evaluate(perfect[0], _with_confusion(perfect, confusion))
+            assert metrics["confusion"] == confusion
+            assert metrics["sensitivity"][2] == pytest.approx(4 / 6)
 
     def test_accuracy_complements_error(self):
         ds = _gaussian_dataset(seed=11, scale=2.5)

@@ -177,6 +177,13 @@ class TestFitPls:
         model = pls.fit_pls(x, rng.integers(1, 3, 10), 2)
         assert model.n_components == 1
 
+    def test_early_stop_on_covariance_gone_up_to_rounding(self):
+        # one component takes all of X's covariance with Y; what is left of it is
+        # rounding (a singular value of about 3e-16 against 2.45), not a component
+        x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        model = pls.fit_pls(x, [1, 1, 2, 2], 2)
+        assert model.n_components == 1
+
     def test_excessive_components_rejected(self):
         with pytest.raises(ValueError):
             pls.fit_pls(np.zeros((4, 2)), [1, 2, 1, 2], 4)

@@ -1,5 +1,7 @@
 """Kruskal-Wallis, Dunn, Benjamini-Hochberg, and the per-feature report."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -163,6 +165,13 @@ class TestBenjaminiHochberg:
         assert rejected.tolist() == [True]
         _, rejected = stats.benjamini_hochberg([0.06], q=0.05)
         assert rejected.tolist() == [False]
+
+    def test_empty_family(self):
+        # the general path on no p value: empty arrays of both dtypes, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adjusted, rejected = stats.benjamini_hochberg([])
+        assert (adjusted.dtype, adjusted.shape, rejected.dtype, rejected.shape) == (np.float64, (0,), bool, (0,))
 
     @given(
         hs.lists(hs.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30),

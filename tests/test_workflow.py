@@ -57,6 +57,28 @@ def test_tier1_summary_gives_the_cli_import_time(tmp_path):
     assert re.fullmatch(r"CLI import time: \d+\.\d ms\n", summary.read_text())
 
 
+@pytest.mark.parametrize("status, last", [(0, "719 passed in 34.12s"), (1, "1 failed, 718 passed in 34.98s")])
+def test_tier1_summary_gives_the_test_count_and_time(tmp_path, status, last):
+    # the step's own shell lines, run here with a stand-in python printing a
+    # canned pytest output: one summary line, and pytest's exit status kept
+    steps = jobs(WORKFLOW.read_text())["tier1"]["steps"]
+    runs = [step["run"] for step in steps if "pytest" in step.get("run", "")]
+    assert len(runs) == 1
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    canned = ["....F  [100%]", "==== slowest 10 durations ====", "3.10s call  tests/test_cli.py::test_x", last]
+    script = "#!/bin/sh\nprintf '%s\\n' " + " ".join(f"'{line}'" for line in canned) + f"\nexit {status}\n"
+    (bin_dir / "python").write_text(script)
+    (bin_dir / "python").chmod(0o755)
+    summary = tmp_path / "summary.md"
+    env = dict(os.environ, GITHUB_STEP_SUMMARY=str(summary))
+    env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
+    done = subprocess.run(["bash", "-e", "-c", runs[0]], env=env, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == status
+    assert done.stdout.splitlines() == canned
+    assert summary.read_text() == f"Tier-1 tests: {last}\n"
+
+
 def test_tier1_runs_the_benchmark_self_test():
     # the only check that fails when src/ stops resolving a name that
     # perfbench/tracing.py wraps (cli.extract_all, model_selection.fit_pls, ...)
