@@ -74,7 +74,7 @@ def first_order_features(d: DiscretizedRegion) -> dict[str, float]:
     robust = x[(x >= p10) & (x <= p90)]
     rmad = float(np.abs(robust - robust.mean()).mean()) if len(robust) else 0.0
 
-    if variance > 0.0:
+    if s[0] < s[-1]:  # not the variance: a constant region's can read its rounding
         skewness = float(np.mean(squared * centered) / variance**1.5)
         kurtosis = float(np.mean(squared * squared) / variance**2)
     else:

@@ -54,7 +54,9 @@ def ngtdm_features(d: DiscretizedRegion) -> dict[str, float]:
     pair_contrast = (pp[:, None] * pp[None, :] * di**2).sum() / max(ngp * (ngp - 1), 1)
     contrast = pair_contrast * (s_i.sum() / n_total)
     busy_den = float(np.abs(ip[:, None] * pp[:, None] - ip[None, :] * pp[None, :]).sum())
-    busyness = ps / busy_den if busy_den > 0 else 0.0
+    # exactly 0 where every present level has one i * n_i, which rounded p_i can miss
+    balanced = len({int(i) * int(n) for i, n in zip(d.gray[present], n_i[present])}) <= 1
+    busyness = 0.0 if balanced else ps / busy_den
     complexity = (
         np.abs(di) * (pp[:, None] * sp[:, None] + pp[None, :] * sp[None, :]) / (pp[:, None] + pp[None, :])
     ).sum() / n_total

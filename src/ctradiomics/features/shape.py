@@ -83,11 +83,11 @@ def _axis_lengths(d: DiscretizedRegion) -> tuple[float, float, float, float, flo
     region spanning no direction (one voxel, or a covariance that underflows)
     gets zero lengths and the compact fallback elongation = flatness = 1.
     """
-    coords = d.coordinates * np.asarray(d.spacing)
-    c = coords.T - coords.mean(axis=0)[:, None]
+    # centred on the voxel indices, then scaled: a constant column centres to exactly 0
+    c = ((d.coordinates - d.coordinates.mean(axis=0)) * np.asarray(d.spacing)).T
     cov = np.zeros((3, 3))
     for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):  # six sums, not np.cov's BLAS product
-        cov[i, j] = cov[j, i] = (c[i] * c[j]).sum() / max(len(coords) - 1, 1)
+        cov[i, j] = cov[j, i] = (c[i] * c[j]).sum() / max(len(d.coordinates) - 1, 1)
     eigvals = np.clip(np.linalg.eigvalsh(cov), 0.0, None)  # clamp numerical negatives
     least, minor, major = float(eigvals[0]), float(eigvals[1]), float(eigvals[2])
     if major <= 0.0:

@@ -116,13 +116,7 @@ def _make_scan(scan_id: str, class_id: int, rng: np.random.Generator) -> Phantom
     volume = VoxelVolume(data=data, spacing=SPACING)
     labels = np.zeros(data.shape, dtype=LABEL_DTYPE)
     labels[box] = lesion
-    inside = np.argwhere(lesion) + [b.start for b in box]  # found on the box, not the cube
-    lesion_mask = LesionMask(
-        labels=labels,
-        spacing=SPACING,
-        class_of_label={1: class_id},
-        boxes={1: (inside.min(axis=0), inside.max(axis=0))},
-    )
+    lesion_mask = LesionMask(labels=labels, spacing=SPACING, class_of_label={1: class_id})
     return PhantomScan(scan_id=scan_id, volume=volume, mask=lesion_mask, class_id=class_id)
 
 

@@ -106,16 +106,14 @@ class LesionMask:
     """Integer-labelled grid aligned to a volume; label 0 is background.
 
     ``boxes`` holds the inclusive index bounds of every nonzero label in
-    ascending label order (``_label_boxes``).  It is computed here from
-    ``labels`` unless the caller, having made that one pass over the mask
-    already, passes it in.
+    ascending label order, found here in one pass over ``labels``.
     """
 
     labels: np.ndarray
     spacing: tuple[float, float, float]
     class_of_label: dict[int, int] = field(default_factory=dict)
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    boxes: dict[int, tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False, compare=False)
+    boxes: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -123,8 +121,7 @@ class LesionMask:
             raise MaskError(f"mask labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.ndim != 3:
             raise ValueError(f"mask labels must be 3D, got shape {self.labels.shape}")
-        if self.boxes is None:
-            self.boxes = _label_boxes(self.labels)
+        self.boxes = _label_boxes(self.labels)
         present = list(self.boxes)
         if present and present[0] < 0:
             raise MaskError("mask labels must be non-negative")
@@ -307,11 +304,12 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
 
     ``class_map`` maps mask labels to class ids; it may cover labels absent
     from this particular file (e.g. one shared map for a whole cohort), but
-    every nonzero label present in the file must have an entry.  Integer
-    payloads keep their on-disk type; a float or rescaled payload must hold
-    whole numbers in the int32 range.  It is read one chunk at a time into
-    uint8 labels, which are widened only when a chunk holds a label they
-    cannot.
+    every nonzero label present in the file must have an entry, and every
+    entry, for a label present or not, a valid class id; the mask keeps the
+    entries of its own labels.  Integer payloads keep their on-disk type; a
+    float or rescaled payload must hold whole numbers in the int32 range.  It
+    is read one chunk at a time into uint8 labels, which are widened only
+    when a chunk holds a label they cannot.
     """
     hdr, payload = _read_payload(path)
     scale = _scale(hdr, path)
@@ -332,14 +330,12 @@ def read_mask(path, class_map: dict[int, int]) -> LesionMask:
             if wider != labels.dtype:
                 labels = labels.astype(wider, order="F")
             labels.reshape(-1, order="F")[start : start + len(data)] = rounded  # a view, filled in file order
-    boxes = _label_boxes(labels)
-    class_of_label = {lbl: class_map[lbl] for lbl in boxes if lbl in class_map}
     try:
-        return LesionMask(
-            labels=labels, spacing=hdr["spacing"], class_of_label=class_of_label, origin=hdr["origin"], boxes=boxes
-        )
+        mask = LesionMask(labels=labels, spacing=hdr["spacing"], class_of_label=class_map, origin=hdr["origin"])
     except (MaskError, ClassMapError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    mask.class_of_label = {label: mask.class_of_label[label] for label in mask.boxes}
+    return mask
 
 
 def write_nifti(path, data: np.ndarray, spacing, origin=(0.0, 0.0, 0.0)) -> None:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -118,8 +120,15 @@ class TestFirstOrderExamples:
         assert f["Entropy"] == 0.0
         assert f["Uniformity"] == 1.0
         assert f["Energy"] == 200.0
-        assert f["Skewness"] == 0.0  # the variance-0 fallback
+        assert f["Skewness"] == 0.0  # the constant-region fallback
         assert f["Kurtosis"] == 0.0
+
+    def test_a_constant_region_the_mean_misses_has_skewness_zero(self):
+        # at 37.3 HU the mean rounds, so the variance reads 5.0e-29; the
+        # trigger is the sorted values' min == max, not the variance
+        f = first_order_features(discretize(constant_cube_region(side=3, value=37.3), 25.0))
+        assert f["Variance"] > 0.0
+        assert (f["Skewness"], f["Kurtosis"]) == (0.0, 0.0)
 
     def test_no_value_between_p10_and_p90_has_rmad_zero(self):
         # two voxels at 0 and 10 HU: P10 = 1 and P90 = 9, so the robust set is empty
@@ -357,6 +366,13 @@ class TestNgtdmExamples:
         f = ngtdm_features(d)
         assert (f["Busyness"], f["Coarseness"]) == (0.0, 1.5)
 
+    def test_balanced_levels_have_busyness_zero_where_the_floats_differ(self):
+        # levels 1 on five voxels and 5 on one: 1 * 5 = 5 * 1, while the
+        # float products 1 * (5/6) and 5 * (1/6) differ by 2.2e-16
+        hu = np.array([0.0, 0.0, 0.0, 100.0, 0.0, 0.0]).reshape(1, 1, 6)
+        values = extract_all(region_from_mask(np.ones((1, 1, 6), dtype=bool), hu), 25.0).values
+        assert values["ngtdm_Busyness"] == 0.0
+
     def test_two_voxel_hand_computation(self):
         region = LesionRegion(
             coordinates=[[0, 0, 0], [1, 0, 0]], intensities=[0.0, 25.0], spacing=(1, 1, 1)
@@ -375,6 +391,63 @@ class TestNgtdmExamples:
     def test_contrast_zero_for_single_level(self):
         d = discretize(constant_cube_region(side=2), 25.0)
         assert ngtdm_features(d)["Contrast"] == 0.0
+
+
+@hs.composite
+def leveled_rods(draw):
+    """A 1 x 1 x n rod, so every voxel has a neighbour, at 1-3 gray levels of
+    bin width 25 with HU in steps of 0.1 or 1/3: (each voxel's level, its HU).
+    Half the draws balance the counts (every level has the same i * n_i), and
+    half give every voxel of a level one HU, so a one-level rod is constant."""
+    step = draw(hs.sampled_from([0.1, 1 / 3]))
+    gray = [1, *sorted(draw(hs.sets(hs.integers(2, 5), max_size=2)))]
+    if draw(hs.booleans()):
+        lcm = math.lcm(*gray)
+        per = sum(lcm // g for g in gray)
+        m = draw(hs.integers(1 if per > 1 else 2, 60 // per))
+        counts = [m * lcm // g for g in gray]
+    else:
+        counts = [draw(hs.integers(1 if len(gray) > 1 else 2, 20)) for _ in gray]
+    levels = draw(hs.permutations(np.repeat(gray, counts).tolist()))
+    flat = draw(hs.booleans())
+    shared = {**{g: draw(hs.integers(0, 30)) for g in gray}, 1: 0}
+    base = draw(hs.integers(-3000, 3000)) * step
+    lowest = levels.index(1)
+    hu = []
+    for k, g in enumerate(levels):
+        j = shared[g] if flat or k == lowest else draw(hs.integers(0, 30))
+        # level 1 from its minimum at base; a higher level's HU clear of its bin's edges
+        hu.append(base + (j * step if g == 1 else (g - 1) * 25.0 + (j + 1) * step))
+    return levels, hu
+
+
+@settings(max_examples=60, deadline=None)
+@given(leveled_rods())
+@example(([1, 1, 1, 5, 1, 1], [0.0, 0.0, 0.0, 100.0, 0.0, 0.0]))
+@example(([1] * 27, [37.3] * 27))
+@example(([1] * 27, [0.1] * 27))
+def test_each_fallback_fires_exactly_on_its_trigger(rod):
+    # Busyness: every present level has one i * p_i; Skewness and Kurtosis:
+    # the HU variance is 0; both computed exactly, in Fractions
+    levels, hu = rod
+    n = len(levels)
+    region = region_from_mask(np.ones((1, 1, n), dtype=bool), np.reshape(hu, (1, 1, n)))
+    d = discretize(region, 25.0)
+    assert d.levels.tolist() == levels
+    balanced = len({g * Fraction(count, n) for g, count in Counter(levels).items()}) <= 1
+    f = ngtdm_features(d)
+    if balanced:
+        assert f["Busyness"] == 0.0
+    else:  # at least two levels on a rod, so sum p_i s_i > 0 and the quotient is too
+        assert f["Coarseness"] < 1e6 and 0.0 < f["Busyness"] < math.inf
+    x = [Fraction(v) for v in hu]
+    mean = sum(x) / n
+    constant = sum((v - mean) ** 2 for v in x) == 0
+    f = first_order_features(d)
+    if constant:
+        assert (f["Skewness"], f["Kurtosis"]) == (0.0, 0.0)
+    else:  # m4 / m2**2 >= 1 on the general path
+        assert 0.5 < f["Kurtosis"] < math.inf
 
 
 class TestShapeExamples:
@@ -418,6 +491,15 @@ class TestShapeExamples:
         # a zero covariance: zero axis lengths and the compact elongation = flatness = 1
         axes = ("MajorAxisLength", "MinorAxisLength", "LeastAxisLength", "Elongation", "Flatness")
         assert [f[name] for name in axes] == [0.0, 0.0, 0.0, 1.0, 1.0]
+
+    def test_offset_rods_have_exactly_zero_cross_axes(self):
+        # the voxel indices are centred before they are scaled, so each
+        # constant column centres to exactly 0 wherever the rod lies
+        names = ("MinorAxisLength", "LeastAxisLength", "Elongation", "Flatness")
+        for x0, y0, n in itertools.product(range(8), range(8), (3, 7, 10, 13, 20)):
+            rod = LesionRegion([[x0, y0, z + 2] for z in range(n)], np.zeros(n), (0.7, 0.7, 2.5))
+            f = shape_features(discretize(rod, 25.0))
+            assert [f[name] for name in names] == [0.0] * 4, (x0, y0, n)
 
     @pytest.mark.parametrize(
         "mask_shape, spacing",

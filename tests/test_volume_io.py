@@ -254,6 +254,13 @@ class TestReadMask:
         path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=2))
         mask = read_mask(path, {1: 1, 9: 3})
         assert mask.class_of_label == {1: 1}
+        assert read_mask(path, {1: 2, 9: 3}).class_of_label == {1: 2}
+
+    def test_an_entry_for_a_label_the_file_lacks_is_still_checked(self, tmp_path):
+        payload = [0, 1, 0, 0, 0, 0, 0, 0]
+        path = write_blob(tmp_path, make_nifti_bytes(payload=payload, datatype=2))
+        with pytest.raises(ValueError, match=r"^class id for label 9 must be 1, 2 or 3, got 5$"):
+            read_mask(path, {1: 2, 9: 5})
 
     def test_missing_label_is_configuration_error(self, tmp_path):
         payload = [0, 5, 0, 0, 0, 0, 0, 0]
@@ -340,8 +347,8 @@ class TestReadMask:
             read_mask(path, {1: 1})
 
     def test_one_label_scan_per_mask(self, tmp_path, monkeypatch):
-        # read_mask hands its label boxes to the LesionMask, and extract_lesions
-        # reads them from there: one whole-mask pass per scan
+        # the LesionMask finds its label boxes, and extract_lesions reads
+        # them from there: one whole-mask pass per scan
         import ctradiomics.volume_io as vio
 
         labels = np.zeros((12, 10, 6), dtype=np.uint8)
@@ -1122,6 +1129,12 @@ _LABELS = np.zeros((2, 2, 2), dtype=np.int32)
         ),
         (lambda tmp: LesionMask(_LABELS, _ONE, {1: 4}), ValueError, "class id for label 1 must be 1, 2 or 3, got 4"),
         (
+            # a mask finds its own boxes: a stale box handed in would crop its label
+            lambda tmp: LesionMask(_LABELS, _ONE, {1: 1}, boxes={1: (np.zeros(3), np.ones(3))}),
+            TypeError,
+            r"LesionMask\.__init__\(\) got an unexpected keyword argument 'boxes'",
+        ),
+        (
             lambda tmp: LesionRegion(np.zeros((2, 2)), np.zeros(2), _ONE),
             ValueError,
             r"coordinates must be an \(n, 3\) index array",
@@ -1160,6 +1173,7 @@ _LABELS = np.zeros((2, 2, 2), dtype=np.int32)
         "float labels",
         "2D labels",
         "class outside the ids",
+        "boxes handed in",
         "2D coordinates",
         "empty region",
         "intensity count",

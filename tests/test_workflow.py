@@ -103,14 +103,20 @@ def test_dev_mode_runs_tier1_with_resource_warnings_as_errors():
 def test_blas_margin_runs_the_golden_tests_under_the_prescott_kernel():
     # the golden outputs move under another OpenBLAS kernel; this job fails
     # when a move reaches test_golden.py's REL, under Prescott and under Haswell,
-    # or when the model layer's bit-for-bit tests fail under either kernel
+    # or when the model layer's bit-for-bit tests or the features' exact tests
+    # fail under either kernel
     job = jobs(WORKFLOW.read_text())["blas-margin"]
     assert job["strategy"] == {"fail-fast": False, "matrix": {"kernel": ["Prescott", "Haswell"]}}
     runs = [step["run"] for step in job["steps"] if "pytest" in step.get("run", "")]
     assert len(runs) == 1
     assert runs[0].startswith("OPENBLAS_CORETYPE=${{ matrix.kernel }} ")
-    assert runs[0].split()[-5:] == [
-        "pytest", "-q", "tests/test_golden.py", "tests/test_pls.py", "tests/test_model_selection.py"
+    assert runs[0].split()[-6:] == [
+        "pytest",
+        "-q",
+        "tests/test_golden.py",
+        "tests/test_pls.py",
+        "tests/test_model_selection.py",
+        "tests/test_features.py",
     ]
 
 
